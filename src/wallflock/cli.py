@@ -28,7 +28,7 @@ from .config import (
 from .integrator import StiffnessError, Trajectory, integrate
 from .observables import record_series, write_diagnostics_csv
 from .potentials import WallDomainError
-from .verification import TheoremReport, verify_halfline, verify_interval
+from .verification import TheoremReport, verify
 
 MAX_SWEEP_RUNS = 10_000
 
@@ -50,19 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("sweep", parents=[common], help="run a parameter/seed cross product")
     sub.add_parser("plot-data", parents=[common], help="run and emit plot-ready columns")
     return parser
-
-
-def _read_config(args) -> tuple[RunConfig, str]:
-    if args.config is not None:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    else:
-        text = ""
-    cfg = parse_config(text)
-    cfg = _apply_overrides(cfg, args)
-    return cfg, text
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -147,12 +134,8 @@ def run_simulate(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> 
 def _verify(cfg: RunConfig) -> TheoremReport:
     model = model_from_config(cfg)
     state = initial_state_from_config(cfg)
-    if cfg.geometry.variant == "halfline":
-        return verify_halfline(
-            model, state, cfg.control, cfg.thresholds, cfg.t_end, cfg.sample_every
-        )
-    return verify_interval(
-        model, state, cfg.control, cfg.thresholds, cfg.t_end, cfg.sample_every
+    return verify(
+        model, state, cfg.control, cfg.thresholds, t_end=cfg.t_end, sample_every=cfg.sample_every
     )
 
 
@@ -338,15 +321,15 @@ def run_plot_data(cfg: RunConfig, config_text: str = "", quiet: bool = False) ->
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.config is None and args.command == "sweep":
+            raise ConfigError("sweep requires --config")
+        try:
+            text = "" if args.config is None else args.config.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if args.command == "sweep":
-            if args.config is None:
-                raise ConfigError("sweep requires --config")
-            try:
-                text = Path(args.config).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
             return run_sweep(text, args.out, args.quiet)
-        cfg, text = _read_config(args)
+        cfg = _apply_overrides(parse_config(text), args)
         if args.command == "simulate":
             return run_simulate(cfg, text, args.quiet)
         if args.command == "verify":

@@ -173,8 +173,6 @@ def _validate(kernel, wall, geometry, ic, output, t_end, sample_every):
         raise ConfigError("integrator.t_end must be positive and finite")
     if not (math.isfinite(sample_every) and 0 < sample_every <= t_end):
         raise ConfigError("integrator.sample_every must lie in (0, t_end]")
-    if geometry.variant == "halfline" and (geometry.a is not None or geometry.b is not None):
-        raise ConfigError("geometry.a and geometry.b apply to the interval variant only")
     if ic.n_agents < 1:
         raise ConfigError("ic.n_agents must be at least 1")
     if not 0 <= ic.seed < 2**64:
@@ -218,15 +216,6 @@ def serialize_config(cfg: RunConfig) -> str:
         data["geometry"]["a"] = cfg.geometry.a
         data["geometry"]["b"] = cfg.geometry.b
     return yaml.safe_dump(data, sort_keys=True)
-
-
-def load_config(path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
 
 
 def model_from_config(cfg: RunConfig) -> FlockModel:

@@ -69,32 +69,13 @@ class FlockModel:
         check_domain(self.geometry, self.wall, x)
 
 
-@dataclass
-class PhaseDerivative:
-    dx: np.ndarray
-    dv: np.ndarray
-
-
 def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """dv/dt on raw arrays; shared by rhs and the integrator stages."""
+    """dv/dt on raw arrays; dx/dt is v itself."""
     n = x.shape[0]
     gaps = x[:, None] - x[None, :]
     w = m.kernel.eval(gaps)
     acc = (w * (v[None, :] - v[:, None])).sum(axis=1) / n
     return acc + m.force(x)
-
-
-def rhs(m: FlockModel, s: FlockState) -> PhaseDerivative:
-    return PhaseDerivative(dx=s.v.copy(), dv=acceleration(m, s.x, s.v))
-
-
-def momentum(s: FlockState) -> float:
-    """Mean velocity of the flock."""
-    return float(np.mean(s.v))
-
-
-def mean_force(m: FlockModel, s: FlockState) -> float:
-    return float(np.mean(m.force(s.x)))
 
 
 def initial_condition(

@@ -89,19 +89,6 @@ def _attempt(m: FlockModel, x: np.ndarray, v: np.ndarray, dt: float):
     return x_new, v_new, err_x, err_v
 
 
-def step_embedded(m: FlockModel, s: FlockState, dt: float):
-    """Single embedded step from s; returns (new_state, error_estimate).
-
-    The estimate is the max-norm of the embedded difference over all
-    position and velocity components.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    x_new, v_new, err_x, err_v = _attempt(m, s.x, s.v, dt)
-    err = max(float(np.max(np.abs(err_x))), float(np.max(np.abs(err_v))))
-    return FlockState(t=s.t + dt, x=x_new, v=v_new), err
-
-
 def _sample_grid(t0: float, t_end: float, sample_every: float) -> np.ndarray:
     if not sample_every > 0:
         raise ValueError("sample_every must be positive")

@@ -80,11 +80,6 @@ def diagnostics(m: FlockModel, s: FlockState, G: float) -> DiagnosticsRecord:
     )
 
 
-def diagnostics_table(records) -> np.ndarray:
-    """Records stacked as a (n_samples, n_fields) array in CSV column order."""
-    return np.array([[getattr(r, f) for f in FIELDS] for r in records], dtype=float)
-
-
 def record_series(records, name: str) -> np.ndarray:
     return np.array([getattr(r, name) for r in records], dtype=float)
 

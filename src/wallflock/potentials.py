@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,49 +60,56 @@ class WallPotential:
             out = self.theta * (4.0 * g**3 * x + g**4) / (x * x)
         return out if out.ndim else float(out)
 
-    def curvature(self, x):
-        """U''(x) = theta * (12 g^2 / x + 8 g^3 / x^2 + 2 g^4 / x^3)."""
-        x = self._check(x)
-        if self.disabled:
-            out = np.zeros_like(x)
-        else:
-            g = self._gap(x)
-            out = self.theta * (12.0 * g**2 / x + 8.0 * g**3 / (x * x) + 2.0 * g**4 / x**3)
-        return out if out.ndim else float(out)
-
     def _check(self, x):
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        # array methods, not np.all/np.any: this runs on every force evaluation
+        if not np.isfinite(x).all():
             raise WallDomainError("wall distance must be finite")
-        if not self.disabled and np.any(x <= 0.0):
+        if not self.disabled and (x <= 0.0).any():
             raise WallDomainError("wall distance must be positive")
         return x
 
 
 @dataclass(frozen=True)
 class Geometry:
-    """Open confinement domain: the half-line (0, inf) or an interval (a, b)."""
+    """Open confinement domain: the half-line (0, inf) or an interval (a, b).
+
+    The domain is bounded by its walls, each a (position, direction) pair
+    whose direction points into the domain: the half-line has the wall
+    (0, +1), the interval the walls (a, +1) and (b, -1).
+    """
 
     variant: str = "halfline"
     a: float | None = None
     b: float | None = None
+    walls: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.variant not in ("halfline", "interval"):
-            raise ValueError(f"unknown geometry variant {self.variant!r}")
-        if self.variant == "interval":
+        if self.variant == "halfline":
+            if self.a is not None or self.b is not None:
+                raise ValueError("geometry.a and geometry.b apply to the interval variant only")
+            walls = ((0.0, 1.0),)
+        elif self.variant == "interval":
             if self.a is None or self.b is None:
                 raise ValueError("interval geometry requires both endpoints a and b")
             if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
                 raise ValueError("interval geometry requires finite endpoints with b > a")
+            walls = ((self.a, 1.0), (self.b, -1.0))
+        else:
+            raise ValueError(f"unknown geometry variant {self.variant!r}")
+        object.__setattr__(self, "walls", walls)
+        # (walls, 1) columns that broadcast against a row of positions
+        position, direction = np.array(walls, dtype=float).T[:, :, None]
+        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_direction", direction)
 
 
 def wall_distances(geom: Geometry, x) -> np.ndarray:
-    """Distance from each position to every wall, one row per wall."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if geom.variant == "halfline":
-        return x[None, :].copy()
-    return np.stack([x - geom.a, geom.b - x])
+    """Distance from each position to every wall, one row per wall.
+
+    direction * (x - position) is exact for direction -1: fl(x - b) = -fl(b - x).
+    """
+    return geom._direction * (np.asarray(x, dtype=float) - geom._position)
 
 
 def check_domain(geom: Geometry, wall: WallPotential, x) -> None:
@@ -112,40 +119,30 @@ def check_domain(geom: Geometry, wall: WallPotential, x) -> None:
     can cross the boundary and be flagged by the collision check afterwards.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise WallDomainError("positions must be finite")
     if wall.disabled:
         return
-    if np.any(wall_distances(geom, x) <= 0.0):
+    if (wall_distances(geom, x) <= 0.0).any():
         raise WallDomainError("position at or behind a wall")
 
 
-def geometry_potential(geom: Geometry, wall: WallPotential, x):
+def geometry_potential(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
     """Per-position confinement energy, one wall term per boundary."""
-    if geom.variant == "halfline":
-        return wall.value(x)
-    return wall.value(np.asarray(x, dtype=float) - geom.a) + wall.value(geom.b - np.asarray(x, dtype=float))
+    return np.add.reduce(wall.value(wall_distances(geom, x)), axis=0)
 
 
-def geometry_force(geom: Geometry, wall: WallPotential, x):
-    """Signed confining force: each wall pushes toward the interior."""
-    if geom.variant == "halfline":
-        return wall.force(x)
-    x = np.asarray(x, dtype=float)
-    return wall.force(x - geom.a) - wall.force(geom.b - x)
-
-
-def geometry_curvature(geom: Geometry, wall: WallPotential, x):
-    if geom.variant == "halfline":
-        return wall.curvature(x)
-    x = np.asarray(x, dtype=float)
-    return wall.curvature(x - geom.a) + wall.curvature(geom.b - x)
+def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
+    """Signed confining force: each wall pushes along its direction."""
+    return np.add.reduce(geom._direction * wall.force(wall_distances(geom, x)), axis=0)
 
 
 def warn_if_overlapping(geom: Geometry, wall: WallPotential) -> None:
     # overlapping ranges are legal but leave no force-free interior region
-    if geom.variant == "interval" and wall.ell > (geom.b - geom.a) / 2.0:
+    positions = [position for position, _ in geom.walls]
+    half_width = (max(positions) - min(positions)) / 2.0
+    if len(positions) > 1 and wall.ell > half_width:
         warnings.warn(
-            f"wall range ell={wall.ell} exceeds half the interval width {(geom.b - geom.a) / 2.0}",
+            f"wall range ell={wall.ell} exceeds half the interval width {half_width}",
             stacklevel=2,
         )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -70,9 +70,6 @@ class SettlementResult:
 
 @dataclass
 class IntervalDecayResult:
-    passed: bool
-    kinetic_integral: float
-    force_sq_integral: float
     final_K: float
     final_F_max: float
     kinetic_tail_share: float
@@ -103,48 +100,21 @@ class TheoremReport:
                 return c
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        def clean(obj):
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            return obj
-
-        return {
-            "variant": self.variant,
-            "passed": self.passed,
-            "claims": [
-                {
-                    "name": c.name,
-                    "passed": bool(c.passed),
-                    "value": clean(c.value),
-                    "threshold": clean(c.threshold),
-                    "applicable": bool(c.applicable),
-                    "detail": c.detail,
-                }
-                for c in self.claims
-            ],
-            "min_wall_distance": clean(self.min_wall_distance),
-            "final_A": clean(self.final_A),
-            "final_D": clean(self.final_D),
-            "fit": None
-            if self.fit is None
-            else {
-                "C": clean(self.fit.C),
-                "delta": clean(self.fit.delta),
-                "r_squared": clean(self.fit.r_squared),
-                "window": [clean(w) for w in self.fit.window],
-            },
-            "settled_positions": clean(self.settled_positions),
-            "pairwise_limits": clean(self.pairwise_limits),
-            "escape_time": clean(self.escape_time),
-            "kinetic_integral": clean(self.kinetic_integral),
-            "force_sq_integral": clean(self.force_sq_integral),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["passed"] = self.passed
+        return json.dumps(data, indent=2, sort_keys=True, default=_plain) + "\n"
+
+
+def _plain(obj):
+    """JSON stand-in for the report's nested dataclasses and numpy values."""
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _tail_start_index(times: np.ndarray, tail_fraction: float) -> int:
@@ -153,7 +123,7 @@ def _tail_start_index(times: np.ndarray, tail_fraction: float) -> int:
     return min(idx, len(times) - 2)
 
 
-def check_no_collision(traj: Trajectory, geom: Geometry):
+def check_no_collision(traj: Trajectory):
     """A completed trajectory plus a positive wall-distance infimum."""
     min_dist = float(np.min(record_series(traj.records, "x_min_wall")))
     return min_dist > 0.0, min_dist
@@ -272,50 +242,44 @@ def _force_squares(m: FlockModel, traj: Trajectory) -> np.ndarray:
     return np.array([float(np.sum(np.atleast_1d(m.force(s.x)) ** 2)) for s in traj.states])
 
 
-def check_interval_decay(m: FlockModel, traj: Trajectory, th: Thresholds) -> IntervalDecayResult:
-    """Kinetic energy and wall forces must decay with leveled time integrals."""
+def _tail_share(series: np.ndarray, times: np.ndarray) -> float:
+    """Share of the time integral of series that falls in the second half."""
+    total = float(np.trapezoid(series, times))
+    mid = int(np.searchsorted(times, 0.5 * (times[0] + times[-1])))
+    last = float(np.trapezoid(series[mid:], times[mid:]))
+    return 0.0 if total == 0.0 else last / total
+
+
+def _interval_decay(times, K, F2, final_F_max) -> IntervalDecayResult:
+    return IntervalDecayResult(
+        final_K=float(K[-1]),
+        final_F_max=float(final_F_max),
+        kinetic_tail_share=_tail_share(K, times),
+        force_tail_share=_tail_share(F2, times),
+    )
+
+
+def check_interval_decay(m: FlockModel, traj: Trajectory) -> IntervalDecayResult:
+    """Final kinetic energy and wall force, and the late share of their time integrals."""
     if m.geometry.variant != "interval":
         raise ValueError("interval decay check requires interval geometry")
     times = np.asarray(traj.sample_times, dtype=float)
     K = record_series(traj.records, "K")
-    F2 = _force_squares(m, traj)
-
-    def tail_share(series):
-        total = float(np.trapezoid(series, times))
-        mid = int(np.searchsorted(times, 0.5 * (times[0] + times[-1])))
-        last = float(np.trapezoid(series[mid:], times[mid:]))
-        return total, (0.0 if total == 0.0 else last / total)
-
-    k_total, k_share = tail_share(K)
-    f_total, f_share = tail_share(F2)
-    final_K = float(K[-1])
-    final_F = float(traj.records[-1].F_max)
-    passed = bool(
-        final_K < th.align_eps**2
-        and final_F < th.align_eps
-        and k_share <= 0.10
-        and f_share <= 0.10
-    )
-    return IntervalDecayResult(
-        passed=passed,
-        kinetic_integral=k_total,
-        force_sq_integral=f_total,
-        final_K=final_K,
-        final_F_max=final_F,
-        kinetic_tail_share=k_share,
-        force_tail_share=f_share,
-    )
+    return _interval_decay(times, K, _force_squares(m, traj), traj.records[-1].F_max)
 
 
-def check_work_of_force(m: FlockModel, traj: Trajectory):
-    """|W| against its per-sample Cauchy-Schwarz envelope sqrt(2K) * N * F_max."""
+def check_work_of_force(traj: Trajectory):
+    """|W| against its per-sample Cauchy-Schwarz envelope sqrt(2K) * N * F_max.
+
+    Returns the verdict, the peak |W| and the peak envelope.
+    """
     K = record_series(traj.records, "K")
     W = record_series(traj.records, "W")
     F_max = record_series(traj.records, "F_max")
     n = traj.states[0].n
     envelope = np.sqrt(2.0 * K) * n * F_max
     ok = bool(np.all(np.abs(W) <= envelope + 1e-12 * np.maximum(1.0, envelope)))
-    return ok, float(np.max(np.abs(W)))
+    return ok, float(np.max(np.abs(W))), float(np.max(envelope))
 
 
 def budget_claims(m: FlockModel, traj: Trajectory, th: Thresholds) -> list:
@@ -363,54 +327,22 @@ def budget_claims(m: FlockModel, traj: Trajectory, th: Thresholds) -> list:
     return claims
 
 
-def _failure_report(variant: str, exc: Exception) -> TheoremReport:
-    claim = Claim(
-        "integration_completed", False, math.nan, 0.0, detail=f"{type(exc).__name__}: {exc}"
-    )
-    return TheoremReport(variant=variant, claims=[claim])
-
-
-def verify_halfline(
-    m: FlockModel,
-    s0: FlockState,
-    control: IntegratorControl | None = None,
-    th: Thresholds | None = None,
-    t_end: float = 200.0,
-    sample_every: float = 0.1,
-) -> TheoremReport:
-    """Run the half-line scenario and check every claimed limit behavior.
+def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds):
+    """Strong flocking, settlement or escape, and the exponential rate.
 
     The exponential-rate claim applies only when the initial momentum is
     positive (the escaping regime); absolute settlement only when the flock
     is not in drift mode.
     """
-    th = th or Thresholds()
-    try:
-        traj = integrate(m, s0, t_end, control, sample_every)
-    except (StiffnessError, WallDomainError, FloatingPointError) as exc:
-        return _failure_report("halfline", exc)
-
-    times = np.asarray(traj.sample_times, dtype=float)
-    claims = [Claim("integration_completed", True, times[-1], times[-1])]
-
-    ok, min_dist = check_no_collision(traj, m.geometry)
-    claims.append(Claim("no_wall_collision", ok, min_dist, 0.0))
-
-    ok, final_A = check_alignment(traj, th)
-    claims.append(Claim("velocity_alignment", ok, final_A, th.align_eps))
-
     escape = detect_escape(traj, m.geometry, m.wall)
     settle = check_settlement(traj, m.wall, th)
-
-    claims.append(
+    claims = [
         Claim(
             "strong_flocking",
             settle.max_pair_variation < th.settle_eps,
             settle.max_pair_variation,
             th.settle_eps,
-        )
-    )
-    claims.append(
+        ),
         Claim(
             "positions_settle",
             settle.passed,
@@ -418,8 +350,8 @@ def verify_halfline(
             th.settle_eps,
             applicable=not settle.drift,
             detail="drift mode: flock translates at its aligned velocity" if settle.drift else "",
-        )
-    )
+        ),
+    ]
     outside = escape is not None or settle.min_mean_position >= m.wall.ell - th.settle_eps
     claims.append(
         Claim(
@@ -444,87 +376,92 @@ def verify_halfline(
             detail="" if fit is not None else "fit unavailable",
         )
     )
-
-    claims.extend(budget_claims(m, traj, th))
-
-    K = record_series(traj.records, "K")
-    return TheoremReport(
-        variant="halfline",
-        claims=claims,
-        min_wall_distance=min_dist,
-        final_A=final_A,
-        final_D=float(traj.records[-1].D),
+    extras = dict(
         fit=fit,
         settled_positions=settle.settled_positions,
         pairwise_limits=settle.pairwise_limits,
         escape_time=escape,
-        kinetic_integral=float(np.trapezoid(K, times)),
-        force_sq_integral=float(np.trapezoid(_force_squares(m, traj), times)),
     )
+    return claims, extras
 
 
-def verify_interval(
-    m: FlockModel,
-    s0: FlockState,
-    control: IntegratorControl | None = None,
-    th: Thresholds | None = None,
-    t_end: float = 400.0,
-    sample_every: float = 0.1,
-) -> TheoremReport:
-    """Run the interval scenario and check decay of energy and wall forces.
+def _interval_claims(traj: Trajectory, th: Thresholds, times, K, F2):
+    """Decay of kinetic energy and wall forces, and the bounded work of the force.
 
     The flock diameter is reported without a verdict: boundedness of the
     asymptotic shape carries no claim in this geometry.
     """
-    th = th or Thresholds()
-    try:
-        traj = integrate(m, s0, t_end, control, sample_every)
-    except (StiffnessError, WallDomainError, FloatingPointError) as exc:
-        return _failure_report("interval", exc)
-
-    times = np.asarray(traj.sample_times, dtype=float)
-    claims = [Claim("integration_completed", True, times[-1], times[-1])]
-
-    ok, min_dist = check_no_collision(traj, m.geometry)
-    claims.append(Claim("no_wall_collision", ok, min_dist, 0.0))
-
-    ok, final_A = check_alignment(traj, th)
-    claims.append(Claim("velocity_alignment", ok, final_A, th.align_eps))
-
-    decay = check_interval_decay(m, traj, th)
-    claims.append(
+    decay = _interval_decay(times, K, F2, traj.records[-1].F_max)
+    ok, w_peak, envelope = check_work_of_force(traj)
+    claims = [
         Claim(
             "kinetic_decay",
             decay.final_K < th.align_eps**2 and decay.kinetic_tail_share <= 0.10,
             decay.final_K,
             th.align_eps**2,
             detail=f"tail share {decay.kinetic_tail_share:.3g}",
-        )
-    )
-    claims.append(
+        ),
         Claim(
             "force_decay",
             decay.final_F_max < th.align_eps and decay.force_tail_share <= 0.10,
             decay.final_F_max,
             th.align_eps,
             detail=f"tail share {decay.force_tail_share:.3g}",
+        ),
+        Claim("work_of_force_bounded", ok, w_peak, envelope),
+    ]
+    return claims, {}
+
+
+def verify(
+    m: FlockModel,
+    s0: FlockState,
+    control: IntegratorControl | None = None,
+    th: Thresholds | None = None,
+    *,
+    t_end: float,
+    sample_every: float = 0.1,
+) -> TheoremReport:
+    """Run the scenario and check every claimed limit behavior of its geometry.
+
+    A failed integration yields a report with the single failed claim
+    integration_completed.
+    """
+    th = th or Thresholds()
+    variant = m.geometry.variant
+    try:
+        traj = integrate(m, s0, t_end, control, sample_every)
+    except (StiffnessError, WallDomainError, FloatingPointError) as exc:
+        claim = Claim(
+            "integration_completed", False, math.nan, 0.0, detail=f"{type(exc).__name__}: {exc}"
         )
-    )
+        return TheoremReport(variant=variant, claims=[claim])
 
-    ok, w_peak = check_work_of_force(m, traj)
+    times = np.asarray(traj.sample_times, dtype=float)
+    claims = [Claim("integration_completed", True, times[-1], times[-1])]
+
+    ok, min_dist = check_no_collision(traj)
+    claims.append(Claim("no_wall_collision", ok, min_dist, 0.0))
+
+    ok, final_A = check_alignment(traj, th)
+    claims.append(Claim("velocity_alignment", ok, final_A, th.align_eps))
+
     K = record_series(traj.records, "K")
-    F_max = record_series(traj.records, "F_max")
-    envelope = float(np.max(np.sqrt(2.0 * K) * s0.n * F_max)) if len(K) else 0.0
-    claims.append(Claim("work_of_force_bounded", ok, w_peak, envelope))
-
+    F2 = _force_squares(m, traj)
+    if variant == "halfline":
+        own, extras = _halfline_claims(m, traj, th)
+    else:
+        own, extras = _interval_claims(traj, th, times, K, F2)
+    claims.extend(own)
     claims.extend(budget_claims(m, traj, th))
 
     return TheoremReport(
-        variant="interval",
+        variant=variant,
         claims=claims,
         min_wall_distance=min_dist,
         final_A=final_A,
         final_D=float(traj.records[-1].D),
-        kinetic_integral=decay.kinetic_integral,
-        force_sq_integral=decay.force_sq_integral,
+        kinetic_integral=float(np.trapezoid(K, times)),
+        force_sq_integral=float(np.trapezoid(F2, times)),
+        **extras,
     )

@@ -36,7 +36,7 @@ def test_criterion_02_no_wall_collision(scenario_table):
     details = []
     ok = True
     for name, m, traj in scenario_table:
-        passed, dist = wf.check_no_collision(traj, m.geometry)
+        passed, dist = wf.check_no_collision(traj)
         if name == "control":
             # disabled-wall control must cross: the check has to fail
             ok = ok and not passed
@@ -168,7 +168,7 @@ def test_criterion_08_settlement(settle_fixture):
 
 def test_criterion_09_interval_decay(interval_fixture):
     m, s0, traj = interval_fixture
-    res = wf.check_interval_decay(m, traj, wf.Thresholds())
+    res = wf.check_interval_decay(m, traj)
     ok = (
         res.final_K < 1e-4
         and res.final_F_max < 1e-2

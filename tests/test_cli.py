@@ -124,7 +124,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
     bad = write(tmp_path, "bad.yaml", "kernel: {gamma: 1.0}")
     assert main(["simulate", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
-    assert main(["simulate", "--config", str(tmp_path / "missing.yaml")]) == 2
+    capsys.readouterr()
+    for command in ("simulate", "verify", "sweep"):
+        assert main([command, "--config", str(tmp_path / "missing.yaml")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
     assert main(["sweep"]) == 2  # sweep requires --config
 
 

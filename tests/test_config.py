@@ -5,7 +5,6 @@ from wallflock import (
     ConfigError,
     RunConfig,
     initial_state_from_config,
-    load_config,
     model_from_config,
     parse_config,
     serialize_config,
@@ -134,15 +133,6 @@ def test_serialize_round_trip():
 def test_serialize_is_stable():
     cfg = parse_config(CANONICAL)
     assert serialize_config(cfg) == serialize_config(cfg)
-
-
-def test_load_config(tmp_path):
-    path = tmp_path / "run.yaml"
-    path.write_text(INTERVAL)
-    cfg = load_config(path)
-    assert cfg.geometry.variant == "interval"
-    with pytest.raises(ConfigError, match="cannot read"):
-        load_config(tmp_path / "missing.yaml")
 
 
 def test_runconfig_is_plain_data():

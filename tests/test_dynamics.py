@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wallflock as wf
-from wallflock import FlockModel, FlockState, acceleration, initial_condition, mean_force, momentum, rhs
+from wallflock import FlockModel, FlockState, acceleration, diagnostics, initial_condition
 
 
 def free_model(n, family="powerlaw", H=1.0, beta=0.25):
@@ -78,19 +78,12 @@ def test_acceleration_contracts_velocity_spread():
         assert acc[np.argmin(v)] >= -1e-15
 
 
-def test_rhs_wraps_acceleration():
-    m = free_model(3)
-    s = FlockState(1.0, [2.0, 3.0, 4.0], [0.1, 0.2, 0.3])
-    d = rhs(m, s)
-    assert np.array_equal(d.dx, s.v)
-    assert np.allclose(d.dv, acceleration(m, s.x, s.v), rtol=0, atol=0)
-
-
 def test_momentum_and_mean_force():
     m = free_model(2)
     s = FlockState(0.0, [0.5, 4.0], [1.0, 3.0])
-    assert momentum(s) == 2.0
-    assert abs(mean_force(m, s) - 0.5 * float(m.wall.force(0.5))) < 1e-15
+    rec = diagnostics(m, s, G=0.0)
+    assert rec.p == 2.0
+    assert abs(rec.F_mean - 0.5 * float(m.wall.force(0.5))) < 1e-15
 
 
 def test_initial_condition_reproducible_and_sorted():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wallflock import (
     Geometry,
     WallDomainError,
     WallPotential,
     check_domain,
-    geometry_curvature,
     geometry_force,
     geometry_potential,
     wall_distances,
@@ -19,7 +20,6 @@ def test_exact_values_at_half_depth():
     w = WallPotential()
     assert w.value(0.5) == 0.125  # 0.5^4 / 0.5
     assert w.force(0.5) == 1.25  # (4 g^3 x + g^4) / x^2
-    assert w.curvature(0.5) == 11.0  # 12 g^2/x + 8 g^3/x^2 + 2 g^4/x^3
 
 
 def test_blowup_near_wall():
@@ -34,7 +34,6 @@ def test_zero_outside_reaction_length():
     for x in (1.0, 1.5, 40.0):
         assert w.value(x) == 0.0
         assert w.force(x) == 0.0
-        assert w.curvature(x) == 0.0
 
 
 def test_theta_scales_linearly():
@@ -54,16 +53,6 @@ def test_force_is_negative_gradient():
         x = float(rng.uniform(0.1, 1.25))
         grad = (w.value(x + h) - w.value(x - h)) / (2.0 * h)
         assert abs(w.force(x) + grad) < 1e-6 * max(1.0, abs(grad))
-
-
-def test_curvature_is_second_derivative():
-    w = WallPotential()
-    rng = np.random.default_rng(23)
-    h = 1e-5
-    for _ in range(40):
-        x = float(rng.uniform(0.15, 0.95))
-        second = (w.value(x + h) - 2.0 * w.value(x) + w.value(x - h)) / (h * h)
-        assert abs(w.curvature(x) - second) < 1e-4 * max(1.0, abs(second))
 
 
 def test_force_is_repulsive_inside():
@@ -92,7 +81,6 @@ def test_disabled_wall_accepts_everything():
     x = np.array([-3.0, 0.0, 0.5, 2.0])
     assert np.all(w.value(x) == 0.0)
     assert np.all(w.force(x) == 0.0)
-    assert np.all(w.curvature(x) == 0.0)
 
 
 def test_geometry_validation():
@@ -108,9 +96,16 @@ def test_geometry_validation():
         Geometry("interval", 2.0, 1.0)
     with pytest.raises(ValueError):
         Geometry("interval", 0.0, np.inf)
+    # half-line endpoints would be silently ignored by the walls
+    with pytest.raises(ValueError, match="interval variant only"):
+        Geometry("halfline", a=5.0, b=6.0)
+    with pytest.raises(ValueError, match="interval variant only"):
+        Geometry("halfline", b=4.0)
 
 
 def test_wall_distances_shapes_and_values():
+    assert Geometry("halfline").walls == ((0.0, 1.0),)
+    assert Geometry("interval", 0.0, 10.0).walls == ((0.0, 1.0), (10.0, -1.0))
     x = np.array([0.5, 2.0, 7.0])
     d_half = wall_distances(Geometry("halfline"), x)
     assert d_half.shape == (1, 3)
@@ -134,14 +129,12 @@ def test_interval_force_antisymmetric():
     assert geometry_force(geom, w, np.array([2.0]))[0] == 0.0
 
 
-def test_geometry_potential_and_curvature_sum_both_walls():
+def test_geometry_potential_sums_both_walls():
     geom = Geometry("interval", 0.0, 1.5)
     w = WallPotential(ell=1.0)
     x = np.array([0.75])  # inside both reaction zones
     expected_u = w.value(0.75) + w.value(0.75)
     assert abs(float(geometry_potential(geom, w, x)[0]) - expected_u) < 1e-15
-    expected_c = w.curvature(0.75) + w.curvature(0.75)
-    assert abs(float(geometry_curvature(geom, w, x)[0]) - expected_c) < 1e-12
 
 
 def test_check_domain():
@@ -166,3 +159,42 @@ def test_overlap_warning():
         warnings.simplefilter("error")
         warn_if_overlapping(Geometry("interval", 0.0, 10.0), WallPotential(ell=1.0))
         warn_if_overlapping(Geometry("halfline"), WallPotential(ell=1.0))
+
+
+_ells = st.floats(0.1, 5.0)
+# fractions of the wall range; bounded away from 0 and 1 so that u * ell and
+# ell / u stay positive, finite and on the intended side of ell
+_unit = st.floats(1e-6, 1.0 - 1e-9)
+
+
+@given(ell=_ells, theta=st.floats(0.1, 10.0), u=_unit)
+def test_wall_force_positive_inside_range_zero_beyond(ell, theta, u):
+    w = WallPotential(ell=ell, theta=theta)
+    assert w.force(u * ell) > 0.0
+    assert w.force(ell / u) == 0.0
+
+
+@given(ell=_ells, x=st.lists(st.floats(1e-6, 50.0), min_size=1, max_size=20))
+def test_halfline_geometry_force_is_the_wall_force(ell, x):
+    w = WallPotential(ell=ell)
+    x = np.array(x)
+    f = geometry_force(Geometry("halfline"), w, x)
+    assert f.tobytes() == w.force(x).tobytes()
+    assert np.all(f >= 0.0)
+
+
+@given(ell=_ells, half_width=st.floats(0.1, 20.0), u=_unit)
+def test_interval_force_points_inward_and_reflects(ell, half_width, u):
+    # symmetric interval: reflection x -> -x maps each wall distance onto the other exactly
+    geom = Geometry("interval", -half_width, half_width)
+    w = WallPotential(ell=ell)
+    x = np.array([(2.0 * u - 1.0) * half_width])
+    f = geometry_force(geom, w, x)
+    assert np.array_equal(f, -geometry_force(geom, w, -x))  # exact, up to the sign of zero
+    left, right = x[0] + half_width, half_width - x[0]
+    if left < ell <= right:
+        assert f[0] > 0.0
+    if right < ell <= left:
+        assert f[0] < 0.0
+    if min(left, right) >= ell:
+        assert f[0] == 0.0

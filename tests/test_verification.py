@@ -18,8 +18,7 @@ from wallflock import (
     check_work_of_force,
     detect_escape,
     fit_exponential,
-    verify_halfline,
-    verify_interval,
+    verify,
 )
 from wallflock.verification import _cumulative_simpson, _cumulative_trapezoid
 
@@ -62,10 +61,10 @@ def test_thresholds_validation():
 def test_no_collision_uses_infimum():
     times = np.arange(4.0)
     xs = [[2.0, 3.0], [1.0, 2.0], [0.4, 1.0], [1.5, 2.0]]
-    ok, dist = check_no_collision(synthetic_traj(times, xs), wf.Geometry("halfline"))
+    ok, dist = check_no_collision(synthetic_traj(times, xs))
     assert ok and dist == 0.4
     xs[2] = [-0.1, 1.0]
-    ok, dist = check_no_collision(synthetic_traj(times, xs), wf.Geometry("halfline"))
+    ok, dist = check_no_collision(synthetic_traj(times, xs))
     assert not ok and dist == -0.1
 
 
@@ -177,24 +176,27 @@ def test_cumulative_quadrature_rules():
 
 def test_interval_decay_requires_interval_geometry(interval_fixture):
     m, s0, traj = interval_fixture
-    res = check_interval_decay(m, traj, Thresholds())
-    assert res.passed
-    assert res.final_K < 1e-4
+    res = check_interval_decay(m, traj)
+    th = Thresholds()
+    # the fields the kinetic_decay and force_decay claims read
+    assert res.final_K < th.align_eps**2
     assert res.kinetic_tail_share <= 0.10
+    assert res.final_F_max < th.align_eps
+    assert res.force_tail_share <= 0.10
     m_half = wf.FlockModel(m.kernel, m.wall, wf.Geometry("halfline"), m.n_agents)
     with pytest.raises(ValueError):
-        check_interval_decay(m_half, traj, Thresholds())
+        check_interval_decay(m_half, traj)
 
 
 def test_work_of_force_envelope(interval_fixture):
     m, s0, traj = interval_fixture
-    ok, w_peak = check_work_of_force(m, traj)
+    ok, w_peak, envelope = check_work_of_force(traj)
     assert ok
-    assert w_peak >= 0.0
+    assert 0.0 <= w_peak <= envelope
 
 
 def test_verify_halfline_report_shape(canonical_model, canonical_state):
-    rep = verify_halfline(canonical_model, canonical_state, t_end=30.0, sample_every=0.1)
+    rep = verify(canonical_model, canonical_state, t_end=30.0, sample_every=0.1)
     names = [c.name for c in rep.claims]
     assert names[0] == "integration_completed"
     assert "no_wall_collision" in names
@@ -210,10 +212,37 @@ def test_verify_halfline_report_shape(canonical_model, canonical_state):
 
 def test_verify_interval_has_no_momentum_monotonicity(interval_fixture):
     m, s0, traj = interval_fixture
-    rep = verify_interval(m, s0, t_end=30.0, sample_every=0.1)
+    rep = verify(m, s0, t_end=30.0, sample_every=0.1)
     names = [c.name for c in rep.claims]
     assert "momentum_nondecreasing" not in names
     assert "kinetic_decay" in names and "force_decay" in names
+
+
+HEAD_CLAIMS = ["integration_completed", "no_wall_collision", "velocity_alignment"]
+BUDGET_CLAIMS = [
+    "energy_nonincreasing",
+    "velocity_bound",
+    "diameter_growth",
+    "lyapunov_budget",
+    "momentum_force_identity",
+]
+
+
+def test_verify_claim_names_in_order():
+    kernel, wall = wf.CommunicationKernel("constant", 1.0), wf.WallPotential(1.0, 1.0)
+    s = wf.FlockState(0.0, [2.0, 3.0, 4.0], [0.1, 0.5, 0.9])
+    half = verify(wf.FlockModel(kernel, wall, wf.Geometry("halfline"), 3), s, t_end=2.0)
+    assert [c.name for c in half.claims] == (
+        HEAD_CLAIMS
+        + ["strong_flocking", "positions_settle", "outside_wall_range", "exponential_rate"]
+        + BUDGET_CLAIMS
+        + ["momentum_nondecreasing"]
+    )
+    box = wf.FlockModel(kernel, wall, wf.Geometry("interval", 0.0, 6.0), 3)
+    inter = verify(box, s, t_end=2.0)
+    assert [c.name for c in inter.claims] == (
+        HEAD_CLAIMS + ["kinetic_decay", "force_decay", "work_of_force_bounded"] + BUDGET_CLAIMS
+    )
 
 
 def test_verify_reports_integration_failure_as_claim():
@@ -225,7 +254,7 @@ def test_verify_reports_integration_failure_as_claim():
     )
     s = wf.FlockState(0.0, [5.0, 6.0], [-2.0, 2.0])
     c = wf.IntegratorControl(dt_init=0.2, dt_min=0.2, dt_max=0.2, abs_tol=1e-13, rel_tol=1e-13)
-    rep = verify_halfline(m, s, control=c, t_end=1.0)
+    rep = verify(m, s, control=c, t_end=1.0)
     assert not rep.passed
     assert len(rep.claims) == 1
     claim = rep.claim("integration_completed")
@@ -235,7 +264,7 @@ def test_verify_reports_integration_failure_as_claim():
 
 def test_report_json_round_trip(settle_fixture):
     m, s0, traj = settle_fixture
-    rep = verify_halfline(m, s0, t_end=20.0, sample_every=0.1)
+    rep = verify(m, s0, t_end=20.0, sample_every=0.1)
     text = rep.to_json()
     assert text == rep.to_json()  # deterministic
     data = json.loads(text)
