@@ -23,6 +23,7 @@ from .config import (
     initial_state_from_config,
     model_from_config,
     parse_config,
+    read_config_text,
     serialize_config,
 )
 from .integrator import StiffnessError, Trajectory, integrate
@@ -323,10 +324,7 @@ def main(argv=None) -> int:
     try:
         if args.config is None and args.command == "sweep":
             raise ConfigError("sweep requires --config")
-        try:
-            text = "" if args.config is None else args.config.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        text = "" if args.config is None else read_config_text(args.config)
         if args.command == "sweep":
             return run_sweep(text, args.out, args.quiet)
         cfg = _apply_overrides(parse_config(text), args)

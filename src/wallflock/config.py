@@ -218,6 +218,14 @@ def serialize_config(cfg: RunConfig) -> str:
     return yaml.safe_dump(data, sort_keys=True)
 
 
+def read_config_text(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
 def model_from_config(cfg: RunConfig) -> FlockModel:
     return FlockModel(
         kernel=cfg.kernel, wall=cfg.wall, geometry=cfg.geometry, n_agents=cfg.ic.n_agents

@@ -7,6 +7,7 @@ from wallflock import (
     initial_state_from_config,
     model_from_config,
     parse_config,
+    read_config_text,
     serialize_config,
 )
 
@@ -133,6 +134,15 @@ def test_serialize_round_trip():
 def test_serialize_is_stable():
     cfg = parse_config(CANONICAL)
     assert serialize_config(cfg) == serialize_config(cfg)
+
+
+def test_load_config(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(INTERVAL)
+    cfg = parse_config(read_config_text(path))
+    assert cfg.geometry.variant == "interval"
+    with pytest.raises(ConfigError, match="cannot read"):
+        read_config_text(tmp_path / "missing.yaml")
 
 
 def test_runconfig_is_plain_data():
