@@ -55,62 +55,12 @@ from .config import (
     ConfigError,
     InitialConditions,
     RunConfig,
+    config_from_data,
     initial_state_from_config,
     model_from_config,
     parse_config,
     read_config_text,
     serialize_config,
 )
-
-__all__ = [
-    "CommunicationKernel",
-    "Geometry",
-    "WallDomainError",
-    "WallPotential",
-    "check_domain",
-    "geometry_force",
-    "geometry_potential",
-    "wall_distances",
-    "warn_if_overlapping",
-    "FlockModel",
-    "FlockState",
-    "acceleration",
-    "initial_condition",
-    "IntegratorControl",
-    "StiffnessError",
-    "Trajectory",
-    "integrate",
-    "reference_rk4",
-    "FIELDS",
-    "DiagnosticsRecord",
-    "diagnostics",
-    "dissipation_residual",
-    "initial_energy",
-    "read_diagnostics_csv",
-    "record_series",
-    "write_diagnostics_csv",
-    "Claim",
-    "FitResult",
-    "IntervalDecayResult",
-    "SettlementResult",
-    "TheoremReport",
-    "Thresholds",
-    "check_alignment",
-    "check_interval_decay",
-    "check_no_collision",
-    "check_settlement",
-    "check_work_of_force",
-    "detect_escape",
-    "fit_exponential",
-    "verify",
-    "ConfigError",
-    "InitialConditions",
-    "RunConfig",
-    "initial_state_from_config",
-    "model_from_config",
-    "parse_config",
-    "read_config_text",
-    "serialize_config",
-]
 
 __version__ = "0.1.0"

@@ -8,8 +8,8 @@ error, 3 integration failure.  All artifacts are deterministic functions of
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
+import dataclasses
 import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -18,8 +18,10 @@ from pathlib import Path
 import yaml
 
 from .config import (
+    _SCHEMA,
     ConfigError,
     RunConfig,
+    config_from_data,
     initial_state_from_config,
     model_from_config,
     parse_config,
@@ -54,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    import dataclasses
-
     if args.seed is not None:
         if not 0 <= args.seed < 2**64:
             raise ConfigError("--seed must be a 64-bit unsigned integer")
@@ -161,10 +161,9 @@ def run_verify(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> in
 
 
 def _set_dotted(data: dict, key: str, value) -> None:
+    """Set section.field in data, copying the section so a shared base stays intact."""
     section, _, field = key.partition(".")
-    if not field or section not in data and section == "":
-        raise ConfigError(f"sweep axis key {key!r} must look like section.key")
-    data.setdefault(section, {})[field] = value
+    data[section] = {**(data.get(section) or {}), field: value}
 
 
 def parse_sweep(text: str):
@@ -193,11 +192,9 @@ def parse_sweep(text: str):
             raise ConfigError(f"sweep axis {entry['key']!r} needs a nonempty value list")
         axes.append((str(entry["key"]), values))
 
-    base_cfg = parse_config(yaml.safe_dump(base))  # validates sections and keys
+    base_cfg = config_from_data(base)  # validates sections and keys
     for key, _ in axes:
         section, _, field = key.partition(".")
-        from .config import _SCHEMA
-
         if section not in _SCHEMA or field not in _SCHEMA[section]:
             raise ConfigError(f"sweep axis key {key!r} is not a config key")
 
@@ -227,12 +224,12 @@ def _sort_key(value):
 
 
 def _sweep_job(base: dict, axes, combo, seed: int):
-    data = copy.deepcopy(base)
+    data = dict(base)
     for (key, _), value in zip(axes, combo):
         _set_dotted(data, key, value)
     _set_dotted(data, "ic.seed", seed)
     try:
-        cfg = parse_config(yaml.safe_dump(data))
+        cfg = config_from_data(data)
     except ConfigError as exc:
         return {"status": f"config-error: {exc}", "passed": False}
     report = _verify(cfg)
@@ -306,19 +303,6 @@ def _fmt_cell(value):
     return value
 
 
-def run_plot_data(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> int:
-    out = _run_dir(cfg, config_text)
-    try:
-        traj = _simulate(cfg)
-    except (StiffnessError, WallDomainError) as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return 3
-    emit_plot_data(traj, out / "plot.dat")
-    if not quiet:
-        print(f"plot data -> {out / 'plot.dat'}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -328,13 +312,12 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return run_sweep(text, args.out, args.quiet)
         cfg = _apply_overrides(parse_config(text), args)
-        if args.command == "simulate":
-            return run_simulate(cfg, text, args.quiet)
         if args.command == "verify":
             return run_verify(cfg, text, args.quiet)
         if args.command == "plot-data":
-            return run_plot_data(cfg, text, args.quiet)
-        raise AssertionError(args.command)
+            plot_only = dataclasses.replace(cfg.output, formats=("plot",))
+            cfg = dataclasses.replace(cfg, output=plot_only)
+        return run_simulate(cfg, text, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

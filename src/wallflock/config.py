@@ -129,8 +129,11 @@ def parse_config(text: str) -> RunConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
-    if data is None:
-        data = {}
+    return config_from_data({} if data is None else data)
+
+
+def config_from_data(data: dict) -> RunConfig:
+    """Coerce and validate a loaded config document."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     for key in data:

@@ -18,7 +18,6 @@ from .kernels import CommunicationKernel
 from .potentials import (
     Geometry,
     WallPotential,
-    check_domain,
     geometry_force,
     geometry_potential,
     warn_if_overlapping,
@@ -64,9 +63,6 @@ class FlockModel:
 
     def potential(self, x):
         return geometry_potential(self.geometry, self.wall, x)
-
-    def check_domain(self, x) -> None:
-        check_domain(self.geometry, self.wall, x)
 
 
 def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import potentials
 from .dynamics import FlockModel, FlockState, acceleration
 from .observables import DiagnosticsRecord, diagnostics, initial_energy
 from .potentials import WallDomainError, check_domain, wall_distances
@@ -111,6 +112,37 @@ def _error_ratio(c: IntegratorControl, x, v, x_new, v_new, err_x, err_v) -> floa
     return ratio
 
 
+def _sample(
+    m: FlockModel, s0: FlockState, t_end: float, sample_every: float, advance
+) -> Trajectory:
+    """Sample a run from s0.t to t_end on the uniform grid.
+
+    Records s0 and its diagnostics, then calls advance(x, v, t0, t1) -> (x, v)
+    once per grid span and records the state reached at t1.
+    """
+    if not t_end > s0.t:
+        raise ValueError("t_end must exceed the initial time")
+    if s0.n != m.n_agents:
+        raise ValueError("state size does not match model n_agents")
+    # via the module: traced runs count the bare name as one call per step attempt
+    potentials.check_domain(m.geometry, m.wall, s0.x)
+
+    times = _sample_grid(s0.t, t_end, sample_every)
+    G = initial_energy(m, s0)
+    states = [s0]
+    records = [diagnostics(m, s0, G)]
+
+    x = s0.x.copy()
+    v = s0.v.copy()
+    for t0, t1 in zip(times[:-1], times[1:]):
+        x, v = advance(x, v, t0, t1)
+        s = FlockState(t=t1, x=x.copy(), v=v.copy())
+        states.append(s)
+        records.append(diagnostics(m, s, G))
+
+    return Trajectory(sample_times=times, states=states, records=records)
+
+
 def integrate(
     m: FlockModel,
     s0: FlockState,
@@ -125,29 +157,16 @@ def integrate(
     stiff wall layer is resolved before it is entered.
     """
     c = c or IntegratorControl()
-    if not t_end > s0.t:
-        raise ValueError("t_end must exceed the initial time")
-    if s0.n != m.n_agents:
-        raise ValueError("state size does not match model n_agents")
-    m.check_domain(s0.x)
-
-    times = _sample_grid(s0.t, t_end, sample_every)
-    G = initial_energy(m, s0)
-    states = [s0]
-    records = [diagnostics(m, s0, G)]
-
-    x = s0.x.copy()
-    v = s0.v.copy()
-    t = s0.t
     dt_prop = min(c.dt_init, c.dt_max)
     prev_ratio = 1.0
     walls_on = not m.wall.disabled
 
-    for tb in times[1:]:
+    def advance(x, v, t, tb):
+        nonlocal dt_prop, prev_ratio
         while True:
             gap = tb - t
             if gap <= 4e-16 * max(1.0, abs(tb)):
-                break  # residual float gap; snap to the boundary
+                return x, v  # residual float gap; snap to the boundary
             h = min(dt_prop, gap, c.dt_max)
             if walls_on:
                 dist = float(np.min(wall_distances(m.geometry, x)))
@@ -176,16 +195,12 @@ def integrate(
                 dt_prop = max(dt_prop, new_prop) if clamped else new_prop
                 prev_ratio = r
                 if t == tb:
-                    break
+                    return x, v
                 continue
             if dt_prop < c.dt_min:
                 raise StiffnessError(f"step size collapsed below dt_min at t={t:.6g}")
-        t = tb
-        s = FlockState(t=t, x=x.copy(), v=v.copy())
-        states.append(s)
-        records.append(diagnostics(m, s, G))
 
-    return Trajectory(sample_times=times, states=states, records=records)
+    return _sample(m, s0, t_end, sample_every, advance)
 
 
 def reference_rk4(
@@ -200,21 +215,11 @@ def reference_rk4(
     Each inter-sample span is covered by equal substeps of width as close to
     dt_fixed as divides evenly.  Domain violations are fatal here.
     """
-    if not t_end > s0.t:
-        raise ValueError("t_end must exceed the initial time")
     if not dt_fixed > 0:
         raise ValueError("dt_fixed must be positive")
-    m.check_domain(s0.x)
 
-    times = _sample_grid(s0.t, t_end, sample_every)
-    G = initial_energy(m, s0)
-    states = [s0]
-    records = [diagnostics(m, s0, G)]
-
-    x = s0.x.copy()
-    v = s0.v.copy()
-    for k in range(1, len(times)):
-        gap = times[k] - times[k - 1]
+    def advance(x, v, t0, t1):
+        gap = t1 - t0
         n_sub = max(1, round(gap / dt_fixed))
         h = gap / n_sub
         for _ in range(n_sub):
@@ -229,8 +234,6 @@ def reference_rk4(
             x = x + (h / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
             v = v + (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
             check_domain(m.geometry, m.wall, x)
-        s = FlockState(t=float(times[k]), x=x.copy(), v=v.copy())
-        states.append(s)
-        records.append(diagnostics(m, s, G))
+        return x, v
 
-    return Trajectory(sample_times=times, states=states, records=records)
+    return _sample(m, s0, t_end, sample_every, advance)

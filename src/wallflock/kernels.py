@@ -63,9 +63,3 @@ class CommunicationKernel:
         if self.family == "constant":
             return True
         return 2.0 * self.beta <= 1.0
-
-    def lower_bound(self, R: float) -> float:
-        """c0 = phi(R); by monotonicity a lower bound for phi on [0, R]."""
-        if not (math.isfinite(R) and R >= 0.0):
-            raise ValueError("R must be nonnegative and finite")
-        return self.eval(R)

@@ -10,8 +10,9 @@ import numpy as np
 from .dynamics import FlockModel, FlockState
 from .potentials import wall_distances
 
-# CSV column order; G is the initial energy, repeated on every row so each
-# row carries its own bound constants.
+# CSV column order, frozen: readers of diagnostics.csv depend on it.  G is the
+# initial energy, repeated on every row so each row carries its own bound
+# constants.
 FIELDS = (
     "t", "K", "P", "E", "p", "A", "D", "I2", "L", "W",
     "F_max", "F_mean", "x_min_wall", "v_max", "v_min", "G",
@@ -36,6 +37,7 @@ class DiagnosticsRecord:
     v_max: float
     v_min: float
     G: float
+    F_sq: float  # sum of squared wall forces; not a CSV column
 
 
 def initial_energy(m: FlockModel, s: FlockState) -> float:
@@ -77,6 +79,7 @@ def diagnostics(m: FlockModel, s: FlockState, G: float) -> DiagnosticsRecord:
         v_max=v_max,
         v_min=v_min,
         G=G,
+        F_sq=float(np.sum(F**2)),
     )
 
 

@@ -238,10 +238,6 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _force_squares(m: FlockModel, traj: Trajectory) -> np.ndarray:
-    return np.array([float(np.sum(np.atleast_1d(m.force(s.x)) ** 2)) for s in traj.states])
-
-
 def _tail_share(series: np.ndarray, times: np.ndarray) -> float:
     """Share of the time integral of series that falls in the second half."""
     total = float(np.trapezoid(series, times))
@@ -250,22 +246,18 @@ def _tail_share(series: np.ndarray, times: np.ndarray) -> float:
     return 0.0 if total == 0.0 else last / total
 
 
-def _interval_decay(times, K, F2, final_F_max) -> IntervalDecayResult:
-    return IntervalDecayResult(
-        final_K=float(K[-1]),
-        final_F_max=float(final_F_max),
-        kinetic_tail_share=_tail_share(K, times),
-        force_tail_share=_tail_share(F2, times),
-    )
-
-
 def check_interval_decay(m: FlockModel, traj: Trajectory) -> IntervalDecayResult:
     """Final kinetic energy and wall force, and the late share of their time integrals."""
     if m.geometry.variant != "interval":
         raise ValueError("interval decay check requires interval geometry")
     times = np.asarray(traj.sample_times, dtype=float)
     K = record_series(traj.records, "K")
-    return _interval_decay(times, K, _force_squares(m, traj), traj.records[-1].F_max)
+    return IntervalDecayResult(
+        final_K=float(K[-1]),
+        final_F_max=float(traj.records[-1].F_max),
+        kinetic_tail_share=_tail_share(K, times),
+        force_tail_share=_tail_share(record_series(traj.records, "F_sq"), times),
+    )
 
 
 def check_work_of_force(traj: Trajectory):
@@ -385,13 +377,13 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds):
     return claims, extras
 
 
-def _interval_claims(traj: Trajectory, th: Thresholds, times, K, F2):
+def _interval_claims(m: FlockModel, traj: Trajectory, th: Thresholds):
     """Decay of kinetic energy and wall forces, and the bounded work of the force.
 
     The flock diameter is reported without a verdict: boundedness of the
     asymptotic shape carries no claim in this geometry.
     """
-    decay = _interval_decay(times, K, F2, traj.records[-1].F_max)
+    decay = check_interval_decay(m, traj)
     ok, w_peak, envelope = check_work_of_force(traj)
     claims = [
         Claim(
@@ -446,12 +438,8 @@ def verify(
     ok, final_A = check_alignment(traj, th)
     claims.append(Claim("velocity_alignment", ok, final_A, th.align_eps))
 
-    K = record_series(traj.records, "K")
-    F2 = _force_squares(m, traj)
-    if variant == "halfline":
-        own, extras = _halfline_claims(m, traj, th)
-    else:
-        own, extras = _interval_claims(traj, th, times, K, F2)
+    own_claims = _halfline_claims if variant == "halfline" else _interval_claims
+    own, extras = own_claims(m, traj, th)
     claims.extend(own)
     claims.extend(budget_claims(m, traj, th))
 
@@ -461,7 +449,7 @@ def verify(
         min_wall_distance=min_dist,
         final_A=final_A,
         final_D=float(traj.records[-1].D),
-        kinetic_integral=float(np.trapezoid(K, times)),
-        force_sq_integral=float(np.trapezoid(F2, times)),
+        kinetic_integral=float(np.trapezoid(record_series(traj.records, "K"), times)),
+        force_sq_integral=float(np.trapezoid(record_series(traj.records, "F_sq"), times)),
         **extras,
     )

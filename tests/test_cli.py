@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -189,6 +192,28 @@ sweep:
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     body = (out / "sweep.csv").read_text()
     assert "False" in body
+
+
+def test_sweep_config_error_row_exits_1(tmp_path):
+    text = """
+base:
+  kernel: {family: powerlaw, H: 1.0, beta: 0.25}
+  potential:
+  ic: {n_agents: 4, x_low: 2.0, x_high: 4.0, v_low: 0.1, v_high: 0.9, seed: 1}
+  integrator: {t_end: 2.0, sample_every: 0.1}
+sweep:
+  axes:
+    - {key: kernel.beta, values: [-1.0, 0.25]}
+    - {key: potential.theta, values: [1.0]}  # into a base section left empty
+"""
+    cfg = write(tmp_path, "sweep.yaml", text)
+    out = tmp_path / "bad_beta"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    rows = list(csv.DictReader(io.StringIO((out / "sweep.csv").read_text())))
+    assert [row["kernel.beta"] for row in rows] == ["-1", "0.25"]
+    assert rows[0]["status"] == "config-error: kernel exponent beta must be nonnegative and finite"
+    assert rows[0]["passed"] == "False"
+    assert rows[1]["status"] == "ok"
 
 
 def test_plot_data_outputs(tmp_path, capsys):

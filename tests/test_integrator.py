@@ -186,6 +186,21 @@ def test_reference_rk4_subdivides_to_land_on_grid():
     assert np.max(np.abs(traj.states[-1].x - x_ref)) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "run",
+    [lambda m, s, t: integrate(m, s, t), lambda m, s, t: reference_rk4(m, s, t, 0.01)],
+    ids=["integrate", "reference_rk4"],
+)
+def test_entry_checks_shared_by_both_integrators(run):
+    m = two_agent_constant()
+    with pytest.raises(ValueError, match="state size"):
+        run(m, wf.FlockState(0.0, [2.0, 3.0, 4.0], [0.5, 1.0, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="t_end"):
+        run(m, wf.FlockState(1.0, [2.0, 3.0], [0.5, 1.0]), 1.0)
+    with pytest.raises(WallDomainError):
+        run(m, wf.FlockState(0.0, [-1.0, 3.0], [0.5, 1.0]), 1.0)
+
+
 def test_fixed_step_mode_effectively_disables_adaptivity():
     # huge tolerances with dt_init = dt_max force a constant step size
     m = two_agent_constant()

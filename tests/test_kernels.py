@@ -104,12 +104,3 @@ def test_fat_tail():
     assert CommunicationKernel("powerlaw", 1.0, 0.51).fat_tail() is False
     assert CommunicationKernel("powerlaw", 1.0, 1.0).fat_tail() is False
 
-
-def test_lower_bound_is_kernel_at_radius():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        k = CommunicationKernel("powerlaw", float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.0, 2.0)))
-        R = float(rng.uniform(0.0, 8.0))
-        lb = k.lower_bound(R)
-        assert lb == float(k.eval(R))
-        assert lb > 0.0

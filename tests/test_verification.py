@@ -26,7 +26,7 @@ from wallflock.verification import _cumulative_simpson, _cumulative_trapezoid
 def make_record(t, A=0.0, x_min_wall=1.0, p=0.0, K=0.0, F_max=0.0, W=0.0):
     return DiagnosticsRecord(
         t=t, K=K, P=0.0, E=K, p=p, A=A, D=1.0, I2=0.0, L=0.0, W=W,
-        F_max=F_max, F_mean=0.0, x_min_wall=x_min_wall, v_max=0.0, v_min=0.0, G=K,
+        F_max=F_max, F_mean=0.0, x_min_wall=x_min_wall, v_max=0.0, v_min=0.0, G=K, F_sq=0.0,
     )
 
 
