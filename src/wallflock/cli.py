@@ -214,7 +214,7 @@ def parse_sweep(text: str):
         total *= len(values)
     if total > MAX_SWEEP_RUNS:
         raise ConfigError(f"sweep size {total} exceeds the limit of {MAX_SWEEP_RUNS}")
-    return base, axes, seeds, parallelism
+    return base, base_cfg, axes, seeds, parallelism
 
 
 def _sort_key(value):
@@ -245,10 +245,8 @@ def _sweep_job(base: dict, axes, combo, seed: int):
 
 
 def run_sweep(text: str, out_override: Path | None, quiet: bool = False) -> int:
-    base, axes, seeds, parallelism = parse_sweep(text)
-    out = Path(out_override) if out_override is not None else Path(
-        (base.get("output", {}) or {}).get("directory", ".")
-    )
+    base, base_cfg, axes, seeds, parallelism = parse_sweep(text)
+    out = Path(out_override if out_override is not None else base_cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep_config.yaml").write_text(text, encoding="utf-8")
 

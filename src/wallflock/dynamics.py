@@ -67,11 +67,11 @@ class FlockModel:
 
 def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """dv/dt on raw arrays; dx/dt is v itself."""
-    n = x.shape[0]
-    gaps = x[:, None] - x[None, :]
-    w = m.kernel.eval(gaps)
-    acc = (w * (v[None, :] - v[:, None])).sum(axis=1) / n
-    return acc + m.force(x)
+    # the wall force validates x (finite, inside the domain) before the O(N^2) work
+    force = m.force(x)
+    w = m.kernel.matrix(x)
+    w *= v[None, :] - v[:, None]
+    return w.sum(axis=1) / x.shape[0] + force
 
 
 def initial_condition(

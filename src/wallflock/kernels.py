@@ -36,15 +36,24 @@ class CommunicationKernel:
 
     def eval(self, r):
         """phi(r) for a scalar or array argument; depends on |r| only."""
-        r = np.asarray(r, dtype=float)
-        if not np.all(np.isfinite(r)):
-            raise ValueError("kernel argument must be finite")
+        out = self._phi(np.array(r, dtype=float))
+        return out if out.ndim else float(out)
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """phi(x_i - x_j) for every pair, built in one N x N buffer."""
+        return self._phi(np.subtract.outer(x, x))
+
+    def _phi(self, w: np.ndarray) -> np.ndarray:
+        """Overwrite the distances in w with phi of them; the one formula of eval and matrix."""
         if self.family == "constant":
-            out = np.full_like(r, self.H)
+            w.fill(self.H)
         else:
             # r enters through r^2 only, so evenness is exact in floating point
-            out = self.H * (1.0 + r * r) ** (-self.beta)
-        return out if out.ndim else float(out)
+            w *= w
+            w += 1.0
+            w **= -self.beta
+            w *= self.H
+        return w
 
     def primitive(self, D: float) -> float:
         """Phi(D) = integral of phi(r) over [0, D], in closed form per family."""

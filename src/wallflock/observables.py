@@ -56,9 +56,11 @@ def diagnostics(m: FlockModel, s: FlockState, G: float) -> DiagnosticsRecord:
     v_min = float(np.min(v))
     A = v_max - v_min
     D = float(np.max(x) - np.min(x))
-    gaps = x[:, None] - x[None, :]
+    w = m.kernel.matrix(x)
     dv = v[:, None] - v[None, :]
-    I2 = float((m.kernel.eval(gaps) * dv * dv).sum()) / (2.0 * n * n)
+    w *= dv
+    w *= dv
+    I2 = float(w.sum()) / (2.0 * n * n)
     L = A + m.kernel.primitive(D)
     F = np.atleast_1d(m.force(x))
     W = -float(v @ F)

@@ -19,6 +19,8 @@ from .observables import record_series
 from .potentials import Geometry, WallDomainError, WallPotential
 
 _EPS = float(np.finfo(float).eps)
+# element count of one block of pairwise differences in check_settlement (32 MB)
+_BLOCK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,16 @@ class TheoremReport:
     def to_json(self) -> str:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["passed"] = self.passed
-        return json.dumps(data, indent=2, sort_keys=True, default=_plain) + "\n"
+        # json.dumps(indent=2) encodes every float of an N x N pairwise_limits in
+        # pure Python; the arrays are encoded apart and spliced in at their keys.
+        arrays = {k: a for k, a in data.items() if isinstance(a, np.ndarray)}
+        data.update(dict.fromkeys(arrays))
+        text = json.dumps(data, indent=2, sort_keys=True, default=_plain)
+        for key, a in arrays.items():
+            # a raw newline and a two-space indent precede top-level keys only
+            slot = f'\n  "{key}": '
+            text = text.replace(slot + "null", slot + _indented_array(a, 1), 1)
+        return text + "\n"
 
 
 def _plain(obj):
@@ -115,6 +126,22 @@ def _plain(obj):
     if isinstance(obj, np.generic):
         return obj.item()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _indented_array(a: np.ndarray, level: int) -> str:
+    """json.dumps(a.tolist(), indent=2) at nesting depth level, by the C encoder.
+
+    Without indent, json.dumps runs the C encoder, which writes floats with
+    float.__repr__ (and NaN, Infinity) just as the indented Python encoder does.
+    """
+    if not len(a):
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    if a.ndim == 1:
+        items = json.dumps(a.tolist(), separators=("," + inner, ": "))[1:-1]
+    else:
+        items = ("," + inner).join(_indented_array(row, level + 1) for row in a)
+    return f"[{inner}{items}\n{'  ' * level}]"
 
 
 def _tail_start_index(times: np.ndarray, tail_fraction: float) -> int:
@@ -195,9 +222,15 @@ def check_settlement(traj: Trajectory, wall: WallPotential, th: Thresholds) -> S
     X = np.stack([s.x for s in traj.states[k0:]])  # (window, N)
     means = X.mean(axis=0)
     variation = X.max(axis=0) - X.min(axis=0)
-    diffs = X[:, :, None] - X[:, None, :]
-    pair_variation = diffs.max(axis=0) - diffs.min(axis=0)
-    pairwise_limits = diffs.mean(axis=0)
+    # pairwise differences over blocks of rows, so no (window, N, N) array exists
+    window, n = X.shape
+    rows = max(1, _BLOCK_ELEMENTS // (window * n))
+    pairwise_limits = np.empty((n, n))
+    peaks = []
+    for i in range(0, n, rows):
+        diffs = X[:, i : i + rows, None] - X[:, None, :]
+        pairwise_limits[i : i + rows] = diffs.mean(axis=0)
+        peaks.append(np.max(diffs.max(axis=0) - diffs.min(axis=0)))
     drift = abs(traj.records[-1].p) >= th.settle_eps
     passed = bool(
         np.all(variation < th.settle_eps) and np.all(means >= wall.ell - th.settle_eps)
@@ -208,7 +241,7 @@ def check_settlement(traj: Trajectory, wall: WallPotential, th: Thresholds) -> S
         pairwise_limits=pairwise_limits,
         drift=bool(drift),
         max_variation=float(np.max(variation)),
-        max_pair_variation=float(np.max(pair_variation)),
+        max_pair_variation=float(np.max(peaks)),
         min_mean_position=float(np.min(means)),
     )
 

@@ -135,7 +135,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 
 def test_parse_sweep_validation():
-    base, axes, seeds, par = parse_sweep(SWEEP % 2)
+    base, base_cfg, axes, seeds, par = parse_sweep(SWEEP % 2)
+    assert base_cfg.kernel.family == "constant"
+    assert base_cfg.output.directory == "."  # the default, from config.OutputConfig
     assert axes == [("kernel.H", [1.2, 0.8])]
     assert seeds == [2, 1]
     assert par == 2
@@ -175,6 +177,20 @@ def test_sweep_runs_sorted_and_parallelism_independent(tmp_path):
     assert rows["p1"].split("\n") == rows["p4"].split("\n")
     # byte-identical across parallelism
     assert (tmp_path / "p1" / "sweep.csv").read_bytes() == (tmp_path / "p4" / "sweep.csv").read_bytes()
+
+
+def test_sweep_without_out_writes_to_base_output_directory(tmp_path, monkeypatch):
+    target = tmp_path / "from_base"
+    text = (SWEEP % 1).replace("base:\n", f"base:\n  output: {{directory: '{target}'}}\n", 1)
+    cfg = write(tmp_path, "sweep.yaml", text)
+    assert main(["sweep", "--config", str(cfg), "--quiet"]) == 0
+    assert (target / "sweep.csv").is_file()
+    assert (target / "sweep_config.yaml").read_text() == text
+    # no output section: the default directory "." is the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "plain.yaml", SWEEP % 1)
+    assert main(["sweep", "--config", str(cfg), "--quiet"]) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == (target / "sweep.csv").read_bytes()
 
 
 def test_sweep_failing_row_exits_1(tmp_path):

@@ -80,6 +80,43 @@ def test_step_into_forbidden_region_raises():
         _attempt(m, s.x, s.v, 1.0)
 
 
+def test_overflowing_stage_is_a_rejected_step(monkeypatch):
+    # a stiff pair (H = 1e8) at speeds 1e299: a 1e-6 step overflows a stage to
+    # inf, which the wall check rejects as a domain violation (also with the
+    # wall disabled), and integrate halves the step and carries on
+    H = 1e8
+    m = wf.FlockModel(
+        wf.CommunicationKernel("constant", H),
+        wf.WallPotential(1.0, 0.0),
+        wf.Geometry("halfline"),
+        2,
+    )
+    s = wf.FlockState(0.0, [1.0, 2.0], [-1e299, 1e299])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(WallDomainError, match="finite"):
+            _attempt(m, s.x, s.v, 1e-6)
+
+        outcomes = []
+
+        def attempt(*args):
+            try:
+                result = _attempt(*args)
+            except WallDomainError:
+                outcomes.append("domain")
+                raise
+            outcomes.append("ok")
+            return result
+
+        monkeypatch.setattr(wf.integrator, "_attempt", attempt)
+        c = IntegratorControl(dt_init=1e-6, dt_max=1e-6, dt_min=1e-15)
+        traj = integrate(m, s, 1e-6, c, sample_every=1e-6)
+    assert outcomes[0] == "domain"
+    assert outcomes[-1] == "ok"
+    x_ref, v_ref = closed_form_pair(1e-6, 1.0, 2.0, -1e299, 1e299, H)
+    assert np.allclose(traj.states[-1].x, x_ref, rtol=1e-6, atol=0.0)
+    assert np.allclose(traj.states[-1].v, v_ref, rtol=1e-4, atol=0.0)
+
+
 def test_sample_grid_exact_and_uniform():
     m = two_agent_constant()
     s = wf.FlockState(0.0, [2.0, 3.0], [0.5, 1.0])

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from wallflock import CommunicationKernel
+from wallflock import (
+    CommunicationKernel,
+    FlockModel,
+    FlockState,
+    Geometry,
+    WallPotential,
+    acceleration,
+    diagnostics,
+)
 
 # closed-form primitives at D=1, H=1
 ASINH_1 = 0.8813735870195430
@@ -104,3 +112,36 @@ def test_fat_tail():
     assert CommunicationKernel("powerlaw", 1.0, 0.51).fat_tail() is False
     assert CommunicationKernel("powerlaw", 1.0, 1.0).fat_tail() is False
 
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "family, beta",
+    [("constant", 0.25)] + [("powerlaw", b) for b in (0.0, 0.25, 0.5, 1.0, 1.5)],
+)
+def test_kernel_matrix_consumers_bitwise_equal_direct_form(family, beta):
+    # acceleration and I2 build phi in one buffer; their bits must be those of
+    # the direct expressions H * (1 + r*r)**-beta * (v_j - v_i), summed
+    rng = np.random.default_rng(11)
+    k = CommunicationKernel(family, 1.3, beta)
+    for n in (1, 2, 16, 130):
+        x = np.sort(rng.uniform(0.5, 40.0, n))
+        v = rng.uniform(-1.0, 1.0, n)
+        m = FlockModel(k, WallPotential(), Geometry("halfline"), n)
+        gaps = x[:, None] - x[None, :]
+        if family == "constant":
+            phi = np.full_like(gaps, k.H)
+        else:
+            phi = k.H * (1.0 + gaps * gaps) ** (-k.beta)
+        acc = (phi * (v[None, :] - v[:, None])).sum(axis=1) / n + m.force(x)
+        dv = v[:, None] - v[None, :]
+        I2 = float((phi * dv * dv).sum()) / (2.0 * n * n)
+        assert np.array_equal(_bits(acceleration(m, x, v)), _bits(acc))
+        assert np.array_equal(_bits(diagnostics(m, FlockState(0.0, x, v), 0.0).I2), _bits(I2))
+        assert np.array_equal(_bits(k.matrix(x)), _bits(phi))
+        # eval shares the formula: an entry of the matrix is phi of its gap
+        assert np.array_equal(_bits(k.eval(gaps)), _bits(phi))
+        assert _bits(k.eval(gaps[-1, 0])) == _bits(phi[-1, 0])

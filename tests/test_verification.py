@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wallflock as wf
 from wallflock import (
@@ -20,7 +22,8 @@ from wallflock import (
     fit_exponential,
     verify,
 )
-from wallflock.verification import _cumulative_simpson, _cumulative_trapezoid
+from wallflock import verification
+from wallflock.verification import FitResult, _cumulative_simpson, _cumulative_trapezoid, _plain
 
 
 def make_record(t, A=0.0, x_min_wall=1.0, p=0.0, K=0.0, F_max=0.0, W=0.0):
@@ -161,6 +164,25 @@ def test_settlement_flags_drift():
     assert res.max_pair_variation < 1e-12
 
 
+@pytest.mark.parametrize("window, n", [(2, 1024), (50, 200), (301, 16), (7, 1)])
+def test_settlement_blocks_bitwise_equal_direct_form(window, n, monkeypatch):
+    rng = np.random.default_rng(window + n)
+    times = np.arange(4 * window) * 0.1
+    xs = rng.uniform(1.0, 50.0, (times.size, n))
+    traj = synthetic_traj(times, xs)
+    X = xs[verification._tail_start_index(times, Thresholds().tail_fraction) :]
+    diffs = X[:, :, None] - X[:, None, :]
+    limits = diffs.mean(axis=0)
+    peak = float(np.max(diffs.max(axis=0) - diffs.min(axis=0)))
+    # one block at the default size, then blocks of 3 rows (one block at N=1)
+    for block in (verification._BLOCK_ELEMENTS, 3 * X.size):
+        monkeypatch.setattr(verification, "_BLOCK_ELEMENTS", block)
+        res = check_settlement(traj, wf.WallPotential(), Thresholds())
+        assert np.array_equal(res.pairwise_limits.view(np.int64), limits.view(np.int64))
+        assert res.max_pair_variation == peak
+        assert res.pairwise_limits.shape == (n, n)
+
+
 def test_cumulative_quadrature_rules():
     h = 0.01
     t = np.arange(0.0, 2.0 + h / 2, h)
@@ -272,3 +294,48 @@ def test_report_json_round_trip(settle_fixture):
     assert isinstance(data["claims"], list)
     assert set(data["claims"][0]) == {"name", "passed", "value", "threshold", "applicable", "detail"}
     assert text.endswith("\n")
+
+
+_json_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 0.1]),
+)
+
+
+@st.composite
+def _reports(draw):
+    claims = [
+        Claim(
+            draw(st.text(max_size=8)),
+            draw(st.booleans()),
+            draw(_json_floats),
+            draw(_json_floats),
+            applicable=draw(st.booleans()),
+            detail=draw(st.text(max_size=12)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):  # the interval report: no arrays, no fit
+        return TheoremReport("interval", claims, final_A=draw(_json_floats))
+    n = draw(st.integers(1, 6))
+    values = st.lists(_json_floats, min_size=n * n + n, max_size=n * n + n)
+    flat = np.array(draw(values), dtype=float)
+    window = st.tuples(_json_floats, _json_floats)
+    fit = draw(st.none() | st.builds(FitResult, _json_floats, _json_floats, _json_floats, window))
+    return TheoremReport(
+        "halfline",
+        claims,
+        min_wall_distance=draw(_json_floats),
+        fit=fit,
+        settled_positions=flat[:n],
+        pairwise_limits=flat[n:].reshape(n, n),
+        escape_time=draw(st.none() | _json_floats),
+    )
+
+
+@given(_reports())
+def test_to_json_matches_indented_encoder(rep):
+    data = {name: getattr(rep, name) for name in rep.__dataclass_fields__}
+    data["passed"] = rep.passed
+    expected = json.dumps(data, indent=2, sort_keys=True, default=_plain) + "\n"
+    assert rep.to_json() == expected
