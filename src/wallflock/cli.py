@@ -151,7 +151,7 @@ def run_verify(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> in
     out = _run_dir(cfg, config_text)
     report = _verify(cfg)
     if "json" in cfg.output.formats:
-        (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+        report.write(out)
     if not quiet:
         for c in report.claims:
             status = "PASS" if c.passed else ("SKIP" if not c.applicable else "FAIL")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import FlockModel, FlockState
-from .potentials import wall_distances
+from .potentials import distance_force, distance_potential, wall_distances
 
 # CSV column order, frozen: readers of diagnostics.csv depend on it.  G is the
 # initial energy, repeated on every row so each row carries its own bound
@@ -49,39 +49,39 @@ def initial_energy(m: FlockModel, s: FlockState) -> float:
 
 def diagnostics(m: FlockModel, s: FlockState, G: float) -> DiagnosticsRecord:
     x, v, n = s.x, s.v, s.n
+    # one set of wall distances feeds the potential, the force and x_min_wall;
+    # a.sum() / n is the same IEEE arithmetic as np.mean(a), without its wrapper
+    d = wall_distances(m.geometry, x)
+    P = float(distance_potential(m.wall, d).sum()) / n
+    F = distance_force(m.geometry, m.wall, d)
     K = float(v @ v) / (2.0 * n)
-    P = float(np.mean(m.potential(x)))
-    p = float(np.mean(v))
-    v_max = float(np.max(v))
-    v_min = float(np.min(v))
+    v_max = float(v.max())
+    v_min = float(v.min())
     A = v_max - v_min
-    D = float(np.max(x) - np.min(x))
+    D = float(x.max() - x.min())
     w = m.kernel.matrix(x)
     dv = v[:, None] - v[None, :]
     w *= dv
     w *= dv
     I2 = float(w.sum()) / (2.0 * n * n)
-    L = A + m.kernel.primitive(D)
-    F = np.atleast_1d(m.force(x))
-    W = -float(v @ F)
     return DiagnosticsRecord(
         t=s.t,
         K=K,
         P=P,
         E=K + P,
-        p=p,
+        p=float(v.sum()) / n,
         A=A,
         D=D,
         I2=I2,
-        L=L,
-        W=W,
-        F_max=float(np.max(np.abs(F))),
-        F_mean=float(np.mean(F)),
-        x_min_wall=float(np.min(wall_distances(m.geometry, x))),
+        L=A + m.kernel.primitive(D),
+        W=-float(v @ F),
+        F_max=float(np.abs(F).max()),
+        F_mean=float(F.sum()) / n,
+        x_min_wall=float(d.min()),
         v_max=v_max,
         v_min=v_min,
         G=G,
-        F_sq=float(np.sum(F**2)),
+        F_sq=float((F**2).sum()),
     )
 
 

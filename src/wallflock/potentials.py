@@ -129,12 +129,22 @@ def check_domain(geom: Geometry, wall: WallPotential, x) -> None:
 
 def geometry_potential(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
     """Per-position confinement energy, one wall term per boundary."""
-    return np.add.reduce(wall.value(wall_distances(geom, x)), axis=0)
+    return distance_potential(wall, wall_distances(geom, x))
 
 
 def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
     """Signed confining force: each wall pushes along its direction."""
-    return np.add.reduce(geom._direction * wall.force(wall_distances(geom, x)), axis=0)
+    return distance_force(geom, wall, wall_distances(geom, x))
+
+
+def distance_potential(wall: WallPotential, d: np.ndarray) -> np.ndarray:
+    """geometry_potential from the rows of wall_distances."""
+    return np.add.reduce(wall.value(d), axis=0)
+
+
+def distance_force(geom: Geometry, wall: WallPotential, d: np.ndarray) -> np.ndarray:
+    """geometry_force from the rows of wall_distances."""
+    return np.add.reduce(geom._direction * wall.force(d), axis=0)
 
 
 def warn_if_overlapping(geom: Geometry, wall: WallPotential) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -103,18 +104,21 @@ class TheoremReport:
         raise KeyError(name)
 
     def to_json(self) -> str:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        """The text of report.json: every field but pairwise_limits, plus passed."""
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pairwise_limits"}
         data["passed"] = self.passed
-        # json.dumps(indent=2) encodes every float of an N x N pairwise_limits in
-        # pure Python; the arrays are encoded apart and spliced in at their keys.
-        arrays = {k: a for k, a in data.items() if isinstance(a, np.ndarray)}
-        data.update(dict.fromkeys(arrays))
-        text = json.dumps(data, indent=2, sort_keys=True, default=_plain)
-        for key, a in arrays.items():
-            # a raw newline and a two-space indent precede top-level keys only
-            slot = f'\n  "{key}": '
-            text = text.replace(slot + "null", slot + _indented_array(a, 1), 1)
-        return text + "\n"
+        return json.dumps(data, indent=2, sort_keys=True, default=_plain) + "\n"
+
+    def write(self, directory) -> None:
+        """report.json, and pairwise_limits.npy when the report has the matrix;
+        without it, a pairwise_limits.npy left by an earlier run is removed."""
+        directory = Path(directory)
+        (directory / "report.json").write_text(self.to_json(), encoding="utf-8")
+        limits = directory / "pairwise_limits.npy"
+        if self.pairwise_limits is None:
+            limits.unlink(missing_ok=True)
+        else:
+            np.save(limits, self.pairwise_limits)
 
 
 def _plain(obj):
@@ -126,22 +130,6 @@ def _plain(obj):
     if isinstance(obj, np.generic):
         return obj.item()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _indented_array(a: np.ndarray, level: int) -> str:
-    """json.dumps(a.tolist(), indent=2) at nesting depth level, by the C encoder.
-
-    Without indent, json.dumps runs the C encoder, which writes floats with
-    float.__repr__ (and NaN, Infinity) just as the indented Python encoder does.
-    """
-    if not len(a):
-        return "[]"
-    inner = "\n" + "  " * (level + 1)
-    if a.ndim == 1:
-        items = json.dumps(a.tolist(), separators=("," + inner, ": "))[1:-1]
-    else:
-        items = ("," + inner).join(_indented_array(row, level + 1) for row in a)
-    return f"[{inner}{items}\n{'  ' * level}]"
 
 
 def _tail_start_index(times: np.ndarray, tail_fraction: float) -> int:

@@ -1,10 +1,19 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
-from wallflock import ConfigError, read_diagnostics_csv
+from wallflock import (
+    ConfigError,
+    check_settlement,
+    initial_state_from_config,
+    integrate,
+    model_from_config,
+    parse_config,
+    read_diagnostics_csv,
+)
 from wallflock.cli import build_parser, main, parse_sweep
 
 FREE_ALIGNING = """
@@ -106,6 +115,47 @@ def test_verify_pass_fail_and_report(tmp_path, capsys):
     assert main(["verify", "--config", str(bad), "--out", str(out2), "--quiet"]) == 1
     report = (out2 / "report.json").read_text()
     assert '"name": "no_wall_collision"' in report
+
+
+INTERVAL = """
+geometry: {variant: interval, a: 0.0, b: 6.0}
+ic: {n_agents: 4, x_low: 2.0, x_high: 4.0, v_low: -0.5, v_high: 0.5, seed: 1}
+integrator: {t_end: 10.0, sample_every: 0.1}
+"""
+
+
+def test_verify_writes_pairwise_limits_npy(tmp_path):
+    cfg = write(tmp_path, "ok.yaml", FREE_ALIGNING)
+    out = tmp_path / "ok"
+    assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    npy = out / "pairwise_limits.npy"
+    first = npy.read_bytes()
+    assert "pairwise_limits" not in json.loads((out / "report.json").read_text())
+
+    run = parse_config(FREE_ALIGNING)
+    m, s0 = model_from_config(run), initial_state_from_config(run)
+    traj = integrate(m, s0, run.t_end, run.control, run.sample_every)
+    limits = check_settlement(traj, m.wall, run.thresholds).pairwise_limits
+    assert np.array_equal(np.load(npy).view(np.int64), limits.view(np.int64))
+
+    assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert npy.read_bytes() == first  # a rerun is byte-identical
+
+
+def test_verify_without_matrix_leaves_no_npy(tmp_path):
+    ok = write(tmp_path, "ok.yaml", FREE_ALIGNING)
+    box = write(tmp_path, "box.yaml", INTERVAL)
+    stiff = write(tmp_path, "stiff.yaml", STIFF)
+    fresh = tmp_path / "fresh"
+    assert main(["verify", "--config", str(box), "--out", str(fresh), "--quiet"]) in (0, 1)
+    assert not (fresh / "pairwise_limits.npy").exists()
+    # an interval report or a failed integration removes the matrix of an earlier run
+    reused = tmp_path / "reused"
+    for cfg, codes in ((box, (0, 1)), (stiff, (3,))):
+        assert main(["verify", "--config", str(ok), "--out", str(reused), "--quiet"]) == 0
+        assert (reused / "pairwise_limits.npy").exists()
+        assert main(["verify", "--config", str(cfg), "--out", str(reused), "--quiet"]) in codes
+        assert not (reused / "pairwise_limits.npy").exists()
 
 
 def test_verify_integration_failure_exit_code(tmp_path):

@@ -96,6 +96,49 @@ def test_diagnostics_against_hand_formulas():
         assert rec.x_min_wall == x.min()
 
 
+def _direct_diagnostics(m, s, G):
+    """diagnostics written out field by field with np.mean / np.max / np.min / np.sum."""
+    x, v, n = s.x, s.v, s.n
+    F = m.force(x)
+    dv = v[:, None] - v[None, :]
+    A = float(np.max(v)) - float(np.min(v))
+    D = float(np.max(x) - np.min(x))
+    K = float(v @ v) / (2.0 * n)
+    P = float(np.mean(m.potential(x)))
+    return dict(
+        t=s.t, K=K, P=P, E=K + P, p=float(np.mean(v)), A=A, D=D,
+        I2=float(np.sum(m.kernel.matrix(x) * dv * dv)) / (2.0 * n * n),
+        L=A + m.kernel.primitive(D), W=-float(v @ F),
+        F_max=float(np.max(np.abs(F))), F_mean=float(np.mean(F)),
+        x_min_wall=float(np.min(wf.wall_distances(m.geometry, x))),
+        v_max=float(np.max(v)), v_min=float(np.min(v)), G=G, F_sq=float(np.sum(F**2)),
+    )
+
+
+@pytest.mark.parametrize(
+    "geometry, theta, n, x_low",
+    [
+        (wf.Geometry("halfline"), 1.0, 13, 0.2),
+        (wf.Geometry("interval", 0.0, 6.0), 1.0, 13, 0.2),
+        (wf.Geometry("halfline"), 0.0, 13, -1.0),  # a disabled wall allows x <= 0
+        (wf.Geometry("halfline"), 1.0, 1, 0.2),
+    ],
+    ids=["halfline", "interval", "disabled_wall", "n1"],
+)
+def test_diagnostics_bitwise_equal_direct_form(geometry, theta, n, x_low):
+    m = wf.FlockModel(
+        wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, theta), geometry, n
+    )
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        s = wf.FlockState(0.0, rng.uniform(x_low, 5.8, n), rng.uniform(-1.0, 1.0, n))
+        G = initial_energy(m, s)
+        rec = diagnostics(m, s, G)
+        for name, value in _direct_diagnostics(m, s, G).items():
+            got = np.float64(getattr(rec, name)).view(np.int64)
+            assert got == np.float64(value).view(np.int64), name
+
+
 def test_interval_wall_distance_uses_both_walls():
     m = wf.FlockModel(
         wf.CommunicationKernel("powerlaw", 1.0, 0.25),

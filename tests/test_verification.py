@@ -1,5 +1,8 @@
 import json
 import math
+import tempfile
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from wallflock import (
     verify,
 )
 from wallflock import verification
-from wallflock.verification import FitResult, _cumulative_simpson, _cumulative_trapezoid, _plain
+from wallflock.verification import FitResult, _cumulative_simpson, _cumulative_trapezoid
 
 
 def make_record(t, A=0.0, x_min_wall=1.0, p=0.0, K=0.0, F_max=0.0, W=0.0):
@@ -333,9 +336,37 @@ def _reports(draw):
     )
 
 
+def _recovered(value, loaded) -> bool:
+    """loaded is what json.loads gives back for value: floats by value and sign, NaN as NaN."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        same_keys = value.keys() == loaded.keys()
+        return same_keys and all(_recovered(v, loaded[k]) for k, v in value.items())
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return len(value) == len(loaded) and all(map(_recovered, value, loaded))
+    if isinstance(value, float):
+        if math.isnan(value):
+            return math.isnan(loaded)
+        return value == loaded and math.copysign(1.0, value) == math.copysign(1.0, loaded)
+    return type(value) is type(loaded) and value == loaded
+
+
 @given(_reports())
-def test_to_json_matches_indented_encoder(rep):
-    data = {name: getattr(rep, name) for name in rep.__dataclass_fields__}
-    data["passed"] = rep.passed
-    expected = json.dumps(data, indent=2, sort_keys=True, default=_plain) + "\n"
-    assert rep.to_json() == expected
+def test_report_json_and_pairwise_npy_round_trip(rep):
+    data = json.loads(rep.to_json())
+    assert "pairwise_limits" not in data
+    expected = {name: getattr(rep, name) for name in rep.__dataclass_fields__}
+    del expected["pairwise_limits"]
+    expected["passed"] = rep.passed
+    assert _recovered(expected, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        rep.write(tmp)
+        assert (Path(tmp) / "report.json").read_text(encoding="utf-8") == rep.to_json()
+        npy = Path(tmp) / "pairwise_limits.npy"
+        if rep.pairwise_limits is None:
+            assert not npy.exists()
+        else:
+            limits = np.load(npy)
+            assert limits.dtype == np.float64
+            assert np.array_equal(limits.view(np.int64), rep.pairwise_limits.view(np.int64))
