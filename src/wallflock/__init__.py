@@ -32,7 +32,6 @@ from .observables import (
     dissipation_residual,
     initial_energy,
     read_diagnostics_csv,
-    record_series,
     write_diagnostics_csv,
 )
 from .verification import (

@@ -15,6 +15,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .config import (
@@ -29,9 +30,9 @@ from .config import (
     serialize_config,
 )
 from .integrator import StiffnessError, Trajectory, integrate
-from .observables import record_series, write_diagnostics_csv
+from .observables import write_diagnostics_csv
 from .potentials import WallDomainError
-from .verification import TheoremReport, verify
+from .verification import TheoremReport, remove_report, verify
 
 MAX_SWEEP_RUNS = 10_000
 
@@ -84,31 +85,18 @@ def _simulate(cfg: RunConfig) -> Trajectory:
 
 
 def _write_final_state(traj: Trajectory, path: Path) -> None:
-    final = traj.states[-1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("i", "x", "v"))
-        for i, (xi, vi) in enumerate(zip(final.x, final.v)):
-            writer.writerow((i, format(xi, ".17g"), format(vi, ".17g")))
+    final = np.column_stack([np.arange(traj.X.shape[1]), traj.X[-1], traj.V[-1]])
+    np.savetxt(path, final, fmt="%d,%.17g,%.17g", header="i,x,v", comments="")
 
 
 def emit_plot_data(traj: Trajectory, path: Path) -> None:
     """Whitespace columns (t, A, E, K, p, D, F_max) plus per-agent traces."""
     path = Path(path)
-    cols = ("t", "A", "E", "K", "p", "D", "F_max")
-    series = [record_series(traj.records, c) for c in cols]
-    with open(path, "w") as fh:
-        fh.write("# " + " ".join(cols) + "\n")
-        for row in zip(*series):
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+    cols = ["t", "A", "E", "K", "p", "D", "F_max"]
+    np.savetxt(path, traj.records[cols], fmt="%.17g", header=" ".join(cols))
     agents = path.with_name(path.stem + "_positions" + path.suffix)
-    n = traj.states[0].n
-    with open(agents, "w") as fh:
-        fh.write("# t " + " ".join(f"x{i}" for i in range(n)) + "\n")
-        for t, s in zip(traj.sample_times, traj.states):
-            fh.write(
-                format(t, ".17g") + " " + " ".join(format(xi, ".17g") for xi in s.x) + "\n"
-            )
+    header = " ".join(["t"] + [f"x{i}" for i in range(traj.X.shape[1])])
+    np.savetxt(agents, np.column_stack([traj.sample_times, traj.X]), fmt="%.17g", header=header)
 
 
 def run_simulate(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> int:
@@ -127,7 +115,7 @@ def run_simulate(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> 
     if not quiet:
         print(
             f"t={last.t:g} A={last.A:.6g} E={last.E:.6g} min_wall_distance="
-            f"{min(r.x_min_wall for r in traj.records):.6g}"
+            f"{traj.records.x_min_wall.min():.6g}"
         )
     return 0
 
@@ -152,6 +140,8 @@ def run_verify(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> in
     report = _verify(cfg)
     if "json" in cfg.output.formats:
         report.write(out)
+    else:
+        remove_report(out)
     if not quiet:
         for c in report.claims:
             status = "PASS" if c.passed else ("SKIP" if not c.applicable else "FAIL")
@@ -323,3 +313,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -45,13 +45,20 @@ class IntegratorControl:
 
 @dataclass
 class Trajectory:
+    """One row per sample: positions X and velocities V (S, N), and records, an
+    np.recarray (S,) with a float64 field per DiagnosticsRecord field, so
+    records.A is the A series and records[-1].A its last value."""
+
     sample_times: np.ndarray
-    states: list
-    records: list
+    X: np.ndarray
+    V: np.ndarray
+    records: np.recarray
 
     def __post_init__(self):
-        if not (len(self.sample_times) == len(self.states) == len(self.records)):
-            raise ValueError("sample_times, states, records must have equal length")
+        if not (len(self.sample_times) == len(self.X) == len(self.V) == len(self.records)):
+            raise ValueError("sample_times, X, V, records must have one row per sample")
+        if self.X.shape != self.V.shape:
+            raise ValueError("X and V must have the same shape")
 
 
 # Fehlberg tableau: nodes, stage coefficients, fourth-order weights, and
@@ -117,8 +124,9 @@ def _sample(
 ) -> Trajectory:
     """Sample a run from s0.t to t_end on the uniform grid.
 
-    Records s0 and its diagnostics, then calls advance(x, v, t0, t1) -> (x, v)
-    once per grid span and records the state reached at t1.
+    Records s0 and its diagnostics in row 0, then calls advance(x, v, t0, t1)
+    -> (x, v) once per grid span and records the state reached at t1 in the
+    next row.
     """
     if not t_end > s0.t:
         raise ValueError("t_end must exceed the initial time")
@@ -129,18 +137,20 @@ def _sample(
 
     times = _sample_grid(s0.t, t_end, sample_every)
     G = initial_energy(m, s0)
-    states = [s0]
-    records = [diagnostics(m, s0, G)]
+    X = np.empty((times.size, s0.n))
+    V = np.empty_like(X)
+    records = np.recarray(times.size, dtype=[(f, float) for f in DiagnosticsRecord._fields])
+    X[0], V[0] = s0.x, s0.v
+    records[0] = diagnostics(m, s0, G)
 
-    x = s0.x.copy()
-    v = s0.v.copy()
-    for t0, t1 in zip(times[:-1], times[1:]):
-        x, v = advance(x, v, t0, t1)
-        s = FlockState(t=t1, x=x.copy(), v=v.copy())
-        states.append(s)
-        records.append(diagnostics(m, s, G))
+    x, v = s0.x, s0.v
+    for k in range(1, times.size):
+        x, v = advance(x, v, times[k - 1], times[k])
+        X[k], V[k] = x, v
+        # the state is validated (finite x and v) before its diagnostics
+        records[k] = diagnostics(m, FlockState(t=times[k], x=x, v=v), G)
 
-    return Trajectory(sample_times=times, states=states, records=records)
+    return Trajectory(sample_times=times, X=X, V=V, records=records)
 
 
 def integrate(

@@ -3,24 +3,15 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import FlockModel, FlockState
 from .potentials import distance_force, distance_potential, wall_distances
 
-# CSV column order, frozen: readers of diagnostics.csv depend on it.  G is the
-# initial energy, repeated on every row so each row carries its own bound
-# constants.
-FIELDS = (
-    "t", "K", "P", "E", "p", "A", "D", "I2", "L", "W",
-    "F_max", "F_mean", "x_min_wall", "v_max", "v_min", "G",
-)
 
-
-@dataclass
-class DiagnosticsRecord:
+class DiagnosticsRecord(NamedTuple):
     t: float
     K: float
     P: float
@@ -38,6 +29,12 @@ class DiagnosticsRecord:
     v_min: float
     G: float
     F_sq: float  # sum of squared wall forces; not a CSV column
+
+
+# CSV column order, frozen: readers of diagnostics.csv depend on it.  G is the
+# initial energy, repeated on every row so each row carries its own bound
+# constants.
+FIELDS = tuple(f for f in DiagnosticsRecord._fields if f != "F_sq")
 
 
 def initial_energy(m: FlockModel, s: FlockState) -> float:
@@ -85,16 +82,10 @@ def diagnostics(m: FlockModel, s: FlockState, G: float) -> DiagnosticsRecord:
     )
 
 
-def record_series(records, name: str) -> np.ndarray:
-    return np.array([getattr(r, name) for r in records], dtype=float)
-
-
-def write_diagnostics_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FIELDS)
-        for r in records:
-            writer.writerow(format(getattr(r, f), ".17g") for f in FIELDS)
+def write_diagnostics_csv(records: np.recarray, path) -> None:
+    """One CSV row per row of a diagnostics table, in FIELDS order."""
+    header = ",".join(FIELDS)
+    np.savetxt(path, records[list(FIELDS)], fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def read_diagnostics_csv(path) -> np.ndarray:
@@ -115,7 +106,7 @@ def dissipation_residual(traj) -> np.ndarray:
     if len(traj.records) < 3:
         raise ValueError("need at least 3 samples for a central difference")
     t = np.asarray(traj.sample_times, dtype=float)
-    E = record_series(traj.records, "E")
-    I2 = record_series(traj.records, "I2")
+    E = traj.records.E
+    I2 = traj.records.I2
     dEdt = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
     return dEdt + I2[1:-1]

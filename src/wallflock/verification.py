@@ -16,10 +16,11 @@ import numpy as np
 
 from .dynamics import FlockModel, FlockState
 from .integrator import IntegratorControl, StiffnessError, Trajectory, integrate
-from .observables import record_series
 from .potentials import Geometry, WallDomainError, WallPotential
 
 _EPS = float(np.finfo(float).eps)
+# the files TheoremReport.write keeps in an output directory
+REPORT_JSON, PAIRWISE_LIMITS = "report.json", "pairwise_limits.npy"
 # element count of one block of pairwise differences in check_settlement (32 MB)
 _BLOCK_ELEMENTS = 1 << 22
 
@@ -113,12 +114,18 @@ class TheoremReport:
         """report.json, and pairwise_limits.npy when the report has the matrix;
         without it, a pairwise_limits.npy left by an earlier run is removed."""
         directory = Path(directory)
-        (directory / "report.json").write_text(self.to_json(), encoding="utf-8")
-        limits = directory / "pairwise_limits.npy"
+        (directory / REPORT_JSON).write_text(self.to_json(), encoding="utf-8")
+        limits = directory / PAIRWISE_LIMITS
         if self.pairwise_limits is None:
             limits.unlink(missing_ok=True)
         else:
             np.save(limits, self.pairwise_limits)
+
+
+def remove_report(directory) -> None:
+    """Delete what TheoremReport.write leaves, so no earlier run's report stays behind."""
+    for name in (REPORT_JSON, PAIRWISE_LIMITS):
+        (Path(directory) / name).unlink(missing_ok=True)
 
 
 def _plain(obj):
@@ -140,13 +147,13 @@ def _tail_start_index(times: np.ndarray, tail_fraction: float) -> int:
 
 def check_no_collision(traj: Trajectory):
     """A completed trajectory plus a positive wall-distance infimum."""
-    min_dist = float(np.min(record_series(traj.records, "x_min_wall")))
+    min_dist = float(np.min(traj.records.x_min_wall))
     return min_dist > 0.0, min_dist
 
 
 def check_alignment(traj: Trajectory, th: Thresholds):
     times = np.asarray(traj.sample_times)
-    A = record_series(traj.records, "A")
+    A = traj.records.A
     final_A = float(A[-1])
     tail_max = float(np.max(A[_tail_start_index(times, th.tail_fraction):]))
     # the tail guard rejects a lucky dip sampled at the final instant
@@ -160,7 +167,7 @@ def fit_exponential(traj: Trajectory, th: Thresholds, window_start: float | None
     are skipped.  Returns None when fewer than fit_min_points remain.
     """
     times = np.asarray(traj.sample_times, dtype=float)
-    A = record_series(traj.records, "A")
+    A = traj.records.A
     if window_start is None:
         window_start = times[_tail_start_index(times, th.tail_fraction)]
     mask = (times >= window_start - 1e-12) & (A >= 100.0 * _EPS)
@@ -188,8 +195,7 @@ def detect_escape(traj: Trajectory, geom: Geometry, wall: WallPotential):
     """Earliest sample time after which every agent stays at distance >= ell."""
     if geom.variant != "halfline":
         raise ValueError("escape detection applies to the half-line only")
-    min_x = np.array([float(np.min(s.x)) for s in traj.states])
-    outside = min_x >= wall.ell
+    outside = traj.X.min(axis=1) >= wall.ell
     if not outside[-1]:
         return None
     inside = np.nonzero(~outside)[0]
@@ -207,7 +213,7 @@ def check_settlement(traj: Trajectory, wall: WallPotential, th: Thresholds) -> S
     """
     times = np.asarray(traj.sample_times)
     k0 = _tail_start_index(times, th.tail_fraction)
-    X = np.stack([s.x for s in traj.states[k0:]])  # (window, N)
+    X = traj.X[k0:]  # (window, N)
     means = X.mean(axis=0)
     variation = X.max(axis=0) - X.min(axis=0)
     # pairwise differences over blocks of rows, so no (window, N, N) array exists
@@ -272,12 +278,12 @@ def check_interval_decay(m: FlockModel, traj: Trajectory) -> IntervalDecayResult
     if m.geometry.variant != "interval":
         raise ValueError("interval decay check requires interval geometry")
     times = np.asarray(traj.sample_times, dtype=float)
-    K = record_series(traj.records, "K")
+    K = traj.records.K
     return IntervalDecayResult(
         final_K=float(K[-1]),
         final_F_max=float(traj.records[-1].F_max),
         kinetic_tail_share=_tail_share(K, times),
-        force_tail_share=_tail_share(record_series(traj.records, "F_sq"), times),
+        force_tail_share=_tail_share(traj.records.F_sq, times),
     )
 
 
@@ -286,28 +292,22 @@ def check_work_of_force(traj: Trajectory):
 
     Returns the verdict, the peak |W| and the peak envelope.
     """
-    K = record_series(traj.records, "K")
-    W = record_series(traj.records, "W")
-    F_max = record_series(traj.records, "F_max")
-    n = traj.states[0].n
-    envelope = np.sqrt(2.0 * K) * n * F_max
-    ok = bool(np.all(np.abs(W) <= envelope + 1e-12 * np.maximum(1.0, envelope)))
-    return ok, float(np.max(np.abs(W))), float(np.max(envelope))
+    rec = traj.records
+    envelope = np.sqrt(2.0 * rec.K) * traj.X.shape[1] * rec.F_max
+    W = np.abs(rec.W)
+    ok = bool(np.all(W <= envelope + 1e-12 * np.maximum(1.0, envelope)))
+    return ok, float(np.max(W)), float(np.max(envelope))
 
 
 def budget_claims(m: FlockModel, traj: Trajectory, th: Thresholds) -> list:
     """Trajectory-wide inequality checks shared by both geometries."""
     times = np.asarray(traj.sample_times, dtype=float)
     rec = traj.records
-    E = record_series(rec, "E")
-    L = record_series(rec, "L")
-    p = record_series(rec, "p")
-    D = record_series(rec, "D")
-    F_max = record_series(rec, "F_max")
-    F_mean = record_series(rec, "F_mean")
-    v_hi = np.maximum(np.abs(record_series(rec, "v_max")), np.abs(record_series(rec, "v_min")))
+    E, L, p, D = rec.E, rec.L, rec.p, rec.D
+    F_max, F_mean = rec.F_max, rec.F_mean
+    v_hi = np.maximum(np.abs(rec.v_max), np.abs(rec.v_min))
     G = rec[0].G
-    n = traj.states[0].n
+    n = traj.X.shape[1]
     claims = []
 
     tol_E = 1e-9 * max(1.0, abs(E[0]))
@@ -470,7 +470,7 @@ def verify(
         min_wall_distance=min_dist,
         final_A=final_A,
         final_D=float(traj.records[-1].D),
-        kinetic_integral=float(np.trapezoid(record_series(traj.records, "K"), times)),
-        force_sq_integral=float(np.trapezoid(record_series(traj.records, "F_sq"), times)),
+        kinetic_integral=float(np.trapezoid(traj.records.K, times)),
+        force_sq_integral=float(np.trapezoid(traj.records.F_sq, times)),
         **extras,
     )

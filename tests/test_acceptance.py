@@ -54,13 +54,13 @@ def test_criterion_03_apriori_velocity_and_diameter_bounds(scenario_table):
         t = np.asarray(traj.sample_times)
         rec = traj.records
         G = rec[0].G
-        n = traj.states[0].n
+        n = traj.X.shape[1]
         v_bound = np.sqrt(max(2.0 * n * G, 0.0)) + 1e-9
         v_peak = max(
-            np.max(np.abs(wf.record_series(rec, "v_max"))),
-            np.max(np.abs(wf.record_series(rec, "v_min"))),
+            np.max(np.abs(rec.v_max)),
+            np.max(np.abs(rec.v_min)),
         )
-        D = wf.record_series(rec, "D")
+        D = rec.D
         d_slack = np.max(D - (2.0 * np.sqrt(max(2.0 * n * G, 0.0)) * (t - t[0]) + D[0] + 1e-9))
         ok = ok and v_peak <= v_bound and d_slack <= 0.0
         worst_v = max(worst_v, v_peak / v_bound)
@@ -78,8 +78,8 @@ def test_criterion_04_lyapunov_budget(scenario_table):
     ok = True
     for name, m, traj in scenario_table:
         t = np.asarray(traj.sample_times)
-        L = wf.record_series(traj.records, "L")
-        F_max = wf.record_series(traj.records, "F_max")
+        L = traj.records.L
+        F_max = traj.records.F_max
         budget = L[0] + cumulative_trapezoid(F_max, t, initial=0.0) + 1e-3 * max(1.0, abs(L[0]))
         excess = float(np.max(L - budget))
         ok = ok and excess <= 0.0
@@ -93,8 +93,8 @@ def test_criterion_05_momentum_law(scenario_table):
     ok = True
     for name, m, traj in scenario_table:
         t = np.asarray(traj.sample_times)
-        p = wf.record_series(traj.records, "p")
-        F_mean = wf.record_series(traj.records, "F_mean")
+        p = traj.records.p
+        F_mean = traj.records.F_mean
         h = float(t[1] - t[0])
         impulse = cumulative_simpson(F_mean, dx=h, initial=0.0)
         bar = 1e-4 * max(1.0, abs(p[0]) + 1.0)
@@ -132,7 +132,7 @@ def test_criterion_07_exponential_rate(twoagent_fixture, canonical_model, halfli
     # closed-form route: the velocity gap contracts at exactly the kernel height
     t2 = np.asarray(traj2.sample_times)
     A_exact = (s2.v[1] - s2.v[0]) * np.exp(-m2.kernel.H * t2)
-    overlay = float(np.max(np.abs(wf.record_series(traj2.records, "A") - A_exact)))
+    overlay = float(np.max(np.abs(traj2.records.A - A_exact)))
     two_ok = (
         fit2 is not None
         and abs(fit2.delta - 1.0) <= 0.02
@@ -193,20 +193,22 @@ def test_criterion_10_integrator_order_and_reference_agreement():
     )
     s0 = wf.initial_condition(8, 2.0, 5.0, 0.0, 1.0, 3)
     T = 20.0
-    truth = wf.reference_rk4(m, s0, T, 1e-3, sample_every=T).states[-1]
+    truth = wf.reference_rk4(m, s0, T, 1e-3, sample_every=T)
     errs = []
     for h in (0.2, 0.1, 0.05, 0.025):
         ctl = wf.IntegratorControl(dt_init=h, dt_min=1e-15, dt_max=h, abs_tol=1e9, rel_tol=1e9)
-        end = wf.integrate(m, s0, T, ctl, sample_every=T).states[-1]
-        errs.append(max(np.max(np.abs(end.x - truth.x)), np.max(np.abs(end.v - truth.v))))
+        end = wf.integrate(m, s0, T, ctl, sample_every=T)
+        errs.append(
+            max(np.max(np.abs(end.X[-1] - truth.X[-1])), np.max(np.abs(end.V[-1] - truth.V[-1])))
+        )
     orders = np.log2(np.asarray(errs[:-1]) / np.asarray(errs[1:]))
     order = float(np.mean(orders))
 
     adaptive = wf.integrate(m, s0, T, sample_every=0.1)
     reference = wf.reference_rk4(m, s0, T, 0.002, sample_every=0.1)
     dev = 0.0
-    for sa, sr in zip(adaptive.states, reference.states):
-        dev = max(dev, np.max(np.abs(sa.x - sr.x)), np.max(np.abs(sa.v - sr.v)))
+    for xa, va, xr, vr in zip(adaptive.X, adaptive.V, reference.X, reference.V):
+        dev = max(dev, np.max(np.abs(xa - xr)), np.max(np.abs(va - vr)))
     bar = 10.0 * wf.IntegratorControl().abs_tol
     ok = 3.6 <= order <= 4.4 and dev <= bar
     _verdict(

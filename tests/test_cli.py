@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wallflock
 from wallflock import (
     ConfigError,
     check_settlement,
@@ -293,3 +298,28 @@ def test_plot_data_outputs(tmp_path, capsys):
     assert pos[0] == "# t x0 x1 x2 x3"
     assert len(pos) == 102
     assert capsys.readouterr().out == ""
+
+
+def test_verify_without_json_removes_an_earlier_report(tmp_path):
+    cfg = write(tmp_path, "ok.yaml", FREE_ALIGNING)
+    csv_only = write(tmp_path, "csv.yaml", FREE_ALIGNING + "output: {formats: [csv]}\n")
+    out = tmp_path / "reused"
+    assert main(["verify", "--config", str(cfg), "--out", str(out), "--seed", "1", "--quiet"]) == 0
+    assert (out / "report.json").exists() and (out / "pairwise_limits.npy").exists()
+    argv = ["verify", "--config", str(csv_only), "--out", str(out), "--seed", "2", "--quiet"]
+    assert main(argv) == 0
+    assert (out / "config.yaml").read_text() == csv_only.read_text()
+    assert not (out / "report.json").exists()
+    assert not (out / "pairwise_limits.npy").exists()
+
+
+@pytest.mark.parametrize("module", ["wallflock", "wallflock.cli"])
+def test_python_dash_m_runs_the_command_line(module, tmp_path):
+    src = Path(wallflock.__file__).resolve().parents[1]
+    config = Path(__file__).resolve().parents[1] / "configs" / "control_nowall.yaml"
+    out = tmp_path / "control"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["verify", "--config", str(config), "--out", str(out), "--quiet"]
+    done = subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True)
+    assert done.returncode == 1, done.stderr
+    assert '"passed": false' in (out / "report.json").read_text()

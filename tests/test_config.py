@@ -1,9 +1,14 @@
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wallflock as wf
 from wallflock import (
     ConfigError,
     RunConfig,
+    config_from_data,
     initial_state_from_config,
     model_from_config,
     parse_config,
@@ -149,3 +154,61 @@ def test_runconfig_is_plain_data():
     cfg = parse_config("")
     assert isinstance(cfg, RunConfig)
     assert cfg == parse_config("")
+
+
+_POS = st.floats(1e-6, 1e6)
+_NONNEG = st.floats(0.0, 1e3)
+
+
+@st.composite
+def valid_configs(draw):
+    """A config document that config_from_data accepts, half-line or interval."""
+    ell = draw(_POS)
+    margin = 0.05 * ell
+    dt_min, dt_init, dt_max = sorted(draw(st.lists(_POS, min_size=3, max_size=3)))
+    sample_every, t_end = sorted(draw(st.lists(_POS, min_size=2, max_size=2)))
+    v_low, v_high = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
+    geometry = {"variant": "halfline"}
+    x_low = 2.0 * margin + draw(_NONNEG)
+    if draw(st.booleans()):
+        a = draw(st.floats(-1e3, 1e3))
+        x_low += a
+        geometry = {"variant": "interval", "a": a}
+    x_high = x_low + draw(_NONNEG)
+    if geometry["variant"] == "interval":
+        geometry["b"] = x_high + 2.0 * margin + draw(_NONNEG)
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return config_from_data(
+        {
+            "kernel": {
+                "family": draw(st.sampled_from(wf.kernels.FAMILIES)),
+                "H": draw(_POS),
+                "beta": draw(st.floats(0.0, 10.0)),
+            },
+            "potential": {"ell": ell, "theta": draw(_NONNEG)},
+            "geometry": geometry,
+            "integrator": {
+                "dt_init": dt_init, "abs_tol": draw(_POS), "rel_tol": draw(_POS),
+                "dt_min": dt_min, "dt_max": dt_max, "wall_safety": draw(unit),
+                "sample_every": sample_every, "t_end": t_end,
+            },
+            "thresholds": {
+                "align_eps": draw(_POS), "settle_eps": draw(_POS), "tail_fraction": draw(unit),
+                "fit_min_points": draw(st.integers(10, 10_000)), "budget_tol": draw(_POS),
+            },
+            "ic": {
+                "n_agents": draw(st.integers(1, 10_000)), "x_low": x_low, "x_high": x_high,
+                "v_low": v_low, "v_high": v_high, "seed": draw(st.integers(0, 2**64 - 1)),
+            },
+            "output": {
+                "directory": draw(st.text(string.ascii_letters + string.digits + "./_- ")),
+                "formats": draw(st.lists(st.sampled_from(["csv", "json", "plot"]), max_size=3)),
+            },
+        }
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_configs())
+def test_serialize_round_trip_property(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg

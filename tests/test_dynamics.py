@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wallflock as wf
 from wallflock import FlockModel, FlockState, acceleration, diagnostics, initial_condition
@@ -113,3 +115,43 @@ def test_initial_condition_respects_box():
 def test_initial_condition_rejects_negative_seed():
     with pytest.raises(ValueError):
         initial_condition(4, 0.5, 3.0, -0.5, 1.0, -1)
+
+
+@st.composite
+def flock_states(draw, x_min):
+    """(x, v, permutation) for 1 to 40 agents with positions at or above x_min."""
+    n = draw(st.integers(1, 40))
+    coords = st.lists(st.floats(x_min, 12.0), min_size=n, max_size=n)
+    speeds = st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)
+    perm = draw(st.permutations(range(n)))
+    return np.array(draw(coords)), np.array(draw(speeds)), np.array(perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flock_states(x_min=0.05), st.floats(0.0, 2.0), st.sampled_from([0.0, 1.0]))
+def test_acceleration_is_permutation_equivariant(state, beta, theta):
+    x, v, perm = state
+    m = FlockModel(
+        wf.CommunicationKernel("powerlaw", 1.0, beta),
+        wf.WallPotential(1.0, theta),
+        wf.Geometry("halfline"),
+        x.size,
+    )
+    acc = acceleration(m, x, v)
+    # permuting the agents reorders each kernel sum, so agreement is to rounding
+    np.testing.assert_allclose(
+        acceleration(m, x[perm], v[perm]), acc[perm], rtol=1e-12, atol=1e-12 * np.abs(v).max()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(flock_states(x_min=-12.0), st.floats(0.0, 2.0))
+def test_interaction_has_zero_net_momentum(state, beta):
+    x, v, _ = state
+    m = FlockModel(
+        wf.CommunicationKernel("powerlaw", 1.0, beta),
+        wf.WallPotential(1.0, 0.0),  # a disabled wall leaves the interaction alone
+        wf.Geometry("halfline"),
+        x.size,
+    )
+    assert abs(acceleration(m, x, v).sum()) <= 1e-12 * x.size * np.abs(v).max()

@@ -113,8 +113,8 @@ def test_overflowing_stage_is_a_rejected_step(monkeypatch):
     assert outcomes[0] == "domain"
     assert outcomes[-1] == "ok"
     x_ref, v_ref = closed_form_pair(1e-6, 1.0, 2.0, -1e299, 1e299, H)
-    assert np.allclose(traj.states[-1].x, x_ref, rtol=1e-6, atol=0.0)
-    assert np.allclose(traj.states[-1].v, v_ref, rtol=1e-4, atol=0.0)
+    assert np.allclose(traj.X[-1], x_ref, rtol=1e-6, atol=0.0)
+    assert np.allclose(traj.V[-1], v_ref, rtol=1e-4, atol=0.0)
 
 
 def test_sample_grid_exact_and_uniform():
@@ -130,7 +130,7 @@ def test_sample_grid_exact_and_uniform():
     traj2 = integrate(m, s, 1.0, sample_every=0.3)
     t2 = np.asarray(traj2.sample_times)
     assert t2[-1] == 1.0
-    assert len(traj2.states) == len(t2) == len(traj2.records)
+    assert len(traj2.X) == len(t2) == len(traj2.records)
 
 
 def test_matches_closed_form():
@@ -138,9 +138,9 @@ def test_matches_closed_form():
     s = wf.FlockState(0.0, [2.0, 3.0], [0.5, 1.0])
     traj = integrate(m, s, 10.0, sample_every=0.5)
     worst = 0.0
-    for tk, sk in zip(traj.sample_times, traj.states):
+    for tk, xk, vk in zip(traj.sample_times, traj.X, traj.V):
         x_ref, v_ref = closed_form_pair(tk)
-        worst = max(worst, np.max(np.abs(sk.x - x_ref)), np.max(np.abs(sk.v - v_ref)))
+        worst = max(worst, np.max(np.abs(xk - x_ref)), np.max(np.abs(vk - v_ref)))
     assert worst < 1e-7
 
 
@@ -159,9 +159,8 @@ def test_adaptive_agrees_with_fixed_step_reference():
         a = integrate(m, s, 5.0, sample_every=0.5)
         b = reference_rk4(m, s, 5.0, 1e-3, sample_every=0.5)
         assert np.asarray(a.sample_times).tolist() == np.asarray(b.sample_times).tolist()
-        for sa, sb in zip(a.states, b.states):
-            assert np.max(np.abs(sa.x - sb.x)) < 1e-8
-            assert np.max(np.abs(sa.v - sb.v)) < 1e-8
+        assert np.max(np.abs(a.X - b.X)) < 1e-8
+        assert np.max(np.abs(a.V - b.V)) < 1e-8
 
 
 def test_wall_bounce_has_no_collision_and_dissipates():
@@ -173,9 +172,9 @@ def test_wall_bounce_has_no_collision_and_dissipates():
     )
     s = wf.FlockState(0.0, [0.8, 1.2, 1.6, 2.0], [-1.5, -1.0, -0.5, -1.0])
     traj = integrate(m, s, 15.0, sample_every=0.1)
-    dist = wf.record_series(traj.records, "x_min_wall")
+    dist = traj.records.x_min_wall
     assert np.min(dist) > 0.0
-    E = wf.record_series(traj.records, "E")
+    E = traj.records.E
     assert np.max(E[1:] - E[:-1]) <= 1e-9
     # the bounce reverses the inbound momentum
     assert traj.records[-1].p > 0.0
@@ -190,10 +189,9 @@ def test_interval_bounces_both_walls():
     )
     s = wf.FlockState(0.0, [1.2, 2.0, 2.8], [1.5, 0.0, -1.5])
     traj = integrate(m, s, 12.0, sample_every=0.1)
-    dist = wf.record_series(traj.records, "x_min_wall")
+    dist = traj.records.x_min_wall
     assert np.min(dist) > 0.0
-    for sk in traj.states:
-        assert np.all(sk.x > 0.0) and np.all(sk.x < 4.0)
+    assert np.all(traj.X > 0.0) and np.all(traj.X < 4.0)
 
 
 def test_stiffness_error_when_dt_min_unreachable():
@@ -207,9 +205,45 @@ def test_stiffness_error_when_dt_min_unreachable():
 def test_trajectory_length_validation():
     m = two_agent_constant()
     s = wf.FlockState(0.0, [2.0, 3.0], [0.5, 1.0])
-    rec = wf.diagnostics(m, s, G=0.0)
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0]), [s], [rec])
+    traj = integrate(m, s, 1.0, sample_every=0.5)
+    times, X, V, rec = traj.sample_times, traj.X, traj.V, traj.records
+    Trajectory(times, X, V, rec)
+    with pytest.raises(ValueError, match="one row per sample"):
+        Trajectory(times[:2], X, V, rec)
+    with pytest.raises(ValueError, match="one row per sample"):
+        Trajectory(times, X, V[:2], rec)
+    with pytest.raises(ValueError, match="one row per sample"):
+        Trajectory(times, X, V, rec[:2])
+    with pytest.raises(ValueError, match="same shape"):
+        Trajectory(times, X, V[:, :1], rec)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, s, t: integrate(m, s, t, sample_every=0.25),
+        lambda m, s, t: reference_rk4(m, s, t, 0.01, sample_every=0.25),
+    ],
+    ids=["integrate", "reference_rk4"],
+)
+def test_trajectory_rows_equal_per_sample_diagnostics(run):
+    n = 13
+    kernel = wf.CommunicationKernel("powerlaw", 1.0, 0.25)
+    geometries = ((wf.Geometry("halfline"), 4.0), (wf.Geometry("interval", 0.0, 6.0), 5.0))
+    for geometry, x_high in geometries:
+        m = wf.FlockModel(kernel, wf.WallPotential(1.0, 1.0), geometry, n)
+        s0 = wf.initial_condition(n, 1.2, x_high, -1.0, 1.0, 11)
+        traj = run(m, s0, 3.0)
+        S = traj.sample_times.size
+        assert traj.X.shape == traj.V.shape == (S, n)
+        assert traj.records.shape == (S,)
+        assert np.array_equal(traj.X[0], s0.x) and np.array_equal(traj.V[0], s0.v)
+        G = wf.initial_energy(m, s0)
+        for k, t in enumerate(traj.sample_times):
+            want = wf.diagnostics(m, wf.FlockState(t, traj.X[k], traj.V[k]), G)
+            for name, value in zip(want._fields, want):
+                got = np.float64(traj.records[k][name]).view(np.int64)
+                assert got == np.float64(value).view(np.int64), (k, name)
 
 
 def test_reference_rk4_subdivides_to_land_on_grid():
@@ -220,7 +254,7 @@ def test_reference_rk4_subdivides_to_land_on_grid():
     assert t[-1] == 1.0
     assert np.allclose(np.diff(t), 0.1, rtol=0, atol=1e-15)
     x_ref, v_ref = closed_form_pair(1.0)
-    assert np.max(np.abs(traj.states[-1].x - x_ref)) < 1e-6
+    assert np.max(np.abs(traj.X[-1] - x_ref)) < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -246,6 +280,6 @@ def test_fixed_step_mode_effectively_disables_adaptivity():
     c = IntegratorControl(dt_init=h, dt_min=1e-15, dt_max=h, abs_tol=1e9, rel_tol=1e9)
     traj = integrate(m, s, 1.0, c, sample_every=1.0)
     x_ref, v_ref = closed_form_pair(1.0)
-    err = np.max(np.abs(traj.states[-1].x - x_ref))
+    err = np.max(np.abs(traj.X[-1] - x_ref))
     # error of a genuine h=0.05 fourth-order pass, far above adaptive accuracy
     assert 1e-12 < err < 1e-6

@@ -8,7 +8,6 @@ from wallflock import (
     dissipation_residual,
     initial_energy,
     read_diagnostics_csv,
-    record_series,
     write_diagnostics_csv,
 )
 
@@ -24,6 +23,11 @@ def two_agent_model(beta=0.5):
         wf.Geometry("halfline"),
         2,
     )
+
+
+def record_table(records):
+    """The diagnostics table a trajectory carries, built from DiagnosticsRecords."""
+    return np.rec.fromrecords(records, names=wf.DiagnosticsRecord._fields)
 
 
 def reference_state():
@@ -156,10 +160,9 @@ def test_table_and_series(tmp_path):
     s = reference_state()
     rec = diagnostics(m, s, G=0.25)
     path = tmp_path / "diag.csv"
-    write_diagnostics_csv([rec, rec], path)
+    write_diagnostics_csv(record_table([rec, rec]), path)
     table = read_diagnostics_csv(path)
     assert table.shape == (2, len(FIELDS))
-    assert np.array_equal(record_series([rec, rec], "K"), [0.25, 0.25])
     assert table[0, FIELDS.index("L")] == rec.L
 
 
@@ -172,14 +175,15 @@ def test_csv_round_trip_is_exact(tmp_path):
         x = rng.uniform(0.3, 6.0, 2)
         v = rng.uniform(-1.0, 1.0, 2)
         recs.append(diagnostics(m, wf.FlockState(float(k), x, v), G=np.pi))
+    records = record_table(recs)
     path = tmp_path / "diag.csv"
-    write_diagnostics_csv(recs, path)
+    write_diagnostics_csv(records, path)
     table = read_diagnostics_csv(path)
     for k, name in enumerate(FIELDS):
-        assert np.array_equal(table[:, k], record_series(recs, name))
+        assert np.array_equal(table[:, k], records[name])
     # byte-identical on rewrite
     first = path.read_bytes()
-    write_diagnostics_csv(recs, path)
+    write_diagnostics_csv(records, path)
     assert path.read_bytes() == first
 
 
@@ -193,7 +197,9 @@ def test_csv_header_is_validated(tmp_path):
 def test_dissipation_residual_needs_three_samples(twoagent_fixture):
     m, s0, traj = twoagent_fixture
     with pytest.raises(ValueError):
-        dissipation_residual(wf.Trajectory(traj.sample_times[:2], traj.states[:2], traj.records[:2]))
+        dissipation_residual(
+            wf.Trajectory(traj.sample_times[:2], traj.X[:2], traj.V[:2], traj.records[:2])
+        )
     res = dissipation_residual(traj)
     assert res.shape == (len(traj.records) - 2,)
     # residual is pure O(h^2) differencing error, h=0.1 here

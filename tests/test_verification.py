@@ -39,19 +39,18 @@ def make_record(t, A=0.0, x_min_wall=1.0, p=0.0, K=0.0, F_max=0.0, W=0.0):
 def synthetic_traj(times, xs, A=None, p=None):
     """Trajectory with prescribed agent positions and optional A/p series."""
     times = np.asarray(times, dtype=float)
-    states, records = [], []
-    for k, t in enumerate(times):
-        x = np.asarray(xs[k], dtype=float)
-        states.append(wf.FlockState(max(t, 0.0), x, np.zeros_like(x)))
-        records.append(
-            make_record(
-                t,
-                A=0.0 if A is None else float(A[k]),
-                x_min_wall=float(np.min(x)),
-                p=0.0 if p is None else float(p[k]),
-            )
+    X = np.array(xs, dtype=float)
+    records = [
+        make_record(
+            t,
+            A=0.0 if A is None else float(A[k]),
+            x_min_wall=float(np.min(X[k])),
+            p=0.0 if p is None else float(p[k]),
         )
-    return Trajectory(times, states, records)
+        for k, t in enumerate(times)
+    ]
+    records = np.rec.fromrecords(records, names=DiagnosticsRecord._fields)
+    return Trajectory(times, X, np.zeros_like(X), records)
 
 
 def test_thresholds_validation():

@@ -4,8 +4,8 @@ Usage, from the repository root:
 
     python3 tools/artifact_digest.py > digest.txt
 
-Runs `wallflock verify` and `wallflock simulate` on configs/{halfline,
-interval,settle,control_nowall}.yaml and `wallflock sweep` on
+Runs `wallflock verify`, `wallflock simulate` and `wallflock plot-data` on
+configs/{halfline,interval,settle,control_nowall}.yaml and `wallflock sweep` on
 configs/sweep_beta.yaml, each into its own directory under a temporary
 directory, and prints one line per run (`<command> <config> exit=<code>`)
 followed by `<sha256>  <command>/<config>/<file>` for every file the run
@@ -28,7 +28,7 @@ from wallflock.cli import main  # noqa: E402
 RUNS = [
     (command, name)
     for name in ("halfline", "interval", "settle", "control_nowall")
-    for command in ("verify", "simulate")
+    for command in ("verify", "simulate", "plot-data")
 ] + [("sweep", "sweep_beta")]
 
 
