@@ -16,16 +16,15 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .config import (
-    _SCHEMA,
     ConfigError,
     RunConfig,
     config_from_data,
     initial_state_from_config,
     model_from_config,
     parse_config,
+    parse_sweep,
     read_config_text,
     serialize_config,
 )
@@ -33,8 +32,6 @@ from .integrator import StiffnessError, Trajectory, integrate
 from .observables import write_diagnostics_csv
 from .potentials import WallDomainError
 from .verification import TheoremReport, remove_report, verify
-
-MAX_SWEEP_RUNS = 10_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,64 +153,14 @@ def _set_dotted(data: dict, key: str, value) -> None:
     data[section] = {**(data.get(section) or {}), field: value}
 
 
-def parse_sweep(text: str):
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML: {exc}") from exc
-    if not isinstance(data, dict) or "sweep" not in data:
-        raise ConfigError("sweep config requires a top-level 'sweep' section")
-    base = data.get("base", {}) or {}
-    if not isinstance(base, dict):
-        raise ConfigError("base: expected a mapping")
-    sweep = data["sweep"] or {}
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep: expected a mapping")
-    unknown = set(sweep) - {"axes", "seeds", "parallelism"}
-    if unknown:
-        raise ConfigError(f"unknown key sweep.{sorted(unknown)[0]}")
-
-    axes = []
-    for entry in sweep.get("axes", []) or []:
-        if not isinstance(entry, dict) or set(entry) != {"key", "values"}:
-            raise ConfigError("each sweep axis needs exactly the keys 'key' and 'values'")
-        values = entry["values"]
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep axis {entry['key']!r} needs a nonempty value list")
-        axes.append((str(entry["key"]), values))
-
-    base_cfg = config_from_data(base)  # validates sections and keys
-    for key, _ in axes:
-        section, _, field = key.partition(".")
-        if section not in _SCHEMA or field not in _SCHEMA[section]:
-            raise ConfigError(f"sweep axis key {key!r} is not a config key")
-
-    seeds = sweep.get("seeds")
-    if seeds is None:
-        seeds = [base_cfg.ic.seed]
-    if not isinstance(seeds, list) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds
-    ):
-        raise ConfigError("sweep.seeds must be a list of integers")
-    parallelism = sweep.get("parallelism", 1)
-    if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
-        raise ConfigError("sweep.parallelism must be a positive integer")
-
-    total = len(seeds)
-    for _, values in axes:
-        total *= len(values)
-    if total > MAX_SWEEP_RUNS:
-        raise ConfigError(f"sweep size {total} exceeds the limit of {MAX_SWEEP_RUNS}")
-    return base, base_cfg, axes, seeds, parallelism
-
-
 def _sort_key(value):
     if isinstance(value, bool) or isinstance(value, str):
         return (1, str(value))
     return (0, float(value))
 
 
-def _sweep_job(base: dict, axes, combo, seed: int):
+def _sweep_job(base: dict, axes, combo, seed: int) -> list:
+    """One sweep.csv row: the axis values, the seed, and the run's results."""
     data = dict(base)
     for (key, _), value in zip(axes, combo):
         _set_dotted(data, key, value)
@@ -221,17 +168,19 @@ def _sweep_job(base: dict, axes, combo, seed: int):
     try:
         cfg = config_from_data(data)
     except ConfigError as exc:
-        return {"status": f"config-error: {exc}", "passed": False}
-    report = _verify(cfg)
-    completed = report.claim("integration_completed")
-    return {
-        "status": "ok" if completed.passed else f"integration-error: {completed.detail}",
-        "passed": bool(report.passed),
-        "variant": report.variant,
-        "final_A": report.final_A,
-        "delta": "" if report.fit is None else format(report.fit.delta, ".17g"),
-        "min_wall_distance": report.min_wall_distance,
-    }
+        results = ["", "", "", "", False, f"config-error: {exc}"]
+    else:
+        report = _verify(cfg)
+        completed = report.claim("integration_completed")
+        results = [
+            report.variant,
+            report.final_A,
+            "" if report.fit is None else report.fit.delta,
+            report.min_wall_distance,
+            bool(report.passed),
+            "ok" if completed.passed else f"integration-error: {completed.detail}",
+        ]
+    return [_fmt_cell(v) for v in [*combo, seed, *results]]
 
 
 def run_sweep(text: str, out_override: Path | None, quiet: bool = False) -> int:
@@ -240,49 +189,24 @@ def run_sweep(text: str, out_override: Path | None, quiet: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep_config.yaml").write_text(text, encoding="utf-8")
 
-    combos = list(itertools.product(*(values for _, values in axes)))
-    jobs = [(combo, seed) for combo in combos for seed in seeds]
-    order = sorted(
-        range(len(jobs)),
-        key=lambda i: (tuple(_sort_key(v) for v in jobs[i][0]), jobs[i][1]),
+    # stable sort, so rows with equal keys keep the cross-product order
+    jobs = sorted(
+        ((combo, seed) for combo in itertools.product(*(v for _, v in axes)) for seed in seeds),
+        key=lambda job: (tuple(_sort_key(v) for v in job[0]), job[1]),
     )
-
-    results = [None] * len(jobs)
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = {
-            i: pool.submit(_sweep_job, base, axes, jobs[i][0], jobs[i][1])
-            for i in range(len(jobs))
-        }
-        for i, fut in futures.items():
-            results[i] = fut.result()
+        rows = list(pool.map(lambda job: _sweep_job(base, axes, *job), jobs))
 
     header = [key for key, _ in axes] + [
         "seed", "variant", "final_A", "delta", "min_wall_distance", "passed", "status",
     ]
-    all_ok = True
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in order:
-            combo, seed = jobs[i]
-            res = results[i]
-            ok = res["status"] == "ok" and res["passed"]
-            all_ok = all_ok and ok
-            writer.writerow(
-                [_fmt_cell(v) for v in combo]
-                + [
-                    seed,
-                    res.get("variant", ""),
-                    _fmt_cell(res.get("final_A", "")),
-                    res.get("delta", ""),
-                    _fmt_cell(res.get("min_wall_distance", "")),
-                    res["passed"],
-                    res["status"],
-                ]
-            )
+        writer.writerows(rows)
     if not quiet:
         print(f"sweep: {len(jobs)} runs -> {out / 'sweep.csv'}")
-    return 0 if all_ok else 1
+    return 0 if all(status == "ok" and passed for *_, passed, status in rows) else 1
 
 
 def _fmt_cell(value):

@@ -1,7 +1,9 @@
-"""Run configuration: parsing, validation, defaults, and scenario assembly.
+"""Run configuration: parsing, validation, defaults, sweeps, and scenario assembly.
 
-Configs are YAML mappings with one section per subsystem.  Unknown sections
-or keys are rejected by name; an empty document yields the full defaults.
+Configs are YAML mappings with one section per subsystem.  The section
+dataclasses are the schema: each section key is an init field of its
+dataclass.  Unknown sections or keys are rejected by name; an empty document
+yields the full defaults.
 """
 
 from __future__ import annotations
@@ -52,58 +54,49 @@ class RunConfig:
     sample_every: float = 0.1
 
 
-_FLOAT = "float"
-_INT = "int"
-_STR = "str"
-_STR_LIST = "str_list"
-
-_SCHEMA = {
-    "kernel": {"family": _STR, "H": _FLOAT, "beta": _FLOAT},
-    "potential": {"ell": _FLOAT, "theta": _FLOAT},
-    "geometry": {"variant": _STR, "a": _FLOAT, "b": _FLOAT},
-    "integrator": {
-        "dt_init": _FLOAT,
-        "abs_tol": _FLOAT,
-        "rel_tol": _FLOAT,
-        "dt_min": _FLOAT,
-        "dt_max": _FLOAT,
-        "wall_safety": _FLOAT,
-        "sample_every": _FLOAT,
-        "t_end": _FLOAT,
-    },
-    "thresholds": {
-        "align_eps": _FLOAT,
-        "settle_eps": _FLOAT,
-        "tail_fraction": _FLOAT,
-        "fit_min_points": _INT,
-        "budget_tol": _FLOAT,
-    },
-    "ic": {
-        "n_agents": _INT,
-        "x_low": _FLOAT,
-        "x_high": _FLOAT,
-        "v_low": _FLOAT,
-        "v_high": _FLOAT,
-        "seed": _INT,
-    },
-    "output": {"directory": _STR, "formats": _STR_LIST},
+# config section -> (RunConfig field, its dataclass); the dataclasses' init
+# fields are the section keys, and the integrator section also holds RunConfig's
+# own fields (t_end, sample_every)
+_SECTIONS = {
+    "kernel": ("kernel", CommunicationKernel),
+    "potential": ("wall", WallPotential),
+    "geometry": ("geometry", Geometry),
+    "integrator": ("control", IntegratorControl),
+    "thresholds": ("thresholds", Thresholds),
+    "ic": ("ic", InitialConditions),
+    "output": ("output", OutputConfig),
 }
 
 
+def _fields(cls) -> dict:
+    """Init field name -> annotation string (annotations are postponed)."""
+    return {f.name: f.type for f in dataclasses.fields(cls) if f.init}
+
+
+_RUN_SCALARS = {
+    name: kind for name, kind in _fields(RunConfig).items()
+    if name not in {attr for attr, _ in _SECTIONS.values()}
+}
+_SCHEMA = {name: _fields(cls) for name, (_, cls) in _SECTIONS.items()}
+_SCHEMA["integrator"].update(_RUN_SCALARS)
+
+MAX_SWEEP_RUNS = 10_000
+
+
 def _coerce(kind: str, key: str, value):
-    if kind == _FLOAT:
+    if kind in ("float", "float | None"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
         return float(value)
-    if kind == _INT:
+    if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{key}: expected an integer, got {value!r}")
         return int(value)
-    if kind == _STR:
+    if kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")
         return value
-    if kind == _STR_LIST:
+    if kind == "tuple":
         if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
             raise ConfigError(f"{key}: expected a list of strings, got {value!r}")
         return tuple(value)
@@ -124,11 +117,15 @@ def _section(data: dict, name: str) -> dict:
     return out
 
 
-def parse_config(text: str) -> RunConfig:
+def _load_yaml(text: str):
     try:
-        data = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
+
+
+def parse_config(text: str) -> RunConfig:
+    data = _load_yaml(text)
     return config_from_data({} if data is None else data)
 
 
@@ -141,40 +138,22 @@ def config_from_data(data: dict) -> RunConfig:
             raise ConfigError(f"unknown section {key}")
 
     sections = {name: _section(data, name) for name in _SCHEMA}
+    integrator = sections["integrator"]
+    scalars = {key: integrator.pop(key) for key in _RUN_SCALARS if key in integrator}
     try:
-        kernel = CommunicationKernel(**sections["kernel"])
-        wall = WallPotential(**sections["potential"])
-        geometry = Geometry(**sections["geometry"])
-        integ = dict(sections["integrator"])
-        t_end = integ.pop("t_end", 200.0)
-        sample_every = integ.pop("sample_every", 0.1)
-        control = IntegratorControl(**integ)
-        thresholds = Thresholds(**sections["thresholds"])
-        ic = InitialConditions(**sections["ic"])
-        output = OutputConfig(**sections["output"])
+        parts = {attr: cls(**sections[name]) for name, (attr, cls) in _SECTIONS.items()}
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
-
-    _validate(kernel, wall, geometry, ic, output, t_end, sample_every)
-    return RunConfig(
-        kernel=kernel,
-        wall=wall,
-        geometry=geometry,
-        control=control,
-        thresholds=thresholds,
-        ic=ic,
-        output=output,
-        t_end=t_end,
-        sample_every=sample_every,
-    )
+    cfg = RunConfig(**parts, **scalars)
+    _validate(cfg)
+    return cfg
 
 
-def _validate(kernel, wall, geometry, ic, output, t_end, sample_every):
-    if not (math.isfinite(t_end) and t_end > 0):
+def _validate(cfg: RunConfig) -> None:
+    ic, geometry = cfg.ic, cfg.geometry
+    if not (math.isfinite(cfg.t_end) and cfg.t_end > 0):
         raise ConfigError("integrator.t_end must be positive and finite")
-    if not (math.isfinite(sample_every) and 0 < sample_every <= t_end):
+    if not (math.isfinite(cfg.sample_every) and 0 < cfg.sample_every <= cfg.t_end):
         raise ConfigError("integrator.sample_every must lie in (0, t_end]")
     if ic.n_agents < 1:
         raise ConfigError("ic.n_agents must be at least 1")
@@ -184,41 +163,88 @@ def _validate(kernel, wall, geometry, ic, output, t_end, sample_every):
         raise ConfigError("ic.x_low must not exceed ic.x_high")
     if ic.v_low > ic.v_high:
         raise ConfigError("ic.v_low must not exceed ic.v_high")
-    margin = 0.05 * wall.ell
+    margin = 0.05 * cfg.wall.ell
     if geometry.variant == "halfline":
         if ic.x_low < margin:
             raise ConfigError(f"ic.x_low must keep wall distance >= {margin}")
     else:
         if ic.x_low - geometry.a < margin or geometry.b - ic.x_high < margin:
             raise ConfigError(f"ic box must keep wall distance >= {margin} from both ends")
-    bad = set(output.formats) - {"csv", "json", "plot"}
+    bad = set(cfg.output.formats) - {"csv", "json", "plot"}
     if bad:
         raise ConfigError(f"output.formats: unknown format {sorted(bad)[0]!r}")
 
 
+def _plain(obj, keys) -> dict:
+    """obj's values for keys as YAML data: unset (None) values left out, tuples as lists."""
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key in keys
+        if (value := getattr(obj, key)) is not None
+    }
+
+
 def serialize_config(cfg: RunConfig) -> str:
     data = {
-        "kernel": {"family": cfg.kernel.family, "H": cfg.kernel.H, "beta": cfg.kernel.beta},
-        "potential": {"ell": cfg.wall.ell, "theta": cfg.wall.theta},
-        "geometry": {"variant": cfg.geometry.variant},
-        "integrator": {
-            "dt_init": cfg.control.dt_init,
-            "abs_tol": cfg.control.abs_tol,
-            "rel_tol": cfg.control.rel_tol,
-            "dt_min": cfg.control.dt_min,
-            "dt_max": cfg.control.dt_max,
-            "wall_safety": cfg.control.wall_safety,
-            "sample_every": cfg.sample_every,
-            "t_end": cfg.t_end,
-        },
-        "thresholds": dataclasses.asdict(cfg.thresholds),
-        "ic": dataclasses.asdict(cfg.ic),
-        "output": {"directory": cfg.output.directory, "formats": list(cfg.output.formats)},
+        name: _plain(getattr(cfg, attr), _fields(cls)) for name, (attr, cls) in _SECTIONS.items()
     }
-    if cfg.geometry.variant == "interval":
-        data["geometry"]["a"] = cfg.geometry.a
-        data["geometry"]["b"] = cfg.geometry.b
+    data["integrator"].update(_plain(cfg, _RUN_SCALARS))
     return yaml.safe_dump(data, sort_keys=True)
+
+
+def parse_sweep(text: str):
+    """A sweep document: (base data, base RunConfig, [(key, values)], seeds, parallelism)."""
+    data = _load_yaml(text)
+    if not isinstance(data, dict) or "sweep" not in data:
+        raise ConfigError("sweep config requires a top-level 'sweep' section")
+    base = data.get("base", {}) or {}
+    if not isinstance(base, dict):
+        raise ConfigError("base: expected a mapping")
+    sweep = data["sweep"] or {}
+    if not isinstance(sweep, dict):
+        raise ConfigError("sweep: expected a mapping")
+    unknown = set(sweep) - {"axes", "seeds", "parallelism"}
+    if unknown:
+        raise ConfigError(f"unknown key sweep.{sorted(unknown)[0]}")
+
+    axes = []
+    for entry in sweep.get("axes", []) or []:
+        if not isinstance(entry, dict) or set(entry) != {"key", "values"}:
+            raise ConfigError("each sweep axis needs exactly the keys 'key' and 'values'")
+        values = entry["values"]
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep axis {entry['key']!r} needs a nonempty value list")
+        for value in values:
+            if not isinstance(value, (int, float, str)):  # bool is an int
+                raise ConfigError(
+                    f"sweep axis {entry['key']!r}: values must be numbers, strings or"
+                    f" booleans, got {value!r}"
+                )
+        axes.append((str(entry["key"]), values))
+
+    base_cfg = config_from_data(base)  # validates sections and keys
+    for key, _ in axes:
+        section, _, field = key.partition(".")
+        if section not in _SCHEMA or field not in _SCHEMA[section]:
+            raise ConfigError(f"sweep axis key {key!r} is not a config key")
+
+    seeds = sweep.get("seeds")
+    if seeds is None:
+        seeds = [base_cfg.ic.seed]
+    if not isinstance(seeds, list) or not all(
+        isinstance(s, int) and not isinstance(s, bool) for s in seeds
+    ):
+        raise ConfigError("sweep.seeds must be a list of integers")
+    parallelism = sweep.get("parallelism", 1)
+    if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
+        raise ConfigError("sweep.parallelism must be a positive integer")
+
+    total = len(seeds)
+    for _, values in axes:
+        total *= len(values)
+    if total > MAX_SWEEP_RUNS:
+        raise ConfigError(f"sweep size {total} exceeds the limit of {MAX_SWEEP_RUNS}")
+    return base, base_cfg, axes, seeds, parallelism
 
 
 def read_config_text(path) -> str:

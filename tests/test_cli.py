@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wallflock
 from wallflock import (
@@ -204,12 +206,67 @@ def test_parse_sweep_validation():
         parse_sweep("sweep:\n  axes:\n    - {key: kernel.H, values: []}")
     with pytest.raises(ConfigError, match="not a config key"):
         parse_sweep("sweep:\n  axes:\n    - {key: kernel.bogus, values: [1]}")
+    # an axis value that is not a number, string or boolean names its axis
+    with pytest.raises(ConfigError, match="'kernel.H': values must be.*None"):
+        parse_sweep("sweep:\n  axes:\n    - {key: kernel.H, values: [1.0, null]}")
+    with pytest.raises(ConfigError, match="'kernel.H': values must be.*\\[1.0\\]"):
+        parse_sweep("sweep:\n  axes:\n    - {key: kernel.H, values: [[1.0]]}")
+    with pytest.raises(ConfigError, match="'kernel.H': values must be"):
+        parse_sweep("sweep:\n  axes:\n    - {key: kernel.H, values: [{a: 1}]}")
     with pytest.raises(ConfigError, match="seeds"):
         parse_sweep("sweep:\n  seeds: [1, true]")
     with pytest.raises(ConfigError, match="parallelism"):
         parse_sweep("sweep:\n  parallelism: 0")
     with pytest.raises(ConfigError, match="exceeds"):
         parse_sweep("sweep:\n  seeds: [%s]" % ", ".join(str(i) for i in range(10_001)))
+
+
+def test_sweep_axis_null_value_exits_2_before_writing(tmp_path, capsys):
+    text = "sweep:\n  axes:\n    - {key: kernel.H, values: [1.0, null]}\n"
+    cfg = write(tmp_path, "sweep.yaml", text)
+    out = tmp_path / "null_axis"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "sweep axis 'kernel.H'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+TINY_SWEEP = """
+base:
+  ic: {n_agents: 2, x_low: 1.0, x_high: 2.0, v_low: -0.5, v_high: 0.5, seed: 1}
+  integrator: {t_end: 0.5, sample_every: 0.05}
+sweep:
+  axes:
+    - {key: kernel.H, values: %s}
+    - {key: kernel.beta, values: %s}
+  seeds: %s
+  parallelism: 2
+"""
+
+
+def _tiny_sweep_csv(tmp_dir, H, beta, seeds) -> bytes:
+    cfg = write(tmp_dir, "sweep.yaml", TINY_SWEEP % (list(H), list(beta), list(seeds)))
+    main(["sweep", "--config", str(cfg), "--out", str(tmp_dir), "--quiet"])
+    return (tmp_dir / "sweep.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def sorted_tiny_sweep(tmp_path_factory):
+    tmp_dir = tmp_path_factory.mktemp("sorted")
+    return _tiny_sweep_csv(tmp_dir, [0.5, 1.0, 2.0], [0.0, 0.25, 0.4], [1, 2, 3])
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.permutations([0.5, 2.0, 1.0]),
+    st.permutations([0.4, 0.0, 0.25]),
+    st.permutations([3, 1, 2]),
+)
+def test_sweep_csv_is_independent_of_input_order(
+    tmp_path_factory, sorted_tiny_sweep, H, beta, seeds
+):
+    # each example permutes both axes' values and the seeds
+    shuffled = _tiny_sweep_csv(tmp_path_factory.mktemp("shuffled"), H, beta, seeds)
+    assert shuffled == sorted_tiny_sweep
 
 
 def test_sweep_runs_sorted_and_parallelism_independent(tmp_path):

@@ -6,8 +6,9 @@ Usage, from the repository root:
 
 Runs `wallflock verify`, `wallflock simulate` and `wallflock plot-data` on
 configs/{halfline,interval,settle,control_nowall}.yaml and `wallflock sweep` on
-configs/sweep_beta.yaml, each into its own directory under a temporary
-directory, and prints one line per run (`<command> <config> exit=<code>`)
+configs/sweep_beta.yaml, plus `wallflock simulate` with no --config (whose
+config.yaml is the serialized defaults), each into its own directory under a
+temporary working directory, and prints one line per run (`<command> <config> exit=<code>`)
 followed by `<sha256>  <command>/<config>/<file>` for every file the run
 wrote.  wallflock is imported from the src/ tree next to this script, so two
 checkouts give two digests whose diff is the byte-identity check of a change.
@@ -16,6 +17,7 @@ checkouts give two digests whose diff is the byte-identity check of a change.
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -29,19 +31,29 @@ RUNS = [
     (command, name)
     for name in ("halfline", "interval", "settle", "control_nowall")
     for command in ("verify", "simulate", "plot-data")
-] + [("sweep", "sweep_beta")]
+] + [("sweep", "sweep_beta"), ("simulate", None)]
 
 
 def print_digest() -> None:
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for command, name in RUNS:
-            out = Path(tmp) / command / name
-            config = ROOT / "configs" / f"{name}.yaml"
-            code = main([command, "--config", str(config), "--out", str(out), "--quiet"])
-            print(f"{command} {name} exit={code}")
-            for path in sorted(out.iterdir()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {command}/{name}/{path.name}")
+        # relative --out paths keep the temporary directory's name out of the
+        # output.directory that the defaults run serializes into config.yaml
+        os.chdir(tmp)
+        try:
+            for command, config in RUNS:
+                name = config or "defaults"
+                out = Path(command) / name
+                argv = [command, "--out", str(out), "--quiet"]
+                if config is not None:
+                    argv += ["--config", str(ROOT / "configs" / f"{config}.yaml")]
+                code = main(argv)
+                print(f"{command} {name} exit={code}")
+                for path in sorted(out.iterdir()):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    print(f"{digest}  {command}/{name}/{path.name}")
+        finally:
+            os.chdir(cwd)
 
 
 if __name__ == "__main__":
