@@ -8,7 +8,6 @@ from .potentials import (
     WallPotential,
     check_domain,
     geometry_force,
-    geometry_potential,
     wall_distances,
     warn_if_overlapping,
 )

@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import itertools
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -155,8 +156,10 @@ def _set_dotted(data: dict, key: str, value) -> None:
 
 def _sort_key(value):
     if isinstance(value, bool) or isinstance(value, str):
-        return (1, str(value))
-    return (0, float(value))
+        return (2, str(value))
+    value = float(value)
+    # NaN compares false with every number, so it gets its own place after them
+    return (1, 0.0) if math.isnan(value) else (0, value)
 
 
 def _sweep_job(base: dict, axes, combo, seed: int) -> list:

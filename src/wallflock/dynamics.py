@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import CommunicationKernel
-from .potentials import (
-    Geometry,
-    WallPotential,
-    geometry_force,
-    geometry_potential,
-    warn_if_overlapping,
-)
+from .potentials import Geometry, WallPotential, geometry_force, warn_if_overlapping
 
 
 @dataclass
@@ -58,17 +52,11 @@ class FlockModel:
             raise ValueError("n_agents must be a positive integer")
         warn_if_overlapping(self.geometry, self.wall)
 
-    def force(self, x):
-        return geometry_force(self.geometry, self.wall, x)
-
-    def potential(self, x):
-        return geometry_potential(self.geometry, self.wall, x)
-
 
 def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """dv/dt on raw arrays; dx/dt is v itself."""
     # the wall force validates x (finite, inside the domain) before the O(N^2) work
-    force = m.force(x)
+    force = geometry_force(m.geometry, m.wall, x)
     w = m.kernel.matrix(x)
     w *= v[None, :] - v[:, None]
     return w.sum(axis=1) / x.shape[0] + force

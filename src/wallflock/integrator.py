@@ -23,6 +23,16 @@ class StiffnessError(RuntimeError):
     """Step-size control collapsed below dt_min."""
 
 
+def _stiffness_error(m: FlockModel, x, v, t: float, dt: float, why: str) -> StiffnessError:
+    """StiffnessError naming t, the attempted dt and the agent nearest a wall."""
+    d = wall_distances(m.geometry, x)
+    wall, agent = np.unravel_index(np.argmin(d), d.shape)
+    return StiffnessError(
+        f"{why} at t={t:.6g} (attempted dt={dt:.3g}): agent {agent} is {d[wall, agent]:.3g} "
+        f"from the wall at x={m.geometry._position[wall, 0]:g}, speed {abs(v[agent]):.3g}"
+    )
+
+
 @dataclass(frozen=True)
 class IntegratorControl:
     dt_init: float = 1e-3
@@ -114,7 +124,8 @@ def _error_ratio(c: IntegratorControl, x, v, x_new, v_new, err_x, err_v) -> floa
     scale_x = c.abs_tol + c.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
     scale_v = c.abs_tol + c.rel_tol * np.maximum(np.abs(v), np.abs(v_new))
     ratio = max(float(np.max(np.abs(err_x) / scale_x)), float(np.max(np.abs(err_v) / scale_v)))
-    if not (math.isfinite(ratio) and np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
+    # x_new is finite: check_domain in _attempt has just checked its wall distances
+    if not (math.isfinite(ratio) and np.isfinite(v_new).all()):
         return math.inf
     return ratio
 
@@ -182,7 +193,7 @@ def integrate(
                 dist = float(np.min(wall_distances(m.geometry, x)))
                 cap = c.wall_safety * dist / (float(np.max(np.abs(v))) + 1.0)
                 if cap < c.dt_min:
-                    raise StiffnessError(f"wall layer forces dt below dt_min at t={t:.6g}")
+                    raise _stiffness_error(m, x, v, t, cap, "wall layer forces dt below dt_min")
                 h = min(h, cap)
             clamped = h < dt_prop
             try:
@@ -208,7 +219,7 @@ def integrate(
                     return x, v
                 continue
             if dt_prop < c.dt_min:
-                raise StiffnessError(f"step size collapsed below dt_min at t={t:.6g}")
+                raise _stiffness_error(m, x, v, t, h, "step size collapsed below dt_min")
 
     return _sample(m, s0, t_end, sample_every, advance)
 

@@ -39,8 +39,9 @@ FIELDS = tuple(f for f in DiagnosticsRecord._fields if f != "F_sq")
 
 def initial_energy(m: FlockModel, s: FlockState) -> float:
     """K + P at a state; captured once per run as the constant G."""
+    # the arithmetic of diagnostics' K and P, so that G equals E at t = 0
     kinetic = float(s.v @ s.v) / (2.0 * s.n)
-    potential = float(np.mean(m.potential(s.x)))
+    potential = float(distance_potential(m.wall, wall_distances(m.geometry, s.x)).sum()) / s.n
     return kinetic + potential
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class WallPotential:
         return out if out.ndim else float(out)
 
     def _check(self, x):
+        """The domain rule on wall distances: finite, and positive while the wall is on."""
         x = np.asarray(x, dtype=float)
         # array methods, not np.all/np.any: this runs on every force evaluation
         if not np.isfinite(x).all():
@@ -74,15 +75,16 @@ class WallPotential:
 class Geometry:
     """Open confinement domain: the half-line (0, inf) or an interval (a, b).
 
-    The domain is bounded by its walls, each a (position, direction) pair
-    whose direction points into the domain: the half-line has the wall
-    (0, +1), the interval the walls (a, +1) and (b, -1).
+    The domain is bounded by its walls, each a position and a direction that
+    points into the domain: the half-line has the wall at 0 facing +1, the
+    interval the walls at a facing +1 and at b facing -1.  _position and
+    _direction hold them as (walls, 1) columns that broadcast against a row
+    of positions.
     """
 
     variant: str = "halfline"
     a: float | None = None
     b: float | None = None
-    walls: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant == "halfline":
@@ -97,8 +99,6 @@ class Geometry:
             walls = ((self.a, 1.0), (self.b, -1.0))
         else:
             raise ValueError(f"unknown geometry variant {self.variant!r}")
-        object.__setattr__(self, "walls", walls)
-        # (walls, 1) columns that broadcast against a row of positions
         position, direction = np.array(walls, dtype=float).T[:, :, None]
         object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_direction", direction)
@@ -115,21 +115,11 @@ def wall_distances(geom: Geometry, x) -> np.ndarray:
 def check_domain(geom: Geometry, wall: WallPotential, x) -> None:
     """Raise unless every position is strictly inside the open domain.
 
-    A disabled wall (theta = 0) lifts the restriction so that control runs
-    can cross the boundary and be flagged by the collision check afterwards.
+    The wall's own distance check decides, so a disabled wall (theta = 0)
+    asks only for finite distances: control runs can cross the boundary and
+    be flagged by the collision check afterwards.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise WallDomainError("positions must be finite")
-    if wall.disabled:
-        return
-    if (wall_distances(geom, x) <= 0.0).any():
-        raise WallDomainError("position at or behind a wall")
-
-
-def geometry_potential(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
-    """Per-position confinement energy, one wall term per boundary."""
-    return distance_potential(wall, wall_distances(geom, x))
+    wall._check(wall_distances(geom, x))
 
 
 def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
@@ -138,7 +128,7 @@ def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
 
 
 def distance_potential(wall: WallPotential, d: np.ndarray) -> np.ndarray:
-    """geometry_potential from the rows of wall_distances."""
+    """Per-position confinement energy from the rows of wall_distances."""
     return np.add.reduce(wall.value(d), axis=0)
 
 
@@ -149,9 +139,7 @@ def distance_force(geom: Geometry, wall: WallPotential, d: np.ndarray) -> np.nda
 
 def warn_if_overlapping(geom: Geometry, wall: WallPotential) -> None:
     # overlapping ranges are legal but leave no force-free interior region
-    positions = [position for position, _ in geom.walls]
-    half_width = (max(positions) - min(positions)) / 2.0
-    if len(positions) > 1 and wall.ell > half_width:
+    if geom.variant == "interval" and wall.ell > (half_width := (geom.b - geom.a) / 2.0):
         warnings.warn(
             f"wall range ell={wall.ell} exceeds half the interval width {half_width}",
             stacklevel=2,

@@ -1,7 +1,9 @@
 import csv
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +126,26 @@ def test_verify_pass_fail_and_report(tmp_path, capsys):
     assert '"name": "no_wall_collision"' in report
 
 
+HALF_LINE_CLAIMS = [
+    "integration_completed", "no_wall_collision", "velocity_alignment",
+    "strong_flocking", "positions_settle", "outside_wall_range", "exponential_rate",
+    "energy_nonincreasing", "velocity_bound", "diameter_growth", "lyapunov_budget",
+    "momentum_force_identity", "momentum_nondecreasing",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_single_agent(tmp_path, seed):
+    # a flock of one has no alignment to do; the run must still finish and report.
+    # Exit 1 is allowed: it comes from tolerance FAILs, not from the paper's claims.
+    cfg = write(tmp_path, "one.yaml", "ic: {n_agents: 1}\nintegrator: {t_end: 5}\n")
+    out = tmp_path / "one"
+    args = ["verify", "--config", str(cfg), "--out", str(out), "--seed", str(seed), "--quiet"]
+    assert main(args) in (0, 1)
+    claims = json.loads((out / "report.json").read_text())["claims"]
+    assert [c["name"] for c in claims] == HALF_LINE_CLAIMS
+
+
 INTERVAL = """
 geometry: {variant: interval, a: 0.0, b: 6.0}
 ic: {n_agents: 4, x_low: 2.0, x_high: 4.0, v_low: -0.5, v_high: 0.5, seed: 1}
@@ -170,6 +192,9 @@ def test_verify_integration_failure_exit_code(tmp_path):
     out = tmp_path / "stiff"
     assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
     assert '"passed": false' in (out / "report.json").read_text()
+    # the failure names the agent nearest a wall, its distance, the wall and its speed
+    detail = json.loads((out / "report.json").read_text())["claims"][0]["detail"]
+    assert re.search(r"agent 0 is [0-9.]+ from the wall at x=0, speed [0-9.]+$", detail)
 
 
 def test_simulate_integration_failure_exit_code(tmp_path, capsys):
@@ -267,6 +292,18 @@ def test_sweep_csv_is_independent_of_input_order(
     # each example permutes both axes' values and the seeds
     shuffled = _tiny_sweep_csv(tmp_path_factory.mktemp("shuffled"), H, beta, seeds)
     assert shuffled == sorted_tiny_sweep
+
+
+def test_sweep_csv_places_nan_after_every_number(tmp_path):
+    # H = nan is a config-error row; its place must not follow the input order
+    csvs = set()
+    for i, H in enumerate(itertools.permutations([".nan", "1.0", "0.5"])):
+        cfg = write(tmp_path, f"nan{i}.yaml", TINY_SWEEP % (f"[{', '.join(H)}]", [0.25], [1]))
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / f"nan{i}"), "--quiet"])
+        csvs.add((tmp_path / f"nan{i}" / "sweep.csv").read_bytes())
+    assert len(csvs) == 1
+    rows = csvs.pop().decode().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.5", "1", "nan"]
 
 
 def test_sweep_runs_sorted_and_parallelism_independent(tmp_path):

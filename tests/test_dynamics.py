@@ -155,3 +155,18 @@ def test_interaction_has_zero_net_momentum(state, beta):
         x.size,
     )
     assert abs(acceleration(m, x, v).sum()) <= 1e-12 * x.size * np.abs(v).max()
+
+
+def test_layer_calls_timed_by_the_benchmark():
+    # perfbench/micro.py times these calls by name and signature; one that
+    # raised TypeError or AttributeError would leave its metric silently absent
+    from wallflock import dynamics, observables, potentials
+
+    cfg = wf.parse_config("")  # the defaults: N = 16 on the half-line
+    m, s = wf.model_from_config(cfg), wf.initial_state_from_config(cfg)
+    assert s.n == 16
+    assert cfg.kernel.eval(s.x[:, None] - s.x[None, :]).shape == (16, 16)
+    assert dynamics.acceleration(m, s.x, s.v).shape == (16,)
+    assert potentials.geometry_force(m.geometry, m.wall, s.x).shape == (16,)
+    G = observables.initial_energy(m, s)
+    assert observables.diagnostics(m, s, G).G == G

@@ -198,7 +198,11 @@ def test_stiffness_error_when_dt_min_unreachable():
     m = two_agent_constant()
     s = wf.FlockState(0.0, [5.0, 6.0], [-2.0, 2.0])
     c = IntegratorControl(dt_init=0.2, dt_min=0.2, dt_max=0.2, abs_tol=1e-13, rel_tol=1e-13)
-    with pytest.raises(StiffnessError):
+    # the message names t, the attempted dt, and the agent nearest a wall with its speed
+    with pytest.raises(
+        StiffnessError,
+        match=r"at t=0 \(attempted dt=0.2\): agent 0 is 5 from the wall at x=0, speed 2$",
+    ):
         integrate(m, s, 1.0, c, sample_every=1.0)
 
 

@@ -10,6 +10,7 @@ from wallflock import (
     WallPotential,
     acceleration,
     diagnostics,
+    geometry_force,
 )
 
 # closed-form primitives at D=1, H=1
@@ -136,7 +137,8 @@ def test_kernel_matrix_consumers_bitwise_equal_direct_form(family, beta):
             phi = np.full_like(gaps, k.H)
         else:
             phi = k.H * (1.0 + gaps * gaps) ** (-k.beta)
-        acc = (phi * (v[None, :] - v[:, None])).sum(axis=1) / n + m.force(x)
+        F = geometry_force(m.geometry, m.wall, x)
+        acc = (phi * (v[None, :] - v[:, None])).sum(axis=1) / n + F
         dv = v[:, None] - v[None, :]
         I2 = float((phi * dv * dv).sum()) / (2.0 * n * n)
         assert np.array_equal(_bits(acceleration(m, x, v)), _bits(acc))

@@ -10,6 +10,7 @@ from wallflock import (
     read_diagnostics_csv,
     write_diagnostics_csv,
 )
+from wallflock.potentials import distance_potential
 
 # frozen hand values for the N=2 reference state below (H=1, beta=0.5)
 I2_REF = 0.1767766952966369  # phi(1)/4 = 1/(4 sqrt 2)
@@ -95,7 +96,7 @@ def test_diagnostics_against_hand_formulas():
             for j in range(3):
                 i2 += float(m3.kernel.eval(x[i] - x[j])) * (v[i] - v[j]) ** 2
         assert abs(rec.I2 - i2 / 18.0) < 1e-15
-        F = m3.force(x)
+        F = wf.geometry_force(m3.geometry, m3.wall, x)
         assert abs(rec.W + float(v @ F)) < 1e-13
         assert rec.x_min_wall == x.min()
 
@@ -103,12 +104,12 @@ def test_diagnostics_against_hand_formulas():
 def _direct_diagnostics(m, s, G):
     """diagnostics written out field by field with np.mean / np.max / np.min / np.sum."""
     x, v, n = s.x, s.v, s.n
-    F = m.force(x)
+    F = wf.geometry_force(m.geometry, m.wall, x)
     dv = v[:, None] - v[None, :]
     A = float(np.max(v)) - float(np.min(v))
     D = float(np.max(x) - np.min(x))
     K = float(v @ v) / (2.0 * n)
-    P = float(np.mean(m.potential(x)))
+    P = float(np.mean(distance_potential(m.wall, wf.wall_distances(m.geometry, x))))
     return dict(
         t=s.t, K=K, P=P, E=K + P, p=float(np.mean(v)), A=A, D=D,
         I2=float(np.sum(m.kernel.matrix(x) * dv * dv)) / (2.0 * n * n),

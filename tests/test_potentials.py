@@ -9,10 +9,10 @@ from wallflock import (
     WallPotential,
     check_domain,
     geometry_force,
-    geometry_potential,
     wall_distances,
     warn_if_overlapping,
 )
+from wallflock.potentials import distance_potential
 
 
 def test_exact_values_at_half_depth():
@@ -104,8 +104,10 @@ def test_geometry_validation():
 
 
 def test_wall_distances_shapes_and_values():
-    assert Geometry("halfline").walls == ((0.0, 1.0),)
-    assert Geometry("interval", 0.0, 10.0).walls == ((0.0, 1.0), (10.0, -1.0))
+    # each wall is at distance 0 from itself and faces into the domain
+    assert np.array_equal(wall_distances(Geometry("halfline"), [0.0]), [[0.0]])
+    d_walls = wall_distances(Geometry("interval", 0.0, 10.0), [0.0, 10.0])
+    assert np.array_equal(d_walls, [[0.0, 10.0], [10.0, 0.0]])
     x = np.array([0.5, 2.0, 7.0])
     d_half = wall_distances(Geometry("halfline"), x)
     assert d_half.shape == (1, 3)
@@ -134,7 +136,7 @@ def test_geometry_potential_sums_both_walls():
     w = WallPotential(ell=1.0)
     x = np.array([0.75])  # inside both reaction zones
     expected_u = w.value(0.75) + w.value(0.75)
-    assert abs(float(geometry_potential(geom, w, x)[0]) - expected_u) < 1e-15
+    assert abs(float(distance_potential(w, wall_distances(geom, x))[0]) - expected_u) < 1e-15
 
 
 def test_check_domain():
