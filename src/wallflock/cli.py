@@ -142,7 +142,7 @@ def run_verify(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> in
         remove_report(out)
     if not quiet:
         for c in report.claims:
-            status = "PASS" if c.passed else ("SKIP" if not c.applicable else "FAIL")
+            status = "SKIP" if not c.applicable else ("PASS" if c.passed else "FAIL")
             print(f"{status} {c.name}: value={c.value:.6g} threshold={c.threshold:.6g}")
         print(f"report: {'PASS' if report.passed else 'FAIL'}")
     return _report_exit_code(report)
@@ -221,11 +221,13 @@ def _fmt_cell(value):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config is None and args.command == "sweep":
-            raise ConfigError("sweep requires --config")
-        text = "" if args.config is None else read_config_text(args.config)
         if args.command == "sweep":
-            return run_sweep(text, args.out, args.quiet)
+            if args.config is None:
+                raise ConfigError("sweep requires --config")
+            if args.seed is not None:
+                raise ConfigError("sweep takes no --seed: list the seeds under sweep.seeds")
+            return run_sweep(read_config_text(args.config), args.out, args.quiet)
+        text = "" if args.config is None else read_config_text(args.config)
         cfg = _apply_overrides(parse_config(text), args)
         if args.command == "verify":
             return run_verify(cfg, text, args.quiet)

@@ -65,6 +65,7 @@ class Trajectory:
     records: np.recarray
 
     def __post_init__(self):
+        self.sample_times = np.asarray(self.sample_times, dtype=float)
         if not (len(self.sample_times) == len(self.X) == len(self.V) == len(self.records)):
             raise ValueError("sample_times, X, V, records must have one row per sample")
         if self.X.shape != self.V.shape:

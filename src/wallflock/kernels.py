@@ -17,7 +17,7 @@ class CommunicationKernel:
 
     Families:
       powerlaw: phi(r) = H * (1 + r^2)^(-beta)
-      constant: phi(r) = H
+      constant: phi(r) = H, the power law at beta = 0 (any beta given is replaced)
 
     Immutable after construction; all evaluations are pure.
     """
@@ -29,9 +29,12 @@ class CommunicationKernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        if self.family == "constant":
+            # H * (1 + r^2)^-0 is exactly H for every r, inf and NaN included
+            object.__setattr__(self, "beta", 0.0)
         if not (math.isfinite(self.H) and self.H > 0):
             raise ValueError("kernel amplitude H must be positive and finite")
-        if self.family == "powerlaw" and not (math.isfinite(self.beta) and self.beta >= 0):
+        if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError("kernel exponent beta must be nonnegative and finite")
 
     def eval(self, r):
@@ -45,21 +48,18 @@ class CommunicationKernel:
 
     def _phi(self, w: np.ndarray) -> np.ndarray:
         """Overwrite the distances in w with phi of them; the one formula of eval and matrix."""
-        if self.family == "constant":
-            w.fill(self.H)
-        else:
-            # r enters through r^2 only, so evenness is exact in floating point
-            w *= w
-            w += 1.0
-            w **= -self.beta
-            w *= self.H
+        # r enters through r^2 only, so evenness is exact in floating point
+        w *= w
+        w += 1.0
+        w **= -self.beta
+        w *= self.H
         return w
 
     def primitive(self, D: float) -> float:
-        """Phi(D) = integral of phi(r) over [0, D], in closed form per family."""
+        """Phi(D) = integral of phi(r) over [0, D], in closed form."""
         if not (math.isfinite(D) and D >= 0.0):
             raise ValueError("primitive argument D must be nonnegative and finite")
-        if self.family == "constant" or self.beta == 0.0:
+        if self.beta == 0.0:
             return self.H * D
         if self.beta == 0.5:
             return self.H * math.asinh(D)
@@ -68,7 +68,5 @@ class CommunicationKernel:
         return self.H * D * float(hyp2f1(0.5, self.beta, 1.5, -D * D))
 
     def fat_tail(self) -> bool:
-        """True iff the primitive diverges as D grows (analytic per family)."""
-        if self.family == "constant":
-            return True
+        """True iff the primitive diverges as D grows: 2 beta <= 1."""
         return 2.0 * self.beta <= 1.0

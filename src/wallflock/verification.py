@@ -152,10 +152,9 @@ def check_no_collision(traj: Trajectory):
 
 
 def check_alignment(traj: Trajectory, th: Thresholds):
-    times = np.asarray(traj.sample_times)
     A = traj.records.A
     final_A = float(A[-1])
-    tail_max = float(np.max(A[_tail_start_index(times, th.tail_fraction):]))
+    tail_max = float(np.max(A[_tail_start_index(traj.sample_times, th.tail_fraction):]))
     # the tail guard rejects a lucky dip sampled at the final instant
     return final_A < th.align_eps and tail_max < 2.0 * th.align_eps, final_A
 
@@ -166,8 +165,7 @@ def fit_exponential(traj: Trajectory, th: Thresholds, window_start: float | None
     Samples with A below 100x machine epsilon sit in the round-off floor and
     are skipped.  Returns None when fewer than fit_min_points remain.
     """
-    times = np.asarray(traj.sample_times, dtype=float)
-    A = traj.records.A
+    times, A = traj.sample_times, traj.records.A
     if window_start is None:
         window_start = times[_tail_start_index(times, th.tail_fraction)]
     mask = (times >= window_start - 1e-12) & (A >= 100.0 * _EPS)
@@ -211,8 +209,7 @@ def check_settlement(traj: Trajectory, wall: WallPotential, th: Thresholds) -> S
     velocity cannot satisfy that; it is reported as drift mode, where only
     the pairwise (shape) convergence is meaningful.
     """
-    times = np.asarray(traj.sample_times)
-    k0 = _tail_start_index(times, th.tail_fraction)
+    k0 = _tail_start_index(traj.sample_times, th.tail_fraction)
     X = traj.X[k0:]  # (window, N)
     means = X.mean(axis=0)
     variation = X.max(axis=0) - X.min(axis=0)
@@ -277,8 +274,7 @@ def check_interval_decay(m: FlockModel, traj: Trajectory) -> IntervalDecayResult
     """Final kinetic energy and wall force, and the late share of their time integrals."""
     if m.geometry.variant != "interval":
         raise ValueError("interval decay check requires interval geometry")
-    times = np.asarray(traj.sample_times, dtype=float)
-    K = traj.records.K
+    K, times = traj.records.K, traj.sample_times
     return IntervalDecayResult(
         final_K=float(K[-1]),
         final_F_max=float(traj.records[-1].F_max),
@@ -301,8 +297,7 @@ def check_work_of_force(traj: Trajectory):
 
 def budget_claims(m: FlockModel, traj: Trajectory, th: Thresholds) -> list:
     """Trajectory-wide inequality checks shared by both geometries."""
-    times = np.asarray(traj.sample_times, dtype=float)
-    rec = traj.records
+    times, rec = traj.sample_times, traj.records
     E, L, p, D = rec.E, rec.L, rec.p, rec.D
     F_max, F_mean = rec.F_max, rec.F_mean
     v_hi = np.maximum(np.abs(rec.v_max), np.abs(rec.v_min))
@@ -314,11 +309,13 @@ def budget_claims(m: FlockModel, traj: Trajectory, th: Thresholds) -> list:
     worst_rise = float(np.max(E[1:] - E[:-1])) if len(E) > 1 else 0.0
     claims.append(Claim("energy_nonincreasing", worst_rise <= tol_E, worst_rise, tol_E))
 
-    v_bound = math.sqrt(max(2.0 * n * G, 0.0)) + 1e-9
+    # sqrt(2NG) bounds every speed, so the diameter grows at most twice as fast
+    speed = math.sqrt(max(2.0 * n * G, 0.0))
+    v_bound = speed + 1e-9
     v_peak = float(np.max(v_hi))
     claims.append(Claim("velocity_bound", v_peak <= v_bound, v_peak, v_bound))
 
-    d_budget = 2.0 * math.sqrt(max(2.0 * n * G, 0.0)) * (times - times[0]) + D[0] + 1e-9
+    d_budget = 2.0 * speed * (times - times[0]) + D[0] + 1e-9
     d_excess = float(np.max(D - d_budget))
     claims.append(Claim("diameter_growth", d_excess <= 0.0, d_excess, 0.0))
 
@@ -340,7 +337,7 @@ def budget_claims(m: FlockModel, traj: Trajectory, th: Thresholds) -> list:
     return claims
 
 
-def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds):
+def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds, report: TheoremReport):
     """Strong flocking, settlement or escape, and the exponential rate.
 
     The exponential-rate claim applies only when the initial momentum is
@@ -349,7 +346,12 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds):
     """
     escape = detect_escape(traj, m.geometry, m.wall)
     settle = check_settlement(traj, m.wall, th)
-    claims = [
+    fit = fit_exponential(traj, th, window_start=escape)
+    report.fit, report.escape_time = fit, escape
+    report.settled_positions = settle.settled_positions
+    report.pairwise_limits = settle.pairwise_limits
+    outside = escape is not None or settle.min_mean_position >= m.wall.ell - th.settle_eps
+    report.claims += [
         Claim(
             "strong_flocking",
             settle.max_pair_variation < th.settle_eps,
@@ -364,41 +366,25 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds):
             applicable=not settle.drift,
             detail="drift mode: flock translates at its aligned velocity" if settle.drift else "",
         ),
-    ]
-    outside = escape is not None or settle.min_mean_position >= m.wall.ell - th.settle_eps
-    claims.append(
         Claim(
             "outside_wall_range",
             outside,
             settle.min_mean_position if escape is None else float(escape),
             m.wall.ell,
             detail="escape time" if escape is not None else "tail-window mean position",
-        )
-    )
-
-    p0 = traj.records[0].p
-    fit = fit_exponential(traj, th, window_start=escape)
-    rate_ok = fit is not None and fit.delta > 0.0 and fit.r_squared > 0.99
-    claims.append(
+        ),
         Claim(
             "exponential_rate",
-            rate_ok,
+            fit is not None and fit.delta > 0.0 and fit.r_squared > 0.99,
             math.nan if fit is None else fit.delta,
             0.0,
-            applicable=p0 > 0.0,
+            applicable=traj.records[0].p > 0.0,
             detail="" if fit is not None else "fit unavailable",
-        )
-    )
-    extras = dict(
-        fit=fit,
-        settled_positions=settle.settled_positions,
-        pairwise_limits=settle.pairwise_limits,
-        escape_time=escape,
-    )
-    return claims, extras
+        ),
+    ]
 
 
-def _interval_claims(m: FlockModel, traj: Trajectory, th: Thresholds):
+def _interval_claims(m: FlockModel, traj: Trajectory, th: Thresholds, report: TheoremReport):
     """Decay of kinetic energy and wall forces, and the bounded work of the force.
 
     The flock diameter is reported without a verdict: boundedness of the
@@ -406,7 +392,7 @@ def _interval_claims(m: FlockModel, traj: Trajectory, th: Thresholds):
     """
     decay = check_interval_decay(m, traj)
     ok, w_peak, envelope = check_work_of_force(traj)
-    claims = [
+    report.claims += [
         Claim(
             "kinetic_decay",
             decay.final_K < th.align_eps**2 and decay.kinetic_tail_share <= 0.10,
@@ -423,7 +409,6 @@ def _interval_claims(m: FlockModel, traj: Trajectory, th: Thresholds):
         ),
         Claim("work_of_force_bounded", ok, w_peak, envelope),
     ]
-    return claims, {}
 
 
 def verify(
@@ -450,27 +435,23 @@ def verify(
         )
         return TheoremReport(variant=variant, claims=[claim])
 
-    times = np.asarray(traj.sample_times, dtype=float)
-    claims = [Claim("integration_completed", True, times[-1], times[-1])]
-
-    ok, min_dist = check_no_collision(traj)
-    claims.append(Claim("no_wall_collision", ok, min_dist, 0.0))
-
-    ok, final_A = check_alignment(traj, th)
-    claims.append(Claim("velocity_alignment", ok, final_A, th.align_eps))
-
-    own_claims = _halfline_claims if variant == "halfline" else _interval_claims
-    own, extras = own_claims(m, traj, th)
-    claims.extend(own)
-    claims.extend(budget_claims(m, traj, th))
-
-    return TheoremReport(
+    times, rec = traj.sample_times, traj.records
+    no_collision, min_dist = check_no_collision(traj)
+    aligned, final_A = check_alignment(traj, th)
+    report = TheoremReport(
         variant=variant,
-        claims=claims,
+        claims=[
+            Claim("integration_completed", True, times[-1], times[-1]),
+            Claim("no_wall_collision", no_collision, min_dist, 0.0),
+            Claim("velocity_alignment", aligned, final_A, th.align_eps),
+        ],
         min_wall_distance=min_dist,
         final_A=final_A,
-        final_D=float(traj.records[-1].D),
-        kinetic_integral=float(np.trapezoid(traj.records.K, times)),
-        force_sq_integral=float(np.trapezoid(traj.records.F_sq, times)),
-        **extras,
+        final_D=float(rec[-1].D),
+        kinetic_integral=float(np.trapezoid(rec.K, times)),
+        force_sq_integral=float(np.trapezoid(rec.F_sq, times)),
     )
+    own_claims = _halfline_claims if variant == "halfline" else _interval_claims
+    own_claims(m, traj, th, report)
+    report.claims += budget_claims(m, traj, th)
+    return report

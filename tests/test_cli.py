@@ -417,3 +417,30 @@ def test_python_dash_m_runs_the_command_line(module, tmp_path):
     done = subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True)
     assert done.returncode == 1, done.stderr
     assert '"passed": false' in (out / "report.json").read_text()
+
+
+BOUNCE_T30 = """
+ic: {n_agents: 8, x_low: 0.8, x_high: 3.0, v_low: -1.0, v_high: -0.2, seed: 5}
+integrator: {t_end: 30.0}
+"""
+
+
+def test_verify_prints_skip_for_an_inapplicable_claim(tmp_path, capsys):
+    # negative initial momentum: the exponential rate does not apply, even when its fit passes
+    cfg = write(tmp_path, "bounce.yaml", BOUNCE_T30)
+    out = tmp_path / "bounce"
+    main(["verify", "--config", str(cfg), "--out", str(out)])
+    claims = json.loads((out / "report.json").read_text())["claims"]
+    rate = next(c for c in claims if c["name"] == "exponential_rate")
+    assert rate["applicable"] is False and rate["passed"] is True
+    stdout = capsys.readouterr().out
+    assert "SKIP exponential_rate" in stdout
+    assert "PASS exponential_rate" not in stdout
+
+
+def test_sweep_rejects_seed_before_writing(tmp_path, capsys):
+    cfg = write(tmp_path, "sweep.yaml", SWEEP % 1)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "99"]) == 2
+    assert "sweep.seeds" in capsys.readouterr().err
+    assert not out.exists()

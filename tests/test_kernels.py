@@ -147,3 +147,11 @@ def test_kernel_matrix_consumers_bitwise_equal_direct_form(family, beta):
         # eval shares the formula: an entry of the matrix is phi of its gap
         assert np.array_equal(_bits(k.eval(gaps)), _bits(phi))
         assert _bits(k.eval(gaps[-1, 0])) == _bits(phi[-1, 0])
+
+
+def test_constant_kernel_is_the_power_law_at_beta_zero():
+    k = CommunicationKernel("constant", 1.3, 0.25)
+    assert k.beta == 0.0
+    assert k == CommunicationKernel("constant", 1.3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(_bits(k.eval([0.0, 1e200, np.inf, -np.inf, np.nan])), _bits([1.3] * 5))
