@@ -69,7 +69,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 def _run_dir(cfg: RunConfig, config_text: str) -> Path:
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
-    # keep the exact input bytes next to the artifacts for provenance
+    # keep the exact input bytes next to the artifacts for provenance, or the
+    # serialized config when there are none to keep
     (out / "config.yaml").write_text(
         config_text if config_text else serialize_config(cfg), encoding="utf-8"
     )
@@ -229,6 +230,8 @@ def main(argv=None) -> int:
             return run_sweep(read_config_text(args.config), args.out, args.quiet)
         text = "" if args.config is None else read_config_text(args.config)
         cfg = _apply_overrides(parse_config(text), args)
+        if args.seed is not None:
+            text = ""  # the input names another seed: config.yaml gets the effective config
         if args.command == "verify":
             return run_verify(cfg, text, args.quiet)
         if args.command == "plot-data":

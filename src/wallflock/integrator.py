@@ -191,8 +191,8 @@ def integrate(
                 return x, v  # residual float gap; snap to the boundary
             h = min(dt_prop, gap, c.dt_max)
             if walls_on:
-                dist = float(np.min(wall_distances(m.geometry, x)))
-                cap = c.wall_safety * dist / (float(np.max(np.abs(v))) + 1.0)
+                dist = float(wall_distances(m.geometry, x).min())
+                cap = c.wall_safety * dist / (float(np.abs(v).max()) + 1.0)
                 if cap < c.dt_min:
                     raise _stiffness_error(m, x, v, t, cap, "wall layer forces dt below dt_min")
                 h = min(h, cap)

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import FlockModel, FlockState
-from .potentials import distance_force, distance_potential, wall_distances
+from .potentials import distance_potential, layer_force, layer_potential, wall_distances
 
 
 class DiagnosticsRecord(NamedTuple):
@@ -47,11 +47,13 @@ def initial_energy(m: FlockModel, s: FlockState) -> float:
 
 def diagnostics(m: FlockModel, s: FlockState, G: float) -> DiagnosticsRecord:
     x, v, n = s.x, s.v, s.n
-    # one set of wall distances feeds the potential, the force and x_min_wall;
-    # a.sum() / n is the same IEEE arithmetic as np.mean(a), without its wrapper
+    # one set of wall distances, checked once, feeds the potential, the force
+    # and x_min_wall (their minimum, lo); a.sum() / n is the same IEEE
+    # arithmetic as np.mean(a), without its wrapper
     d = wall_distances(m.geometry, x)
-    P = float(distance_potential(m.wall, d).sum()) / n
-    F = distance_force(m.geometry, m.wall, d)
+    lo = m.wall._check(d)
+    P = float(layer_potential(m.wall, d, lo).sum()) / n
+    F = layer_force(m.geometry, m.wall, d, lo)
     K = float(v @ v) / (2.0 * n)
     v_max = float(v.max())
     v_min = float(v.min())
@@ -75,7 +77,7 @@ def diagnostics(m: FlockModel, s: FlockState, G: float) -> DiagnosticsRecord:
         W=-float(v @ F),
         F_max=float(np.abs(F).max()),
         F_mean=float(F.sum()) / n,
-        x_min_wall=float(d.min()),
+        x_min_wall=float(lo),
         v_max=v_max,
         v_min=v_min,
         G=G,

@@ -37,38 +37,44 @@ class WallPotential:
     def disabled(self) -> bool:
         return self.theta == 0.0
 
-    def _gap(self, x):
-        return np.maximum(self.ell - x, 0.0)
+    def _value(self, x):
+        g = np.maximum(self.ell - x, 0.0)
+        return self.theta * g**4 / x
+
+    def _force(self, x):
+        g = np.maximum(self.ell - x, 0.0)
+        return self.theta * (4.0 * g**3 * x + g**4) / (x * x)
 
     def value(self, x):
         """U(x); zero for x >= ell, +inf is never returned (x <= 0 raises)."""
-        x = self._check(x)
-        if self.disabled:
-            out = np.zeros_like(x)
-        else:
-            g = self._gap(x)
-            out = self.theta * g**4 / x
+        x = np.asarray(x, dtype=float)
+        self._check(x)
+        out = np.zeros_like(x) if self.disabled else self._value(x)
         return out if out.ndim else float(out)
 
     def force(self, x):
         """-U'(x) = theta * (4 g^3 x + g^4) / x^2 with g = (ell - x)+, pointing away from the wall."""
-        x = self._check(x)
-        if self.disabled:
-            out = np.zeros_like(x)
-        else:
-            g = self._gap(x)
-            out = self.theta * (4.0 * g**3 * x + g**4) / (x * x)
+        x = np.asarray(x, dtype=float)
+        self._check(x)
+        out = np.zeros_like(x) if self.disabled else self._force(x)
         return out if out.ndim else float(out)
 
-    def _check(self, x):
-        """The domain rule on wall distances: finite, and positive while the wall is on."""
-        x = np.asarray(x, dtype=float)
-        # array methods, not np.all/np.any: this runs on every force evaluation
-        if not np.isfinite(x).all():
+    def _check(self, x: np.ndarray) -> float:
+        """The domain rule on wall distances: finite, and positive while the wall is on.
+
+        Returns the smallest distance (inf when there is none).
+        """
+        if not x.size:
+            return math.inf
+        # two reductions and no temporaries: this runs on every force
+        # evaluation; a NaN fails both comparisons of the finiteness test
+        lo = x.min()
+        hi = x.max()
+        if not (-math.inf < lo and hi < math.inf):
             raise WallDomainError("wall distance must be finite")
-        if not self.disabled and (x <= 0.0).any():
+        if lo <= 0.0 and not self.disabled:
             raise WallDomainError("wall distance must be positive")
-        return x
+        return lo
 
 
 @dataclass(frozen=True)
@@ -124,17 +130,33 @@ def check_domain(geom: Geometry, wall: WallPotential, x) -> None:
 
 def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
     """Signed confining force: each wall pushes along its direction."""
-    return distance_force(geom, wall, wall_distances(geom, x))
+    d = wall_distances(geom, x)
+    return layer_force(geom, wall, d, wall._check(d))
 
 
 def distance_potential(wall: WallPotential, d: np.ndarray) -> np.ndarray:
     """Per-position confinement energy from the rows of wall_distances."""
-    return np.add.reduce(wall.value(d), axis=0)
+    return layer_potential(wall, d, wall._check(d))
 
 
-def distance_force(geom: Geometry, wall: WallPotential, d: np.ndarray) -> np.ndarray:
-    """geometry_force from the rows of wall_distances."""
-    return np.add.reduce(geom._direction * wall.force(d), axis=0)
+# The layer sums take distances that have passed the domain rule, with lo their
+# minimum.  With every distance >= ell or the wall off they return exact zeros
+# without evaluating the formula: there the formula gives +0.0 for every wall,
+# and the sum over walls +0.0 + (-0.0) is +0.0 as well.
+
+
+def layer_potential(wall: WallPotential, d: np.ndarray, lo) -> np.ndarray:
+    """distance_potential of checked distances."""
+    if lo >= wall.ell or wall.disabled:
+        return np.zeros(d.shape[1])
+    return np.add.reduce(wall._value(d), axis=0)
+
+
+def layer_force(geom: Geometry, wall: WallPotential, d: np.ndarray, lo) -> np.ndarray:
+    """geometry_force of checked distances."""
+    if lo >= wall.ell or wall.disabled:
+        return np.zeros(d.shape[1])
+    return np.add.reduce(geom._direction * wall._force(d), axis=0)
 
 
 def warn_if_overlapping(geom: Geometry, wall: WallPotential) -> None:

@@ -341,8 +341,9 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds, report: Th
     """Strong flocking, settlement or escape, and the exponential rate.
 
     The exponential-rate claim applies only when the initial momentum is
-    positive (the escaping regime); absolute settlement only when the flock
-    is not in drift mode.
+    positive (the escaping regime) and there are at least two agents (one
+    agent has no velocity spread to decay); absolute settlement only when the
+    flock is not in drift mode.
     """
     escape = detect_escape(traj, m.geometry, m.wall)
     settle = check_settlement(traj, m.wall, th)
@@ -351,6 +352,10 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds, report: Th
     report.settled_positions = settle.settled_positions
     report.pairwise_limits = settle.pairwise_limits
     outside = escape is not None or settle.min_mean_position >= m.wall.ell - th.settle_eps
+    if m.n_agents == 1:
+        rate_detail = "single agent: A is identically 0, nothing to fit"
+    else:
+        rate_detail = "" if fit is not None else "fit unavailable"
     report.claims += [
         Claim(
             "strong_flocking",
@@ -378,8 +383,8 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds, report: Th
             fit is not None and fit.delta > 0.0 and fit.r_squared > 0.99,
             math.nan if fit is None else fit.delta,
             0.0,
-            applicable=traj.records[0].p > 0.0,
-            detail="" if fit is not None else "fit unavailable",
+            applicable=traj.records[0].p > 0.0 and m.n_agents > 1,
+            detail=rate_detail,
         ),
     ]
 

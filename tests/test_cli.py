@@ -144,6 +144,10 @@ def test_verify_single_agent(tmp_path, seed):
     assert main(args) in (0, 1)
     claims = json.loads((out / "report.json").read_text())["claims"]
     assert [c["name"] for c in claims] == HALF_LINE_CLAIMS
+    # A is identically 0 for one agent, so there is no rate to fit
+    rate = next(c for c in claims if c["name"] == "exponential_rate")
+    assert rate["applicable"] is False
+    assert rate["detail"].startswith("single agent")
 
 
 INTERVAL = """
@@ -402,9 +406,22 @@ def test_verify_without_json_removes_an_earlier_report(tmp_path):
     assert (out / "report.json").exists() and (out / "pairwise_limits.npy").exists()
     argv = ["verify", "--config", str(csv_only), "--out", str(out), "--seed", "2", "--quiet"]
     assert main(argv) == 0
-    assert (out / "config.yaml").read_text() == csv_only.read_text()
+    assert parse_config((out / "config.yaml").read_text()).ic.seed == 2
     assert not (out / "report.json").exists()
     assert not (out / "pairwise_limits.npy").exists()
+
+
+def test_seed_override_is_recorded_in_config_yaml(tmp_path):
+    # config.yaml must reproduce the run it sits next to, --seed included
+    halfline = Path(__file__).resolve().parents[1] / "configs" / "halfline.yaml"
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    argv = ["simulate", "--config", str(halfline), "--out", str(first), "--seed", "7", "--quiet"]
+    assert main(argv) == 0
+    recorded = first / "config.yaml"
+    assert parse_config(recorded.read_text()).ic.seed == 7
+    assert main(["simulate", "--config", str(recorded), "--out", str(rerun), "--quiet"]) == 0
+    diagnostics = (first / "diagnostics.csv").read_bytes()
+    assert (rerun / "diagnostics.csv").read_bytes() == diagnostics
 
 
 @pytest.mark.parametrize("module", ["wallflock", "wallflock.cli"])

@@ -4,10 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wallflock import (
+    CommunicationKernel,
+    FlockModel,
+    FlockState,
     Geometry,
     WallDomainError,
     WallPotential,
+    acceleration,
     check_domain,
+    diagnostics,
     geometry_force,
     wall_distances,
     warn_if_overlapping,
@@ -200,3 +205,95 @@ def test_interval_force_points_inward_and_reflects(ell, half_width, u):
         assert f[0] < 0.0
     if min(left, right) >= ell:
         assert f[0] == 0.0
+
+
+# Bitwise oracle for the layer sums, which return exact zeros without
+# evaluating the formula when no distance lies inside the wall range.  The
+# direct expressions below evaluate the formula on every distance.
+_DIRECTIONS = {"halfline": np.array([[1.0]]), "interval": np.array([[1.0], [-1.0]])}
+
+
+def _direct_terms(variant, wall, d):
+    """Per-position potential and signed force, formula on every distance."""
+    if wall.disabled:
+        u = f = np.zeros_like(d)
+    else:
+        g = np.maximum(wall.ell - d, 0.0)
+        u = wall.theta * g**4 / d
+        f = wall.theta * (4.0 * g**3 * d + g**4) / (d * d)
+    return np.add.reduce(u, axis=0), np.add.reduce(_DIRECTIONS[variant] * f, axis=0)
+
+
+def _positions(variant, case, n, rng):
+    """Positions with no agent, some agents or all agents within ell = 1 of a wall."""
+    far = (1.5, 3.0) if variant == "halfline" else (1.5, 8.5)
+    near = [(0.05, 0.95)] if variant == "halfline" else [(0.05, 0.95), (9.05, 9.95)]
+    if case == "disabled":  # anywhere, across the walls too
+        return rng.uniform(-2.0, 12.0, n)
+    x = rng.uniform(*far, n)
+    if case == "none":
+        x[0] = 1.0  # exactly ell from the wall at 0: the formula gives +0.0 there
+    if case in ("some", "all"):
+        k = n if case == "all" else (n + 1) // 2
+        x[:k] = [rng.uniform(*near[i % len(near)]) for i in range(k)]
+    return x
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 130])
+@pytest.mark.parametrize("case", ["none", "some", "all", "disabled"])
+@pytest.mark.parametrize("variant", ["halfline", "interval"])
+def test_layer_sums_bitwise_equal_direct_form(variant, case, n):
+    geom = Geometry("halfline") if variant == "halfline" else Geometry("interval", 0.0, 10.0)
+    wall = WallPotential(1.0, 0.0 if case == "disabled" else 1.5)
+    m = FlockModel(CommunicationKernel("powerlaw", 1.0, 0.25), wall, geom, n)
+    rng = np.random.default_rng([n, len(case), len(variant)])
+    x = _positions(variant, case, n, rng)
+    v = rng.uniform(-1.0, 1.0, n)
+    d = wall_distances(geom, x)
+    U, F = _direct_terms(variant, wall, d)
+
+    assert np.array_equal(_bits(geometry_force(geom, wall, x)), _bits(F))
+    assert np.array_equal(_bits(distance_potential(wall, d)), _bits(U))
+    w = m.kernel.matrix(x)
+    w *= v[None, :] - v[:, None]
+    expected = w.sum(axis=1) / n + F
+    assert np.array_equal(_bits(acceleration(m, x, v)), _bits(expected))
+
+    rec = diagnostics(m, FlockState(t=0.0, x=x, v=v), 0.0)
+    direct = {
+        "P": float(U.sum()) / n,
+        "W": -float(v @ F),
+        "F_max": float(np.abs(F).max()),
+        "F_mean": float(F.sum()) / n,
+        "F_sq": float((F**2).sum()),
+        "x_min_wall": float(d.min()),
+    }
+    assert {k: _bits(getattr(rec, k)) for k in direct} == {k: _bits(x) for k, x in direct.items()}
+
+
+@pytest.mark.parametrize(
+    "distance, message",
+    [(np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (0.0, "positive"), (-0.3, "positive")],
+)
+def test_domain_rule_messages(distance, message):
+    w = WallPotential()
+    d = np.array([[2.0, distance, 0.5]])
+    for call in (lambda: w.force(d), lambda: w.value(d), lambda: distance_potential(w, d)):
+        with pytest.raises(WallDomainError, match=f"^wall distance must be {message}$"):
+            call()
+    with pytest.raises(WallDomainError, match=f"^wall distance must be {message}$"):
+        geometry_force(Geometry("halfline"), w, d[0])
+
+
+def test_domain_rule_edges():
+    off = WallPotential(theta=0.0)
+    assert off.force(np.array([-0.3, 2.0])).tolist() == [0.0, 0.0]
+    with pytest.raises(WallDomainError, match="finite"):
+        off.force(np.array([-0.3, np.nan]))
+    w = WallPotential()
+    for out in (w.force(np.array([])), w.value(np.array([])), distance_potential(w, np.empty((1, 0)))):
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
