@@ -17,7 +17,7 @@ import yaml
 from .dynamics import FlockModel, FlockState, initial_condition
 from .integrator import IntegratorControl
 from .kernels import CommunicationKernel
-from .potentials import Geometry, WallPotential
+from .potentials import Geometry, WallPotential, wall_distances
 from .verification import Thresholds
 
 
@@ -150,7 +150,7 @@ def config_from_data(data: dict) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    ic, geometry = cfg.ic, cfg.geometry
+    ic = cfg.ic
     if not (math.isfinite(cfg.t_end) and cfg.t_end > 0):
         raise ConfigError("integrator.t_end must be positive and finite")
     if not (math.isfinite(cfg.sample_every) and 0 < cfg.sample_every <= cfg.t_end):
@@ -164,12 +164,8 @@ def _validate(cfg: RunConfig) -> None:
     if ic.v_low > ic.v_high:
         raise ConfigError("ic.v_low must not exceed ic.v_high")
     margin = 0.05 * cfg.wall.ell
-    if geometry.variant == "halfline":
-        if ic.x_low < margin:
-            raise ConfigError(f"ic.x_low must keep wall distance >= {margin}")
-    else:
-        if ic.x_low - geometry.a < margin or geometry.b - ic.x_high < margin:
-            raise ConfigError(f"ic box must keep wall distance >= {margin} from both ends")
+    if wall_distances(cfg.geometry, (ic.x_low, ic.x_high)).min() < margin:
+        raise ConfigError(f"ic box must keep wall distance >= {margin} from every wall")
     bad = set(cfg.output.formats) - {"csv", "json", "plot"}
     if bad:
         raise ConfigError(f"output.formats: unknown format {sorted(bad)[0]!r}")

@@ -179,7 +179,8 @@ def integrate(
     stiff wall layer is resolved before it is entered.
     """
     c = c or IntegratorControl()
-    dt_prop = min(c.dt_init, c.dt_max)
+    # dt_prop <= dt_max throughout: dt_init <= dt_max, every update is below h or capped
+    dt_prop = c.dt_init
     prev_ratio = 1.0
     walls_on = not m.wall.disabled
 
@@ -189,7 +190,7 @@ def integrate(
             gap = tb - t
             if gap <= 4e-16 * max(1.0, abs(tb)):
                 return x, v  # residual float gap; snap to the boundary
-            h = min(dt_prop, gap, c.dt_max)
+            h = min(dt_prop, gap)
             if walls_on:
                 dist = float(wall_distances(m.geometry, x).min())
                 cap = c.wall_safety * dist / (float(np.abs(v).max()) + 1.0)

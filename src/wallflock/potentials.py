@@ -42,22 +42,9 @@ class WallPotential:
         return self.theta * g**4 / x
 
     def _force(self, x):
+        # -U'(x) with g = (ell - x)+, pointing away from the wall
         g = np.maximum(self.ell - x, 0.0)
         return self.theta * (4.0 * g**3 * x + g**4) / (x * x)
-
-    def value(self, x):
-        """U(x); zero for x >= ell, +inf is never returned (x <= 0 raises)."""
-        x = np.asarray(x, dtype=float)
-        self._check(x)
-        out = np.zeros_like(x) if self.disabled else self._value(x)
-        return out if out.ndim else float(out)
-
-    def force(self, x):
-        """-U'(x) = theta * (4 g^3 x + g^4) / x^2 with g = (ell - x)+, pointing away from the wall."""
-        x = np.asarray(x, dtype=float)
-        self._check(x)
-        out = np.zeros_like(x) if self.disabled else self._force(x)
-        return out if out.ndim else float(out)
 
     def _check(self, x: np.ndarray) -> float:
         """The domain rule on wall distances: finite, and positive while the wall is on.

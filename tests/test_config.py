@@ -1,4 +1,6 @@
+import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -118,10 +120,20 @@ def test_wall_margin_enforced():
     with pytest.raises(ConfigError, match="wall distance"):
         parse_config("ic: {x_low: 0.01}")
     parse_config("ic: {x_low: 0.05}")  # exactly the 0.05 ell margin
-    with pytest.raises(ConfigError, match="both ends"):
+    one_rule = "^ic box must keep wall distance >= 0.05 from every wall$"
+    with pytest.raises(ConfigError, match=one_rule):
         parse_config(
             "geometry: {variant: interval, a: 0.0, b: 10.0}\nic: {x_low: 0.5, x_high: 9.99}"
         )
+
+
+def test_readme_config_table_is_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Configuration", 1)[1].split("\n\n| section.key |", 1)[1]
+    first_cells = re.findall(r"^\| (.*?) \|", table.split("\n\n", 1)[0], flags=re.M)
+    documented = {key for cell in first_cells for key in re.findall(r"`(\w+\.\w+)`", cell)}
+    schema = {f"{section}.{key}" for section, keys in wf.config._SCHEMA.items() for key in keys}
+    assert documented == schema
 
 
 def test_serialize_round_trip():

@@ -51,7 +51,7 @@ def test_two_agent_acceleration_by_hand():
 def test_single_agent_feels_only_the_wall():
     m = free_model(1)
     acc = acceleration(m, np.array([0.5]), np.array([0.0]))
-    assert abs(acc[0] - float(m.wall.force(0.5))) < 1e-15
+    assert abs(acc[0] - wf.geometry_force(wf.Geometry(), m.wall, 0.5)[0]) < 1e-15
     acc_out = acceleration(m, np.array([2.0]), np.array([3.0]))
     assert acc_out[0] == 0.0
 
@@ -85,7 +85,7 @@ def test_momentum_and_mean_force():
     s = FlockState(0.0, [0.5, 4.0], [1.0, 3.0])
     rec = diagnostics(m, s, G=0.0)
     assert rec.p == 2.0
-    assert abs(rec.F_mean - 0.5 * float(m.wall.force(0.5))) < 1e-15
+    assert abs(rec.F_mean - 0.5 * wf.geometry_force(wf.Geometry(), m.wall, 0.5)[0]) < 1e-15
 
 
 def test_initial_condition_reproducible_and_sorted():

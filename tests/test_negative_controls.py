@@ -1,0 +1,100 @@
+"""Negative controls: the claim checks must notice a model that is wrong.
+
+Each row perturbs the dynamics through monkeypatch only, runs verify on a
+shipped config cut to t_end = 10, and asserts the exact set of applicable
+claims that FAIL (DeMillo, Lipton & Sayward, IEEE Computer 11, 1978).  The
+baseline row holds what the unperturbed model FAILs at that horizon: nothing
+on the half-line; on the interval the decay claims, which need a longer run.
+A row whose set equals the baseline's is a perturbation no claim detects.
+"""
+
+from pathlib import Path
+
+import pytest
+import yaml
+
+import wallflock.dynamics as dynamics
+import wallflock.integrator as integrator
+from wallflock import config_from_data, initial_state_from_config, model_from_config, verify
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHORT_HORIZON = {"force_decay", "kinetic_decay", "velocity_alignment"}
+
+_acceleration = dynamics.acceleration
+_geometry_force = dynamics.geometry_force
+
+
+def _uniform_force(monkeypatch, eps):
+    monkeypatch.setattr(integrator, "acceleration", lambda m, x, v: _acceleration(m, x, v) + eps)
+
+
+def _flipped_interaction(monkeypatch):
+    # keep the wall force, reverse the sign of the alignment term
+    monkeypatch.setattr(
+        integrator,
+        "acceleration",
+        lambda m, x, v: 2 * _geometry_force(m.geometry, m.wall, x) - _acceleration(m, x, v),
+    )
+
+
+def _scaled_wall(monkeypatch, factor):
+    monkeypatch.setattr(dynamics, "geometry_force", lambda g, w, x: factor * _geometry_force(g, w, x))
+
+
+ROWS = {
+    "baseline": lambda mp: None,
+    "uniform_force_1e-5": lambda mp: _uniform_force(mp, 1e-5),
+    "uniform_force_1e-4": lambda mp: _uniform_force(mp, 1e-4),
+    "interaction_sign_flipped": _flipped_interaction,
+    "wall_force_negated": lambda mp: _scaled_wall(mp, -1.0),
+    "wall_force_scaled_1-1e-3": lambda mp: _scaled_wall(mp, 1.0 - 1e-3),
+}
+
+EXPECTED = [
+    ("baseline", "halfline", set()),
+    ("baseline", "interval", SHORT_HORIZON),
+    ("uniform_force_1e-5", "halfline", {"energy_nonincreasing"}),
+    ("uniform_force_1e-5", "interval", SHORT_HORIZON),
+    ("uniform_force_1e-4", "halfline", {"energy_nonincreasing", "momentum_force_identity"}),
+    ("uniform_force_1e-4", "interval", SHORT_HORIZON | {"momentum_force_identity"}),
+    # the interval run collapses its step size and takes over 20 s: left out
+    (
+        "interaction_sign_flipped",
+        "halfline",
+        {
+            "diameter_growth",
+            "energy_nonincreasing",
+            "exponential_rate",
+            "lyapunov_budget",
+            "momentum_force_identity",
+            "strong_flocking",
+            "velocity_alignment",
+            "velocity_bound",
+        },
+    ),
+    ("wall_force_negated", "halfline", {"integration_completed"}),
+    ("wall_force_negated", "interval", {"integration_completed"}),
+    ("wall_force_scaled_1-1e-3", "halfline", set()),
+    ("wall_force_scaled_1-1e-3", "interval", SHORT_HORIZON | {"momentum_force_identity"}),
+]
+
+
+def _failed_claims(name):
+    data = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    data["integrator"]["t_end"] = 10.0
+    cfg = config_from_data(data)
+    report = verify(
+        model_from_config(cfg),
+        initial_state_from_config(cfg),
+        cfg.control,
+        cfg.thresholds,
+        t_end=cfg.t_end,
+        sample_every=cfg.sample_every,
+    )
+    return {c.name for c in report.claims if c.applicable and not c.passed}
+
+
+@pytest.mark.parametrize("row, config, failed", EXPECTED, ids=[f"{r}-{c}" for r, c, _ in EXPECTED])
+def test_negative_control(monkeypatch, row, config, failed):
+    ROWS[row](monkeypatch)
+    assert _failed_claims(config) == failed

@@ -20,25 +20,36 @@ from wallflock import (
 from wallflock.potentials import distance_potential
 
 
+# The wall formula is reached only through wall-distance rows.  On the
+# half-line there is one row with direction +1, so the checked potential and
+# force of that row are the single-wall U(x) and F(x) = -U'(x).
+def U(w, x):
+    return distance_potential(w, np.array(x, dtype=float, ndmin=2))
+
+
+def F(w, x):
+    return geometry_force(Geometry(), w, x)
+
+
 def test_exact_values_at_half_depth():
     # ell=1, theta=1, x=0.5: gap g=0.5
     w = WallPotential()
-    assert w.value(0.5) == 0.125  # 0.5^4 / 0.5
-    assert w.force(0.5) == 1.25  # (4 g^3 x + g^4) / x^2
+    assert U(w, 0.5).tolist() == [0.125]  # 0.5^4 / 0.5
+    assert F(w, 0.5).tolist() == [1.25]  # (4 g^3 x + g^4) / x^2
 
 
 def test_blowup_near_wall():
     w = WallPotential()
-    v = w.value(1e-3)
+    v = U(w, 1e-3)[0]
     assert abs(v - 996.005996001) < 1e-9 * v  # (1 - 1e-3)^4 / 1e-3
-    assert w.value(1e-6) > 9.9e5
+    assert U(w, 1e-6)[0] > 9.9e5
 
 
 def test_zero_outside_reaction_length():
     w = WallPotential(ell=1.0, theta=2.0)
     for x in (1.0, 1.5, 40.0):
-        assert w.value(x) == 0.0
-        assert w.force(x) == 0.0
+        assert U(w, x).tolist() == [0.0]
+        assert F(w, x).tolist() == [0.0]
 
 
 def test_theta_scales_linearly():
@@ -46,8 +57,8 @@ def test_theta_scales_linearly():
     base = WallPotential(1.0, 1.0)
     scaled = WallPotential(1.0, 2.5)
     x = rng.uniform(0.05, 0.95, size=25)
-    assert np.allclose(scaled.value(x), 2.5 * base.value(x), rtol=1e-15)
-    assert np.allclose(scaled.force(x), 2.5 * base.force(x), rtol=1e-15)
+    assert np.allclose(U(scaled, x), 2.5 * U(base, x), rtol=1e-15)
+    assert np.allclose(F(scaled, x), 2.5 * F(base, x), rtol=1e-15)
 
 
 def test_force_is_negative_gradient():
@@ -56,24 +67,24 @@ def test_force_is_negative_gradient():
     h = 1e-6
     for _ in range(40):
         x = float(rng.uniform(0.1, 1.25))
-        grad = (w.value(x + h) - w.value(x - h)) / (2.0 * h)
-        assert abs(w.force(x) + grad) < 1e-6 * max(1.0, abs(grad))
+        grad = (U(w, x + h)[0] - U(w, x - h)[0]) / (2.0 * h)
+        assert abs(F(w, x)[0] + grad) < 1e-6 * max(1.0, abs(grad))
 
 
 def test_force_is_repulsive_inside():
     w = WallPotential()
     x = np.linspace(0.01, 0.99, 60)
-    assert np.all(w.force(x) > 0.0)
+    assert np.all(F(w, x) > 0.0)
 
 
 def test_domain_errors():
     w = WallPotential()
     with pytest.raises(WallDomainError):
-        w.value(0.0)
+        U(w, 0.0)
     with pytest.raises(WallDomainError):
-        w.force(-0.2)
+        F(w, -0.2)
     with pytest.raises(WallDomainError):
-        w.value(np.nan)
+        U(w, np.nan)
     with pytest.raises(ValueError):
         WallPotential(ell=0.0)
     with pytest.raises(ValueError):
@@ -84,8 +95,8 @@ def test_disabled_wall_accepts_everything():
     w = WallPotential(theta=0.0)
     assert w.disabled
     x = np.array([-3.0, 0.0, 0.5, 2.0])
-    assert np.all(w.value(x) == 0.0)
-    assert np.all(w.force(x) == 0.0)
+    assert np.all(U(w, x) == 0.0)
+    assert np.all(F(w, x) == 0.0)
 
 
 def test_geometry_validation():
@@ -140,7 +151,7 @@ def test_geometry_potential_sums_both_walls():
     geom = Geometry("interval", 0.0, 1.5)
     w = WallPotential(ell=1.0)
     x = np.array([0.75])  # inside both reaction zones
-    expected_u = w.value(0.75) + w.value(0.75)
+    expected_u = U(w, 0.75)[0] + U(w, 0.75)[0]
     assert abs(float(distance_potential(w, wall_distances(geom, x))[0]) - expected_u) < 1e-15
 
 
@@ -177,8 +188,8 @@ _unit = st.floats(1e-6, 1.0 - 1e-9)
 @given(ell=_ells, theta=st.floats(0.1, 10.0), u=_unit)
 def test_wall_force_positive_inside_range_zero_beyond(ell, theta, u):
     w = WallPotential(ell=ell, theta=theta)
-    assert w.force(u * ell) > 0.0
-    assert w.force(ell / u) == 0.0
+    assert F(w, u * ell)[0] > 0.0
+    assert F(w, ell / u)[0] == 0.0
 
 
 @given(ell=_ells, x=st.lists(st.floats(1e-6, 50.0), min_size=1, max_size=20))
@@ -186,7 +197,7 @@ def test_halfline_geometry_force_is_the_wall_force(ell, x):
     w = WallPotential(ell=ell)
     x = np.array(x)
     f = geometry_force(Geometry("halfline"), w, x)
-    assert f.tobytes() == w.force(x).tobytes()
+    assert f.tobytes() == _direct_terms("halfline", w, x[None, :])[1].tobytes()
     assert np.all(f >= 0.0)
 
 
@@ -282,18 +293,20 @@ def test_layer_sums_bitwise_equal_direct_form(variant, case, n):
 def test_domain_rule_messages(distance, message):
     w = WallPotential()
     d = np.array([[2.0, distance, 0.5]])
-    for call in (lambda: w.force(d), lambda: w.value(d), lambda: distance_potential(w, d)):
+    for call in (
+        lambda: distance_potential(w, d),
+        lambda: geometry_force(Geometry("halfline"), w, d[0]),
+        lambda: check_domain(Geometry("halfline"), w, d[0]),
+    ):
         with pytest.raises(WallDomainError, match=f"^wall distance must be {message}$"):
             call()
-    with pytest.raises(WallDomainError, match=f"^wall distance must be {message}$"):
-        geometry_force(Geometry("halfline"), w, d[0])
 
 
 def test_domain_rule_edges():
     off = WallPotential(theta=0.0)
-    assert off.force(np.array([-0.3, 2.0])).tolist() == [0.0, 0.0]
+    assert F(off, np.array([-0.3, 2.0])).tolist() == [0.0, 0.0]
     with pytest.raises(WallDomainError, match="finite"):
-        off.force(np.array([-0.3, np.nan]))
+        F(off, np.array([-0.3, np.nan]))
     w = WallPotential()
-    for out in (w.force(np.array([])), w.value(np.array([])), distance_potential(w, np.empty((1, 0)))):
+    for out in (F(w, np.array([])), U(w, np.empty((1, 0))), distance_potential(w, np.empty((2, 0)))):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
