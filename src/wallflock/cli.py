@@ -122,9 +122,7 @@ def run_simulate(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> 
 def _verify(cfg: RunConfig) -> TheoremReport:
     model = model_from_config(cfg)
     state = initial_state_from_config(cfg)
-    return verify(
-        model, state, cfg.control, cfg.thresholds, t_end=cfg.t_end, sample_every=cfg.sample_every
-    )
+    return verify(model, state, cfg.control, t_end=cfg.t_end, sample_every=cfg.sample_every)
 
 
 def _report_exit_code(report: TheoremReport) -> int:

@@ -18,7 +18,6 @@ from .dynamics import FlockModel, FlockState, initial_condition
 from .integrator import IntegratorControl
 from .kernels import CommunicationKernel
 from .potentials import Geometry, WallPotential, wall_distances
-from .verification import Thresholds
 
 
 class ConfigError(ValueError):
@@ -47,7 +46,6 @@ class RunConfig:
     wall: WallPotential
     geometry: Geometry
     control: IntegratorControl
-    thresholds: Thresholds
     ic: InitialConditions
     output: OutputConfig
     t_end: float = 200.0
@@ -62,7 +60,6 @@ _SECTIONS = {
     "potential": ("wall", WallPotential),
     "geometry": ("geometry", Geometry),
     "integrator": ("control", IntegratorControl),
-    "thresholds": ("thresholds", Thresholds),
     "ic": ("ic", InitialConditions),
     "output": ("output", OutputConfig),
 }

@@ -13,10 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import potentials
 from .dynamics import FlockModel, FlockState, acceleration
 from .observables import DiagnosticsRecord, diagnostics, initial_energy
 from .potentials import WallDomainError, check_domain, wall_distances
+
+
+# dt <= _WALL_SAFETY * (nearest wall distance) / (max |v| + 1), so the stiff
+# wall layer is resolved before it is entered
+_WALL_SAFETY = 0.25
 
 
 class StiffnessError(RuntimeError):
@@ -40,7 +44,6 @@ class IntegratorControl:
     rel_tol: float = 1e-8
     dt_min: float = 1e-12
     dt_max: float = 0.1
-    wall_safety: float = 0.25
 
     def __post_init__(self):
         for name in ("dt_init", "abs_tol", "rel_tol", "dt_min", "dt_max"):
@@ -49,8 +52,6 @@ class IntegratorControl:
                 raise ValueError(f"{name} must be positive and finite")
         if not (self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("dt_min <= dt_init <= dt_max required")
-        if not (0.0 < self.wall_safety < 1.0):
-            raise ValueError("wall_safety must lie in (0, 1)")
 
 
 @dataclass
@@ -144,11 +145,9 @@ def _sample(
         raise ValueError("t_end must exceed the initial time")
     if s0.n != m.n_agents:
         raise ValueError("state size does not match model n_agents")
-    # via the module: traced runs count the bare name as one call per step attempt
-    potentials.check_domain(m.geometry, m.wall, s0.x)
+    G = initial_energy(m, s0)  # applies the domain rule to s0.x
 
     times = _sample_grid(s0.t, t_end, sample_every)
-    G = initial_energy(m, s0)
     X = np.empty((times.size, s0.n))
     V = np.empty_like(X)
     records = np.recarray(times.size, dtype=[(f, float) for f in DiagnosticsRecord._fields])
@@ -174,9 +173,8 @@ def integrate(
 ) -> Trajectory:
     """Advance s0 to t_end, sampling diagnostics on a uniform grid.
 
-    Steps are clamped to land exactly on sample times.  dt is additionally
-    capped at wall_safety * (nearest wall distance) / (max |v| + 1) so the
-    stiff wall layer is resolved before it is entered.
+    Steps are clamped to land exactly on sample times and capped by the wall
+    layer (_WALL_SAFETY).
     """
     c = c or IntegratorControl()
     # dt_prop <= dt_max throughout: dt_init <= dt_max, every update is below h or capped
@@ -193,7 +191,7 @@ def integrate(
             h = min(dt_prop, gap)
             if walls_on:
                 dist = float(wall_distances(m.geometry, x).min())
-                cap = c.wall_safety * dist / (float(np.abs(v).max()) + 1.0)
+                cap = _WALL_SAFETY * dist / (float(np.abs(v).max()) + 1.0)
                 if cap < c.dt_min:
                     raise _stiffness_error(m, x, v, t, cap, "wall layer forces dt below dt_min")
                 h = min(h, cap)

@@ -59,8 +59,6 @@ class CommunicationKernel:
         """Phi(D) = integral of phi(r) over [0, D], in closed form."""
         if not (math.isfinite(D) and D >= 0.0):
             raise ValueError("primitive argument D must be nonnegative and finite")
-        if self.beta == 0.0:
-            return self.H * D
         if self.beta == 0.5:
             return self.H * math.asinh(D)
         if self.beta == 1.0:

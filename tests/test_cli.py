@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import wallflock
 from wallflock import (
     ConfigError,
+    Thresholds,
     check_settlement,
     initial_state_from_config,
     integrate,
@@ -168,7 +169,7 @@ def test_verify_writes_pairwise_limits_npy(tmp_path):
     run = parse_config(FREE_ALIGNING)
     m, s0 = model_from_config(run), initial_state_from_config(run)
     traj = integrate(m, s0, run.t_end, run.control, run.sample_every)
-    limits = check_settlement(traj, m.wall, run.thresholds).pairwise_limits
+    limits = check_settlement(traj, m.wall, Thresholds()).pairwise_limits
     assert np.array_equal(np.load(npy).view(np.int64), limits.view(np.int64))
 
     assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
@@ -218,6 +219,43 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main([command, "--config", str(tmp_path / "missing.yaml")]) == 2
         assert "cannot read config" in capsys.readouterr().err
     assert main(["sweep"]) == 2  # sweep requires --config
+
+
+SETTLE_30 = (
+    (Path(__file__).resolve().parents[1] / "configs" / "settle.yaml")
+    .read_text()
+    .replace("t_end: 200.0", "t_end: 30")
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        # FAILs three claims at these bars; exit 0 when a config could loosen them
+        (
+            "verify",
+            SETTLE_30 + "thresholds: {settle_eps: 1.0, align_eps: 1.0}\n",
+            "config error: unknown section thresholds",
+        ),
+        (
+            "sweep",
+            "sweep:\n  axes:\n    - {key: thresholds.align_eps, values: [1.0]}\n",
+            "config error: sweep axis key 'thresholds.align_eps' is not a config key",
+        ),
+        (
+            "verify",
+            "integrator: {wall_safety: 0.5}\n",
+            "config error: unknown key integrator.wall_safety",
+        ),
+    ],
+    ids=["loosened_settle", "threshold_sweep_axis", "wall_safety"],
+)
+def test_verdict_bars_and_wall_cap_are_not_config(tmp_path, capsys, command, text, message):
+    cfg = write(tmp_path, "run.yaml", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
 
 
 def test_parse_sweep_validation():

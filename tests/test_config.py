@@ -39,7 +39,6 @@ def test_empty_config_gives_defaults():
     assert cfg.wall == wf.WallPotential(1.0, 1.0)
     assert cfg.geometry.variant == "halfline"
     assert cfg.control == wf.IntegratorControl()
-    assert cfg.thresholds == wf.Thresholds()
     assert cfg.t_end == 200.0
     assert cfg.sample_every == 0.1
     assert cfg.ic.n_agents == 16
@@ -189,7 +188,6 @@ def valid_configs(draw):
     x_high = x_low + draw(_NONNEG)
     if geometry["variant"] == "interval":
         geometry["b"] = x_high + 2.0 * margin + draw(_NONNEG)
-    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     return config_from_data(
         {
             "kernel": {
@@ -201,12 +199,8 @@ def valid_configs(draw):
             "geometry": geometry,
             "integrator": {
                 "dt_init": dt_init, "abs_tol": draw(_POS), "rel_tol": draw(_POS),
-                "dt_min": dt_min, "dt_max": dt_max, "wall_safety": draw(unit),
+                "dt_min": dt_min, "dt_max": dt_max,
                 "sample_every": sample_every, "t_end": t_end,
-            },
-            "thresholds": {
-                "align_eps": draw(_POS), "settle_eps": draw(_POS), "tail_fraction": draw(unit),
-                "fit_min_points": draw(st.integers(10, 10_000)), "budget_tol": draw(_POS),
             },
             "ic": {
                 "n_agents": draw(st.integers(1, 10_000)), "x_low": x_low, "x_high": x_high,

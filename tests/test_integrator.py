@@ -47,8 +47,6 @@ def test_control_validation():
         IntegratorControl(dt_max=1e-3, dt_init=1e-2)
     with pytest.raises(ValueError):
         IntegratorControl(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorControl(wall_safety=1.5)
 
 
 def test_control_defaults():
@@ -58,7 +56,6 @@ def test_control_defaults():
     assert c.dt_max == 0.1
     assert c.abs_tol == 1e-8
     assert c.rel_tol == 1e-8
-    assert c.wall_safety == 0.25
 
 
 def test_single_step_local_error():

@@ -85,6 +85,15 @@ def test_primitive_closed_forms():
     assert CommunicationKernel("powerlaw", 3.0, 1.0).primitive(0.0) == 0.0
 
 
+def test_flat_kernel_primitive_is_h_times_d_bitwise():
+    # beta = 0 takes the general hypergeometric path, whose factor is exactly 1
+    grid = np.concatenate([[0.0], np.logspace(-6, 4, 2001), [1e200]])
+    for H in (1.0, 0.15, 3.7):
+        k = CommunicationKernel("constant", H)
+        got = np.array([k.primitive(float(D)) for D in grid])
+        assert np.array_equal(_bits(got), _bits(H * grid))
+
+
 def test_primitive_matches_quadrature():
     # independent route: numerically integrate eval and compare
     for beta in (0.25, 0.5, 0.7, 1.0, 1.6):

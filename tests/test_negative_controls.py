@@ -10,18 +10,26 @@ A row whose set equals the baseline's is a perturbation no claim detects.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import wallflock.dynamics as dynamics
 import wallflock.integrator as integrator
-from wallflock import config_from_data, initial_state_from_config, model_from_config, verify
+from wallflock import (
+    CommunicationKernel,
+    config_from_data,
+    initial_state_from_config,
+    model_from_config,
+    verify,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHORT_HORIZON = {"force_decay", "kinetic_decay", "velocity_alignment"}
 
 _acceleration = dynamics.acceleration
 _geometry_force = dynamics.geometry_force
+_matrix = CommunicationKernel.matrix
 
 
 def _uniform_force(monkeypatch, eps):
@@ -41,6 +49,25 @@ def _scaled_wall(monkeypatch, factor):
     monkeypatch.setattr(dynamics, "geometry_force", lambda g, w, x: factor * _geometry_force(g, w, x))
 
 
+def _asymmetric_kernel(monkeypatch, eps):
+    # phi_ij scaled by 1 + eps above the diagonal only, so phi_ij != phi_ji
+    def matrix(kernel, x):
+        w = _matrix(kernel, x)
+        return w + eps * np.triu(w, 1)
+
+    monkeypatch.setattr(CommunicationKernel, "matrix", matrix)
+
+
+def _one_agent_drift(monkeypatch, eps):
+    # a force eps on agent 0 alone
+    def drifted(m, x, v):
+        a = _acceleration(m, x, v)
+        a[0] += eps
+        return a
+
+    monkeypatch.setattr(integrator, "acceleration", drifted)
+
+
 ROWS = {
     "baseline": lambda mp: None,
     "uniform_force_1e-5": lambda mp: _uniform_force(mp, 1e-5),
@@ -48,6 +75,9 @@ ROWS = {
     "interaction_sign_flipped": _flipped_interaction,
     "wall_force_negated": lambda mp: _scaled_wall(mp, -1.0),
     "wall_force_scaled_1-1e-3": lambda mp: _scaled_wall(mp, 1.0 - 1e-3),
+    "kernel_asymmetry_1e-4": lambda mp: _asymmetric_kernel(mp, 1e-4),
+    "kernel_asymmetry_1e-2": lambda mp: _asymmetric_kernel(mp, 1e-2),
+    "one_agent_drift_1e-2": lambda mp: _one_agent_drift(mp, 1e-2),
 }
 
 EXPECTED = [
@@ -76,6 +106,22 @@ EXPECTED = [
     ("wall_force_negated", "interval", {"integration_completed"}),
     ("wall_force_scaled_1-1e-3", "halfline", set()),
     ("wall_force_scaled_1-1e-3", "interval", SHORT_HORIZON | {"momentum_force_identity"}),
+    ("kernel_asymmetry_1e-4", "halfline", {"momentum_nondecreasing"}),
+    ("kernel_asymmetry_1e-4", "interval", SHORT_HORIZON),
+    ("kernel_asymmetry_1e-2", "halfline", {"momentum_force_identity", "momentum_nondecreasing"}),
+    ("kernel_asymmetry_1e-2", "interval", SHORT_HORIZON | {"momentum_force_identity"}),
+    (
+        "one_agent_drift_1e-2",
+        "halfline",
+        {
+            "energy_nonincreasing",
+            "exponential_rate",
+            "momentum_force_identity",
+            "strong_flocking",
+            "velocity_alignment",
+        },
+    ),
+    ("one_agent_drift_1e-2", "interval", SHORT_HORIZON | {"momentum_force_identity"}),
 ]
 
 
@@ -87,7 +133,6 @@ def _failed_claims(name):
         model_from_config(cfg),
         initial_state_from_config(cfg),
         cfg.control,
-        cfg.thresholds,
         t_end=cfg.t_end,
         sample_every=cfg.sample_every,
     )
