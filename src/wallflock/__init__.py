@@ -39,7 +39,6 @@ from .verification import (
     IntervalDecayResult,
     SettlementResult,
     TheoremReport,
-    Thresholds,
     check_alignment,
     check_interval_decay,
     check_no_collision,

@@ -216,18 +216,24 @@ def parse_sweep(text: str):
         axes.append((str(entry["key"]), values))
 
     base_cfg = config_from_data(base)  # validates sections and keys
-    for key, _ in axes:
+    keys = [key for key, _ in axes]
+    for key in keys:
         section, _, field = key.partition(".")
         if section not in _SCHEMA or field not in _SCHEMA[section]:
             raise ConfigError(f"sweep axis key {key!r} is not a config key")
+        # each run's seed comes from sweep.seeds, and a later axis would overwrite an earlier one
+        if key == "ic.seed":
+            raise ConfigError("sweep axis key 'ic.seed': list the seeds under sweep.seeds")
+        if keys.count(key) > 1:
+            raise ConfigError(f"sweep axis key {key!r} is named by more than one axis")
 
     seeds = sweep.get("seeds")
     if seeds is None:
         seeds = [base_cfg.ic.seed]
-    if not isinstance(seeds, list) or not all(
+    if not isinstance(seeds, list) or not seeds or not all(
         isinstance(s, int) and not isinstance(s, bool) for s in seeds
     ):
-        raise ConfigError("sweep.seeds must be a list of integers")
+        raise ConfigError("sweep.seeds must be a nonempty list of integers")
     parallelism = sweep.get("parallelism", 1)
     if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
         raise ConfigError("sweep.parallelism must be a positive integer")

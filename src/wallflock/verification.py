@@ -23,24 +23,12 @@ _EPS = float(np.finfo(float).eps)
 REPORT_JSON, PAIRWISE_LIMITS = "report.json", "pairwise_limits.npy"
 # element count of one block of pairwise differences in check_settlement (32 MB)
 _BLOCK_ELEMENTS = 1 << 22
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    align_eps: float = 1e-2
-    settle_eps: float = 1e-2
-    tail_fraction: float = 0.25
-    fit_min_points: int = 10
-    budget_tol: float = 1e-3
-
-    def __post_init__(self):
-        for name in ("align_eps", "settle_eps", "budget_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not (0.0 < self.tail_fraction < 1.0):
-            raise ValueError("tail_fraction must lie in (0, 1)")
-        if self.fit_min_points < 10:
-            raise ValueError("fit_min_points must be at least 10")
+# the verdict bars, fixed so that no config turns a FAIL into a PASS
+ALIGN_EPS = 1e-2  # final velocity spread A
+SETTLE_EPS = 1e-2  # tail-window position variation and wall-range slack
+TAIL_FRACTION = 0.25  # trailing share of the run that tail statistics and fits read
+FIT_MIN_POINTS = 10  # fewest samples an exponential-rate fit takes
+BUDGET_TOL = 1e-3  # relative slack of the Lyapunov budget
 
 
 @dataclass
@@ -139,8 +127,8 @@ def _plain(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _tail_start_index(times: np.ndarray, tail_fraction: float) -> int:
-    t_cut = times[0] + (1.0 - tail_fraction) * (times[-1] - times[0])
+def _tail_start_index(times: np.ndarray) -> int:
+    t_cut = times[0] + (1.0 - TAIL_FRACTION) * (times[-1] - times[0])
     idx = int(np.searchsorted(times, t_cut - 1e-12))
     return min(idx, len(times) - 2)
 
@@ -151,25 +139,25 @@ def check_no_collision(traj: Trajectory):
     return min_dist > 0.0, min_dist
 
 
-def check_alignment(traj: Trajectory, th: Thresholds):
+def check_alignment(traj: Trajectory):
     A = traj.records.A
     final_A = float(A[-1])
-    tail_max = float(np.max(A[_tail_start_index(traj.sample_times, th.tail_fraction):]))
+    tail_max = float(np.max(A[_tail_start_index(traj.sample_times):]))
     # the tail guard rejects a lucky dip sampled at the final instant
-    return final_A < th.align_eps and tail_max < 2.0 * th.align_eps, final_A
+    return final_A < ALIGN_EPS and tail_max < 2.0 * ALIGN_EPS, final_A
 
 
-def fit_exponential(traj: Trajectory, th: Thresholds, window_start: float | None = None):
+def fit_exponential(traj: Trajectory, window_start: float | None = None):
     """Least-squares line on (t, log A) over the tail window.
 
     Samples with A below 100x machine epsilon sit in the round-off floor and
-    are skipped.  Returns None when fewer than fit_min_points remain.
+    are skipped.  Returns None when fewer than FIT_MIN_POINTS remain.
     """
     times, A = traj.sample_times, traj.records.A
     if window_start is None:
-        window_start = times[_tail_start_index(times, th.tail_fraction)]
+        window_start = times[_tail_start_index(times)]
     mask = (times >= window_start - 1e-12) & (A >= 100.0 * _EPS)
-    if int(mask.sum()) < th.fit_min_points:
+    if int(mask.sum()) < FIT_MIN_POINTS:
         return None
     tt = times[mask]
     la = np.log(A[mask])
@@ -201,15 +189,15 @@ def detect_escape(traj: Trajectory, geom: Geometry, wall: WallPotential):
     return float(traj.sample_times[k0])
 
 
-def check_settlement(traj: Trajectory, wall: WallPotential, th: Thresholds) -> SettlementResult:
+def check_settlement(traj: Trajectory, wall: WallPotential) -> SettlementResult:
     """Tail-window position convergence, absolute and pairwise.
 
     Absolute settlement asks every agent to stop moving and rest at wall
-    distance >= ell - settle_eps.  A flock that aligned to a nonzero drift
+    distance >= ell - SETTLE_EPS.  A flock that aligned to a nonzero drift
     velocity cannot satisfy that; it is reported as drift mode, where only
     the pairwise (shape) convergence is meaningful.
     """
-    k0 = _tail_start_index(traj.sample_times, th.tail_fraction)
+    k0 = _tail_start_index(traj.sample_times)
     X = traj.X[k0:]  # (window, N)
     means = X.mean(axis=0)
     variation = X.max(axis=0) - X.min(axis=0)
@@ -222,9 +210,9 @@ def check_settlement(traj: Trajectory, wall: WallPotential, th: Thresholds) -> S
         diffs = X[:, i : i + rows, None] - X[:, None, :]
         pairwise_limits[i : i + rows] = diffs.mean(axis=0)
         peaks.append(np.max(diffs.max(axis=0) - diffs.min(axis=0)))
-    drift = abs(traj.records[-1].p) >= th.settle_eps
+    drift = abs(traj.records[-1].p) >= SETTLE_EPS
     passed = bool(
-        np.all(variation < th.settle_eps) and np.all(means >= wall.ell - th.settle_eps)
+        np.all(variation < SETTLE_EPS) and np.all(means >= wall.ell - SETTLE_EPS)
     )
     return SettlementResult(
         passed=passed,
@@ -295,7 +283,7 @@ def check_work_of_force(traj: Trajectory):
     return ok, float(np.max(W)), float(np.max(envelope))
 
 
-def budget_claims(m: FlockModel, traj: Trajectory, th: Thresholds) -> list:
+def budget_claims(m: FlockModel, traj: Trajectory) -> list:
     """Trajectory-wide inequality checks shared by both geometries."""
     times, rec = traj.sample_times, traj.records
     E, L, p, D = rec.E, rec.L, rec.p, rec.D
@@ -319,7 +307,7 @@ def budget_claims(m: FlockModel, traj: Trajectory, th: Thresholds) -> list:
     d_excess = float(np.max(D - d_budget))
     claims.append(Claim("diameter_growth", d_excess <= 0.0, d_excess, 0.0))
 
-    lyap_budget = L[0] + _cumulative_trapezoid(F_max, times) + th.budget_tol * max(1.0, abs(L[0]))
+    lyap_budget = L[0] + _cumulative_trapezoid(F_max, times) + BUDGET_TOL * max(1.0, abs(L[0]))
     l_excess = float(np.max(L - lyap_budget))
     claims.append(Claim("lyapunov_budget", l_excess <= 0.0, l_excess, 0.0))
 
@@ -337,7 +325,7 @@ def budget_claims(m: FlockModel, traj: Trajectory, th: Thresholds) -> list:
     return claims
 
 
-def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds, report: TheoremReport):
+def _halfline_claims(m: FlockModel, traj: Trajectory, report: TheoremReport):
     """Strong flocking, settlement or escape, and the exponential rate.
 
     The exponential-rate claim applies only when the initial momentum is
@@ -346,12 +334,12 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds, report: Th
     flock is not in drift mode.
     """
     escape = detect_escape(traj, m.geometry, m.wall)
-    settle = check_settlement(traj, m.wall, th)
-    fit = fit_exponential(traj, th, window_start=escape)
+    settle = check_settlement(traj, m.wall)
+    fit = fit_exponential(traj, window_start=escape)
     report.fit, report.escape_time = fit, escape
     report.settled_positions = settle.settled_positions
     report.pairwise_limits = settle.pairwise_limits
-    outside = escape is not None or settle.min_mean_position >= m.wall.ell - th.settle_eps
+    outside = escape is not None or settle.min_mean_position >= m.wall.ell - SETTLE_EPS
     if m.n_agents == 1:
         rate_detail = "single agent: A is identically 0, nothing to fit"
     else:
@@ -359,15 +347,15 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds, report: Th
     report.claims += [
         Claim(
             "strong_flocking",
-            settle.max_pair_variation < th.settle_eps,
+            settle.max_pair_variation < SETTLE_EPS,
             settle.max_pair_variation,
-            th.settle_eps,
+            SETTLE_EPS,
         ),
         Claim(
             "positions_settle",
             settle.passed,
             settle.max_variation,
-            th.settle_eps,
+            SETTLE_EPS,
             applicable=not settle.drift,
             detail="drift mode: flock translates at its aligned velocity" if settle.drift else "",
         ),
@@ -389,7 +377,7 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, th: Thresholds, report: Th
     ]
 
 
-def _interval_claims(m: FlockModel, traj: Trajectory, th: Thresholds, report: TheoremReport):
+def _interval_claims(m: FlockModel, traj: Trajectory, report: TheoremReport):
     """Decay of kinetic energy and wall forces, and the bounded work of the force.
 
     The flock diameter is reported without a verdict: boundedness of the
@@ -400,16 +388,16 @@ def _interval_claims(m: FlockModel, traj: Trajectory, th: Thresholds, report: Th
     report.claims += [
         Claim(
             "kinetic_decay",
-            decay.final_K < th.align_eps**2 and decay.kinetic_tail_share <= 0.10,
+            decay.final_K < ALIGN_EPS**2 and decay.kinetic_tail_share <= 0.10,
             decay.final_K,
-            th.align_eps**2,
+            ALIGN_EPS**2,
             detail=f"tail share {decay.kinetic_tail_share:.3g}",
         ),
         Claim(
             "force_decay",
-            decay.final_F_max < th.align_eps and decay.force_tail_share <= 0.10,
+            decay.final_F_max < ALIGN_EPS and decay.force_tail_share <= 0.10,
             decay.final_F_max,
-            th.align_eps,
+            ALIGN_EPS,
             detail=f"tail share {decay.force_tail_share:.3g}",
         ),
         Claim("work_of_force_bounded", ok, w_peak, envelope),
@@ -429,7 +417,6 @@ def verify(
     A failed integration yields a report with the single failed claim
     integration_completed.
     """
-    th = Thresholds()  # the verdict bars are fixed: no config moves them
     variant = m.geometry.variant
     try:
         traj = integrate(m, s0, t_end, control, sample_every)
@@ -441,13 +428,13 @@ def verify(
 
     times, rec = traj.sample_times, traj.records
     no_collision, min_dist = check_no_collision(traj)
-    aligned, final_A = check_alignment(traj, th)
+    aligned, final_A = check_alignment(traj)
     report = TheoremReport(
         variant=variant,
         claims=[
             Claim("integration_completed", True, times[-1], times[-1]),
             Claim("no_wall_collision", no_collision, min_dist, 0.0),
-            Claim("velocity_alignment", aligned, final_A, th.align_eps),
+            Claim("velocity_alignment", aligned, final_A, ALIGN_EPS),
         ],
         min_wall_distance=min_dist,
         final_A=final_A,
@@ -456,6 +443,6 @@ def verify(
         force_sq_integral=float(np.trapezoid(rec.F_sq, times)),
     )
     own_claims = _halfline_claims if variant == "halfline" else _interval_claims
-    own_claims(m, traj, th, report)
-    report.claims += budget_claims(m, traj, th)
+    own_claims(m, traj, report)
+    report.claims += budget_claims(m, traj)
     return report

@@ -126,9 +126,8 @@ def test_criterion_06_alignment(halfline_traj, interval_fixture):
 
 
 def test_criterion_07_exponential_rate(twoagent_fixture, canonical_model, halfline_traj):
-    th = wf.Thresholds()
     m2, s2, traj2 = twoagent_fixture
-    fit2 = wf.fit_exponential(traj2, th)
+    fit2 = wf.fit_exponential(traj2)
     # closed-form route: the velocity gap contracts at exactly the kernel height
     t2 = np.asarray(traj2.sample_times)
     A_exact = (s2.v[1] - s2.v[0]) * np.exp(-m2.kernel.H * t2)
@@ -141,7 +140,7 @@ def test_criterion_07_exponential_rate(twoagent_fixture, canonical_model, halfli
     )
 
     esc = wf.detect_escape(halfline_traj, canonical_model.geometry, canonical_model.wall)
-    fit_c = wf.fit_exponential(halfline_traj, th, window_start=esc)
+    fit_c = wf.fit_exponential(halfline_traj, window_start=esc)
     canon_ok = esc is not None and fit_c is not None and fit_c.delta > 0.0 and fit_c.r_squared > 0.99
     _verdict(
         7,
@@ -155,7 +154,7 @@ def test_criterion_07_exponential_rate(twoagent_fixture, canonical_model, halfli
 def test_criterion_08_settlement(settle_fixture):
     m, s0, traj = settle_fixture
     p0 = traj.records[0].p
-    res = wf.check_settlement(traj, m.wall, wf.Thresholds())
+    res = wf.check_settlement(traj, m.wall)
     ok = p0 < 0.0 and res.passed and not res.drift
     _verdict(
         8,

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import wallflock
 from wallflock import (
     ConfigError,
-    Thresholds,
     check_settlement,
     initial_state_from_config,
     integrate,
@@ -169,7 +168,7 @@ def test_verify_writes_pairwise_limits_npy(tmp_path):
     run = parse_config(FREE_ALIGNING)
     m, s0 = model_from_config(run), initial_state_from_config(run)
     traj = integrate(m, s0, run.t_end, run.control, run.sample_every)
-    limits = check_settlement(traj, m.wall, Thresholds()).pairwise_limits
+    limits = check_settlement(traj, m.wall).pairwise_limits
     assert np.array_equal(np.load(npy).view(np.int64), limits.view(np.int64))
 
     assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
@@ -294,6 +293,29 @@ def test_sweep_axis_null_value_exits_2_before_writing(tmp_path, capsys):
     out = tmp_path / "null_axis"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert "sweep axis 'kernel.H'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        (
+            "axes:\n    - {key: ic.seed, values: [5, 6]}\n  seeds: [1]",
+            "sweep axis key 'ic.seed': list the seeds under sweep.seeds",
+        ),
+        (
+            "axes:\n    - {key: kernel.H, values: [0.5, 2.0]}\n    - {key: kernel.H, values: [1.0]}",
+            "sweep axis key 'kernel.H' is named by more than one axis",
+        ),
+        ("seeds: []", "sweep.seeds must be a nonempty list of integers"),
+    ],
+    ids=["seed_axis", "repeated_axis", "no_seeds"],
+)
+def test_sweep_without_a_distinct_run_per_row_exits_2(tmp_path, capsys, sweep, message):
+    cfg = write(tmp_path, "sweep.yaml", f"sweep:\n  {sweep}\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
     assert not out.exists()
 
 

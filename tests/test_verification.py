@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -14,7 +15,6 @@ from wallflock import (
     Claim,
     DiagnosticsRecord,
     TheoremReport,
-    Thresholds,
     Trajectory,
     check_alignment,
     check_interval_decay,
@@ -53,14 +53,18 @@ def synthetic_traj(times, xs, A=None, p=None):
     return Trajectory(times, X, np.zeros_like(X), records)
 
 
-def test_thresholds_validation():
-    Thresholds()
-    with pytest.raises(ValueError):
-        Thresholds(align_eps=0.0)
-    with pytest.raises(ValueError):
-        Thresholds(tail_fraction=1.0)
-    with pytest.raises(ValueError):
-        Thresholds(fit_min_points=5)
+def test_readme_verdict_bars_are_the_constants():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("The verdict bars are fixed values", 1)[1].split("\n\n", 1)[0]
+    name = r"`([A-Z]+(?:_[A-Z]+)+)`"
+    named = set(re.findall(name, paragraph))
+    given = dict(re.findall(name + r" `([^`]+)`", paragraph))
+    bars = {
+        key: value for key, value in vars(verification).items()
+        if key.isupper() and not key.startswith("_") and type(value) in (int, float)
+    }
+    assert named == set(bars)
+    assert {key: float(value) for key, value in given.items()} == bars
 
 
 def test_no_collision_uses_infimum():
@@ -74,23 +78,21 @@ def test_no_collision_uses_infimum():
 
 
 def test_alignment_tail_guard():
-    th = Thresholds()
     times = np.linspace(0.0, 100.0, 201)
     xs = [[1.0, 2.0]] * 201
     A = np.full(201, 1e-4)
-    assert check_alignment(synthetic_traj(times, xs, A=A), th)[0]
+    assert check_alignment(synthetic_traj(times, xs, A=A))[0]
     # lucky dip at the last sample must not pass while the tail is large
     A_bad = np.full(201, 0.5)
     A_bad[-1] = 1e-4
-    assert not check_alignment(synthetic_traj(times, xs, A=A_bad), th)[0]
+    assert not check_alignment(synthetic_traj(times, xs, A=A_bad))[0]
 
 
 def test_fit_recovers_synthetic_rate():
-    th = Thresholds()
     times = np.linspace(0.0, 40.0, 401)
     A = 3.0 * np.exp(-0.2 * times)  # stays well above the round-off floor
     traj = synthetic_traj(times, [[1.0, 2.0]] * 401, A=A)
-    fit = fit_exponential(traj, th)
+    fit = fit_exponential(traj)
     assert fit is not None
     assert abs(fit.delta - 0.2) < 1e-9
     assert fit.r_squared > 1.0 - 1e-12
@@ -99,23 +101,21 @@ def test_fit_recovers_synthetic_rate():
 
 
 def test_fit_skips_roundoff_floor():
-    th = Thresholds()
     times = np.linspace(0.0, 40.0, 401)
     A = 1.0 * np.exp(-2.0 * times)
     floor = 50.0 * np.finfo(float).eps  # below the 100 eps mask cutoff
     A_obs = np.maximum(A, floor)  # a saturated tail would bias the slope
     traj = synthetic_traj(times, [[1.0, 2.0]] * 401, A=A_obs)
-    fit = fit_exponential(traj, th, window_start=0.0)
+    fit = fit_exponential(traj, window_start=0.0)
     assert fit is not None
     assert abs(fit.delta - 2.0) < 1e-6
 
 
 def test_fit_requires_enough_points():
-    th = Thresholds()
     times = np.linspace(0.0, 10.0, 101)
     A = np.full(101, 1e-18)  # all below the floor
     traj = synthetic_traj(times, [[1.0, 2.0]] * 101, A=A)
-    assert fit_exponential(traj, th) is None
+    assert fit_exponential(traj) is None
 
 
 def test_detect_escape():
@@ -133,11 +133,10 @@ def test_detect_escape():
 
 
 def test_settlement_parked_flock_passes():
-    th = Thresholds()
     wall = wf.WallPotential()
     times = np.linspace(0.0, 100.0, 101)
     xs = [[1.2 + 0.001 * math.sin(t), 1.5] for t in times]
-    res = check_settlement(synthetic_traj(times, xs), wall, th)
+    res = check_settlement(synthetic_traj(times, xs), wall)
     assert res.passed
     assert not res.drift
     assert res.min_mean_position > 1.1
@@ -145,22 +144,20 @@ def test_settlement_parked_flock_passes():
 
 
 def test_settlement_rejects_wandering_or_inside():
-    th = Thresholds()
     wall = wf.WallPotential()
     times = np.linspace(0.0, 100.0, 101)
     xs_wander = [[1.2 + 0.02 * math.sin(0.3 * t), 1.5] for t in times]
-    assert not check_settlement(synthetic_traj(times, xs_wander), wall, th).passed
+    assert not check_settlement(synthetic_traj(times, xs_wander), wall).passed
     xs_inside = [[0.5, 1.5]] * 101
-    assert not check_settlement(synthetic_traj(times, xs_inside), wall, th).passed
+    assert not check_settlement(synthetic_traj(times, xs_inside), wall).passed
 
 
 def test_settlement_flags_drift():
-    th = Thresholds()
     wall = wf.WallPotential()
     times = np.linspace(0.0, 100.0, 101)
     xs = [[2.0 + 0.05 * t, 3.0 + 0.05 * t] for t in times]
     p = np.full(101, 0.05)
-    res = check_settlement(synthetic_traj(times, xs, p=p), wall, th)
+    res = check_settlement(synthetic_traj(times, xs, p=p), wall)
     assert res.drift
     assert not res.passed  # absolute settlement fails even though the shape is rigid
     assert res.max_pair_variation < 1e-12
@@ -172,14 +169,14 @@ def test_settlement_blocks_bitwise_equal_direct_form(window, n, monkeypatch):
     times = np.arange(4 * window) * 0.1
     xs = rng.uniform(1.0, 50.0, (times.size, n))
     traj = synthetic_traj(times, xs)
-    X = xs[verification._tail_start_index(times, Thresholds().tail_fraction) :]
+    X = xs[verification._tail_start_index(times) :]
     diffs = X[:, :, None] - X[:, None, :]
     limits = diffs.mean(axis=0)
     peak = float(np.max(diffs.max(axis=0) - diffs.min(axis=0)))
     # one block at the default size, then blocks of 3 rows (one block at N=1)
     for block in (verification._BLOCK_ELEMENTS, 3 * X.size):
         monkeypatch.setattr(verification, "_BLOCK_ELEMENTS", block)
-        res = check_settlement(traj, wf.WallPotential(), Thresholds())
+        res = check_settlement(traj, wf.WallPotential())
         assert np.array_equal(res.pairwise_limits.view(np.int64), limits.view(np.int64))
         assert res.max_pair_variation == peak
         assert res.pairwise_limits.shape == (n, n)
@@ -201,11 +198,10 @@ def test_cumulative_quadrature_rules():
 def test_interval_decay_requires_interval_geometry(interval_fixture):
     m, s0, traj = interval_fixture
     res = check_interval_decay(m, traj)
-    th = Thresholds()
     # the fields the kinetic_decay and force_decay claims read
-    assert res.final_K < th.align_eps**2
+    assert res.final_K < verification.ALIGN_EPS**2
     assert res.kinetic_tail_share <= 0.10
-    assert res.final_F_max < th.align_eps
+    assert res.final_F_max < verification.ALIGN_EPS
     assert res.force_tail_share <= 0.10
     m_half = wf.FlockModel(m.kernel, m.wall, wf.Geometry("halfline"), m.n_agents)
     with pytest.raises(ValueError):
