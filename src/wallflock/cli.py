@@ -100,6 +100,9 @@ def emit_plot_data(traj: Trajectory, path: Path) -> None:
 
 def run_simulate(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> int:
     out = _run_dir(cfg, config_text)
+    # a file this run does not write must not outlive the config.yaml it belonged to
+    for name in ("diagnostics.csv", "final_state.csv", "plot.dat", "plot_positions.dat"):
+        (out / name).unlink(missing_ok=True)
     try:
         traj = _simulate(cfg)
     except (StiffnessError, WallDomainError) as exc:

@@ -221,6 +221,9 @@ def parse_sweep(text: str):
         section, _, field = key.partition(".")
         if section not in _SCHEMA or field not in _SCHEMA[section]:
             raise ConfigError(f"sweep axis key {key!r} is not a config key")
+        # a sweep run writes no files, so an output key would only relabel one run
+        if section == "output":
+            raise ConfigError(f"sweep axis key {key!r}: sweep runs write no output of their own")
         # each run's seed comes from sweep.seeds, and a later axis would overwrite an earlier one
         if key == "ic.seed":
             raise ConfigError("sweep axis key 'ic.seed': list the seeds under sweep.seeds")

@@ -19,8 +19,8 @@ from .integrator import IntegratorControl, StiffnessError, Trajectory, integrate
 from .potentials import Geometry, WallDomainError, WallPotential
 
 _EPS = float(np.finfo(float).eps)
-# the files TheoremReport.write keeps in an output directory
-REPORT_JSON, PAIRWISE_LIMITS = "report.json", "pairwise_limits.npy"
+# the file TheoremReport.write keeps in an output directory
+REPORT_JSON = "report.json"
 # element count of one block of pairwise differences in check_settlement (32 MB)
 _BLOCK_ELEMENTS = 1 << 22
 # the verdict bars, fixed so that no config turns a FAIL into a PASS
@@ -53,7 +53,6 @@ class Claim:
 class SettlementResult:
     passed: bool
     settled_positions: np.ndarray
-    pairwise_limits: np.ndarray
     drift: bool
     max_variation: float
     max_pair_variation: float
@@ -77,7 +76,6 @@ class TheoremReport:
     final_D: float = math.nan
     fit: FitResult | None = None
     settled_positions: np.ndarray | None = None
-    pairwise_limits: np.ndarray | None = None
     escape_time: float | None = None
     kinetic_integral: float = math.nan
     force_sq_integral: float = math.nan
@@ -93,27 +91,18 @@ class TheoremReport:
         raise KeyError(name)
 
     def to_json(self) -> str:
-        """The text of report.json: every field but pairwise_limits, plus passed."""
-        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pairwise_limits"}
+        """The text of report.json: every field, plus passed."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["passed"] = self.passed
         return json.dumps(data, indent=2, sort_keys=True, default=_plain) + "\n"
 
     def write(self, directory) -> None:
-        """report.json, and pairwise_limits.npy when the report has the matrix;
-        without it, a pairwise_limits.npy left by an earlier run is removed."""
-        directory = Path(directory)
-        (directory / REPORT_JSON).write_text(self.to_json(), encoding="utf-8")
-        limits = directory / PAIRWISE_LIMITS
-        if self.pairwise_limits is None:
-            limits.unlink(missing_ok=True)
-        else:
-            np.save(limits, self.pairwise_limits)
+        (Path(directory) / REPORT_JSON).write_text(self.to_json(), encoding="utf-8")
 
 
 def remove_report(directory) -> None:
     """Delete what TheoremReport.write leaves, so no earlier run's report stays behind."""
-    for name in (REPORT_JSON, PAIRWISE_LIMITS):
-        (Path(directory) / name).unlink(missing_ok=True)
+    (Path(directory) / REPORT_JSON).unlink(missing_ok=True)
 
 
 def _plain(obj):
@@ -204,11 +193,9 @@ def check_settlement(traj: Trajectory, wall: WallPotential) -> SettlementResult:
     # pairwise differences over blocks of rows, so no (window, N, N) array exists
     window, n = X.shape
     rows = max(1, _BLOCK_ELEMENTS // (window * n))
-    pairwise_limits = np.empty((n, n))
     peaks = []
     for i in range(0, n, rows):
         diffs = X[:, i : i + rows, None] - X[:, None, :]
-        pairwise_limits[i : i + rows] = diffs.mean(axis=0)
         peaks.append(np.max(diffs.max(axis=0) - diffs.min(axis=0)))
     drift = abs(traj.records[-1].p) >= SETTLE_EPS
     passed = bool(
@@ -217,7 +204,6 @@ def check_settlement(traj: Trajectory, wall: WallPotential) -> SettlementResult:
     return SettlementResult(
         passed=passed,
         settled_positions=means,
-        pairwise_limits=pairwise_limits,
         drift=bool(drift),
         max_variation=float(np.max(variation)),
         max_pair_variation=float(np.max(peaks)),
@@ -311,9 +297,15 @@ def budget_claims(m: FlockModel, traj: Trajectory) -> list:
     l_excess = float(np.max(L - lyap_budget))
     claims.append(Claim("lyapunov_budget", l_excess <= 0.0, l_excess, 0.0))
 
+    # samples are h apart but for a shorter last interval when sample_every does
+    # not divide the run (integrator._sample_grid); one trapezoid closes that one
     h = float(times[1] - times[0]) if len(times) > 1 else 0.0
-    uniform = len(times) > 2 and np.allclose(np.diff(times), h, rtol=1e-9, atol=1e-12)
-    impulse = _cumulative_simpson(F_mean, h) if uniform else _cumulative_trapezoid(F_mean, times)
+    last = float(times[-1] - times[-2]) if len(times) > 1 else 0.0
+    if math.isclose(last, h, rel_tol=1e-9, abs_tol=1e-12):
+        impulse = _cumulative_simpson(F_mean, h)
+    else:
+        impulse = _cumulative_simpson(F_mean[:-1], h)
+        impulse = np.append(impulse, impulse[-1] + 0.5 * (F_mean[-2] + F_mean[-1]) * last)
     p_tol = 1e-4 * max(1.0, abs(p[0]) + 1.0)
     p_err = float(np.max(np.abs(p - p[0] - impulse)))
     claims.append(Claim("momentum_force_identity", p_err <= p_tol, p_err, p_tol))
@@ -338,7 +330,6 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, report: TheoremReport):
     fit = fit_exponential(traj, window_start=escape)
     report.fit, report.escape_time = fit, escape
     report.settled_positions = settle.settled_positions
-    report.pairwise_limits = settle.pairwise_limits
     outside = escape is not None or settle.min_mean_position >= m.wall.ell - SETTLE_EPS
     if m.n_agents == 1:
         rate_detail = "single agent: A is identically 0, nothing to fit"

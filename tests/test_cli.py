@@ -14,15 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallflock
-from wallflock import (
-    ConfigError,
-    check_settlement,
-    initial_state_from_config,
-    integrate,
-    model_from_config,
-    parse_config,
-    read_diagnostics_csv,
-)
+from wallflock import ConfigError, parse_config, read_diagnostics_csv
 from wallflock.cli import build_parser, main, parse_sweep
 
 FREE_ALIGNING = """
@@ -150,45 +142,13 @@ def test_verify_single_agent(tmp_path, seed):
     assert rate["detail"].startswith("single agent")
 
 
-INTERVAL = """
-geometry: {variant: interval, a: 0.0, b: 6.0}
-ic: {n_agents: 4, x_low: 2.0, x_high: 4.0, v_low: -0.5, v_high: 0.5, seed: 1}
-integrator: {t_end: 10.0, sample_every: 0.1}
-"""
-
-
-def test_verify_writes_pairwise_limits_npy(tmp_path):
+def test_halfline_verify_writes_only_config_and_report(tmp_path):
     cfg = write(tmp_path, "ok.yaml", FREE_ALIGNING)
     out = tmp_path / "ok"
     assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    npy = out / "pairwise_limits.npy"
-    first = npy.read_bytes()
-    assert "pairwise_limits" not in json.loads((out / "report.json").read_text())
-
-    run = parse_config(FREE_ALIGNING)
-    m, s0 = model_from_config(run), initial_state_from_config(run)
-    traj = integrate(m, s0, run.t_end, run.control, run.sample_every)
-    limits = check_settlement(traj, m.wall).pairwise_limits
-    assert np.array_equal(np.load(npy).view(np.int64), limits.view(np.int64))
-
-    assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    assert npy.read_bytes() == first  # a rerun is byte-identical
-
-
-def test_verify_without_matrix_leaves_no_npy(tmp_path):
-    ok = write(tmp_path, "ok.yaml", FREE_ALIGNING)
-    box = write(tmp_path, "box.yaml", INTERVAL)
-    stiff = write(tmp_path, "stiff.yaml", STIFF)
-    fresh = tmp_path / "fresh"
-    assert main(["verify", "--config", str(box), "--out", str(fresh), "--quiet"]) in (0, 1)
-    assert not (fresh / "pairwise_limits.npy").exists()
-    # an interval report or a failed integration removes the matrix of an earlier run
-    reused = tmp_path / "reused"
-    for cfg, codes in ((box, (0, 1)), (stiff, (3,))):
-        assert main(["verify", "--config", str(ok), "--out", str(reused), "--quiet"]) == 0
-        assert (reused / "pairwise_limits.npy").exists()
-        assert main(["verify", "--config", str(cfg), "--out", str(reused), "--quiet"]) in codes
-        assert not (reused / "pairwise_limits.npy").exists()
+    assert sorted(path.name for path in out.iterdir()) == ["config.yaml", "report.json"]
+    # the pairwise limits are the differences of the settled positions
+    assert len(json.loads((out / "report.json").read_text())["settled_positions"]) == 4
 
 
 def test_verify_integration_failure_exit_code(tmp_path):
@@ -207,6 +167,18 @@ def test_simulate_integration_failure_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
     assert not (out / "diagnostics.csv").exists()
     assert "integration failed" in capsys.readouterr().err
+    # a reused directory keeps no file that the latest run did not write
+    both = write(tmp_path, "both.yaml", FREE_ALIGNING + "output: {formats: [csv, plot]}\n")
+    reused = tmp_path / "reused"
+    assert main(["simulate", "--config", str(both), "--out", str(reused), "--quiet"]) == 0
+    files = ["config.yaml", "diagnostics.csv", "final_state.csv", "plot.dat", "plot_positions.dat"]
+    assert sorted(path.name for path in reused.iterdir()) == files
+    csv_only = write(tmp_path, "csv.yaml", FREE_ALIGNING + "output: {formats: [csv]}\n")
+    assert main(["simulate", "--config", str(csv_only), "--out", str(reused), "--quiet"]) == 0
+    assert sorted(path.name for path in reused.iterdir()) == files[:3]
+    assert main(["simulate", "--config", str(cfg), "--out", str(reused), "--quiet"]) == 3
+    assert [path.name for path in reused.iterdir()] == ["config.yaml"]
+    assert (reused / "config.yaml").read_text() == STIFF
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -308,8 +280,12 @@ def test_sweep_axis_null_value_exits_2_before_writing(tmp_path, capsys):
             "sweep axis key 'kernel.H' is named by more than one axis",
         ),
         ("seeds: []", "sweep.seeds must be a nonempty list of integers"),
+        (
+            "axes:\n    - {key: output.directory, values: [a, b]}",
+            "sweep axis key 'output.directory': sweep runs write no output of their own",
+        ),
     ],
-    ids=["seed_axis", "repeated_axis", "no_seeds"],
+    ids=["seed_axis", "repeated_axis", "no_seeds", "output_axis"],
 )
 def test_sweep_without_a_distinct_run_per_row_exits_2(tmp_path, capsys, sweep, message):
     cfg = write(tmp_path, "sweep.yaml", f"sweep:\n  {sweep}\n")
@@ -463,12 +439,11 @@ def test_verify_without_json_removes_an_earlier_report(tmp_path):
     csv_only = write(tmp_path, "csv.yaml", FREE_ALIGNING + "output: {formats: [csv]}\n")
     out = tmp_path / "reused"
     assert main(["verify", "--config", str(cfg), "--out", str(out), "--seed", "1", "--quiet"]) == 0
-    assert (out / "report.json").exists() and (out / "pairwise_limits.npy").exists()
+    assert (out / "report.json").exists()
     argv = ["verify", "--config", str(csv_only), "--out", str(out), "--seed", "2", "--quiet"]
     assert main(argv) == 0
     assert parse_config((out / "config.yaml").read_text()).ic.seed == 2
     assert not (out / "report.json").exists()
-    assert not (out / "pairwise_limits.npy").exists()
 
 
 def test_seed_override_is_recorded_in_config_yaml(tmp_path):
