@@ -32,7 +32,7 @@ from .config import (
 from .integrator import StiffnessError, Trajectory, integrate
 from .observables import write_diagnostics_csv
 from .potentials import WallDomainError
-from .verification import TheoremReport, remove_report, verify
+from .verification import REPORT_JSON, TheoremReport, verify
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,9 +66,16 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+# every file a simulate, plot-data or verify run may write besides config.yaml
+RUN_FILES = ("diagnostics.csv", "final_state.csv", "plot.dat", "plot_positions.dat", REPORT_JSON)
+
+
 def _run_dir(cfg: RunConfig, config_text: str) -> Path:
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
+    # no earlier run's file may outlive the config.yaml it belonged to
+    for name in RUN_FILES:
+        (out / name).unlink(missing_ok=True)
     # keep the exact input bytes next to the artifacts for provenance, or the
     # serialized config when there are none to keep
     (out / "config.yaml").write_text(
@@ -100,9 +107,6 @@ def emit_plot_data(traj: Trajectory, path: Path) -> None:
 
 def run_simulate(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> int:
     out = _run_dir(cfg, config_text)
-    # a file this run does not write must not outlive the config.yaml it belonged to
-    for name in ("diagnostics.csv", "final_state.csv", "plot.dat", "plot_positions.dat"):
-        (out / name).unlink(missing_ok=True)
     try:
         traj = _simulate(cfg)
     except (StiffnessError, WallDomainError) as exc:
@@ -140,8 +144,6 @@ def run_verify(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> in
     report = _verify(cfg)
     if "json" in cfg.output.formats:
         report.write(out)
-    else:
-        remove_report(out)
     if not quiet:
         for c in report.claims:
             status = "SKIP" if not c.applicable else ("PASS" if c.passed else "FAIL")

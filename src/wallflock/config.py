@@ -156,10 +156,13 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("ic.n_agents must be at least 1")
     if not 0 <= ic.seed < 2**64:
         raise ConfigError("ic.seed must be a 64-bit unsigned integer")
-    if ic.x_low > ic.x_high:
-        raise ConfigError("ic.x_low must not exceed ic.x_high")
-    if ic.v_low > ic.v_high:
-        raise ConfigError("ic.v_low must not exceed ic.v_high")
+    for low, high in (("x_low", "x_high"), ("v_low", "v_high")):
+        # a NaN or infinite bound, or a span that overflows, makes the span non-finite
+        span = getattr(ic, high) - getattr(ic, low)
+        if not math.isfinite(span):
+            raise ConfigError(f"ic.{low} and ic.{high} must be finite with a finite difference")
+        if span < 0:
+            raise ConfigError(f"ic.{low} must not exceed ic.{high}")
     margin = 0.05 * cfg.wall.ell
     if wall_distances(cfg.geometry, (ic.x_low, ic.x_high)).min() < margin:
         raise ConfigError(f"ic box must keep wall distance >= {margin} from every wall")

@@ -4,6 +4,12 @@ The pair is the classic Fehlberg 4(5); the fourth-order solution is the one
 propagated, the fifth-order weights serve only the error estimate.  Steps are
 rejected (never clamped) when any internal stage leaves the open domain, so
 the discrete flow never evaluates the potential at or behind a wall.
+
+Both integrators step one phase state y = (x, v), an array of shape (2, N).
+Fehlberg keeps its stages in a (2, 6, N) array, stages on axis 1, so every
+tableau row combines one (6, N) block per component, each with the matvec
+path of an N-wide row; a flat (2N,) state would take another path at width
+2N and change the last bits of the run.
 """
 
 from __future__ import annotations
@@ -27,13 +33,13 @@ class StiffnessError(RuntimeError):
     """Step-size control collapsed below dt_min."""
 
 
-def _stiffness_error(m: FlockModel, x, v, t: float, dt: float, why: str) -> StiffnessError:
+def _stiffness_error(m: FlockModel, y, t: float, dt: float, why: str) -> StiffnessError:
     """StiffnessError naming t, the attempted dt and the agent nearest a wall."""
-    d = wall_distances(m.geometry, x)
+    d = wall_distances(m.geometry, y[0])
     wall, agent = np.unravel_index(np.argmin(d), d.shape)
     return StiffnessError(
         f"{why} at t={t:.6g} (attempted dt={dt:.3g}): agent {agent} is {d[wall, agent]:.3g} "
-        f"from the wall at x={m.geometry._position[wall, 0]:g}, speed {abs(v[agent]):.3g}"
+        f"from the wall at x={m.geometry._position[wall, 0]:g}, speed {abs(y[1, agent]):.3g}"
     )
 
 
@@ -87,26 +93,23 @@ _B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
 _ERR = np.array([1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55])
 
 
-def _attempt(m: FlockModel, x: np.ndarray, v: np.ndarray, dt: float):
-    """One trial step; raises WallDomainError if a stage or the endpoint
-    leaves the open domain."""
-    n = x.shape[0]
-    kx = np.empty((6, n))
-    kv = np.empty((6, n))
-    kx[0] = v
-    kv[0] = acceleration(m, x, v)
+def _rhs(m: FlockModel, y: np.ndarray, out: np.ndarray) -> None:
+    """Write dy/dt = (v, acceleration(m, x, v)) into the (2, N) slot out;
+    raises WallDomainError if x leaves the open domain."""
+    out[0] = y[1]
+    out[1] = acceleration(m, y[0], y[1])
+
+
+def _attempt(m: FlockModel, y: np.ndarray, dt: float):
+    """One trial step from y -> (y_new, err); raises WallDomainError if a
+    stage or the endpoint leaves the open domain."""
+    k = np.empty((2, 6, y.shape[1]))
+    _rhs(m, y, k[:, 0])
     for i in range(1, 6):
-        a = _A[i]
-        xi = x + dt * (a @ kx[:i])
-        vi = v + dt * (a @ kv[:i])
-        kx[i] = vi
-        kv[i] = acceleration(m, xi, vi)  # raises on domain violation
-    x_new = x + dt * (_B4 @ kx)
-    v_new = v + dt * (_B4 @ kv)
-    check_domain(m.geometry, m.wall, x_new)
-    err_x = dt * (_ERR @ kx)
-    err_v = dt * (_ERR @ kv)
-    return x_new, v_new, err_x, err_v
+        _rhs(m, y + dt * (_A[i] @ k[:, :i]), k[:, i])
+    y_new = y + dt * (_B4 @ k)
+    check_domain(m.geometry, m.wall, y_new[0])
+    return y_new, dt * (_ERR @ k)
 
 
 def _sample_grid(t0: float, t_end: float, sample_every: float) -> np.ndarray:
@@ -122,12 +125,10 @@ def _sample_grid(t0: float, t_end: float, sample_every: float) -> np.ndarray:
     return times
 
 
-def _error_ratio(c: IntegratorControl, x, v, x_new, v_new, err_x, err_v) -> float:
-    scale_x = c.abs_tol + c.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-    scale_v = c.abs_tol + c.rel_tol * np.maximum(np.abs(v), np.abs(v_new))
-    ratio = max(float(np.max(np.abs(err_x) / scale_x)), float(np.max(np.abs(err_v) / scale_v)))
-    # x_new is finite: check_domain in _attempt has just checked its wall distances
-    if not (math.isfinite(ratio) and np.isfinite(v_new).all()):
+def _error_ratio(c: IntegratorControl, y, y_new, err) -> float:
+    scale = c.abs_tol + c.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+    ratio = float(np.max(np.abs(err) / scale))
+    if not (math.isfinite(ratio) and np.isfinite(y_new).all()):
         return math.inf
     return ratio
 
@@ -137,9 +138,9 @@ def _sample(
 ) -> Trajectory:
     """Sample a run from s0.t to t_end on the uniform grid.
 
-    Records s0 and its diagnostics in row 0, then calls advance(x, v, t0, t1)
-    -> (x, v) once per grid span and records the state reached at t1 in the
-    next row.
+    Records s0 and its diagnostics in row 0, then calls advance(y, t0, t1)
+    -> y on the phase state y = (x, v) once per grid span and records the
+    state reached at t1 in the next row.
     """
     if not t_end > s0.t:
         raise ValueError("t_end must exceed the initial time")
@@ -154,12 +155,12 @@ def _sample(
     X[0], V[0] = s0.x, s0.v
     records[0] = diagnostics(m, s0, G)
 
-    x, v = s0.x, s0.v
+    y = np.stack((s0.x, s0.v))
     for k in range(1, times.size):
-        x, v = advance(x, v, times[k - 1], times[k])
-        X[k], V[k] = x, v
+        y = advance(y, times[k - 1], times[k])
+        X[k], V[k] = y
         # the state is validated (finite x and v) before its diagnostics
-        records[k] = diagnostics(m, FlockState(t=times[k], x=x, v=v), G)
+        records[k] = diagnostics(m, FlockState(t=times[k], x=y[0], v=y[1]), G)
 
     return Trajectory(sample_times=times, X=X, V=V, records=records)
 
@@ -182,23 +183,23 @@ def integrate(
     prev_ratio = 1.0
     walls_on = not m.wall.disabled
 
-    def advance(x, v, t, tb):
+    def advance(y, t, tb):
         nonlocal dt_prop, prev_ratio
         while True:
             gap = tb - t
             if gap <= 4e-16 * max(1.0, abs(tb)):
-                return x, v  # residual float gap; snap to the boundary
+                return y  # residual float gap; snap to the boundary
             h = min(dt_prop, gap)
             if walls_on:
-                dist = float(wall_distances(m.geometry, x).min())
-                cap = _WALL_SAFETY * dist / (float(np.abs(v).max()) + 1.0)
+                dist = float(wall_distances(m.geometry, y[0]).min())
+                cap = _WALL_SAFETY * dist / (float(np.abs(y[1]).max()) + 1.0)
                 if cap < c.dt_min:
-                    raise _stiffness_error(m, x, v, t, cap, "wall layer forces dt below dt_min")
+                    raise _stiffness_error(m, y, t, cap, "wall layer forces dt below dt_min")
                 h = min(h, cap)
             clamped = h < dt_prop
             try:
-                x_new, v_new, err_x, err_v = _attempt(m, x, v, h)
-                ratio = _error_ratio(c, x, v, x_new, v_new, err_x, err_v)
+                y_new, err = _attempt(m, y, h)
+                ratio = _error_ratio(c, y, y_new, err)
             except WallDomainError:
                 ratio = None  # stage left the domain: halve and retry
             if ratio is None:
@@ -206,7 +207,7 @@ def integrate(
             elif ratio > 1.0:
                 dt_prop = h * max(0.1, 0.9 * ratio**-0.2)
             else:
-                x, v = x_new, v_new
+                y = y_new
                 t = tb if h >= gap * (1.0 - 1e-12) else t + h
                 r = max(ratio, 1e-10)
                 factor = min(5.0, max(0.2, 0.9 * r**-0.14 * prev_ratio**0.08))
@@ -216,10 +217,10 @@ def integrate(
                 dt_prop = max(dt_prop, new_prop) if clamped else new_prop
                 prev_ratio = r
                 if t == tb:
-                    return x, v
+                    return y
                 continue
             if dt_prop < c.dt_min:
-                raise _stiffness_error(m, x, v, t, h, "step size collapsed below dt_min")
+                raise _stiffness_error(m, y, t, h, "step size collapsed below dt_min")
 
     return _sample(m, s0, t_end, sample_every, advance)
 
@@ -239,22 +240,18 @@ def reference_rk4(
     if not dt_fixed > 0:
         raise ValueError("dt_fixed must be positive")
 
-    def advance(x, v, t0, t1):
+    def advance(y, t0, t1):
         gap = t1 - t0
         n_sub = max(1, round(gap / dt_fixed))
         h = gap / n_sub
+        k = np.empty((4, 2, y.shape[1]))
         for _ in range(n_sub):
-            kx1 = v
-            kv1 = acceleration(m, x, v)
-            kx2 = v + 0.5 * h * kv1
-            kv2 = acceleration(m, x + 0.5 * h * kx1, v + 0.5 * h * kv1)
-            kx3 = v + 0.5 * h * kv2
-            kv3 = acceleration(m, x + 0.5 * h * kx2, v + 0.5 * h * kv2)
-            kx4 = v + h * kv3
-            kv4 = acceleration(m, x + h * kx3, v + h * kv3)
-            x = x + (h / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
-            v = v + (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
-            check_domain(m.geometry, m.wall, x)
-        return x, v
+            _rhs(m, y, k[0])
+            _rhs(m, y + 0.5 * h * k[0], k[1])
+            _rhs(m, y + 0.5 * h * k[1], k[2])
+            _rhs(m, y + h * k[2], k[3])
+            y = y + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+            check_domain(m.geometry, m.wall, y[0])
+        return y
 
     return _sample(m, s0, t_end, sample_every, advance)

@@ -100,11 +100,6 @@ class TheoremReport:
         (Path(directory) / REPORT_JSON).write_text(self.to_json(), encoding="utf-8")
 
 
-def remove_report(directory) -> None:
-    """Delete what TheoremReport.write leaves, so no earlier run's report stays behind."""
-    (Path(directory) / REPORT_JSON).unlink(missing_ok=True)
-
-
 def _plain(obj):
     """JSON stand-in for the report's nested dataclasses and numpy values."""
     if is_dataclass(obj):

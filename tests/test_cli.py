@@ -190,6 +190,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main([command, "--config", str(tmp_path / "missing.yaml")]) == 2
         assert "cannot read config" in capsys.readouterr().err
     assert main(["sweep"]) == 2  # sweep requires --config
+    # a bound that is not finite, or a span that overflows, is a config error, not a crash
+    for ic in ("{x_low: .nan}", "{x_high: .inf}", "{v_low: -1.0e+308, v_high: 1.0e+308}"):
+        bad_ic = write(tmp_path, "bad_ic.yaml", f"ic: {ic}\n")
+        assert main(["verify", "--config", str(bad_ic), "--out", str(tmp_path / "ic")]) == 2
+        assert "must be finite with a finite difference" in capsys.readouterr().err
+    assert not (tmp_path / "ic").exists()
 
 
 SETTLE_30 = (
@@ -421,6 +427,25 @@ sweep:
     assert rows[1]["status"] == "ok"
 
 
+def test_sweep_non_finite_ic_bound_is_a_config_error_row(tmp_path):
+    text = """
+base:
+  ic: {n_agents: 2, x_low: 1.0, x_high: 2.0, v_low: -0.5, v_high: 0.5, seed: 1}
+  integrator: {t_end: 0.5, sample_every: 0.05}
+sweep:
+  axes:
+    - {key: ic.x_low, values: [.nan, 0.5]}
+"""
+    cfg = write(tmp_path, "sweep.yaml", text)
+    out = tmp_path / "nan_ic"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    rows = list(csv.DictReader(io.StringIO((out / "sweep.csv").read_text())))
+    assert [row["ic.x_low"] for row in rows] == ["0.5", "nan"]
+    assert rows[0]["status"] == "ok"
+    message = "ic.x_low and ic.x_high must be finite with a finite difference"
+    assert rows[1]["status"] == f"config-error: {message}"
+
+
 def test_plot_data_outputs(tmp_path, capsys):
     cfg = write(tmp_path, "run.yaml", FREE_ALIGNING)
     out = tmp_path / "plots"
@@ -444,6 +469,22 @@ def test_verify_without_json_removes_an_earlier_report(tmp_path):
     assert main(argv) == 0
     assert parse_config((out / "config.yaml").read_text()).ic.seed == 2
     assert not (out / "report.json").exists()
+
+
+def test_a_reused_out_holds_only_the_latest_runs_files(tmp_path):
+    cfg = write(tmp_path, "all.yaml", FREE_ALIGNING + "output: {formats: [csv, json, plot]}\n")
+    out = tmp_path / "mix"
+    simulated = [
+        "config.yaml", "diagnostics.csv", "final_state.csv", "plot.dat", "plot_positions.dat",
+    ]
+    verified = ["config.yaml", "report.json"]
+    for seed, (command, files) in enumerate(
+        [("verify", verified), ("simulate", simulated), ("verify", verified)]
+    ):
+        argv = [command, "--config", str(cfg), "--out", str(out), "--seed", str(seed), "--quiet"]
+        assert main(argv) == 0
+        assert sorted(path.name for path in out.iterdir()) == files
+        assert parse_config((out / "config.yaml").read_text()).ic.seed == seed
 
 
 def test_seed_override_is_recorded_in_config_yaml(tmp_path):

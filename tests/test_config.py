@@ -104,6 +104,10 @@ def test_semantic_validation():
         parse_config("ic: {x_low: 2.0, x_high: 1.0}")
     with pytest.raises(ConfigError, match="v_low"):
         parse_config("ic: {v_low: 1.0, v_high: -1.0}")
+    # a bound that is not finite, or a span that overflows, never reaches the sampler
+    for ic in ("{x_low: .nan}", "{x_high: .inf}", "{v_low: -1.0e+308, v_high: 1.0e+308}"):
+        with pytest.raises(ConfigError, match="must be finite with a finite difference"):
+            parse_config(f"ic: {ic}")
     with pytest.raises(ConfigError, match="unknown format"):
         parse_config("output: {formats: [csv, svg]}")
     # constructor-level rejections surface as config errors too

@@ -10,7 +10,7 @@ from wallflock import (
     integrate,
     reference_rk4,
 )
-from wallflock.integrator import _attempt
+from wallflock.integrator import _A, _B4, _ERR, _attempt, _error_ratio
 
 
 def two_agent_constant(H=1.0):
@@ -62,7 +62,7 @@ def test_single_step_local_error():
     m = two_agent_constant()
     s = wf.FlockState(0.0, [2.0, 3.0], [0.5, 1.0])
     dt = 0.01
-    x_new, v_new, err_x, err_v = _attempt(m, s.x, s.v, dt)
+    (x_new, v_new), (err_x, err_v) = _attempt(m, np.stack((s.x, s.v)), dt)
     x_ref, v_ref = closed_form_pair(dt)
     assert np.max(np.abs(x_new - x_ref)) < 1e-11  # local error ~ dt^5
     assert np.max(np.abs(v_new - v_ref)) < 1e-11
@@ -74,7 +74,7 @@ def test_step_into_forbidden_region_raises():
     m = two_agent_constant()
     s = wf.FlockState(0.0, [1.05, 2.0], [-3.0, -3.0])
     with pytest.raises(WallDomainError):
-        _attempt(m, s.x, s.v, 1.0)
+        _attempt(m, np.stack((s.x, s.v)), 1.0)
 
 
 def test_overflowing_stage_is_a_rejected_step(monkeypatch):
@@ -91,7 +91,7 @@ def test_overflowing_stage_is_a_rejected_step(monkeypatch):
     s = wf.FlockState(0.0, [1.0, 2.0], [-1e299, 1e299])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(WallDomainError, match="finite"):
-            _attempt(m, s.x, s.v, 1e-6)
+            _attempt(m, np.stack((s.x, s.v)), 1e-6)
 
         outcomes = []
 
@@ -112,6 +112,81 @@ def test_overflowing_stage_is_a_rejected_step(monkeypatch):
     x_ref, v_ref = closed_form_pair(1e-6, 1.0, 2.0, -1e299, 1e299, H)
     assert np.allclose(traj.X[-1], x_ref, rtol=1e-6, atol=0.0)
     assert np.allclose(traj.V[-1], v_ref, rtol=1e-4, atol=0.0)
+
+
+def _paired_attempt(m, x, v, dt):
+    """The Fehlberg attempt on separate x and v arrays, stage by stage."""
+    kx = np.empty((6, x.size))
+    kv = np.empty((6, x.size))
+    kx[0] = v
+    kv[0] = wf.acceleration(m, x, v)
+    for i in range(1, 6):
+        xi = x + dt * (_A[i] @ kx[:i])
+        vi = v + dt * (_A[i] @ kv[:i])
+        kx[i] = vi
+        kv[i] = wf.acceleration(m, xi, vi)
+    x_new = x + dt * (_B4 @ kx)
+    v_new = v + dt * (_B4 @ kv)
+    return x_new, v_new, dt * (_ERR @ kx), dt * (_ERR @ kv)
+
+
+def _paired_error_ratio(c, x, v, x_new, v_new, err_x, err_v):
+    scale_x = c.abs_tol + c.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+    scale_v = c.abs_tol + c.rel_tol * np.maximum(np.abs(v), np.abs(v_new))
+    return max(float(np.max(np.abs(err_x) / scale_x)), float(np.max(np.abs(err_v) / scale_v)))
+
+
+def _paired_rk4_substep(m, x, v, h):
+    kx1 = v
+    kv1 = wf.acceleration(m, x, v)
+    kx2 = v + 0.5 * h * kv1
+    kv2 = wf.acceleration(m, x + 0.5 * h * kx1, v + 0.5 * h * kv1)
+    kx3 = v + 0.5 * h * kv2
+    kv3 = wf.acceleration(m, x + 0.5 * h * kx2, v + 0.5 * h * kv2)
+    kx4 = v + h * kv3
+    kv4 = wf.acceleration(m, x + h * kx3, v + h * kv3)
+    x = x + (h / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
+    v = v + (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
+    return x, v
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 16, 33])
+@pytest.mark.parametrize(
+    "geometry",
+    [wf.Geometry("halfline"), wf.Geometry("interval", 0.0, 6.0)],
+    ids=["halfline", "interval"],
+)
+def test_phase_state_steps_bitwise_equal_paired_form(geometry, n):
+    # agent 0 sits inside the wall layer (distance < ell = 1) and, on the
+    # interval, so does the last agent, next to the other wall
+    m = wf.FlockModel(
+        wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, 1.0), geometry, n
+    )
+    c = IntegratorControl()
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x = rng.uniform(0.3, 5.7, n)
+        x[-1], x[0] = 5.6, 0.4  # x[0] last, so a single agent is the one at 0.4
+        v = rng.uniform(-1.0, 1.0, n)
+        dt = 0.01
+        y_new, err = _attempt(m, np.stack((x, v)), dt)
+        x_new, v_new, err_x, err_v = _paired_attempt(m, x, v, dt)
+        assert np.array_equal(_bits(y_new), _bits([x_new, v_new]))
+        assert np.array_equal(_bits(err), _bits([err_x, err_v]))
+        ratio = _error_ratio(c, np.stack((x, v)), y_new, err)
+        assert _bits(ratio) == _bits(_paired_error_ratio(c, x, v, x_new, v_new, err_x, err_v))
+        # one reference_rk4 span of five substeps against five paired substeps
+        s0 = wf.FlockState(0.0, x, v)
+        traj = reference_rk4(m, s0, 5 * dt, dt, sample_every=5 * dt)
+        xr, vr = x, v
+        for _ in range(5):
+            xr, vr = _paired_rk4_substep(m, xr, vr, dt)
+        assert np.array_equal(_bits(traj.X[-1]), _bits(xr))
+        assert np.array_equal(_bits(traj.V[-1]), _bits(vr))
 
 
 def test_sample_grid_exact_and_uniform():
