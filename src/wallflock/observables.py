@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import FlockModel, FlockState
+from .dynamics import FlockModel, FlockState, block_rows
 from .potentials import distance_potential, layer_force, layer_potential, wall_distances
 
 
@@ -59,10 +59,15 @@ def diagnostics(m: FlockModel, s: FlockState, G: float) -> DiagnosticsRecord:
     v_min = float(v.min())
     A = v_max - v_min
     D = float(x.max() - x.min())
+    # phi (v_i - v_j)^2 is elementwise, so it is built a row block at a time in
+    # the one N x N buffer; the single sum over all of it fixes I2's bits
     w = m.kernel.matrix(x)
-    dv = v[:, None] - v[None, :]
-    w *= dv
-    w *= dv
+    rows = block_rows(n)
+    for i in range(0, n, rows):
+        dv = v[i : i + rows, None] - v[None, :]
+        block = w[i : i + rows]
+        block *= dv
+        block *= dv
     I2 = float(w.sum()) / (2.0 * n * n)
     return DiagnosticsRecord(
         t=s.t,

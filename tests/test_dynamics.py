@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallflock as wf
-from wallflock import FlockModel, FlockState, acceleration, diagnostics, initial_condition
+from wallflock import FlockModel, FlockState, acceleration, diagnostics, dynamics, initial_condition
 
 
 def free_model(n, family="powerlaw", H=1.0, beta=0.25):
@@ -170,3 +172,59 @@ def test_layer_calls_timed_by_the_benchmark():
     assert potentials.geometry_force(m.geometry, m.wall, s.x).shape == (16,)
     G = observables.initial_energy(m, s)
     assert observables.diagnostics(m, s, G).G == G
+
+
+ORACLE_N = list(range(1, 40)) + [64, 127, 128, 129, 1000, 1023, 1024, 4096]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("family, beta", [("constant", 0.0), ("powerlaw", 0.25), ("powerlaw", 1.0)])
+@pytest.mark.parametrize(
+    "geometry",
+    [wf.Geometry("halfline"), wf.Geometry("interval", 0.0, 60.0)],
+    ids=["halfline", "interval"],
+)
+def test_row_blocked_acceleration_bitwise_equal_dense_form(monkeypatch, geometry, family, beta):
+    # acceleration sums phi (v_j - v_i) a row block at a time; its bits must be
+    # those of the dense N x N form.  Blocks of 1000 and 40 elements put seams
+    # and short last blocks at small N too (40 // 13 = 3 rows: 3+3+3+3+1).
+    k = wf.CommunicationKernel(family, 1.3, beta)
+    blocks = (dynamics._BLOCK_ELEMENTS, 1000, 40)
+    for n in ORACLE_N:
+        m = FlockModel(k, wf.WallPotential(1.0, 1.0), geometry, n)
+        rng = np.random.default_rng(n)
+        # a few agents sit inside the wall layer (distance < ell = 1)
+        x = np.sort(rng.uniform(0.3, 59.7, n))
+        v = rng.uniform(-1.0, 1.0, n)
+        gaps = np.subtract.outer(x, x)
+        if family == "constant":
+            phi = np.full_like(gaps, k.H)
+        else:
+            phi = k.H * (1.0 + gaps * gaps) ** (-k.beta)
+        del gaps
+        phi *= v[None, :] - v[:, None]
+        dense = phi.sum(axis=1) / n + wf.geometry_force(geometry, m.wall, x)
+        del phi
+        for block in blocks:
+            monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", block)
+            assert np.array_equal(_bits(acceleration(m, x, v)), _bits(dense)), (n, block)
+
+
+def test_acceleration_memory_is_one_row_block():
+    # the dense form held two N x N arrays: 268 MB at N = 4096
+    n = 4096
+    m = free_model(n)
+    rng = np.random.default_rng(4)
+    x = np.sort(rng.uniform(2.0, 400.0, n))
+    v = rng.uniform(-1.0, 1.0, n)
+    acceleration(m, x, v)
+    tracemalloc.start()
+    try:
+        acceleration(m, x, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -50,10 +50,11 @@ def _scaled_wall(monkeypatch, factor):
 
 
 def _asymmetric_kernel(monkeypatch, eps):
-    # phi_ij scaled by 1 + eps above the diagonal only, so phi_ij != phi_ji
-    def matrix(kernel, x):
-        w = _matrix(kernel, x)
-        return w + eps * np.triu(w, 1)
+    # phi_ij scaled by 1 + eps above the diagonal only, so phi_ij != phi_ji;
+    # local row r of a block from row lo is agent lo + r, so j > i is k >= 1 + lo
+    def matrix(kernel, x, lo=0, hi=None):
+        w = _matrix(kernel, x, lo, hi)
+        return w + eps * np.triu(w, 1 + lo)
 
     monkeypatch.setattr(CommunicationKernel, "matrix", matrix)
 
@@ -143,3 +144,21 @@ def _failed_claims(name):
 def test_negative_control(monkeypatch, row, config, failed):
     ROWS[row](monkeypatch)
     assert _failed_claims(config) == failed
+
+
+def test_kernel_asymmetry_is_the_same_on_every_row_block(monkeypatch):
+    # acceleration asks for phi a row block at a time; with blocks of 2 and 3
+    # rows the patched kernel must still be phi_ij (1 + eps) for i < j exactly
+    n, eps = 7, 1e-2
+    rng = np.random.default_rng(5)
+    x = np.sort(rng.uniform(1.5, 9.0, n))
+    v = rng.uniform(-1.0, 1.0, n)
+    m = model_from_config(config_from_data({"ic": {"n_agents": n}}))
+    w = _matrix(m.kernel, x)
+    w = w + eps * np.triu(w, 1)
+    w *= v[None, :] - v[:, None]
+    dense = w.sum(axis=1) / n + _geometry_force(m.geometry, m.wall, x)
+    _asymmetric_kernel(monkeypatch, eps)
+    for block in (2 * n, 3 * n):
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", block)
+        assert np.array_equal(dynamics.acceleration(m, x, v), dense)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import wallflock as wf
 from wallflock import (
     FIELDS,
     diagnostics,
+    dynamics,
     dissipation_residual,
     initial_energy,
     read_diagnostics_csv,
@@ -130,18 +133,43 @@ def _direct_diagnostics(m, s, G):
     ],
     ids=["halfline", "interval", "disabled_wall", "n1"],
 )
-def test_diagnostics_bitwise_equal_direct_form(geometry, theta, n, x_low):
+def test_diagnostics_bitwise_equal_direct_form(monkeypatch, geometry, theta, n, x_low):
     m = wf.FlockModel(
         wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, theta), geometry, n
     )
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        s = wf.FlockState(0.0, rng.uniform(x_low, 5.8, n), rng.uniform(-1.0, 1.0, n))
-        G = initial_energy(m, s)
-        rec = diagnostics(m, s, G)
-        for name, value in _direct_diagnostics(m, s, G).items():
-            got = np.float64(getattr(rec, name)).view(np.int64)
-            assert got == np.float64(value).view(np.int64), name
+    # at 39 elements a block holds 3 of 13 rows, so I2 is built over a short last block
+    for block in (dynamics._BLOCK_ELEMENTS, 39):
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", block)
+        for _ in range(20):
+            s = wf.FlockState(0.0, rng.uniform(x_low, 5.8, n), rng.uniform(-1.0, 1.0, n))
+            G = initial_energy(m, s)
+            rec = diagnostics(m, s, G)
+            for name, value in _direct_diagnostics(m, s, G).items():
+                got = np.float64(getattr(rec, name)).view(np.int64)
+                assert got == np.float64(value).view(np.int64), (name, block)
+
+
+def test_diagnostics_holds_one_pairwise_buffer():
+    # I2 is built in the N x N kernel matrix itself, a row block at a time:
+    # the peak is one N x N array of doubles, not the two of a dense (v_i - v_j)
+    n = 1024
+    m = wf.FlockModel(
+        wf.CommunicationKernel("powerlaw", 1.0, 0.25),
+        wf.WallPotential(1.0, 1.0),
+        wf.Geometry("halfline"),
+        n,
+    )
+    rng = np.random.default_rng(3)
+    s = wf.FlockState(0.0, np.sort(rng.uniform(0.5, 200.0, n)), rng.uniform(-1.0, 1.0, n))
+    diagnostics(m, s, 0.0)
+    tracemalloc.start()
+    try:
+        diagnostics(m, s, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n * n
 
 
 def test_interval_wall_distance_uses_both_walls():
