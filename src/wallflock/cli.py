@@ -87,7 +87,7 @@ def _run_dir(cfg: RunConfig, config_text: str) -> Path:
 def _simulate(cfg: RunConfig) -> Trajectory:
     model = model_from_config(cfg)
     state = initial_state_from_config(cfg)
-    return integrate(model, state, cfg.t_end, cfg.control, cfg.sample_every)
+    return integrate(model, state, cfg.t_end, sample_every=cfg.sample_every)
 
 
 def _write_final_state(traj: Trajectory, path: Path) -> None:
@@ -129,7 +129,7 @@ def run_simulate(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> 
 def _verify(cfg: RunConfig) -> TheoremReport:
     model = model_from_config(cfg)
     state = initial_state_from_config(cfg)
-    return verify(model, state, cfg.control, t_end=cfg.t_end, sample_every=cfg.sample_every)
+    return verify(model, state, t_end=cfg.t_end, sample_every=cfg.sample_every)
 
 
 def _report_exit_code(report: TheoremReport) -> int:

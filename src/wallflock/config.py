@@ -2,7 +2,9 @@
 
 Configs are YAML mappings with one section per subsystem.  The section
 dataclasses are the schema: each section key is an init field of its
-dataclass.  Unknown sections or keys are rejected by name; an empty document
+dataclass, and the integrator section holds RunConfig's own fields (t_end,
+sample_every).  Step control is not configurable: runs use IntegratorControl's
+defaults.  Unknown sections or keys are rejected by name; an empty document
 yields the full defaults.
 """
 
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import yaml
 
 from .dynamics import FlockModel, FlockState, initial_condition
-from .integrator import IntegratorControl
 from .kernels import CommunicationKernel
 from .potentials import Geometry, WallPotential, wall_distances
 
@@ -45,7 +46,6 @@ class RunConfig:
     kernel: CommunicationKernel
     wall: WallPotential
     geometry: Geometry
-    control: IntegratorControl
     ic: InitialConditions
     output: OutputConfig
     t_end: float = 200.0
@@ -53,13 +53,11 @@ class RunConfig:
 
 
 # config section -> (RunConfig field, its dataclass); the dataclasses' init
-# fields are the section keys, and the integrator section also holds RunConfig's
-# own fields (t_end, sample_every)
+# fields are the section keys
 _SECTIONS = {
     "kernel": ("kernel", CommunicationKernel),
     "potential": ("wall", WallPotential),
     "geometry": ("geometry", Geometry),
-    "integrator": ("control", IntegratorControl),
     "ic": ("ic", InitialConditions),
     "output": ("output", OutputConfig),
 }
@@ -75,7 +73,7 @@ _RUN_SCALARS = {
     if name not in {attr for attr, _ in _SECTIONS.values()}
 }
 _SCHEMA = {name: _fields(cls) for name, (_, cls) in _SECTIONS.items()}
-_SCHEMA["integrator"].update(_RUN_SCALARS)
+_SCHEMA["integrator"] = _RUN_SCALARS
 
 MAX_SWEEP_RUNS = 10_000
 
@@ -135,13 +133,11 @@ def config_from_data(data: dict) -> RunConfig:
             raise ConfigError(f"unknown section {key}")
 
     sections = {name: _section(data, name) for name in _SCHEMA}
-    integrator = sections["integrator"]
-    scalars = {key: integrator.pop(key) for key in _RUN_SCALARS if key in integrator}
     try:
         parts = {attr: cls(**sections[name]) for name, (attr, cls) in _SECTIONS.items()}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = RunConfig(**parts, **scalars)
+    cfg = RunConfig(**parts, **sections["integrator"])
     _validate(cfg)
     return cfg
 
@@ -184,7 +180,7 @@ def serialize_config(cfg: RunConfig) -> str:
     data = {
         name: _plain(getattr(cfg, attr), _fields(cls)) for name, (attr, cls) in _SECTIONS.items()
     }
-    data["integrator"].update(_plain(cfg, _RUN_SCALARS))
+    data["integrator"] = _plain(cfg, _RUN_SCALARS)
     return yaml.safe_dump(data, sort_keys=True)
 
 

@@ -99,8 +99,8 @@ def write_diagnostics_csv(records: np.recarray, path) -> None:
 def read_diagnostics_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != FIELDS:
+        # an empty file has no header row, which the check rejects too
+        if tuple(next(reader, ())) != FIELDS:
             raise ValueError("unexpected diagnostics header")
         return np.array([[float(c) for c in row] for row in reader])
 

@@ -31,9 +31,9 @@ integrator: {t_end: 10.0, sample_every: 0.1}
 
 STIFF = """
 kernel: {family: constant, H: 1.0}
-ic: {n_agents: 2, x_low: 5.0, x_high: 6.0, v_low: -2.0, v_high: 2.0, seed: 3}
-integrator: {t_end: 1.0, sample_every: 1.0, dt_init: 0.2, dt_min: 0.2, dt_max: 0.2,
-             abs_tol: 1.0e-13, rel_tol: 1.0e-13}
+potential: {theta: 1.0e+20}
+ic: {n_agents: 2, x_low: 0.05, x_high: 6.0, v_low: -2.0, v_high: 2.0, seed: 3}
+integrator: {t_end: 1.0, sample_every: 1.0}
 """
 
 SWEEP = """
@@ -205,6 +205,9 @@ SETTLE_30 = (
 )
 
 
+STEP_CONTROL_KEYS = ("dt_init", "abs_tol", "rel_tol", "dt_min", "dt_max")
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [
@@ -224,8 +227,38 @@ SETTLE_30 = (
             "integrator: {wall_safety: 0.5}\n",
             "config error: unknown key integrator.wall_safety",
         ),
+        # FAILs velocity_bound at the default tolerances; exit 0 when a config could tighten them
+        (
+            "verify",
+            "ic: {n_agents: 1, seed: 3}\n"
+            "integrator: {t_end: 5.0, abs_tol: 1.0e-12, rel_tol: 1.0e-12}\n",
+            "config error: unknown key integrator.abs_tol",
+        ),
+        *(
+            (
+                "verify",
+                f"integrator: {{{key}: 0.01}}\n",
+                f"config error: unknown key integrator.{key}",
+            )
+            for key in STEP_CONTROL_KEYS
+        ),
+        *(
+            (
+                "sweep",
+                f"sweep:\n  axes:\n    - {{key: integrator.{key}, values: [0.01]}}\n",
+                f"config error: sweep axis key 'integrator.{key}' is not a config key",
+            )
+            for key in STEP_CONTROL_KEYS
+        ),
     ],
-    ids=["loosened_settle", "threshold_sweep_axis", "wall_safety"],
+    ids=[
+        "loosened_settle",
+        "threshold_sweep_axis",
+        "wall_safety",
+        "tightened_one_agent",
+        *STEP_CONTROL_KEYS,
+        *(f"{key}_sweep_axis" for key in STEP_CONTROL_KEYS),
+    ],
 )
 def test_verdict_bars_and_wall_cap_are_not_config(tmp_path, capsys, command, text, message):
     cfg = write(tmp_path, "run.yaml", text)

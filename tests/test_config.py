@@ -38,7 +38,6 @@ def test_empty_config_gives_defaults():
     assert cfg.kernel == wf.CommunicationKernel("powerlaw", 1.0, 0.25)
     assert cfg.wall == wf.WallPotential(1.0, 1.0)
     assert cfg.geometry.variant == "halfline"
-    assert cfg.control == wf.IntegratorControl()
     assert cfg.t_end == 200.0
     assert cfg.sample_every == 0.1
     assert cfg.ic.n_agents == 16
@@ -115,7 +114,8 @@ def test_semantic_validation():
         parse_config("kernel: {family: gaussian}")
     with pytest.raises(ConfigError):
         parse_config("geometry: {variant: interval, a: 3.0, b: 1.0}")
-    with pytest.raises(ConfigError):
+    # step control is not configurable: runs use IntegratorControl's defaults
+    with pytest.raises(ConfigError, match="^unknown key integrator.dt_min$"):
         parse_config("integrator: {dt_min: 0.5}")
 
 
@@ -180,7 +180,6 @@ def valid_configs(draw):
     """A config document that config_from_data accepts, half-line or interval."""
     ell = draw(_POS)
     margin = 0.05 * ell
-    dt_min, dt_init, dt_max = sorted(draw(st.lists(_POS, min_size=3, max_size=3)))
     sample_every, t_end = sorted(draw(st.lists(_POS, min_size=2, max_size=2)))
     v_low, v_high = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
     geometry = {"variant": "halfline"}
@@ -201,11 +200,7 @@ def valid_configs(draw):
             },
             "potential": {"ell": ell, "theta": draw(_NONNEG)},
             "geometry": geometry,
-            "integrator": {
-                "dt_init": dt_init, "abs_tol": draw(_POS), "rel_tol": draw(_POS),
-                "dt_min": dt_min, "dt_max": dt_max,
-                "sample_every": sample_every, "t_end": t_end,
-            },
+            "integrator": {"sample_every": sample_every, "t_end": t_end},
             "ic": {
                 "n_agents": draw(st.integers(1, 10_000)), "x_low": x_low, "x_high": x_high,
                 "v_low": v_low, "v_high": v_high, "seed": draw(st.integers(0, 2**64 - 1)),

@@ -133,7 +133,6 @@ def _failed_claims(name):
     report = verify(
         model_from_config(cfg),
         initial_state_from_config(cfg),
-        cfg.control,
         t_end=cfg.t_end,
         sample_every=cfg.sample_every,
     )

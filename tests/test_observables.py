@@ -218,9 +218,10 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 def test_csv_header_is_validated(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_diagnostics_csv(path)
+    for text in ("a,b,c\n1,2,3\n", ""):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="unexpected diagnostics header"):
+            read_diagnostics_csv(path)
 
 
 def test_dissipation_residual_needs_three_samples(twoagent_fixture):

@@ -29,23 +29,26 @@ from wallflock import verification
 from wallflock.verification import FitResult, _cumulative_simpson, _cumulative_trapezoid
 
 
-def make_record(t, A=0.0, x_min_wall=1.0, p=0.0, K=0.0, F_max=0.0, W=0.0):
-    return DiagnosticsRecord(
-        t=t, K=K, P=0.0, E=K, p=p, A=A, D=1.0, I2=0.0, L=0.0, W=W,
-        F_max=F_max, F_mean=0.0, x_min_wall=x_min_wall, v_max=0.0, v_min=0.0, G=K, F_sq=0.0,
-    )
+def make_record(t, **values):
+    """A DiagnosticsRecord at t: the given fields, D = x_min_wall = 1 and 0 elsewhere."""
+    row = dict.fromkeys(DiagnosticsRecord._fields, 0.0)
+    return DiagnosticsRecord(**{**row, "D": 1.0, "x_min_wall": 1.0, **values, "t": t})
 
 
-def synthetic_traj(times, xs, A=None, p=None):
-    """Trajectory with prescribed agent positions and optional A/p series."""
+def synthetic_traj(times, xs, **series):
+    """Trajectory with prescribed agent positions and record series (A=..., K=...,
+    one value per sample or one for all); x_min_wall is each sample's lowest x."""
     times = np.asarray(times, dtype=float)
     X = np.array(xs, dtype=float)
+    columns = {
+        name: np.broadcast_to(np.asarray(values, dtype=float), times.shape)
+        for name, values in series.items()
+    }
     records = [
         make_record(
             t,
-            A=0.0 if A is None else float(A[k]),
             x_min_wall=float(np.min(X[k])),
-            p=0.0 if p is None else float(p[k]),
+            **{name: float(column[k]) for name, column in columns.items()},
         )
         for k, t in enumerate(times)
     ]
@@ -86,6 +89,11 @@ def test_alignment_tail_guard():
     A_bad = np.full(201, 0.5)
     A_bad[-1] = 1e-4
     assert not check_alignment(synthetic_traj(times, xs, A=A_bad))[0]
+    # the tail may peak below 2 ALIGN_EPS, not above
+    for peak, aligned in ((3.0, False), (1.5, True)):
+        A_peak = np.full(201, 1e-4)
+        A_peak[180] = peak * verification.ALIGN_EPS  # t = 90, inside the tail window
+        assert check_alignment(synthetic_traj(times, xs, A=A_peak))[0] == aligned
 
 
 def test_fit_recovers_synthetic_rate():
@@ -109,6 +117,12 @@ def test_fit_skips_roundoff_floor():
     fit = fit_exponential(traj, window_start=0.0)
     assert fit is not None
     assert abs(fit.delta - 2.0) < 1e-6
+    # A from 1e5 down to 1e3 eps lies above the floor: every sample enters the fit
+    rate = np.log(100.0) / 40.0
+    A_low = 1e5 * np.finfo(float).eps * np.exp(-rate * times)
+    fit = fit_exponential(synthetic_traj(times, [[1.0, 2.0]] * 401, A=A_low), window_start=0.0)
+    assert fit is not None and fit.window == (0.0, 40.0)
+    assert abs(fit.delta - rate) < 1e-9
 
 
 def test_fit_requires_enough_points():
@@ -199,7 +213,7 @@ def test_momentum_identity_with_a_short_last_sample_interval():
     cfg = wf.parse_config(text)
     m, s0 = wf.model_from_config(cfg), wf.initial_state_from_config(cfg)
     claims = {
-        t_end: verify(m, s0, cfg.control, t_end=t_end, sample_every=cfg.sample_every).claim(
+        t_end: verify(m, s0, t_end=t_end, sample_every=cfg.sample_every).claim(
             "momentum_force_identity"
         )
         for t_end in (50.0, 50.05)
@@ -226,6 +240,71 @@ def test_work_of_force_envelope(interval_fixture):
     ok, w_peak, envelope = check_work_of_force(traj)
     assert ok
     assert 0.0 <= w_peak <= envelope
+    # the envelope sqrt(2K) N F_max is 2 at K = 0.5, N = 2, F_max = 1: |W| may
+    # reach it, not exceed it by half
+    times = np.linspace(0.0, 1.0, 11)
+    for W, within in ((2.0, True), (-3.0, False)):
+        traj = synthetic_traj(times, [[4.0, 5.0]] * 11, K=0.5, F_max=1.0, W=W)
+        assert check_work_of_force(traj) == (within, abs(W), 2.0)
+
+
+def _two_agents(geometry):
+    kernel, wall = wf.CommunicationKernel("constant", 1.0), wf.WallPotential(1.0, 1.0)
+    return wf.FlockModel(kernel, wall, geometry, 2)
+
+
+_T = np.linspace(0.0, 1.0, 11)
+_SPEED = math.sqrt(2.0)  # the speed bound sqrt(2 N G) at N = 2, G = 0.5
+
+
+@pytest.mark.parametrize(
+    "claim, series, passed",
+    [
+        # E may rise by 1e-9 max(1, |E(0)|) between samples
+        ("energy_nonincreasing", {"E": 1.0 + 2e-9 * (_T > 0.5)}, False),
+        ("energy_nonincreasing", {"E": 1.0 + 0.5e-9 * (_T > 0.5)}, True),
+        # no |v| exceeds sqrt(2 N G)
+        ("velocity_bound", {"v_max": 1.005 * _SPEED * (_T > 0.5)}, False),
+        ("velocity_bound", {"v_min": -_SPEED * (_T > 0.5)}, True),
+        # the diameter grows at most twice as fast as the speed bound
+        ("diameter_growth", {"D": 1.0 + 2.5 * _SPEED * _T}, False),
+        ("diameter_growth", {"D": 1.0 + 2.0 * _SPEED * _T}, True),
+    ],
+)
+def test_budget_bars(claim, series, passed):
+    traj = synthetic_traj(_T, [[4.0, 5.0]] * len(_T), G=0.5, **series)
+    claims = verification.budget_claims(_two_agents(wf.Geometry("halfline")), traj)
+    assert {c.name: c.passed for c in claims}[claim] == passed
+
+
+@pytest.mark.parametrize("wobble, passed", [(0.2, True), (0.7, False)])
+def test_exponential_rate_needs_r_squared_above_its_bar(wobble, passed):
+    # log A wobbles about a line of slope -0.2; the flock is outside the wall
+    # range from t = 0, so the fit reads the whole run
+    times = np.linspace(0.0, 40.0, 401)
+    A = np.exp(-0.2 * times + wobble * np.sin(3.0 * times))
+    traj = synthetic_traj(times, [[2.0, 3.0]] * 401, A=A, p=1.0)
+    report = TheoremReport(variant="halfline", claims=[])
+    verification._halfline_claims(_two_agents(wf.Geometry("halfline")), traj, report)
+    assert report.fit.r_squared > 0.9 and (report.fit.r_squared > 0.99) == passed
+    assert report.claim("exponential_rate").passed == passed
+
+
+@pytest.mark.parametrize("rate, passed", [(0.125, True), (0.1, False)])
+def test_decay_tail_share_bars(rate, passed):
+    # K and F_sq decay as exp(-rate t) on [0, 40] and stay below both final
+    # bars; the second half holds 1 / (1 + exp(20 rate)) of their integrals,
+    # 0.076 at rate 0.125 and 0.119 at rate 0.1, against the 0.10 bar
+    times = np.linspace(0.0, 40.0, 401)
+    decay = 1e-6 * np.exp(-rate * times)
+    traj = synthetic_traj(times, [[4.0, 5.0]] * 401, K=decay, F_sq=decay)
+    box = _two_agents(wf.Geometry("interval", 0.0, 10.0))
+    share = check_interval_decay(box, traj).kinetic_tail_share
+    assert share == pytest.approx(1.0 / (1.0 + math.exp(20.0 * rate)), rel=1e-2)
+    report = TheoremReport(variant="interval", claims=[])
+    verification._interval_claims(box, traj, report)
+    assert report.claim("kinetic_decay").passed == passed
+    assert report.claim("force_decay").passed == passed
 
 
 def test_verify_halfline_report_shape(canonical_model, canonical_state):
