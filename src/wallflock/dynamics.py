@@ -17,8 +17,8 @@ import numpy as np
 from .kernels import CommunicationKernel
 from .potentials import Geometry, WallPotential, geometry_force, warn_if_overlapping
 
-# element count of one row block of a pairwise kernel sum (256 KB): 32 rows at
-# N = 1024, and one block for every row up to N = 181
+# element bound of one row strip of a pairwise kernel sum (256 KB): 32 rows at
+# N = 1024, and one strip, the whole N x N matrix, up to N = 181
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -58,34 +58,35 @@ class FlockModel:
 
 
 def block_rows(n: int) -> int:
-    """Rows in one block of an n-column pairwise array."""
+    """Rows in one strip of an n-column pairwise array."""
     return max(1, _BLOCK_ELEMENTS // n)
 
 
-def _alignment_sums(
-    kernel: CommunicationKernel, x: np.ndarray, v: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    """sum_j phi(x_i - x_j) (v_j - v_i) for the rows i in [lo, hi)."""
-    w = kernel.matrix(x, lo, hi)
-    w *= v[None, :] - v[lo:hi, None]
-    return w.sum(axis=1)
+def kernel_strips(kernel: CommunicationKernel, x: np.ndarray):
+    """(lo, hi, phi(x_i - x_j)) for i in [lo, hi), j >= lo: each pair i < j in one strip."""
+    n, rows = x.shape[0], block_rows(x.shape[0])
+    for lo in range(0, n, rows):
+        yield lo, min(lo + rows, n), kernel.matrix(x[lo : lo + rows], x[lo:])
 
 
 def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """dv/dt on raw arrays; dx/dt is v itself."""
     # the wall force validates x (finite, inside the domain) before the O(N^2) work
     force = geometry_force(m.geometry, m.wall, x)
-    # a row's sum does not depend on how many rows share its block, so the
-    # blocked sums hold the bits of the dense N x N form
     n = x.shape[0]
-    rows = block_rows(n)
-    if rows >= n:
-        # one block: no loop, whose bookkeeping costs about 5 % of a call at N = 16
-        sums = _alignment_sums(m.kernel, x, v, 0, n)
+    if block_rows(n) >= n:
+        # one strip, the dense N x N form: no loop, which costs 5 % at N = 16
+        w = m.kernel.matrix(x, x)
+        w *= v[None, :] - v[:, None]
+        sums = w.sum(axis=1)
     else:
-        sums = np.empty(n)
-        for lo in range(0, n, rows):
-            sums[lo : lo + rows] = _alignment_sums(m.kernel, x, v, lo, lo + rows)
+        # phi is even in r^2, so phi_ij (v_j - v_i) = -phi_ji (v_i - v_j) to the
+        # bit: a strip's columns past its rows are also the later rows' terms
+        sums = np.zeros(n)
+        for lo, hi, w in kernel_strips(m.kernel, x):
+            w *= v[None, lo:] - v[lo:hi, None]
+            sums[lo:hi] += w.sum(axis=1)
+            sums[hi:] -= w[:, hi - lo :].sum(axis=0)
     return sums / n + force
 
 

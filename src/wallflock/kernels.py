@@ -42,13 +42,9 @@ class CommunicationKernel:
         out = self._phi(np.array(r, dtype=float))
         return out if out.ndim else float(out)
 
-    def matrix(self, x: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """phi(x_i - x_j) for rows i in [lo, hi) and every j, in one (hi - lo) x N buffer.
-
-        matrix(x) is the whole N x N matrix.  phi is elementwise, so a row of
-        a block holds the bits of the same row of the whole matrix.
-        """
-        return self._phi(np.subtract.outer(x[lo:hi], x))
+    def matrix(self, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
+        """phi(xi[:, None] - xj[None, :]), elementwise: a strip holds the whole matrix's bits."""
+        return self._phi(np.subtract.outer(xi, xj))
 
     def _phi(self, w: np.ndarray) -> np.ndarray:
         """Overwrite the distances in w with phi of them; the one formula of eval and matrix."""

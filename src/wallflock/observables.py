@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import FlockModel, FlockState, block_rows
+from .dynamics import FlockModel, FlockState, kernel_strips
 from .potentials import distance_potential, layer_force, layer_potential, wall_distances
 
 
@@ -59,16 +59,14 @@ def diagnostics(m: FlockModel, s: FlockState, G: float) -> DiagnosticsRecord:
     v_min = float(v.min())
     A = v_max - v_min
     D = float(x.max() - x.min())
-    # phi (v_i - v_j)^2 is elementwise, so it is built a row block at a time in
-    # the one N x N buffer; the single sum over all of it fixes I2's bits
-    w = m.kernel.matrix(x)
-    rows = block_rows(n)
-    for i in range(0, n, rows):
-        dv = v[i : i + rows, None] - v[None, :]
-        block = w[i : i + rows]
-        block *= dv
-        block *= dv
-    I2 = float(w.sum()) / (2.0 * n * n)
+    # phi (v_i - v_j)^2 is even, so a strip's columns past its rows count twice
+    total = 0.0
+    for start, stop, w in kernel_strips(m.kernel, x):
+        dv = v[start:stop, None] - v[None, start:]
+        w *= dv
+        w *= dv
+        total += w.sum() + w[:, stop - start :].sum()
+    I2 = float(total) / (2.0 * n * n)
     return DiagnosticsRecord(
         t=s.t,
         K=K,
@@ -102,7 +100,10 @@ def read_diagnostics_csv(path) -> np.ndarray:
         # an empty file has no header row, which the check rejects too
         if tuple(next(reader, ())) != FIELDS:
             raise ValueError("unexpected diagnostics header")
-        return np.array([[float(c) for c in row] for row in reader])
+        rows = [[float(c) for c in row] for row in reader]
+    if any(len(row) != len(FIELDS) for row in rows):
+        raise ValueError(f"a diagnostics row must have {len(FIELDS)} cells")
+    return np.array(rows).reshape(len(rows), len(FIELDS))
 
 
 def dissipation_residual(traj) -> np.ndarray:

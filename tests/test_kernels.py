@@ -152,7 +152,7 @@ def test_kernel_matrix_consumers_bitwise_equal_direct_form(family, beta):
         I2 = float((phi * dv * dv).sum()) / (2.0 * n * n)
         assert np.array_equal(_bits(acceleration(m, x, v)), _bits(acc))
         assert np.array_equal(_bits(diagnostics(m, FlockState(0.0, x, v), 0.0).I2), _bits(I2))
-        assert np.array_equal(_bits(k.matrix(x)), _bits(phi))
+        assert np.array_equal(_bits(k.matrix(x, x)), _bits(phi))
         # eval shares the formula: an entry of the matrix is phi of its gap
         assert np.array_equal(_bits(k.eval(gaps)), _bits(phi))
         assert _bits(k.eval(gaps[-1, 0])) == _bits(phi[-1, 0])

@@ -50,11 +50,11 @@ def _scaled_wall(monkeypatch, factor):
 
 
 def _asymmetric_kernel(monkeypatch, eps):
-    # phi_ij scaled by 1 + eps above the diagonal only, so phi_ij != phi_ji;
-    # local row r of a block from row lo is agent lo + r, so j > i is k >= 1 + lo
-    def matrix(kernel, x, lo=0, hi=None):
-        w = _matrix(kernel, x, lo, hi)
-        return w + eps * np.triu(w, 1 + lo)
+    # phi_ij scaled by 1 + eps above the diagonal only, so phi_ij != phi_ji; a
+    # strip from row lo has rows and columns from agent lo on, so j > i is triu(w, 1)
+    def matrix(kernel, xi, xj):
+        w = _matrix(kernel, xi, xj)
+        return w + eps * np.triu(w, 1)
 
     monkeypatch.setattr(CommunicationKernel, "matrix", matrix)
 
@@ -145,19 +145,22 @@ def test_negative_control(monkeypatch, row, config, failed):
     assert _failed_claims(config) == failed
 
 
-def test_kernel_asymmetry_is_the_same_on_every_row_block(monkeypatch):
-    # acceleration asks for phi a row block at a time; with blocks of 2 and 3
-    # rows the patched kernel must still be phi_ij (1 + eps) for i < j exactly
-    n, eps = 7, 1e-2
+def test_kernel_asymmetry_takes_the_one_strip_path(monkeypatch):
+    # over several strips each pair's term is used for both of its rows, so an
+    # asymmetric patch would lose its asymmetry there; every config the rows
+    # run fits in one strip, where the patched acceleration is the dense
+    # asymmetric form phi_ij (1 + eps) for i < j exactly
+    for name in {config for _, config, _ in EXPECTED}:
+        n = config_from_data(yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())).ic.n_agents
+        assert dynamics.block_rows(n) >= n, name
+    n, eps = 16, 1e-2
     rng = np.random.default_rng(5)
     x = np.sort(rng.uniform(1.5, 9.0, n))
     v = rng.uniform(-1.0, 1.0, n)
     m = model_from_config(config_from_data({"ic": {"n_agents": n}}))
-    w = _matrix(m.kernel, x)
+    w = _matrix(m.kernel, x, x)
     w = w + eps * np.triu(w, 1)
     w *= v[None, :] - v[:, None]
     dense = w.sum(axis=1) / n + _geometry_force(m.geometry, m.wall, x)
     _asymmetric_kernel(monkeypatch, eps)
-    for block in (2 * n, 3 * n):
-        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", block)
-        assert np.array_equal(dynamics.acceleration(m, x, v), dense)
+    assert np.array_equal(dynamics.acceleration(m, x, v), dense)

@@ -269,7 +269,7 @@ def test_layer_sums_bitwise_equal_direct_form(variant, case, n):
 
     assert np.array_equal(_bits(geometry_force(geom, wall, x)), _bits(F))
     assert np.array_equal(_bits(distance_potential(wall, d)), _bits(U))
-    w = m.kernel.matrix(x)
+    w = m.kernel.matrix(x, x)
     w *= v[None, :] - v[:, None]
     expected = w.sum(axis=1) / n + F
     assert np.array_equal(_bits(acceleration(m, x, v)), _bits(expected))
