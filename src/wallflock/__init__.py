@@ -18,7 +18,6 @@ from .dynamics import (
     initial_condition,
 )
 from .integrator import (
-    IntegratorControl,
     StiffnessError,
     Trajectory,
     integrate,

@@ -1,8 +1,8 @@
 """Command-line driver: simulate, verify, sweep, and plot-data subcommands.
 
 Exit codes: 0 success / all claims pass, 1 claim failure, 2 configuration
-error, 3 integration failure.  All artifacts are deterministic functions of
-(config bytes, seed); reruns are byte-identical.
+error or unusable output directory, 3 integration failure.  All artifacts are
+deterministic functions of (config bytes, seed); reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -243,6 +243,9 @@ def main(argv=None) -> int:
         return run_simulate(cfg, text, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the run directory cannot be made or written
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -3,9 +3,9 @@
 Configs are YAML mappings with one section per subsystem.  The section
 dataclasses are the schema: each section key is an init field of its
 dataclass, and the integrator section holds RunConfig's own fields (t_end,
-sample_every).  Step control is not configurable: runs use IntegratorControl's
-defaults.  Unknown sections or keys are rejected by name; an empty document
-yields the full defaults.
+sample_every).  Step control is not configurable: it is the integrator's
+module constants.  Unknown sections or keys are rejected by name; an empty
+document yields the full defaults.
 """
 
 from __future__ import annotations
@@ -257,9 +257,7 @@ def read_config_text(path) -> str:
 
 
 def model_from_config(cfg: RunConfig) -> FlockModel:
-    return FlockModel(
-        kernel=cfg.kernel, wall=cfg.wall, geometry=cfg.geometry, n_agents=cfg.ic.n_agents
-    )
+    return FlockModel(kernel=cfg.kernel, wall=cfg.wall, geometry=cfg.geometry)
 
 
 def initial_state_from_config(cfg: RunConfig) -> FlockState:

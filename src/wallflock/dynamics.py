@@ -49,11 +49,8 @@ class FlockModel:
     kernel: CommunicationKernel
     wall: WallPotential
     geometry: Geometry
-    n_agents: int
 
     def __post_init__(self):
-        if int(self.n_agents) != self.n_agents or self.n_agents < 1:
-            raise ValueError("n_agents must be a positive integer")
         warn_if_overlapping(self.geometry, self.wall)
 
 

@@ -24,13 +24,20 @@ from .observables import DiagnosticsRecord, diagnostics, initial_energy
 from .potentials import WallDomainError, check_domain, wall_distances
 
 
+# step control, the same for every run: first step, error tolerances,
+# collapse floor and step ceiling
+DT_INIT = 1e-3
+ABS_TOL = 1e-8
+REL_TOL = 1e-8
+DT_MIN = 1e-12
+DT_MAX = 0.1
 # dt <= _WALL_SAFETY * (nearest wall distance) / (max |v| + 1), so the stiff
 # wall layer is resolved before it is entered
 _WALL_SAFETY = 0.25
 
 
 class StiffnessError(RuntimeError):
-    """Step-size control collapsed below dt_min."""
+    """Step-size control collapsed below DT_MIN."""
 
 
 def _stiffness_error(m: FlockModel, y, t: float, dt: float, why: str) -> StiffnessError:
@@ -41,23 +48,6 @@ def _stiffness_error(m: FlockModel, y, t: float, dt: float, why: str) -> Stiffne
         f"{why} at t={t:.6g} (attempted dt={dt:.3g}): agent {agent} is {d[wall, agent]:.3g} "
         f"from the wall at x={m.geometry._position[wall, 0]:g}, speed {abs(y[1, agent]):.3g}"
     )
-
-
-@dataclass(frozen=True)
-class IntegratorControl:
-    dt_init: float = 1e-3
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
-    dt_min: float = 1e-12
-    dt_max: float = 0.1
-
-    def __post_init__(self):
-        for name in ("dt_init", "abs_tol", "rel_tol", "dt_min", "dt_max"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        if not (self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError("dt_min <= dt_init <= dt_max required")
 
 
 @dataclass
@@ -101,15 +91,16 @@ def _rhs(m: FlockModel, y: np.ndarray, out: np.ndarray) -> None:
 
 
 def _attempt(m: FlockModel, y: np.ndarray, dt: float):
-    """One trial step from y -> (y_new, err); raises WallDomainError if a
-    stage or the endpoint leaves the open domain."""
+    """One trial step from y -> (y_new, err, the endpoint's nearest wall
+    distance); raises WallDomainError if a stage or the endpoint leaves the
+    open domain."""
     k = np.empty((2, 6, y.shape[1]))
     _rhs(m, y, k[:, 0])
     for i in range(1, 6):
         _rhs(m, y + dt * (_A[i] @ k[:, :i]), k[:, i])
     y_new = y + dt * (_B4 @ k)
-    check_domain(m.geometry, m.wall, y_new[0])
-    return y_new, dt * (_ERR @ k)
+    dist = check_domain(m.geometry, m.wall, y_new[0])
+    return y_new, dt * (_ERR @ k), dist
 
 
 def _sample_grid(t0: float, t_end: float, sample_every: float) -> np.ndarray:
@@ -125,8 +116,8 @@ def _sample_grid(t0: float, t_end: float, sample_every: float) -> np.ndarray:
     return times
 
 
-def _error_ratio(c: IntegratorControl, y, y_new, err) -> float:
-    scale = c.abs_tol + c.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+def _error_ratio(y, y_new, err) -> float:
+    scale = ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new))
     ratio = float(np.max(np.abs(err) / scale))
     if not (math.isfinite(ratio) and np.isfinite(y_new).all()):
         return math.inf
@@ -144,8 +135,6 @@ def _sample(
     """
     if not t_end > s0.t:
         raise ValueError("t_end must exceed the initial time")
-    if s0.n != m.n_agents:
-        raise ValueError("state size does not match model n_agents")
     G = initial_energy(m, s0)  # applies the domain rule to s0.x
 
     times = _sample_grid(s0.t, t_end, sample_every)
@@ -165,41 +154,36 @@ def _sample(
     return Trajectory(sample_times=times, X=X, V=V, records=records)
 
 
-def integrate(
-    m: FlockModel,
-    s0: FlockState,
-    t_end: float,
-    c: IntegratorControl | None = None,
-    sample_every: float = 0.1,
-) -> Trajectory:
+def integrate(m: FlockModel, s0: FlockState, t_end: float, sample_every: float = 0.1) -> Trajectory:
     """Advance s0 to t_end, sampling diagnostics on a uniform grid.
 
     Steps are clamped to land exactly on sample times and capped by the wall
     layer (_WALL_SAFETY).
     """
-    c = c or IntegratorControl()
-    # dt_prop <= dt_max throughout: dt_init <= dt_max, every update is below h or capped
-    dt_prop = c.dt_init
+    # dt_prop <= DT_MAX throughout: DT_INIT <= DT_MAX, every update is below h or capped
+    dt_prop = DT_INIT
     prev_ratio = 1.0
     walls_on = not m.wall.disabled
+    # nearest wall distance of the current state: the wall cap's input, taken
+    # from each accepted attempt's endpoint check
+    dist = float(wall_distances(m.geometry, s0.x).min())
 
     def advance(y, t, tb):
-        nonlocal dt_prop, prev_ratio
+        nonlocal dt_prop, prev_ratio, dist
         while True:
             gap = tb - t
             if gap <= 4e-16 * max(1.0, abs(tb)):
                 return y  # residual float gap; snap to the boundary
             h = min(dt_prop, gap)
             if walls_on:
-                dist = float(wall_distances(m.geometry, y[0]).min())
                 cap = _WALL_SAFETY * dist / (float(np.abs(y[1]).max()) + 1.0)
-                if cap < c.dt_min:
+                if cap < DT_MIN:
                     raise _stiffness_error(m, y, t, cap, "wall layer forces dt below dt_min")
                 h = min(h, cap)
             clamped = h < dt_prop
             try:
-                y_new, err = _attempt(m, y, h)
-                ratio = _error_ratio(c, y, y_new, err)
+                y_new, err, dist_new = _attempt(m, y, h)
+                ratio = _error_ratio(y, y_new, err)
             except WallDomainError:
                 ratio = None  # stage left the domain: halve and retry
             if ratio is None:
@@ -207,11 +191,11 @@ def integrate(
             elif ratio > 1.0:
                 dt_prop = h * max(0.1, 0.9 * ratio**-0.2)
             else:
-                y = y_new
+                y, dist = y_new, float(dist_new)
                 t = tb if h >= gap * (1.0 - 1e-12) else t + h
                 r = max(ratio, 1e-10)
                 factor = min(5.0, max(0.2, 0.9 * r**-0.14 * prev_ratio**0.08))
-                new_prop = min(h * factor, c.dt_max)
+                new_prop = min(h * factor, DT_MAX)
                 # a clamp (boundary landing or wall cap) says nothing about
                 # accuracy, so it may only grow the standing proposal
                 dt_prop = max(dt_prop, new_prop) if clamped else new_prop
@@ -219,7 +203,7 @@ def integrate(
                 if t == tb:
                     return y
                 continue
-            if dt_prop < c.dt_min:
+            if dt_prop < DT_MIN:
                 raise _stiffness_error(m, y, t, h, "step size collapsed below dt_min")
 
     return _sample(m, s0, t_end, sample_every, advance)

@@ -105,14 +105,15 @@ def wall_distances(geom: Geometry, x) -> np.ndarray:
     return geom._direction * (np.asarray(x, dtype=float) - geom._position)
 
 
-def check_domain(geom: Geometry, wall: WallPotential, x) -> None:
-    """Raise unless every position is strictly inside the open domain.
+def check_domain(geom: Geometry, wall: WallPotential, x) -> float:
+    """Raise unless every position is strictly inside the open domain, else
+    return the smallest wall distance.
 
     The wall's own distance check decides, so a disabled wall (theta = 0)
     asks only for finite distances: control runs can cross the boundary and
     be flagged by the collision check afterwards.
     """
-    wall._check(wall_distances(geom, x))
+    return wall._check(wall_distances(geom, x))
 
 
 def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import FlockModel, FlockState
-from .integrator import IntegratorControl, StiffnessError, Trajectory, integrate
+from .integrator import StiffnessError, Trajectory, integrate
 from .potentials import Geometry, WallDomainError, WallPotential
 
 _EPS = float(np.finfo(float).eps)
@@ -185,12 +185,15 @@ def check_settlement(traj: Trajectory, wall: WallPotential) -> SettlementResult:
     X = traj.X[k0:]  # (window, N)
     means = X.mean(axis=0)
     variation = X.max(axis=0) - X.min(axis=0)
-    # pairwise differences over blocks of rows, so no (window, N, N) array exists
+    # pairwise differences over strips of rows [lo, lo + rows) against the
+    # columns j >= lo, so no (window, N, N) array exists and each pair is seen
+    # once: fl(x_j - x_i) = -fl(x_i - x_j), and a gap's spread has the same
+    # bits from either side
     window, n = X.shape
     rows = max(1, _BLOCK_ELEMENTS // (window * n))
     peaks = []
-    for i in range(0, n, rows):
-        diffs = X[:, i : i + rows, None] - X[:, None, :]
+    for lo in range(0, n, rows):
+        diffs = X[:, lo : lo + rows, None] - X[:, None, lo:]
         peaks.append(np.max(diffs.max(axis=0) - diffs.min(axis=0)))
     drift = abs(traj.records[-1].p) >= SETTLE_EPS
     passed = bool(
@@ -326,7 +329,8 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, report: TheoremReport):
     report.fit, report.escape_time = fit, escape
     report.settled_positions = settle.settled_positions
     outside = escape is not None or settle.min_mean_position >= m.wall.ell - SETTLE_EPS
-    if m.n_agents == 1:
+    single = traj.X.shape[1] == 1
+    if single:
         rate_detail = "single agent: A is identically 0, nothing to fit"
     else:
         rate_detail = "" if fit is not None else "fit unavailable"
@@ -357,7 +361,7 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, report: TheoremReport):
             fit is not None and fit.delta > 0.0 and fit.r_squared > 0.99,
             math.nan if fit is None else fit.delta,
             0.0,
-            applicable=traj.records[0].p > 0.0 and m.n_agents > 1,
+            applicable=traj.records[0].p > 0.0 and not single,
             detail=rate_detail,
         ),
     ]
@@ -393,7 +397,6 @@ def _interval_claims(m: FlockModel, traj: Trajectory, report: TheoremReport):
 def verify(
     m: FlockModel,
     s0: FlockState,
-    control: IntegratorControl | None = None,
     *,
     t_end: float,
     sample_every: float = 0.1,
@@ -405,7 +408,7 @@ def verify(
     """
     variant = m.geometry.variant
     try:
-        traj = integrate(m, s0, t_end, control, sample_every)
+        traj = integrate(m, s0, t_end, sample_every)
     except (StiffnessError, WallDomainError, FloatingPointError) as exc:
         claim = Claim(
             "integration_completed", False, math.nan, 0.0, detail=f"{type(exc).__name__}: {exc}"

@@ -10,21 +10,19 @@ import pytest
 import wallflock as wf
 
 
-def halfline_model(n=16, H=1.0, beta=0.25, ell=1.0, theta=1.0):
+def halfline_model(H=1.0, beta=0.25, ell=1.0, theta=1.0):
     return wf.FlockModel(
         wf.CommunicationKernel("powerlaw", H, beta),
         wf.WallPotential(ell, theta),
         wf.Geometry("halfline"),
-        n,
     )
 
 
-def interval_model(n=16, a=0.0, b=10.0):
+def interval_model(a=0.0, b=10.0):
     return wf.FlockModel(
         wf.CommunicationKernel("powerlaw", 1.0, 0.25),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("interval", a, b),
-        n,
     )
 
 
@@ -83,7 +81,6 @@ def twoagent_fixture():
         wf.CommunicationKernel("constant", 1.0),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("halfline"),
-        2,
     )
     s0 = wf.FlockState(0.0, [2.0, 3.0], [0.5, 1.0])
     traj = wf.integrate(m, s0, 20.0, sample_every=0.1)

@@ -198,6 +198,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert not (tmp_path / "ic").exists()
 
 
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("verify", "file"),  # --out names an existing file
+        ("simulate", "file/sub"),  # a file as a parent directory
+        ("plot-data", "file"),
+        ("sweep", "file/sub"),
+        ("verify", "run"),  # report.json is a directory
+        ("sweep", "run"),  # sweep.csv is a directory
+    ],
+)
+def test_unusable_out_exits_2(tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "run" / "report.json").mkdir(parents=True)
+    (tmp_path / "run" / "sweep.csv").mkdir()
+    cfg = write(tmp_path, "run.yaml", SWEEP % 1 if command == "sweep" else FREE_ALIGNING)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == ""
+
+
 SETTLE_30 = (
     (Path(__file__).resolve().parents[1] / "configs" / "settle.yaml")
     .read_text()

@@ -50,7 +50,7 @@ def test_parse_canonical():
     assert cfg.sample_every == 0.05
     assert cfg.ic.x_low == 0.5
     m = model_from_config(cfg)
-    assert m.n_agents == 16
+    assert (m.kernel, m.wall, m.geometry) == (cfg.kernel, cfg.wall, cfg.geometry)
     s = initial_state_from_config(cfg)
     assert s.n == 16
     assert s.t == 0.0
@@ -114,7 +114,7 @@ def test_semantic_validation():
         parse_config("kernel: {family: gaussian}")
     with pytest.raises(ConfigError):
         parse_config("geometry: {variant: interval, a: 3.0, b: 1.0}")
-    # step control is not configurable: runs use IntegratorControl's defaults
+    # step control is not configurable: runs use the integrator's constants
     with pytest.raises(ConfigError, match="^unknown key integrator.dt_min$"):
         parse_config("integrator: {dt_min: 0.5}")
 

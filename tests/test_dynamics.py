@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,13 +10,12 @@ import wallflock as wf
 from wallflock import FlockModel, FlockState, acceleration, diagnostics, dynamics, initial_condition
 
 
-def free_model(n, family="powerlaw", H=1.0, beta=0.25):
+def free_model(family="powerlaw", H=1.0, beta=0.25):
     # wall present but every test state stays outside its range
     return FlockModel(
         wf.CommunicationKernel(family, H, beta),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("halfline"),
-        n,
     )
 
 
@@ -34,13 +34,14 @@ def test_state_validation():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        free_model(0)
-    free_model(1)
+    # the model is the scenario's physics; N is the length of the state
+    assert [f.name for f in dataclasses.fields(FlockModel)] == ["kernel", "wall", "geometry"]
+    with pytest.warns(UserWarning, match="exceeds half the interval width"):
+        FlockModel(free_model().kernel, wf.WallPotential(), wf.Geometry("interval", 0.0, 1.5))
 
 
 def test_two_agent_acceleration_by_hand():
-    m = free_model(2)
+    m = free_model()
     x = np.array([2.0, 3.0])
     v = np.array([0.5, 1.0])
     w = float(m.kernel.eval(1.0))
@@ -51,7 +52,7 @@ def test_two_agent_acceleration_by_hand():
 
 
 def test_single_agent_feels_only_the_wall():
-    m = free_model(1)
+    m = free_model()
     acc = acceleration(m, np.array([0.5]), np.array([0.0]))
     assert abs(acc[0] - wf.geometry_force(wf.Geometry(), m.wall, 0.5)[0]) < 1e-15
     acc_out = acceleration(m, np.array([2.0]), np.array([3.0]))
@@ -62,7 +63,7 @@ def test_alignment_term_conserves_momentum():
     rng = np.random.default_rng(5)
     for _ in range(40):
         n = int(rng.integers(2, 12))
-        m = free_model(n, beta=float(rng.uniform(0.0, 1.5)))
+        m = free_model(beta=float(rng.uniform(0.0, 1.5)))
         x = rng.uniform(2.0, 9.0, n)  # outside wall range, force free
         v = rng.uniform(-2.0, 2.0, n)
         acc = acceleration(m, x, v)
@@ -73,7 +74,7 @@ def test_acceleration_contracts_velocity_spread():
     rng = np.random.default_rng(9)
     for _ in range(25):
         n = int(rng.integers(2, 10))
-        m = free_model(n)
+        m = free_model()
         x = rng.uniform(2.0, 6.0, n)
         v = rng.uniform(-1.0, 1.0, n)
         acc = acceleration(m, x, v)
@@ -83,7 +84,7 @@ def test_acceleration_contracts_velocity_spread():
 
 
 def test_momentum_and_mean_force():
-    m = free_model(2)
+    m = free_model()
     s = FlockState(0.0, [0.5, 4.0], [1.0, 3.0])
     rec = diagnostics(m, s, G=0.0)
     assert rec.p == 2.0
@@ -137,7 +138,6 @@ def test_acceleration_is_permutation_equivariant(state, beta, theta):
         wf.CommunicationKernel("powerlaw", 1.0, beta),
         wf.WallPotential(1.0, theta),
         wf.Geometry("halfline"),
-        x.size,
     )
     acc = acceleration(m, x, v)
     # permuting the agents reorders each kernel sum, so agreement is to rounding
@@ -154,7 +154,6 @@ def test_interaction_has_zero_net_momentum(state, beta, rows):
         wf.CommunicationKernel("powerlaw", 1.0, beta),
         wf.WallPotential(1.0, 0.0),  # a disabled wall leaves the interaction alone
         wf.Geometry("halfline"),
-        x.size,
     )
     assert abs(acceleration(m, x, v).sum()) <= 1e-12 * x.size * np.abs(v).max()
     # strips of 1 to 4 rows: each pair's term goes to row i with one sign and
@@ -212,7 +211,7 @@ def test_row_blocked_acceleration_bitwise_equal_dense_form(monkeypatch, geometry
     k = wf.CommunicationKernel(family, 1.3, beta)
     blocks = (dynamics._BLOCK_ELEMENTS, 1000, 40)
     for n in ORACLE_N:
-        m = FlockModel(k, wf.WallPotential(1.0, 1.0), geometry, n)
+        m = FlockModel(k, wf.WallPotential(1.0, 1.0), geometry)
         rng = np.random.default_rng(n)
         # a few agents sit inside the wall layer (distance < ell = 1)
         x = np.sort(rng.uniform(0.3, 59.7, n))
@@ -254,7 +253,7 @@ def test_each_kernel_pair_is_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(wf.CommunicationKernel, "matrix", counted)
     for n in (1, 16, 181, 182, 1000, 1024, 4096):
-        m = free_model(n)
+        m = free_model()
         rng = np.random.default_rng(n)
         s = FlockState(0.0, np.sort(rng.uniform(2.0, 400.0, n)), rng.uniform(-1.0, 1.0, n))
         bound = n * (n + dynamics.block_rows(n)) // 2
@@ -269,7 +268,7 @@ def test_each_kernel_pair_is_evaluated_once(monkeypatch):
 def test_acceleration_memory_is_one_row_block():
     # the dense form held two N x N arrays: 268 MB at N = 4096; one strip is 256 KB
     n = 4096
-    m = free_model(n)
+    m = free_model()
     rng = np.random.default_rng(4)
     x = np.sort(rng.uniform(2.0, 400.0, n))
     v = rng.uniform(-1.0, 1.0, n)

@@ -1,16 +1,19 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import wallflock as wf
+from wallflock import integrator
 from wallflock import (
-    IntegratorControl,
     StiffnessError,
     Trajectory,
     WallDomainError,
     integrate,
     reference_rk4,
 )
-from wallflock.integrator import _A, _B4, _ERR, _attempt, _error_ratio
+from wallflock.integrator import ABS_TOL, REL_TOL, _A, _B4, _ERR, _attempt, _error_ratio
 
 
 def two_agent_constant(H=1.0):
@@ -18,7 +21,6 @@ def two_agent_constant(H=1.0):
         wf.CommunicationKernel("constant", H),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("halfline"),
-        2,
     )
 
 
@@ -37,32 +39,11 @@ def closed_form_pair(t, x1=2.0, x2=3.0, v1=0.5, v2=1.0, H=1.0):
     )
 
 
-def test_control_validation():
-    IntegratorControl()
-    with pytest.raises(ValueError):
-        IntegratorControl(dt_init=0.0)
-    with pytest.raises(ValueError):
-        IntegratorControl(dt_min=1e-3, dt_init=1e-4)
-    with pytest.raises(ValueError):
-        IntegratorControl(dt_max=1e-3, dt_init=1e-2)
-    with pytest.raises(ValueError):
-        IntegratorControl(abs_tol=0.0)
-
-
-def test_control_defaults():
-    c = IntegratorControl()
-    assert c.dt_init == 1e-3
-    assert c.dt_min == 1e-12
-    assert c.dt_max == 0.1
-    assert c.abs_tol == 1e-8
-    assert c.rel_tol == 1e-8
-
-
 def test_single_step_local_error():
     m = two_agent_constant()
     s = wf.FlockState(0.0, [2.0, 3.0], [0.5, 1.0])
     dt = 0.01
-    (x_new, v_new), (err_x, err_v) = _attempt(m, np.stack((s.x, s.v)), dt)
+    (x_new, v_new), (err_x, err_v), _ = _attempt(m, np.stack((s.x, s.v)), dt)
     x_ref, v_ref = closed_form_pair(dt)
     assert np.max(np.abs(x_new - x_ref)) < 1e-11  # local error ~ dt^5
     assert np.max(np.abs(v_new - v_ref)) < 1e-11
@@ -86,7 +67,6 @@ def test_overflowing_stage_is_a_rejected_step(monkeypatch):
         wf.CommunicationKernel("constant", H),
         wf.WallPotential(1.0, 0.0),
         wf.Geometry("halfline"),
-        2,
     )
     s = wf.FlockState(0.0, [1.0, 2.0], [-1e299, 1e299])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -105,8 +85,7 @@ def test_overflowing_stage_is_a_rejected_step(monkeypatch):
             return result
 
         monkeypatch.setattr(wf.integrator, "_attempt", attempt)
-        c = IntegratorControl(dt_init=1e-6, dt_max=1e-6, dt_min=1e-15)
-        traj = integrate(m, s, 1e-6, c, sample_every=1e-6)
+        traj = integrate(m, s, 1e-6, sample_every=1e-6)
     assert outcomes[0] == "domain"
     assert outcomes[-1] == "ok"
     x_ref, v_ref = closed_form_pair(1e-6, 1.0, 2.0, -1e299, 1e299, H)
@@ -130,9 +109,9 @@ def _paired_attempt(m, x, v, dt):
     return x_new, v_new, dt * (_ERR @ kx), dt * (_ERR @ kv)
 
 
-def _paired_error_ratio(c, x, v, x_new, v_new, err_x, err_v):
-    scale_x = c.abs_tol + c.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-    scale_v = c.abs_tol + c.rel_tol * np.maximum(np.abs(v), np.abs(v_new))
+def _paired_error_ratio(x, v, x_new, v_new, err_x, err_v):
+    scale_x = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
+    scale_v = ABS_TOL + REL_TOL * np.maximum(np.abs(v), np.abs(v_new))
     return max(float(np.max(np.abs(err_x) / scale_x)), float(np.max(np.abs(err_v) / scale_v)))
 
 
@@ -164,21 +143,22 @@ def test_phase_state_steps_bitwise_equal_paired_form(geometry, n):
     # agent 0 sits inside the wall layer (distance < ell = 1) and, on the
     # interval, so does the last agent, next to the other wall
     m = wf.FlockModel(
-        wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, 1.0), geometry, n
+        wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, 1.0), geometry
     )
-    c = IntegratorControl()
     rng = np.random.default_rng(n)
     for _ in range(5):
         x = rng.uniform(0.3, 5.7, n)
         x[-1], x[0] = 5.6, 0.4  # x[0] last, so a single agent is the one at 0.4
         v = rng.uniform(-1.0, 1.0, n)
         dt = 0.01
-        y_new, err = _attempt(m, np.stack((x, v)), dt)
+        y_new, err, dist = _attempt(m, np.stack((x, v)), dt)
         x_new, v_new, err_x, err_v = _paired_attempt(m, x, v, dt)
         assert np.array_equal(_bits(y_new), _bits([x_new, v_new]))
         assert np.array_equal(_bits(err), _bits([err_x, err_v]))
-        ratio = _error_ratio(c, np.stack((x, v)), y_new, err)
-        assert _bits(ratio) == _bits(_paired_error_ratio(c, x, v, x_new, v_new, err_x, err_v))
+        # the endpoint's nearest wall distance, which caps the next step
+        assert _bits(dist) == _bits(wf.wall_distances(geometry, x_new).min())
+        ratio = _error_ratio(np.stack((x, v)), y_new, err)
+        assert _bits(ratio) == _bits(_paired_error_ratio(x, v, x_new, v_new, err_x, err_v))
         # one reference_rk4 span of five substeps against five paired substeps
         s0 = wf.FlockState(0.0, x, v)
         traj = reference_rk4(m, s0, 5 * dt, dt, sample_every=5 * dt)
@@ -222,7 +202,6 @@ def test_adaptive_agrees_with_fixed_step_reference():
         wf.CommunicationKernel("powerlaw", 1.0, 0.25),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("halfline"),
-        4,
     )
     for _ in range(3):
         x = np.sort(rng.uniform(2.0, 5.0, 4))
@@ -240,7 +219,6 @@ def test_wall_bounce_has_no_collision_and_dissipates():
         wf.CommunicationKernel("powerlaw", 1.0, 0.25),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("halfline"),
-        4,
     )
     s = wf.FlockState(0.0, [0.8, 1.2, 1.6, 2.0], [-1.5, -1.0, -0.5, -1.0])
     traj = integrate(m, s, 15.0, sample_every=0.1)
@@ -257,7 +235,6 @@ def test_interval_bounces_both_walls():
         wf.CommunicationKernel("powerlaw", 1.0, 0.25),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("interval", 0.0, 4.0),
-        3,
     )
     s = wf.FlockState(0.0, [1.2, 2.0, 2.8], [1.5, 0.0, -1.5])
     traj = integrate(m, s, 12.0, sample_every=0.1)
@@ -267,15 +244,21 @@ def test_interval_bounces_both_walls():
 
 
 def test_stiffness_error_when_dt_min_unreachable():
-    m = two_agent_constant()
-    s = wf.FlockState(0.0, [5.0, 6.0], [-2.0, 2.0])
-    c = IntegratorControl(dt_init=0.2, dt_min=0.2, dt_max=0.2, abs_tol=1e-13, rel_tol=1e-13)
+    # a wall of strength 1e20 with an agent 0.05 from it: the error test
+    # halves the step below the 1e-12 floor
+    m = wf.FlockModel(
+        wf.CommunicationKernel("constant", 1.0),
+        wf.WallPotential(1.0, 1e20),
+        wf.Geometry("halfline"),
+    )
+    s = wf.FlockState(0.0, [0.05, 6.0], [-2.0, 2.0])
     # the message names t, the attempted dt, and the agent nearest a wall with its speed
     with pytest.raises(
         StiffnessError,
-        match=r"at t=0 \(attempted dt=0.2\): agent 0 is 5 from the wall at x=0, speed 2$",
+        match=r"^step size collapsed below dt_min at t=0 \(attempted dt=6.1e-12\): "
+        r"agent 0 is 0.05 from the wall at x=0, speed 2$",
     ):
-        integrate(m, s, 1.0, c, sample_every=1.0)
+        integrate(m, s, 1.0, sample_every=1.0)
 
 
 def test_trajectory_length_validation():
@@ -307,7 +290,7 @@ def test_trajectory_rows_equal_per_sample_diagnostics(run):
     kernel = wf.CommunicationKernel("powerlaw", 1.0, 0.25)
     geometries = ((wf.Geometry("halfline"), 4.0), (wf.Geometry("interval", 0.0, 6.0), 5.0))
     for geometry, x_high in geometries:
-        m = wf.FlockModel(kernel, wf.WallPotential(1.0, 1.0), geometry, n)
+        m = wf.FlockModel(kernel, wf.WallPotential(1.0, 1.0), geometry)
         s0 = wf.initial_condition(n, 1.2, x_high, -1.0, 1.0, 11)
         traj = run(m, s0, 3.0)
         S = traj.sample_times.size
@@ -340,22 +323,45 @@ def test_reference_rk4_subdivides_to_land_on_grid():
 )
 def test_entry_checks_shared_by_both_integrators(run):
     m = two_agent_constant()
-    with pytest.raises(ValueError, match="state size"):
-        run(m, wf.FlockState(0.0, [2.0, 3.0, 4.0], [0.5, 1.0, 0.0]), 1.0)
     with pytest.raises(ValueError, match="t_end"):
         run(m, wf.FlockState(1.0, [2.0, 3.0], [0.5, 1.0]), 1.0)
     with pytest.raises(WallDomainError):
         run(m, wf.FlockState(0.0, [-1.0, 3.0], [0.5, 1.0]), 1.0)
 
 
-def test_fixed_step_mode_effectively_disables_adaptivity():
-    # huge tolerances with dt_init = dt_max force a constant step size
-    m = two_agent_constant()
-    s = wf.FlockState(0.0, [2.0, 3.0], [0.5, 1.0])
-    h = 0.05
-    c = IntegratorControl(dt_init=h, dt_min=1e-15, dt_max=h, abs_tol=1e9, rel_tol=1e9)
-    traj = integrate(m, s, 1.0, c, sample_every=1.0)
-    x_ref, v_ref = closed_form_pair(1.0)
-    err = np.max(np.abs(traj.X[-1] - x_ref))
-    # error of a genuine h=0.05 fourth-order pass, far above adaptive accuracy
-    assert 1e-12 < err < 1e-6
+def test_readme_step_control_is_the_constants():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Every run steps with the module constants", 1)[1].split("\n\n", 1)[0]
+    name = r"`([A-Z]+(?:_[A-Z]+)+)`"
+    named = set(re.findall(name, paragraph))
+    given = dict(re.findall(name + r"\s+`([^`]+)`", paragraph))
+    constants = {
+        key: value for key, value in vars(integrator).items()
+        if key.isupper() and not key.startswith("_") and type(value) in (int, float)
+    }
+    assert named == set(given) == set(constants)
+    assert {key: float(value) for key, value in given.items()} == constants
+    assert f"`{integrator._WALL_SAFETY} * min wall distance" in paragraph
+
+
+def test_wall_cap_is_the_current_states(monkeypatch):
+    # an agent drifts into a weak wall, whose force leaves the error test
+    # slack: every attempt stays within the cap of the state it starts from,
+    # and the cap sets most of the steps
+    m = wf.FlockModel(
+        wf.CommunicationKernel("constant", 1.0),
+        wf.WallPotential(1.0, 1e-6),
+        wf.Geometry("halfline"),
+    )
+    s = wf.FlockState(0.0, [0.05, 1.2], [-0.01, 0.1])
+    steps = []
+
+    def attempt(m, y, h):
+        cap = 0.25 * wf.wall_distances(m.geometry, y[0]).min() / (np.abs(y[1]).max() + 1.0)
+        steps.append((h, cap))
+        return _attempt(m, y, h)
+
+    monkeypatch.setattr(integrator, "_attempt", attempt)
+    integrate(m, s, 3.0)
+    assert all(h <= cap for h, cap in steps)
+    assert sum(h == cap for h, cap in steps) > len(steps) / 2

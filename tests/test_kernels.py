@@ -140,7 +140,7 @@ def test_kernel_matrix_consumers_bitwise_equal_direct_form(family, beta):
     for n in (1, 2, 16, 130):
         x = np.sort(rng.uniform(0.5, 40.0, n))
         v = rng.uniform(-1.0, 1.0, n)
-        m = FlockModel(k, WallPotential(), Geometry("halfline"), n)
+        m = FlockModel(k, WallPotential(), Geometry("halfline"))
         gaps = x[:, None] - x[None, :]
         if family == "constant":
             phi = np.full_like(gaps, k.H)

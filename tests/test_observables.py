@@ -25,7 +25,6 @@ def two_agent_model(beta=0.5):
         wf.CommunicationKernel("powerlaw", 1.0, beta),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("halfline"),
-        2,
     )
 
 
@@ -83,7 +82,6 @@ def test_diagnostics_against_hand_formulas():
         wf.CommunicationKernel("powerlaw", 1.0, 0.25),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("halfline"),
-        3,
     )
     for _ in range(25):
         x = rng.uniform(0.3, 5.0, 3)
@@ -138,7 +136,7 @@ def _direct_diagnostics(m, s, G):
 )
 def test_diagnostics_bitwise_equal_direct_form(monkeypatch, geometry, theta, n, x_low):
     m = wf.FlockModel(
-        wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, theta), geometry, n
+        wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, theta), geometry
     )
     rng = np.random.default_rng(5)
     # at 39 elements a strip holds 3 of 13 rows, so I2 is summed over five
@@ -173,7 +171,6 @@ def test_diagnostics_holds_one_pairwise_buffer():
         wf.CommunicationKernel("powerlaw", 1.0, 0.25),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("halfline"),
-        n,
     )
     rng = np.random.default_rng(3)
     s = wf.FlockState(0.0, np.sort(rng.uniform(0.5, 200.0, n)), rng.uniform(-1.0, 1.0, n))
@@ -192,7 +189,6 @@ def test_interval_wall_distance_uses_both_walls():
         wf.CommunicationKernel("powerlaw", 1.0, 0.25),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("interval", 0.0, 10.0),
-        2,
     )
     s = wf.FlockState(0.0, [4.0, 9.7], [0.0, 0.0])
     rec = diagnostics(m, s, G=0.0)

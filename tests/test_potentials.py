@@ -260,7 +260,7 @@ def _bits(a):
 def test_layer_sums_bitwise_equal_direct_form(variant, case, n):
     geom = Geometry("halfline") if variant == "halfline" else Geometry("interval", 0.0, 10.0)
     wall = WallPotential(1.0, 0.0 if case == "disabled" else 1.5)
-    m = FlockModel(CommunicationKernel("powerlaw", 1.0, 0.25), wall, geom, n)
+    m = FlockModel(CommunicationKernel("powerlaw", 1.0, 0.25), wall, geom)
     rng = np.random.default_rng([n, len(case), len(variant)])
     x = _positions(variant, case, n, rng)
     v = rng.uniform(-1.0, 1.0, n)
