@@ -21,6 +21,7 @@ from .integrator import (
     StiffnessError,
     Trajectory,
     integrate,
+    integrate_batch,
     reference_rk4,
 )
 from .observables import (
@@ -46,6 +47,7 @@ from .verification import (
     detect_escape,
     fit_exponential,
     verify,
+    verify_batch,
 )
 from .config import (
     ConfigError,

@@ -29,10 +29,10 @@ from .config import (
     read_config_text,
     serialize_config,
 )
-from .integrator import StiffnessError, Trajectory, integrate
+from .integrator import StiffnessError, Trajectory, batch_members, integrate
 from .observables import write_diagnostics_csv
 from .potentials import WallDomainError
-from .verification import REPORT_JSON, TheoremReport, verify
+from .verification import REPORT_JSON, TheoremReport, verify, verify_batch
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,18 +166,18 @@ def _sort_key(value):
     return (1, 0.0) if math.isnan(value) else (0, value)
 
 
-def _sweep_job(base: dict, axes, combo, seed: int) -> list:
-    """One sweep.csv row: the axis values, the seed, and the run's results."""
-    data = dict(base)
-    for (key, _), value in zip(axes, combo):
-        _set_dotted(data, key, value)
-    _set_dotted(data, "ic.seed", seed)
-    try:
-        cfg = config_from_data(data)
-    except ConfigError as exc:
-        results = ["", "", "", "", False, f"config-error: {exc}"]
-    else:
-        report = _verify(cfg)
+def _sweep_job(batch: list) -> list:
+    """The sweep.csv rows of a batch of runs (index, axis values, seed, config)
+    that share a model, N and sample grid, stepped together by verify_batch."""
+    cfg = batch[0][3]
+    reports = verify_batch(
+        model_from_config(cfg),
+        [initial_state_from_config(c) for *_, c in batch],
+        t_end=cfg.t_end,
+        sample_every=cfg.sample_every,
+    )
+    rows = []
+    for (_, combo, seed, _), report in zip(batch, reports):
         completed = report.claim("integration_completed")
         results = [
             report.variant,
@@ -187,7 +187,41 @@ def _sweep_job(base: dict, axes, combo, seed: int) -> list:
             bool(report.passed),
             "ok" if completed.passed else f"integration-error: {completed.detail}",
         ]
+        rows.append(_sweep_row(combo, seed, results))
+    return rows
+
+
+def _sweep_row(combo, seed: int, results: list) -> list:
     return [_fmt_cell(v) for v in [*combo, seed, *results]]
+
+
+def _sweep_batches(base: dict, axes, jobs: list):
+    """(batches for _sweep_job, rows) for the jobs [(axis values, seed)]: a
+    job whose config is invalid has its row in rows, the others None there.
+
+    A batch holds runs with equal model, N, t_end and sample_every, at most
+    integrator.batch_members of them.
+    """
+    rows: list = [None] * len(jobs)
+    groups: dict = {}
+    for i, (combo, seed) in enumerate(jobs):
+        data = dict(base)
+        for (key, _), value in zip(axes, combo):
+            _set_dotted(data, key, value)
+        _set_dotted(data, "ic.seed", seed)
+        try:
+            cfg = config_from_data(data)
+        except ConfigError as exc:
+            rows[i] = _sweep_row(combo, seed, ["", "", "", "", False, f"config-error: {exc}"])
+            continue
+        key = (model_from_config(cfg), cfg.ic.n_agents, cfg.t_end, cfg.sample_every)
+        groups.setdefault(key, []).append((i, combo, seed, cfg))
+    batches = []
+    for (_, n, t_end, sample_every), members in groups.items():
+        # the sample grid has at most this many rows
+        size = batch_members(n, math.ceil(t_end / sample_every) + 1)
+        batches += [members[lo : lo + size] for lo in range(0, len(members), size)]
+    return batches, rows
 
 
 def run_sweep(text: str, out_override: Path | None, quiet: bool = False) -> int:
@@ -201,8 +235,11 @@ def run_sweep(text: str, out_override: Path | None, quiet: bool = False) -> int:
         ((combo, seed) for combo in itertools.product(*(v for _, v in axes)) for seed in seeds),
         key=lambda job: (tuple(_sort_key(v) for v in job[0]), job[1]),
     )
+    batches, rows = _sweep_batches(base, axes, jobs)
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        rows = list(pool.map(lambda job: _sweep_job(base, axes, *job), jobs))
+        for batch, batch_rows in zip(batches, pool.map(_sweep_job, batches)):
+            for (i, *_), row in zip(batch, batch_rows):
+                rows[i] = row
 
     header = [key for key, _ in axes] + [
         "seed", "variant", "final_A", "delta", "min_wall_distance", "passed", "status",

@@ -67,15 +67,20 @@ def kernel_strips(kernel: CommunicationKernel, x: np.ndarray):
 
 
 def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """dv/dt on raw arrays; dx/dt is v itself."""
+    """dv/dt on raw arrays; dx/dt is v itself.
+
+    x and v are one state's (N,) rows or a batch's (B, N) rows, up to N = 181
+    where one strip holds a member's whole matrix; integrator.batch_members
+    keeps a batch's stacked matrices within one strip's bound.
+    """
     # the wall force validates x (finite, inside the domain) before the O(N^2) work
     force = geometry_force(m.geometry, m.wall, x)
-    n = x.shape[0]
+    n = x.shape[-1]
     if block_rows(n) >= n:
         # one strip, the dense N x N form: no loop, which costs 5 % at N = 16
         w = m.kernel.matrix(x, x)
-        w *= v[None, :] - v[:, None]
-        sums = w.sum(axis=1)
+        w *= v[..., None, :] - v[..., :, None]
+        sums = w.sum(axis=-1)
     else:
         # phi is even in r^2, so phi_ij (v_j - v_i) = -phi_ji (v_i - v_j) to the
         # bit: a strip's columns past its rows are also the later rows' terms

@@ -5,11 +5,13 @@ propagated, the fifth-order weights serve only the error estimate.  Steps are
 rejected (never clamped) when any internal stage leaves the open domain, so
 the discrete flow never evaluates the potential at or behind a wall.
 
-Both integrators step one phase state y = (x, v), an array of shape (2, N).
-Fehlberg keeps its stages in a (2, 6, N) array, stages on axis 1, so every
-tableau row combines one (6, N) block per component, each with the matvec
-path of an N-wide row; a flat (2N,) state would take another path at width
-2N and change the last bits of the run.
+Both integrators step one phase state y = (x, v), an array of shape (2, N);
+Fehlberg also steps a batch of them, (2, B, N), for runs that share a model,
+so y[0] and y[1] are the positions and velocities either way.  Fehlberg
+keeps its stages in a (2, [B,] 6, N) array, stages on axis -2, so every
+tableau row combines one (6, N) block per component and member, each with
+the matvec path of an N-wide row; a flat (2N,) state would take another path
+at width 2N and change the last bits of the run.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlockModel, FlockState, acceleration
+from .dynamics import FlockModel, FlockState, acceleration, block_rows
 from .observables import DiagnosticsRecord, diagnostics, initial_energy
 from .potentials import WallDomainError, check_domain, wall_distances
 
@@ -34,6 +36,8 @@ DT_MAX = 0.1
 # dt <= _WALL_SAFETY * (nearest wall distance) / (max |v| + 1), so the stiff
 # wall layer is resolved before it is entered
 _WALL_SAFETY = 0.25
+# numbers that one batch's recorded samples may hold (32 MB)
+_SAMPLE_ELEMENTS = 1 << 22
 
 
 class StiffnessError(RuntimeError):
@@ -84,20 +88,24 @@ _ERR = np.array([1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55])
 
 
 def _rhs(m: FlockModel, y: np.ndarray, out: np.ndarray) -> None:
-    """Write dy/dt = (v, acceleration(m, x, v)) into the (2, N) slot out;
+    """Write dy/dt = (v, acceleration(m, x, v)) into the slot out shaped as y;
     raises WallDomainError if x leaves the open domain."""
     out[0] = y[1]
     out[1] = acceleration(m, y[0], y[1])
 
 
-def _attempt(m: FlockModel, y: np.ndarray, dt: float):
+def _attempt(m: FlockModel, y: np.ndarray, dt):
     """One trial step from y -> (y_new, err, the endpoint's nearest wall
     distance); raises WallDomainError if a stage or the endpoint leaves the
-    open domain."""
-    k = np.empty((2, 6, y.shape[1]))
-    _rhs(m, y, k[:, 0])
+    open domain.
+
+    y is one (2, N) state with a float dt, or a batch's (2, B, N) states with
+    their steps dt as a (B, 1) array and a distance per member.
+    """
+    k = np.empty(y.shape[:-1] + (6, y.shape[-1]))
+    _rhs(m, y, k[..., 0, :])
     for i in range(1, 6):
-        _rhs(m, y + dt * (_A[i] @ k[:, :i]), k[:, i])
+        _rhs(m, y + dt * (_A[i] @ k[..., :i, :]), k[..., i, :])
     y_new = y + dt * (_B4 @ k)
     dist = check_domain(m.geometry, m.wall, y_new[0])
     return y_new, dt * (_ERR @ k), dist
@@ -116,97 +124,196 @@ def _sample_grid(t0: float, t_end: float, sample_every: float) -> np.ndarray:
     return times
 
 
-def _error_ratio(y, y_new, err) -> float:
-    scale = ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new))
-    ratio = float(np.max(np.abs(err) / scale))
-    if not (math.isfinite(ratio) and np.isfinite(y_new).all()):
-        return math.inf
-    return ratio
+def batch_members(n: int, samples: int) -> int:
+    """Most members that one integrate_batch call steps together, at n agents
+    and samples rows each.
 
-
-def _sample(
-    m: FlockModel, s0: FlockState, t_end: float, sample_every: float, advance
-) -> Trajectory:
-    """Sample a run from s0.t to t_end on the uniform grid.
-
-    Records s0 and its diagnostics in row 0, then calls advance(y, t0, t1)
-    -> y on the phase state y = (x, v) once per grid span and records the
-    state reached at t1 in the next row.
+    Their stacked N x N kernel matrices fill at most one strip of
+    dynamics.block_rows, so above N = 181 a batch is one member on the strip
+    path, and their recorded samples hold at most _SAMPLE_ELEMENTS numbers.
     """
-    if not t_end > s0.t:
+    row = 2 * n + len(DiagnosticsRecord._fields)
+    return max(1, min(block_rows(n) // n, _SAMPLE_ELEMENTS // (samples * row)))
+
+
+def _error_ratio(y, y_new, err) -> list:
+    """Per member (one for a (2, N) state): the largest |err| over its
+    tolerance scale, inf where that or y_new is not finite."""
+    scale = ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new))
+    q = np.abs(err)
+    q /= scale
+    # adding 0 * y_new keeps every finite quotient's bits and makes it NaN
+    # where y_new is not finite; the NaN carries through the max
+    q += 0.0 * y_new
+    ratios = np.max(q, axis=(0, -1)).reshape(-1).tolist()
+    return [r if r <= math.inf else math.inf for r in ratios]
+
+
+def _attempt_one(m: FlockModel, y: np.ndarray, h: float):
+    """_attempt on one (2, N) state -> (y_new, error ratio, endpoint distance),
+    with a ratio of None when a stage left the domain."""
+    try:
+        y_new, err, dist = _attempt(m, y, h)
+    except WallDomainError:
+        return None, None, None
+    return y_new, _error_ratio(y, y_new, err)[0], float(dist)
+
+
+def _round(m: FlockModel, y: np.ndarray, act: list, hs: list) -> list:
+    """One Fehlberg attempt for each member act[j] of the (2, B, N) states y at
+    step hs[j]: a list of _attempt_one's results.
+
+    The members share one batched attempt; a round of every member takes y as
+    it is, and one member alone takes the single-state path.  If any member
+    leaves the domain, each is attempted alone, so only that one is rejected.
+    """
+    if len(act) == 1:
+        return [_attempt_one(m, y[:, act[0]], hs[0])]
+    ya = y if len(act) == y.shape[1] else y[:, act]
+    try:
+        y_new, err, dist = _attempt(m, ya, np.array(hs)[:, None])
+    except WallDomainError:
+        return [_attempt_one(m, y[:, b], h) for b, h in zip(act, hs)]
+    return list(zip(y_new.swapaxes(0, 1), _error_ratio(ya, y_new, err), dist.tolist()))
+
+
+def _sample(m: FlockModel, states: list, t_end: float, sample_every: float, advance) -> list:
+    """Sample runs from states, which share N and their start time, to t_end
+    on the uniform grid; one Trajectory or error per state.
+
+    Records each state and its diagnostics in row 0, then calls
+    advance(y, live, t0, t1) once per grid span on the (2, B, N) phase states
+    y = (x, v): it moves the members in live to t1 in place and
+    returns {member: error} for those that cannot get there, whose result is
+    that error.  A state outside the domain fails at t0 with WallDomainError.
+    """
+    t0 = states[0].t
+    if any(s.t != t0 or s.n != states[0].n for s in states):
+        raise ValueError("batched states must share N and their initial time")
+    if not t_end > t0:
         raise ValueError("t_end must exceed the initial time")
-    G = initial_energy(m, s0)  # applies the domain rule to s0.x
+    results: list = [None] * len(states)
+    G = {}
+    for b, s in enumerate(states):
+        try:
+            G[b] = initial_energy(m, s)  # applies the domain rule to s.x
+        except WallDomainError as exc:
+            results[b] = exc
+    live = list(G)
 
-    times = _sample_grid(s0.t, t_end, sample_every)
-    X = np.empty((times.size, s0.n))
+    times = _sample_grid(t0, t_end, sample_every)
+    y = np.stack([np.stack((s.x, s.v)) for s in states], axis=1)
+    X = np.empty((len(states), times.size, y.shape[-1]))
     V = np.empty_like(X)
-    records = np.recarray(times.size, dtype=[(f, float) for f in DiagnosticsRecord._fields])
-    X[0], V[0] = s0.x, s0.v
-    records[0] = diagnostics(m, s0, G)
-
-    y = np.stack((s0.x, s0.v))
+    records = np.recarray(X.shape[:2], dtype=[(f, float) for f in DiagnosticsRecord._fields])
+    X[:, 0], V[:, 0] = y
+    for b in live:
+        records[b, 0] = diagnostics(m, states[b], G[b])
     for k in range(1, times.size):
-        y = advance(y, times[k - 1], times[k])
-        X[k], V[k] = y
-        # the state is validated (finite x and v) before its diagnostics
-        records[k] = diagnostics(m, FlockState(t=times[k], x=y[0], v=y[1]), G)
+        for b, exc in advance(y, live, times[k - 1], times[k]).items():
+            results[b] = exc
+            live.remove(b)
+        X[:, k], V[:, k] = y
+        for b in live:
+            # the state is validated (finite x and v) before its diagnostics
+            state = FlockState(t=times[k], x=y[0, b], v=y[1, b])
+            records[b, k] = diagnostics(m, state, G[b])
 
-    return Trajectory(sample_times=times, X=X, V=V, records=records)
+    for b in live:
+        results[b] = Trajectory(sample_times=times, X=X[b], V=V[b], records=records[b])
+    return results
+
+
+def _single(results: list) -> Trajectory:
+    """The one run of a one-state _sample, raising its error if it failed."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def integrate_batch(
+    m: FlockModel, states: list, t_end: float, sample_every: float = 0.1
+) -> list:
+    """integrate each state, the runs stepped together: one Trajectory,
+    StiffnessError or WallDomainError per state, each bit-identical to its
+    single run.
+
+    The states share N and their start time.  Every member keeps its own step
+    control, in integrate's order of operations on Python floats; each round
+    makes one Fehlberg attempt, batched over the members that have not yet
+    reached the current sample time.  A member that fails drops out.
+    """
+    walls_on = not m.wall.disabled
+    # per member: the standing step proposal (dt_prop <= DT_MAX throughout:
+    # DT_INIT <= DT_MAX, every update is below h or capped), the last accepted
+    # error ratio, and the nearest wall distance of the current state, the
+    # wall cap's input, taken from each accepted attempt's endpoint check
+    dt_prop = [DT_INIT] * len(states)
+    prev_ratio = [1.0] * len(states)
+    dist = [float(wall_distances(m.geometry, s.x).min()) for s in states]
+
+    def advance(y, live, t0, tb):
+        failed = {}
+        t = dict.fromkeys(live, t0)  # each member's time within the span
+        snap = 4e-16 * max(1.0, abs(tb))  # a residual float gap lands on tb
+        pending = live  # members short of tb
+        while pending:
+            vmax = np.abs(y[1]).max(axis=-1).tolist() if walls_on else None
+            act, hs = [], []
+            for b in pending:
+                gap = tb - t[b]
+                if gap <= snap:
+                    continue
+                h = min(dt_prop[b], gap)
+                if walls_on:
+                    cap = _WALL_SAFETY * dist[b] / (vmax[b] + 1.0)
+                    if cap < DT_MIN:
+                        failed[b] = _stiffness_error(
+                            m, y[:, b], t[b], cap, "wall layer forces dt below dt_min"
+                        )
+                        continue
+                    h = min(h, cap)
+                act.append(b)
+                hs.append(h)
+            pending = []
+            for b, h, (y_new, ratio, dist_new) in zip(act, hs, _round(m, y, act, hs)):
+                clamped = h < dt_prop[b]
+                if ratio is None:
+                    dt_prop[b] = h / 2.0  # a stage left the domain: halve and retry
+                elif ratio > 1.0:
+                    dt_prop[b] = h * max(0.1, 0.9 * ratio**-0.2)
+                else:
+                    y[:, b], dist[b] = y_new, dist_new
+                    r = max(ratio, 1e-10)
+                    factor = min(5.0, max(0.2, 0.9 * r**-0.14 * prev_ratio[b] ** 0.08))
+                    new_prop = min(h * factor, DT_MAX)
+                    # a clamp (boundary landing or wall cap) says nothing about
+                    # accuracy, so it may only grow the standing proposal
+                    dt_prop[b] = max(dt_prop[b], new_prop) if clamped else new_prop
+                    prev_ratio[b] = r
+                    if h < (tb - t[b]) * (1.0 - 1e-12):
+                        t[b] += h
+                        pending.append(b)
+                    continue
+                if dt_prop[b] < DT_MIN:
+                    failed[b] = _stiffness_error(
+                        m, y[:, b], t[b], h, "step size collapsed below dt_min"
+                    )
+                    continue
+                pending.append(b)
+        return failed
+
+    return _sample(m, states, t_end, sample_every, advance)
 
 
 def integrate(m: FlockModel, s0: FlockState, t_end: float, sample_every: float = 0.1) -> Trajectory:
     """Advance s0 to t_end, sampling diagnostics on a uniform grid.
 
     Steps are clamped to land exactly on sample times and capped by the wall
-    layer (_WALL_SAFETY).
+    layer (_WALL_SAFETY).  A one-member integrate_batch.
     """
-    # dt_prop <= DT_MAX throughout: DT_INIT <= DT_MAX, every update is below h or capped
-    dt_prop = DT_INIT
-    prev_ratio = 1.0
-    walls_on = not m.wall.disabled
-    # nearest wall distance of the current state: the wall cap's input, taken
-    # from each accepted attempt's endpoint check
-    dist = float(wall_distances(m.geometry, s0.x).min())
-
-    def advance(y, t, tb):
-        nonlocal dt_prop, prev_ratio, dist
-        while True:
-            gap = tb - t
-            if gap <= 4e-16 * max(1.0, abs(tb)):
-                return y  # residual float gap; snap to the boundary
-            h = min(dt_prop, gap)
-            if walls_on:
-                cap = _WALL_SAFETY * dist / (float(np.abs(y[1]).max()) + 1.0)
-                if cap < DT_MIN:
-                    raise _stiffness_error(m, y, t, cap, "wall layer forces dt below dt_min")
-                h = min(h, cap)
-            clamped = h < dt_prop
-            try:
-                y_new, err, dist_new = _attempt(m, y, h)
-                ratio = _error_ratio(y, y_new, err)
-            except WallDomainError:
-                ratio = None  # stage left the domain: halve and retry
-            if ratio is None:
-                dt_prop = h / 2.0
-            elif ratio > 1.0:
-                dt_prop = h * max(0.1, 0.9 * ratio**-0.2)
-            else:
-                y, dist = y_new, float(dist_new)
-                t = tb if h >= gap * (1.0 - 1e-12) else t + h
-                r = max(ratio, 1e-10)
-                factor = min(5.0, max(0.2, 0.9 * r**-0.14 * prev_ratio**0.08))
-                new_prop = min(h * factor, DT_MAX)
-                # a clamp (boundary landing or wall cap) says nothing about
-                # accuracy, so it may only grow the standing proposal
-                dt_prop = max(dt_prop, new_prop) if clamped else new_prop
-                prev_ratio = r
-                if t == tb:
-                    return y
-                continue
-            if dt_prop < DT_MIN:
-                raise _stiffness_error(m, y, t, h, "step size collapsed below dt_min")
-
-    return _sample(m, s0, t_end, sample_every, advance)
+    return _single(integrate_batch(m, [s0], t_end, sample_every))
 
 
 def reference_rk4(
@@ -224,11 +331,12 @@ def reference_rk4(
     if not dt_fixed > 0:
         raise ValueError("dt_fixed must be positive")
 
-    def advance(y, t0, t1):
+    def advance(ys, live, t0, t1):
         gap = t1 - t0
         n_sub = max(1, round(gap / dt_fixed))
         h = gap / n_sub
-        k = np.empty((4, 2, y.shape[1]))
+        y = ys[:, 0]
+        k = np.empty((4,) + y.shape)
         for _ in range(n_sub):
             _rhs(m, y, k[0])
             _rhs(m, y + 0.5 * h * k[0], k[1])
@@ -236,6 +344,7 @@ def reference_rk4(
             _rhs(m, y + h * k[2], k[3])
             y = y + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
             check_domain(m.geometry, m.wall, y[0])
-        return y
+        ys[:, 0] = y
+        return {}
 
-    return _sample(m, s0, t_end, sample_every, advance)
+    return _single(_sample(m, [s0], t_end, sample_every, advance))

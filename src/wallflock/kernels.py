@@ -43,8 +43,9 @@ class CommunicationKernel:
         return out if out.ndim else float(out)
 
     def matrix(self, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
-        """phi(xi[:, None] - xj[None, :]), elementwise: a strip holds the whole matrix's bits."""
-        return self._phi(np.subtract.outer(xi, xj))
+        """phi(xi[..., :, None] - xj[..., None, :]), elementwise: a strip holds the
+        whole matrix's bits, and a batch's (B, N) rows give its members' matrices."""
+        return self._phi(xi[..., :, None] - xj[..., None, :])
 
     def _phi(self, w: np.ndarray) -> np.ndarray:
         """Overwrite the distances in w with phi of them; the one formula of eval and matrix."""

@@ -100,20 +100,27 @@ class Geometry:
 def wall_distances(geom: Geometry, x) -> np.ndarray:
     """Distance from each position to every wall, one row per wall.
 
-    direction * (x - position) is exact for direction -1: fl(x - b) = -fl(b - x).
+    A batch's (B, N) positions give (B, walls, N).  direction * (x - position)
+    is exact for direction -1: fl(x - b) = -fl(b - x).
     """
-    return geom._direction * (np.asarray(x, dtype=float) - geom._position)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        x = x[:, None, :]
+    return geom._direction * (x - geom._position)
 
 
-def check_domain(geom: Geometry, wall: WallPotential, x) -> float:
+def check_domain(geom: Geometry, wall: WallPotential, x):
     """Raise unless every position is strictly inside the open domain, else
-    return the smallest wall distance.
+    return the smallest wall distance, one per member for a batch's (B, N)
+    positions.
 
     The wall's own distance check decides, so a disabled wall (theta = 0)
     asks only for finite distances: control runs can cross the boundary and
     be flagged by the collision check afterwards.
     """
-    return wall._check(wall_distances(geom, x))
+    d = wall_distances(geom, x)
+    lo = wall._check(d)
+    return lo if d.ndim == 2 else d.min(axis=(-2, -1))
 
 
 def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
@@ -130,7 +137,8 @@ def distance_potential(wall: WallPotential, d: np.ndarray) -> np.ndarray:
 # The layer sums take distances that have passed the domain rule, with lo their
 # minimum.  With every distance >= ell or the wall off they return exact zeros
 # without evaluating the formula: there the formula gives +0.0 for every wall,
-# and the sum over walls +0.0 + (-0.0) is +0.0 as well.
+# and the sum over walls +0.0 + (-0.0) is +0.0 as well.  So a batch member
+# outside the layer gets the same zeros whether or not another member is in it.
 
 
 def layer_potential(wall: WallPotential, d: np.ndarray, lo) -> np.ndarray:
@@ -143,8 +151,8 @@ def layer_potential(wall: WallPotential, d: np.ndarray, lo) -> np.ndarray:
 def layer_force(geom: Geometry, wall: WallPotential, d: np.ndarray, lo) -> np.ndarray:
     """geometry_force of checked distances."""
     if lo >= wall.ell or wall.disabled:
-        return np.zeros(d.shape[1])
-    return np.add.reduce(geom._direction * wall._force(d), axis=0)
+        return np.zeros(d.shape[:-2] + d.shape[-1:])
+    return np.add.reduce(geom._direction * wall._force(d), axis=-2)
 
 
 def warn_if_overlapping(geom: Geometry, wall: WallPotential) -> None:

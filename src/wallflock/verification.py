@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import FlockModel, FlockState
-from .integrator import StiffnessError, Trajectory, integrate
+from .integrator import StiffnessError, Trajectory, integrate, integrate_batch
 from .potentials import Geometry, WallDomainError, WallPotential
 
 _EPS = float(np.finfo(float).eps)
@@ -29,6 +29,8 @@ SETTLE_EPS = 1e-2  # tail-window position variation and wall-range slack
 TAIL_FRACTION = 0.25  # trailing share of the run that tail statistics and fits read
 FIT_MIN_POINTS = 10  # fewest samples an exponential-rate fit takes
 BUDGET_TOL = 1e-3  # relative slack of the Lyapunov budget
+# the round-off floor of A: samples below it carry no rate
+_FIT_FLOOR = 100.0 * _EPS
 
 
 @dataclass
@@ -140,7 +142,7 @@ def fit_exponential(traj: Trajectory, window_start: float | None = None):
     times, A = traj.sample_times, traj.records.A
     if window_start is None:
         window_start = times[_tail_start_index(times)]
-    mask = (times >= window_start - 1e-12) & (A >= 100.0 * _EPS)
+    mask = (times >= window_start - 1e-12) & (A >= _FIT_FLOOR)
     if int(mask.sum()) < FIT_MIN_POINTS:
         return None
     tt = times[mask]
@@ -319,9 +321,10 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, report: TheoremReport):
     """Strong flocking, settlement or escape, and the exponential rate.
 
     The exponential-rate claim applies only when the initial momentum is
-    positive (the escaping regime) and there are at least two agents (one
-    agent has no velocity spread to decay); absolute settlement only when the
-    flock is not in drift mode.
+    positive (the escaping regime) and A leaves the fit's round-off floor at
+    some sample (a single agent, or a flock aligned from the start, has no
+    velocity spread to decay); absolute settlement only when the flock is not
+    in drift mode.
     """
     escape = detect_escape(traj, m.geometry, m.wall)
     settle = check_settlement(traj, m.wall)
@@ -329,9 +332,9 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, report: TheoremReport):
     report.fit, report.escape_time = fit, escape
     report.settled_positions = settle.settled_positions
     outside = escape is not None or settle.min_mean_position >= m.wall.ell - SETTLE_EPS
-    single = traj.X.shape[1] == 1
-    if single:
-        rate_detail = "single agent: A is identically 0, nothing to fit"
+    flat = bool(np.all(traj.records.A < _FIT_FLOOR))
+    if flat:
+        rate_detail = "A stays below the round-off floor 100 eps: nothing to fit"
     else:
         rate_detail = "" if fit is not None else "fit unavailable"
     report.claims += [
@@ -361,7 +364,7 @@ def _halfline_claims(m: FlockModel, traj: Trajectory, report: TheoremReport):
             fit is not None and fit.delta > 0.0 and fit.r_squared > 0.99,
             math.nan if fit is None else fit.delta,
             0.0,
-            applicable=traj.records[0].p > 0.0 and not single,
+            applicable=traj.records[0].p > 0.0 and not flat,
             detail=rate_detail,
         ),
     ]
@@ -406,15 +409,35 @@ def verify(
     A failed integration yields a report with the single failed claim
     integration_completed.
     """
-    variant = m.geometry.variant
     try:
-        traj = integrate(m, s0, t_end, sample_every)
+        run = integrate(m, s0, t_end, sample_every)
     except (StiffnessError, WallDomainError, FloatingPointError) as exc:
+        run = exc
+    return _report(m, run)
+
+
+def verify_batch(
+    m: FlockModel,
+    states: list,
+    *,
+    t_end: float,
+    sample_every: float = 0.1,
+) -> list:
+    """verify each state, the runs stepped together by integrate_batch (the
+    states share N and their start time); each report equals verify's."""
+    return [_report(m, run) for run in integrate_batch(m, states, t_end, sample_every)]
+
+
+def _report(m: FlockModel, run) -> TheoremReport:
+    """The report of one run: its Trajectory, or the error that ended it."""
+    variant = m.geometry.variant
+    if isinstance(run, Exception):
         claim = Claim(
-            "integration_completed", False, math.nan, 0.0, detail=f"{type(exc).__name__}: {exc}"
+            "integration_completed", False, math.nan, 0.0, detail=f"{type(run).__name__}: {run}"
         )
         return TheoremReport(variant=variant, claims=[claim])
 
+    traj = run
     times, rec = traj.sample_times, traj.records
     no_collision, min_dist = check_no_collision(traj)
     aligned, final_A = check_alignment(traj)

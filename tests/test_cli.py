@@ -139,7 +139,7 @@ def test_verify_single_agent(tmp_path, seed):
     # A is identically 0 for one agent, so there is no rate to fit
     rate = next(c for c in claims if c["name"] == "exponential_rate")
     assert rate["applicable"] is False
-    assert rate["detail"].startswith("single agent")
+    assert rate["detail"].startswith("A stays below the round-off floor")
 
 
 def test_halfline_verify_writes_only_config_and_report(tmp_path):
@@ -592,3 +592,84 @@ def test_sweep_rejects_seed_before_writing(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "99"]) == 2
     assert "sweep.seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+MIXED_FAILURE_SWEEP = """
+base:
+  ic: {n_agents: 4, x_low: 1.0, x_high: 2.0, v_low: 0.0, v_high: 0.5}
+  integrator: {t_end: 1.0, sample_every: 0.5}
+sweep:
+  axes:
+    - {key: potential.theta, values: [1.0e+20, 1.0]}
+    - {key: ic.x_low, values: [0.05, 1.0]}
+  seeds: [1, 2]
+"""
+
+
+def _sweep_batches(tmp_path, monkeypatch, text, name, one_member):
+    """sweep.csv bytes and the batch sizes _sweep_job was given."""
+    sizes = []
+    job = wallflock.cli._sweep_job
+
+    def sized(batch):
+        sizes.append(len(batch))
+        return job(batch)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(wallflock.cli, "_sweep_job", sized)
+        if one_member:
+            mp.setattr(wallflock.cli, "batch_members", lambda n, samples: 1)
+        cfg = write(tmp_path, f"{name}.yaml", text)
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / name), "--quiet"])
+    return (tmp_path / name / "sweep.csv").read_bytes(), sizes
+
+
+@pytest.mark.parametrize("sweep", ["sweep_beta", "mixed_failure"])
+def test_batched_sweep_rows_equal_one_member_batches(tmp_path, monkeypatch, sweep):
+    # the runs of a sweep that share a model step together; every row is the
+    # row its run gives alone, failures included
+    if sweep == "sweep_beta":
+        text = (Path(__file__).resolve().parents[1] / "configs" / "sweep_beta.yaml").read_text()
+    else:
+        text = MIXED_FAILURE_SWEEP
+    batched, sizes = _sweep_batches(tmp_path, monkeypatch, text, "batched", False)
+    alone, ones = _sweep_batches(tmp_path, monkeypatch, text, "alone", True)
+    assert batched == alone
+    assert max(sizes) > 1 and set(ones) == {1}
+    assert sum(sizes) == sum(ones) == len(batched.decode().splitlines()) - 1
+    if sweep == "mixed_failure":
+        rows = list(csv.DictReader(io.StringIO(batched.decode())))
+        stiff = [r for r in rows if r["potential.theta"] == "1e+20" and r["ic.x_low"] == "0.050000000000000003"]
+        assert [r["seed"] for r in stiff] == ["1", "2"]
+        assert stiff[0]["status"].startswith("integration-error: StiffnessError: ")
+        assert "at t=0 " in stiff[0]["status"]
+        assert stiff[1]["status"] == "ok"
+
+
+def test_sweep_batches_hold_one_member_above_one_strip(tmp_path, monkeypatch):
+    # at N = 182 one member's kernel matrix is more than one strip
+    text = """
+base:
+  ic: {n_agents: 182, x_low: 2.0, x_high: 40.0, v_low: 0.1, v_high: 0.9}
+  integrator: {t_end: 0.2, sample_every: 0.1}
+sweep:
+  seeds: [1, 2, 3]
+"""
+    _, sizes = _sweep_batches(tmp_path, monkeypatch, text, "n182", False)
+    assert sizes == [1, 1, 1]
+
+
+def test_aligned_flock_has_no_rate_to_fit(tmp_path):
+    # every velocity equal and every agent outside the wall layer: A is 0 at
+    # every sample, as for one agent, so exponential_rate does not apply
+    cfg = write(
+        tmp_path, "aligned.yaml",
+        "ic: {n_agents: 4, x_low: 1.5, x_high: 2.0, v_low: 0.3, v_high: 0.3}\n"
+        "integrator: {t_end: 5}\n",
+    )
+    out = tmp_path / "aligned"
+    assert main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    claims = json.loads((out / "report.json").read_text())["claims"]
+    rate = next(c for c in claims if c["name"] == "exponential_rate")
+    assert rate["applicable"] is False
+    assert rate["detail"].startswith("A stays below the round-off floor")

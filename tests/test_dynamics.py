@@ -280,3 +280,33 @@ def test_acceleration_memory_is_one_row_block():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_batched_acceleration_memory_is_one_strip():
+    # a batch of batch_members(n) members stacks n x n matrices into at most
+    # one 2^15-entry strip (256 KB), and its (members, n) rows are no larger:
+    # the call holds a few such arrays (4 at n = 1, where the rows weigh most)
+    from wallflock.integrator import batch_members
+
+    m = FlockModel(
+        wf.CommunicationKernel("powerlaw", 1.0, 0.25),
+        wf.WallPotential(1.0, 1.0),
+        wf.Geometry("halfline"),
+    )
+    rng = np.random.default_rng(6)
+    for n in (1, 8, 16, 181):
+        b = batch_members(n, 1)
+        x = rng.uniform(2.0, 400.0, (b, n))
+        x[:, 0] = 0.7  # inside the wall layer: the wall force is evaluated
+        v = rng.uniform(-1.0, 1.0, (b, n))
+        acceleration(m, x, v)
+        tracemalloc.start()
+        try:
+            got = acceleration(m, x, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * dynamics._BLOCK_ELEMENTS, n
+        # each member's row has its own single call's bits
+        for j in (0, b - 1):
+            assert np.array_equal(_bits(got[j]), _bits(acceleration(m, x[j], v[j]))), n

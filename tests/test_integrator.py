@@ -13,7 +13,9 @@ from wallflock import (
     integrate,
     reference_rk4,
 )
-from wallflock.integrator import ABS_TOL, REL_TOL, _A, _B4, _ERR, _attempt, _error_ratio
+from wallflock.integrator import (
+    ABS_TOL, REL_TOL, _A, _B4, _ERR, _attempt, _error_ratio, batch_members, integrate_batch,
+)
 
 
 def two_agent_constant(H=1.0):
@@ -157,7 +159,7 @@ def test_phase_state_steps_bitwise_equal_paired_form(geometry, n):
         assert np.array_equal(_bits(err), _bits([err_x, err_v]))
         # the endpoint's nearest wall distance, which caps the next step
         assert _bits(dist) == _bits(wf.wall_distances(geometry, x_new).min())
-        ratio = _error_ratio(np.stack((x, v)), y_new, err)
+        (ratio,) = _error_ratio(np.stack((x, v)), y_new, err)
         assert _bits(ratio) == _bits(_paired_error_ratio(x, v, x_new, v_new, err_x, err_v))
         # one reference_rk4 span of five substeps against five paired substeps
         s0 = wf.FlockState(0.0, x, v)
@@ -365,3 +367,113 @@ def test_wall_cap_is_the_current_states(monkeypatch):
     integrate(m, s, 3.0)
     assert all(h <= cap for h, cap in steps)
     assert sum(h == cap for h, cap in steps) > len(steps) / 2
+
+
+def _assert_same_run(got, want):
+    """Two runs' sample times, X, V and every record field, bit for bit."""
+    assert isinstance(got, Trajectory), got
+    assert np.array_equal(_bits(got.sample_times), _bits(want.sample_times))
+    assert np.array_equal(_bits(got.X), _bits(want.X))
+    assert np.array_equal(_bits(got.V), _bits(want.V))
+    for field in wf.DiagnosticsRecord._fields:
+        assert np.array_equal(_bits(got.records[field]), _bits(want.records[field])), field
+
+
+def _counting_attempts(monkeypatch):
+    """Patch integrator._attempt to log (members, raised) per call."""
+    calls = []
+
+    def attempt(m, y, dt):
+        try:
+            result = _attempt(m, y, dt)
+        except WallDomainError:
+            calls.append((y.shape[1] if y.ndim == 3 else 1, True))
+            raise
+        calls.append((y.shape[1] if y.ndim == 3 else 1, False))
+        return result
+
+    monkeypatch.setattr(integrator, "_attempt", attempt)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "model, box",
+    [
+        (wf.FlockModel(wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, 1.0),
+                       wf.Geometry("halfline")), (0.5, 3.0, -0.5, 1.0)),
+        (wf.FlockModel(wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, 1.0),
+                       wf.Geometry("interval", 0.0, 10.0)), (1.0, 9.0, -1.0, 1.0)),
+        (wf.FlockModel(wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, 0.0),
+                       wf.Geometry("halfline")), (0.5, 3.0, -1.0, -0.5)),
+    ],
+    ids=["halfline", "interval", "control_nowall"],
+)
+def test_batch_members_bitwise_equal_single_runs(monkeypatch, model, box):
+    # three members that share the model but take different steps, stepped in
+    # lockstep rounds; each equals its own run in every bit
+    states = [wf.initial_condition(8, *box, seed) for seed in (1, 2, 3)]
+    singles = [integrate(model, s, 6.0, 0.1) for s in states]
+    calls = _counting_attempts(monkeypatch)
+    runs = integrate_batch(model, states, 6.0, 0.1)
+    for run, single in zip(runs, singles):
+        _assert_same_run(run, single)
+    # most rounds step all three members in one batched attempt
+    assert sum(members == 3 for members, _ in calls) > len(calls) / 2
+
+
+def test_batch_domain_rejection_rejects_only_its_member(monkeypatch):
+    # member 0 overflows a stage to inf at its first step (see
+    # test_overflowing_stage_is_a_rejected_step); its siblings do not, and
+    # that batched round is re-run one member at a time
+    m = wf.FlockModel(
+        wf.CommunicationKernel("constant", 1e8),
+        wf.WallPotential(1.0, 0.0),
+        wf.Geometry("halfline"),
+    )
+    states = [
+        wf.FlockState(0.0, [1.0, 2.0], [-1e299, 1e299]),
+        wf.FlockState(0.0, [1.0, 2.0], [0.5, -0.5]),
+        wf.FlockState(0.0, [1.0, 3.0], [0.1, 0.2]),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        singles = [integrate(m, s, 1e-6, 5e-7) for s in states]
+        calls = _counting_attempts(monkeypatch)
+        runs = integrate_batch(m, states, 1e-6, 5e-7)
+    for run, single in zip(runs, singles):
+        _assert_same_run(run, single)
+    # the first round raised on the batch; alone, only member 0 left the domain
+    assert calls[:4] == [(3, True), (1, True), (1, False), (1, False)]
+
+
+def test_batch_failures_drop_only_their_member():
+    # the wall of test_stiffness_error_when_dt_min_unreachable: a member 0.05
+    # from it fails with its single run's StiffnessError, a member outside the
+    # domain with WallDomainError, and the member far from the wall completes
+    m = wf.FlockModel(
+        wf.CommunicationKernel("constant", 1.0),
+        wf.WallPotential(1.0, 1e20),
+        wf.Geometry("halfline"),
+    )
+    stiff = wf.FlockState(0.0, [0.05, 6.0], [-2.0, 2.0])
+    outside = wf.FlockState(0.0, [-1.0, 6.0], [0.0, 0.0])
+    free = wf.FlockState(0.0, [3.0, 6.0], [0.5, 0.2])
+    runs = integrate_batch(m, [stiff, outside, free], 1.0, 0.5)
+    with pytest.raises(StiffnessError) as single:
+        integrate(m, stiff, 1.0, 0.5)
+    assert isinstance(runs[0], StiffnessError) and str(runs[0]) == str(single.value)
+    assert isinstance(runs[1], WallDomainError)
+    _assert_same_run(runs[2], integrate(m, free, 1.0, 0.5))
+    with pytest.raises(ValueError, match="share N"):
+        integrate_batch(m, [free, wf.FlockState(0.0, [3.0], [0.5])], 1.0, 0.5)
+
+
+def test_batch_size_bounds_kernel_block_and_samples():
+    # stacked N x N matrices within one 2^15-entry strip: one member above N = 181
+    block = wf.dynamics._BLOCK_ELEMENTS
+    for n in (1, 2, 8, 16, 100, 181):
+        assert batch_members(n, 1) * n * n <= block < (batch_members(n, 1) + 1) * n * n, n
+    assert batch_members(182, 1) == batch_members(4096, 1) == 1
+    # and the members' recorded samples within 2^22 numbers
+    row = 2 * 8 + len(wf.DiagnosticsRecord._fields)
+    assert batch_members(8, 4001) * 4001 * row <= 1 << 22
+    assert batch_members(8, 10**7) == 1
