@@ -30,7 +30,6 @@ from .observables import (
     diagnostics,
     dissipation_residual,
     initial_energy,
-    read_diagnostics_csv,
     write_diagnostics_csv,
 )
 from .verification import (

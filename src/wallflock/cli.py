@@ -29,7 +29,7 @@ from .config import (
     read_config_text,
     serialize_config,
 )
-from .integrator import StiffnessError, Trajectory, batch_members, integrate
+from .integrator import StiffnessError, Trajectory, batch_members, integrate, sample_rows
 from .observables import write_diagnostics_csv
 from .potentials import WallDomainError
 from .verification import REPORT_JSON, TheoremReport, verify, verify_batch
@@ -84,12 +84,6 @@ def _run_dir(cfg: RunConfig, config_text: str) -> Path:
     return out
 
 
-def _simulate(cfg: RunConfig) -> Trajectory:
-    model = model_from_config(cfg)
-    state = initial_state_from_config(cfg)
-    return integrate(model, state, cfg.t_end, sample_every=cfg.sample_every)
-
-
 def _write_final_state(traj: Trajectory, path: Path) -> None:
     final = np.column_stack([np.arange(traj.X.shape[1]), traj.X[-1], traj.V[-1]])
     np.savetxt(path, final, fmt="%d,%.17g,%.17g", header="i,x,v", comments="")
@@ -108,7 +102,9 @@ def emit_plot_data(traj: Trajectory, path: Path) -> None:
 def run_simulate(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> int:
     out = _run_dir(cfg, config_text)
     try:
-        traj = _simulate(cfg)
+        traj = integrate(
+            model_from_config(cfg), initial_state_from_config(cfg), cfg.t_end, cfg.sample_every
+        )
     except (StiffnessError, WallDomainError) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 3
@@ -132,13 +128,6 @@ def _verify(cfg: RunConfig) -> TheoremReport:
     return verify(model, state, t_end=cfg.t_end, sample_every=cfg.sample_every)
 
 
-def _report_exit_code(report: TheoremReport) -> int:
-    completed = report.claim("integration_completed")
-    if not completed.passed:
-        return 3
-    return 0 if report.passed else 1
-
-
 def run_verify(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> int:
     out = _run_dir(cfg, config_text)
     report = _verify(cfg)
@@ -149,7 +138,9 @@ def run_verify(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> in
             status = "SKIP" if not c.applicable else ("PASS" if c.passed else "FAIL")
             print(f"{status} {c.name}: value={c.value:.6g} threshold={c.threshold:.6g}")
         print(f"report: {'PASS' if report.passed else 'FAIL'}")
-    return _report_exit_code(report)
+    if not report.claim("integration_completed").passed:
+        return 3
+    return 0 if report.passed else 1
 
 
 def _set_dotted(data: dict, key: str, value) -> None:
@@ -192,7 +183,8 @@ def _sweep_job(batch: list) -> list:
 
 
 def _sweep_row(combo, seed: int, results: list) -> list:
-    return [_fmt_cell(v) for v in [*combo, seed, *results]]
+    # floats as %.17g, which reads back bit for bit
+    return [format(v, ".17g") if isinstance(v, float) else v for v in [*combo, seed, *results]]
 
 
 def _sweep_batches(base: dict, axes, jobs: list):
@@ -218,8 +210,7 @@ def _sweep_batches(base: dict, axes, jobs: list):
         groups.setdefault(key, []).append((i, combo, seed, cfg))
     batches = []
     for (_, n, t_end, sample_every), members in groups.items():
-        # the sample grid has at most this many rows
-        size = batch_members(n, math.ceil(t_end / sample_every) + 1)
+        size = batch_members(n, sample_rows(n, t_end, sample_every))
         batches += [members[lo : lo + size] for lo in range(0, len(members), size)]
     return batches, rows
 
@@ -251,12 +242,6 @@ def run_sweep(text: str, out_override: Path | None, quiet: bool = False) -> int:
     if not quiet:
         print(f"sweep: {len(jobs)} runs -> {out / 'sweep.csv'}")
     return 0 if all(status == "ok" and passed for *_, passed, status in rows) else 1
-
-
-def _fmt_cell(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return value
 
 
 def main(argv=None) -> int:

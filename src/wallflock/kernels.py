@@ -8,16 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp2f1
 
-FAMILIES = ("powerlaw", "constant")
+FAMILIES = ("powerlaw",)
 
 
 @dataclass(frozen=True)
 class CommunicationKernel:
     """Even, positive, nonincreasing interaction kernel phi(r).
 
-    Families:
-      powerlaw: phi(r) = H * (1 + r^2)^(-beta)
-      constant: phi(r) = H, the power law at beta = 0 (any beta given is replaced)
+    The one family, powerlaw: phi(r) = H * (1 + r^2)^(-beta); beta = 0 is the
+    constant kernel H.
 
     Immutable after construction; all evaluations are pure.
     """
@@ -29,9 +28,6 @@ class CommunicationKernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "constant":
-            # H * (1 + r^2)^-0 is exactly H for every r, inf and NaN included
-            object.__setattr__(self, "beta", 0.0)
         if not (math.isfinite(self.H) and self.H > 0):
             raise ValueError("kernel amplitude H must be positive and finite")
         if not (math.isfinite(self.beta) and self.beta >= 0):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from typing import NamedTuple
 
 import numpy as np
@@ -92,18 +91,6 @@ def write_diagnostics_csv(records: np.recarray, path) -> None:
     """One CSV row per row of a diagnostics table, in FIELDS order."""
     header = ",".join(FIELDS)
     np.savetxt(path, records[list(FIELDS)], fmt="%.17g", delimiter=",", header=header, comments="")
-
-
-def read_diagnostics_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        # an empty file has no header row, which the check rejects too
-        if tuple(next(reader, ())) != FIELDS:
-            raise ValueError("unexpected diagnostics header")
-        rows = [[float(c) for c in row] for row in reader]
-    if any(len(row) != len(FIELDS) for row in rows):
-        raise ValueError(f"a diagnostics row must have {len(FIELDS)} cells")
-    return np.array(rows).reshape(len(rows), len(FIELDS))
 
 
 def dissipation_residual(traj) -> np.ndarray:

@@ -411,7 +411,7 @@ def verify(
     """
     try:
         run = integrate(m, s0, t_end, sample_every)
-    except (StiffnessError, WallDomainError, FloatingPointError) as exc:
+    except (StiffnessError, WallDomainError) as exc:
         run = exc
     return _report(m, run)
 

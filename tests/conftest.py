@@ -78,7 +78,7 @@ def control_fixture():
 def twoagent_fixture():
     # constant kernel, both agents outside the wall range and moving away
     m = wf.FlockModel(
-        wf.CommunicationKernel("constant", 1.0),
+        wf.CommunicationKernel("powerlaw", 1.0, 0.0),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("halfline"),
     )

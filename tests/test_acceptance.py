@@ -225,7 +225,7 @@ integrator: {t_end: 5.0, sample_every: 0.1}
 
 SWEEP = """
 base:
-  kernel: {family: constant, H: 1.0}
+  kernel: {family: powerlaw, H: 1.0, beta: 0.0}
   ic: {n_agents: 4, x_low: 2.0, x_high: 4.0, v_low: 0.1, v_high: 0.9, seed: 1}
   integrator: {t_end: 10.0, sample_every: 0.1}
 sweep:

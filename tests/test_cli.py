@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallflock
-from wallflock import ConfigError, parse_config, read_diagnostics_csv
+from wallflock import FIELDS, ConfigError, parse_config
 from wallflock.cli import build_parser, main, parse_sweep
 
 FREE_ALIGNING = """
-kernel: {family: constant, H: 1.0}
+kernel: {family: powerlaw, H: 1.0, beta: 0.0}
 ic: {n_agents: 4, x_low: 2.0, x_high: 4.0, v_low: 0.1, v_high: 0.9, seed: 1}
 integrator: {t_end: 10.0, sample_every: 0.1}
 """
@@ -30,7 +30,7 @@ integrator: {t_end: 10.0, sample_every: 0.1}
 """
 
 STIFF = """
-kernel: {family: constant, H: 1.0}
+kernel: {family: powerlaw, H: 1.0, beta: 0.0}
 potential: {theta: 1.0e+20}
 ic: {n_agents: 2, x_low: 0.05, x_high: 6.0, v_low: -2.0, v_high: 2.0, seed: 3}
 integrator: {t_end: 1.0, sample_every: 1.0}
@@ -38,7 +38,7 @@ integrator: {t_end: 1.0, sample_every: 1.0}
 
 SWEEP = """
 base:
-  kernel: {family: constant, H: 1.0}
+  kernel: {family: powerlaw, H: 1.0, beta: 0.0}
   ic: {n_agents: 4, x_low: 2.0, x_high: 4.0, v_low: 0.1, v_high: 0.9, seed: 1}
   integrator: {t_end: 10.0, sample_every: 0.1}
 sweep:
@@ -69,7 +69,9 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run1"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "config.yaml").read_text() == FREE_ALIGNING
-    table = read_diagnostics_csv(out / "diagnostics.csv")
+    path = out / "diagnostics.csv"
+    assert path.read_text().split("\n", 1)[0] == ",".join(FIELDS)
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
     assert table.shape == (101, 16)
     final = (out / "final_state.csv").read_text().splitlines()
     assert final[0] == "i,x,v"
@@ -93,8 +95,8 @@ def test_seed_override_changes_the_run(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", str(cfg), "--out", str(a), "--quiet"]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(b), "--seed", "99", "--quiet"]) == 0
-    ta = read_diagnostics_csv(a / "diagnostics.csv")
-    tb = read_diagnostics_csv(b / "diagnostics.csv")
+    ta = np.loadtxt(a / "diagnostics.csv", delimiter=",", skiprows=1)
+    tb = np.loadtxt(b / "diagnostics.csv", delimiter=",", skiprows=1)
     assert not np.array_equal(ta, tb)
     with pytest.raises(SystemExit):
         main(["simulate", "--seed", "not-a-number"])
@@ -292,7 +294,7 @@ def test_verdict_bars_and_wall_cap_are_not_config(tmp_path, capsys, command, tex
 
 def test_parse_sweep_validation():
     base, base_cfg, axes, seeds, par = parse_sweep(SWEEP % 2)
-    assert base_cfg.kernel.family == "constant"
+    assert (base_cfg.kernel.family, base_cfg.kernel.beta) == ("powerlaw", 0.0)
     assert base_cfg.output.directory == "."  # the default, from config.OutputConfig
     assert axes == [("kernel.H", [1.2, 0.8])]
     assert seeds == [2, 1]
@@ -446,7 +448,7 @@ def test_sweep_without_out_writes_to_base_output_directory(tmp_path, monkeypatch
 def test_sweep_failing_row_exits_1(tmp_path):
     text = """
 base:
-  kernel: {family: constant, H: 1.0}
+  kernel: {family: powerlaw, H: 1.0, beta: 0.0}
   ic: {n_agents: 4, x_low: 2.0, x_high: 4.0, v_low: 0.1, v_high: 0.9, seed: 1}
   integrator: {t_end: 10.0, sample_every: 0.1}
 sweep:
@@ -480,6 +482,69 @@ sweep:
     assert rows[0]["status"] == "config-error: kernel exponent beta must be nonnegative and finite"
     assert rows[0]["passed"] == "False"
     assert rows[1]["status"] == "ok"
+
+
+HUGE_GRID = "integrator: {t_end: 1.0e+300, sample_every: 1.0e-10}"
+
+
+def test_sample_grid_bound_is_a_config_error(tmp_path, capsys):
+    # t_end / sample_every overflows to inf: exit 2 before any grid is built
+    bound = "records more than 134217728 numbers"
+    cfg = write(tmp_path, "run.yaml", HUGE_GRID + "\n")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: integrator:") and bound in err
+    sweep = write(tmp_path, "sweep.yaml", f"base:\n  {HUGE_GRID}\nsweep: {{seeds: [1]}}\n")
+    assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "s"), "--quiet"]) == 2
+    assert bound in capsys.readouterr().err
+    # as axis values: an infinite ratio, two finite ones past the bound, and one run that fits
+    text = """
+base:
+  ic: {n_agents: 2, x_low: 1.0, x_high: 2.0, v_low: -0.5, v_high: 0.5, seed: 1}
+  integrator: {t_end: 1.0, sample_every: 0.5}
+sweep:
+  axes:
+    - {key: integrator.t_end, values: [1.0e+300, 1.0]}
+    - {key: integrator.sample_every, values: [1.0e-10, 0.5]}
+"""
+    out = tmp_path / "axes"
+    assert main(["sweep", "--config", str(write(tmp_path, "axes.yaml", text)), "--out", str(out),
+                 "--quiet"]) == 1
+    rows = list(csv.DictReader(io.StringIO((out / "sweep.csv").read_text())))
+    grids = [(float(row["integrator.t_end"]), float(row["integrator.sample_every"])) for row in rows]
+    assert grids == [(1.0, 1e-10), (1.0, 0.5), (1e300, 1e-10), (1e300, 0.5)]
+    assert [bound in row["status"] for row in rows] == [True, False, True, True]
+    assert rows[1]["status"] == "ok"
+
+
+def test_constant_family_is_unknown(tmp_path, capsys):
+    # a beta sweep on a constant base used to write one run under three labels
+    message = "config error: unknown kernel family 'constant'"
+    cfg = write(tmp_path, "run.yaml", "kernel: {family: constant, H: 1.0}\n")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v"), "--quiet"]) == 2
+    assert capsys.readouterr().err.strip() == message
+    text = """
+base:
+  kernel: {family: constant, H: 1.0}
+  ic: {n_agents: 4, x_low: 2.0, x_high: 4.0, v_low: 0.1, v_high: 0.9, seed: 1}
+  integrator: {t_end: 1.0, sample_every: 0.5}
+sweep:
+  axes:
+    - {key: kernel.beta, values: [0.0, 0.5, 2.0]}
+"""
+    sweep = write(tmp_path, "sweep.yaml", text)
+    assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "s"), "--quiet"]) == 2
+    assert capsys.readouterr().err.strip() == message
+    axis = text.replace("family: constant", "family: powerlaw").replace(
+        "kernel.beta, values: [0.0, 0.5, 2.0]", "kernel.family, values: [constant, powerlaw]"
+    )
+    out = tmp_path / "axis"
+    assert main(["sweep", "--config", str(write(tmp_path, "axis.yaml", axis)), "--out", str(out),
+                 "--quiet"]) == 1
+    rows = list(csv.DictReader(io.StringIO((out / "sweep.csv").read_text())))
+    assert [row["status"] for row in rows] == [
+        "config-error: unknown kernel family 'constant'", "ok",
+    ]
 
 
 def test_sweep_non_finite_ic_bound_is_a_config_error_row(tmp_path):

@@ -17,6 +17,7 @@ from wallflock import (
     read_config_text,
     serialize_config,
 )
+from wallflock.integrator import _MAX_SAMPLE_NUMBERS, _row_numbers
 
 CANONICAL = """
 kernel: {family: powerlaw, H: 1.0, beta: 0.25}
@@ -86,6 +87,22 @@ def test_type_errors():
         parse_config("output: {formats: csv}")
     with pytest.raises(ConfigError, match="kernel.family"):
         parse_config("kernel: {family: 2}")
+
+
+def test_sample_grid_is_bounded_at_config_time():
+    # t_end / sample_every overflows to inf in the first, and is finite but
+    # past the bound in the second; neither builds a grid
+    for grid in ("{t_end: 1.0e+300, sample_every: 1.0e-10}", "{t_end: 1.0e+6, sample_every: 1.0e-3}"):
+        with pytest.raises(ConfigError, match="records more than 134217728 numbers"):
+            parse_config(f"integrator: {grid}")
+    # the N = 1024 half-line to t = 200 fits: 2 001 rows of 2 065 numbers
+    cfg = parse_config("ic: {n_agents: 1024}\nintegrator: {t_end: 200.0, sample_every: 0.1}")
+    assert cfg.ic.n_agents == 1024
+    # the bound counts agents too: 2 rows of 2 N + 17 numbers
+    n = (_MAX_SAMPLE_NUMBERS // 2 - _row_numbers(0)) // 2
+    parse_config(f"ic: {{n_agents: {n}}}\nintegrator: {{t_end: 1.0, sample_every: 1.0}}")
+    with pytest.raises(ConfigError, match="records more than"):
+        parse_config(f"ic: {{n_agents: {n + 1}}}\nintegrator: {{t_end: 1.0, sample_every: 1.0}}")
 
 
 def test_semantic_validation():
@@ -180,7 +197,11 @@ def valid_configs(draw):
     """A config document that config_from_data accepts, half-line or interval."""
     ell = draw(_POS)
     margin = 0.05 * ell
-    sample_every, t_end = sorted(draw(st.lists(_POS, min_size=2, max_size=2)))
+    n_agents = draw(st.integers(1, 10_000))
+    t_end = draw(_POS)
+    # the sample grid fits _MAX_SAMPLE_NUMBERS, with a row to spare for rounding
+    spans = _MAX_SAMPLE_NUMBERS // _row_numbers(n_agents) - 2
+    sample_every = draw(st.floats(t_end / spans, t_end))
     v_low, v_high = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
     geometry = {"variant": "halfline"}
     x_low = 2.0 * margin + draw(_NONNEG)
@@ -202,7 +223,7 @@ def valid_configs(draw):
             "geometry": geometry,
             "integrator": {"sample_every": sample_every, "t_end": t_end},
             "ic": {
-                "n_agents": draw(st.integers(1, 10_000)), "x_low": x_low, "x_high": x_high,
+                "n_agents": n_agents, "x_low": x_low, "x_high": x_high,
                 "v_low": v_low, "v_high": v_high, "seed": draw(st.integers(0, 2**64 - 1)),
             },
             "output": {

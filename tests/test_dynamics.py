@@ -191,7 +191,7 @@ def _gamma(k):
     return k * U / (1.0 - k * U)
 
 
-@pytest.mark.parametrize("family, beta", [("constant", 0.0), ("powerlaw", 0.25), ("powerlaw", 1.0)])
+@pytest.mark.parametrize("family, beta", [("powerlaw", 0.0), ("powerlaw", 0.25), ("powerlaw", 1.0)])
 @pytest.mark.parametrize(
     "geometry",
     [wf.Geometry("halfline"), wf.Geometry("interval", 0.0, 60.0)],
@@ -217,10 +217,7 @@ def test_row_blocked_acceleration_bitwise_equal_dense_form(monkeypatch, geometry
         x = np.sort(rng.uniform(0.3, 59.7, n))
         v = rng.uniform(-1.0, 1.0, n)
         gaps = np.subtract.outer(x, x)
-        if family == "constant":
-            phi = np.full_like(gaps, k.H)
-        else:
-            phi = k.H * (1.0 + gaps * gaps) ** (-k.beta)
+        phi = k.H * (1.0 + gaps * gaps) ** (-k.beta)
         del gaps
         phi *= v[None, :] - v[:, None]
         F = wf.geometry_force(geometry, m.wall, x)

@@ -20,7 +20,7 @@ from wallflock.integrator import (
 
 def two_agent_constant(H=1.0):
     return wf.FlockModel(
-        wf.CommunicationKernel("constant", H),
+        wf.CommunicationKernel("powerlaw", H, 0.0),
         wf.WallPotential(1.0, 1.0),
         wf.Geometry("halfline"),
     )
@@ -66,7 +66,7 @@ def test_overflowing_stage_is_a_rejected_step(monkeypatch):
     # wall disabled), and integrate halves the step and carries on
     H = 1e8
     m = wf.FlockModel(
-        wf.CommunicationKernel("constant", H),
+        wf.CommunicationKernel("powerlaw", H, 0.0),
         wf.WallPotential(1.0, 0.0),
         wf.Geometry("halfline"),
     )
@@ -249,7 +249,7 @@ def test_stiffness_error_when_dt_min_unreachable():
     # a wall of strength 1e20 with an agent 0.05 from it: the error test
     # halves the step below the 1e-12 floor
     m = wf.FlockModel(
-        wf.CommunicationKernel("constant", 1.0),
+        wf.CommunicationKernel("powerlaw", 1.0, 0.0),
         wf.WallPotential(1.0, 1e20),
         wf.Geometry("halfline"),
     )
@@ -351,7 +351,7 @@ def test_wall_cap_is_the_current_states(monkeypatch):
     # slack: every attempt stays within the cap of the state it starts from,
     # and the cap sets most of the steps
     m = wf.FlockModel(
-        wf.CommunicationKernel("constant", 1.0),
+        wf.CommunicationKernel("powerlaw", 1.0, 0.0),
         wf.WallPotential(1.0, 1e-6),
         wf.Geometry("halfline"),
     )
@@ -426,7 +426,7 @@ def test_batch_domain_rejection_rejects_only_its_member(monkeypatch):
     # test_overflowing_stage_is_a_rejected_step); its siblings do not, and
     # that batched round is re-run one member at a time
     m = wf.FlockModel(
-        wf.CommunicationKernel("constant", 1e8),
+        wf.CommunicationKernel("powerlaw", 1e8, 0.0),
         wf.WallPotential(1.0, 0.0),
         wf.Geometry("halfline"),
     )
@@ -450,7 +450,7 @@ def test_batch_failures_drop_only_their_member():
     # from it fails with its single run's StiffnessError, a member outside the
     # domain with WallDomainError, and the member far from the wall completes
     m = wf.FlockModel(
-        wf.CommunicationKernel("constant", 1.0),
+        wf.CommunicationKernel("powerlaw", 1.0, 0.0),
         wf.WallPotential(1.0, 1e20),
         wf.Geometry("halfline"),
     )

@@ -47,7 +47,7 @@ def test_eval_known_values():
     assert k.eval(0.0) == 2.0
     assert k.eval(1.0) == 1.0  # 2 * (1 + 1)^-1
     assert k.eval(3.0) == 0.2
-    c = CommunicationKernel("constant", H=0.7)
+    c = CommunicationKernel("powerlaw", H=0.7, beta=0.0)
     assert c.eval(0.0) == 0.7
     assert c.eval(100.0) == 0.7
 
@@ -76,7 +76,7 @@ def test_eval_nonincreasing_property():
 
 
 def test_primitive_closed_forms():
-    assert CommunicationKernel("constant", 2.0).primitive(3.0) == 6.0
+    assert CommunicationKernel("powerlaw", 2.0, 0.0).primitive(3.0) == 6.0
     assert CommunicationKernel("powerlaw", 1.0, 0.0).primitive(3.0) == 3.0
     k_half = CommunicationKernel("powerlaw", 1.0, 0.5)
     assert abs(k_half.primitive(1.0) - ASINH_1) < 1e-15
@@ -89,7 +89,7 @@ def test_flat_kernel_primitive_is_h_times_d_bitwise():
     # beta = 0 takes the general hypergeometric path, whose factor is exactly 1
     grid = np.concatenate([[0.0], np.logspace(-6, 4, 2001), [1e200]])
     for H in (1.0, 0.15, 3.7):
-        k = CommunicationKernel("constant", H)
+        k = CommunicationKernel("powerlaw", H, 0.0)
         got = np.array([k.primitive(float(D)) for D in grid])
         assert np.array_equal(_bits(got), _bits(H * grid))
 
@@ -115,7 +115,6 @@ def test_primitive_derivative_is_kernel():
 
 
 def test_fat_tail():
-    assert CommunicationKernel("constant", 1.0).fat_tail() is True
     assert CommunicationKernel("powerlaw", 1.0, 0.0).fat_tail() is True
     assert CommunicationKernel("powerlaw", 1.0, 0.25).fat_tail() is True
     assert CommunicationKernel("powerlaw", 1.0, 0.5).fat_tail() is True  # boundary case diverges
@@ -130,7 +129,7 @@ def _bits(a):
 
 @pytest.mark.parametrize(
     "family, beta",
-    [("constant", 0.25)] + [("powerlaw", b) for b in (0.0, 0.25, 0.5, 1.0, 1.5)],
+    [("powerlaw", b) for b in (0.0, 0.25, 0.5, 1.0, 1.5)],
 )
 def test_kernel_matrix_consumers_bitwise_equal_direct_form(family, beta):
     # acceleration and I2 build phi in one buffer; their bits must be those of
@@ -142,10 +141,7 @@ def test_kernel_matrix_consumers_bitwise_equal_direct_form(family, beta):
         v = rng.uniform(-1.0, 1.0, n)
         m = FlockModel(k, WallPotential(), Geometry("halfline"))
         gaps = x[:, None] - x[None, :]
-        if family == "constant":
-            phi = np.full_like(gaps, k.H)
-        else:
-            phi = k.H * (1.0 + gaps * gaps) ** (-k.beta)
+        phi = k.H * (1.0 + gaps * gaps) ** (-k.beta)
         F = geometry_force(m.geometry, m.wall, x)
         acc = (phi * (v[None, :] - v[:, None])).sum(axis=1) / n + F
         dv = v[:, None] - v[None, :]
@@ -159,8 +155,9 @@ def test_kernel_matrix_consumers_bitwise_equal_direct_form(family, beta):
 
 
 def test_constant_kernel_is_the_power_law_at_beta_zero():
-    k = CommunicationKernel("constant", 1.3, 0.25)
-    assert k.beta == 0.0
-    assert k == CommunicationKernel("constant", 1.3)
+    # no family of its own: "constant" is unknown, and beta = 0 is H everywhere
+    with pytest.raises(ValueError, match="unknown kernel family 'constant'"):
+        CommunicationKernel("constant", 1.3)
+    k = CommunicationKernel("powerlaw", 1.3, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.array_equal(_bits(k.eval([0.0, 1e200, np.inf, -np.inf, np.nan])), _bits([1.3] * 5))

@@ -10,7 +10,6 @@ from wallflock import (
     dynamics,
     dissipation_residual,
     initial_energy,
-    read_diagnostics_csv,
     write_diagnostics_csv,
 )
 from wallflock.potentials import distance_potential
@@ -195,13 +194,19 @@ def test_interval_wall_distance_uses_both_walls():
     assert abs(rec.x_min_wall - 0.3) < 1e-15
 
 
+def read_table(path):
+    """The rows of a diagnostics CSV, after checking its header line."""
+    assert path.read_text().split("\n", 1)[0] == ",".join(FIELDS)
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
 def test_table_and_series(tmp_path):
     m = two_agent_model()
     s = reference_state()
     rec = diagnostics(m, s, G=0.25)
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(record_table([rec, rec]), path)
-    table = read_diagnostics_csv(path)
+    table = read_table(path)
     assert table.shape == (2, len(FIELDS))
     assert table[0, FIELDS.index("L")] == rec.L
 
@@ -218,38 +223,13 @@ def test_csv_round_trip_is_exact(tmp_path):
     records = record_table(recs)
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(records, path)
-    table = read_diagnostics_csv(path)
+    table = read_table(path)
     for k, name in enumerate(FIELDS):
         assert np.array_equal(table[:, k], records[name])
     # byte-identical on rewrite
     first = path.read_bytes()
     write_diagnostics_csv(records, path)
     assert path.read_bytes() == first
-
-
-def test_csv_header_is_validated(tmp_path):
-    path = tmp_path / "bad.csv"
-    for text in ("a,b,c\n1,2,3\n", ""):
-        path.write_text(text)
-        with pytest.raises(ValueError, match="unexpected diagnostics header"):
-            read_diagnostics_csv(path)
-
-
-def test_csv_row_width_is_validated(tmp_path):
-    # a truncated last row, and a row with one cell too many
-    path = tmp_path / "short.csv"
-    header = ",".join(FIELDS) + "\n"
-    full = ",".join(["1"] * len(FIELDS)) + "\n"
-    for text in (header + full + "1,2\n", header + full + full.strip() + ",1\n"):
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"must have {len(FIELDS)} cells"):
-            read_diagnostics_csv(path)
-
-
-def test_csv_header_only_is_an_empty_table(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text(",".join(FIELDS) + "\n")
-    assert read_diagnostics_csv(path).shape == (0, len(FIELDS))
 
 
 def test_dissipation_residual_needs_three_samples(twoagent_fixture):

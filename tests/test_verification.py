@@ -278,7 +278,7 @@ def test_work_of_force_holds_for_any_state(case):
 
 
 def _two_agents(geometry):
-    kernel, wall = wf.CommunicationKernel("constant", 1.0), wf.WallPotential(1.0, 1.0)
+    kernel, wall = wf.CommunicationKernel("powerlaw", 1.0, 0.0), wf.WallPotential(1.0, 1.0)
     return wf.FlockModel(kernel, wall, geometry)
 
 
@@ -336,6 +336,42 @@ def test_decay_tail_share_bars(rate, passed):
     assert report.claim("force_decay").passed == passed
 
 
+_T40 = np.linspace(0.0, 40.0, 401)
+# agent 1 moves 1.5 SETTLE_EPS during the tail window (t >= 0.75) of _T
+_TAIL_STEP = [[4.0, 5.0 + 1.5 * verification.SETTLE_EPS * (t > 0.85)] for t in _T]
+
+
+# per claim, a synthetic half-line run (times, positions, record series) just
+# past its bar
+_VIOLATIONS = {
+    # an agent reaches the wall exactly: the distance infimum 0.0 is a collision
+    "no_wall_collision": (_T, [[4.0, 5.0]] * 5 + [[0.0, 5.0]] + [[4.0, 5.0]] * 5, {}),
+    # A grows as exp(0.2 t) with p(0) > 0: a clean fit (R^2 = 1) of negative delta
+    "exponential_rate": (_T40, [[2.0, 3.0]] * 401, {"A": np.exp(0.2 * _T40), "p": 1.0}),
+    # no escape, and the tail mean sits 2 SETTLE_EPS inside the wall range (ell = 1)
+    "outside_wall_range": (_T, [[1.0 - 2.0 * verification.SETTLE_EPS, 5.0]] * 11, {}),
+    "positions_settle": (_T, _TAIL_STEP, {}),
+    "strong_flocking": (_T, _TAIL_STEP, {}),
+    # D runs 1e-6 over its budget D(0) + 2 sqrt(2 N G) t + 1e-9 after t = 0.5
+    "diameter_growth": (_T, [[4.0, 5.0]] * 11, {"D": 1.0 + 2.0 * _SPEED * _T + 1e-6 * (_T > 0.5)}),
+}
+
+
+@pytest.mark.parametrize("claim", list(_VIOLATIONS))
+def test_report_carries_each_claim_verdict(claim):
+    # the claim's own verdict in a whole report, not only its helper's return value
+    times, xs, series = _VIOLATIONS[claim]
+    traj = synthetic_traj(times, xs, G=0.5, **series)
+    report = verification._report(_two_agents(wf.Geometry("halfline")), traj)
+    verdict = report.claim(claim)
+    assert verdict.applicable and not verdict.passed
+    assert not report.passed
+    if claim == "exponential_rate":
+        assert report.fit.r_squared > 0.99 and report.fit.delta < 0.0
+    if claim == "outside_wall_range":
+        assert report.escape_time is None
+
+
 def test_verify_halfline_report_shape(canonical_model, canonical_state):
     rep = verify(canonical_model, canonical_state, t_end=30.0, sample_every=0.1)
     names = [c.name for c in rep.claims]
@@ -370,7 +406,7 @@ BUDGET_CLAIMS = [
 
 
 def test_verify_claim_names_in_order():
-    kernel, wall = wf.CommunicationKernel("constant", 1.0), wf.WallPotential(1.0, 1.0)
+    kernel, wall = wf.CommunicationKernel("powerlaw", 1.0, 0.0), wf.WallPotential(1.0, 1.0)
     s = wf.FlockState(0.0, [2.0, 3.0, 4.0], [0.1, 0.5, 0.9])
     half = verify(wf.FlockModel(kernel, wall, wf.Geometry("halfline")), s, t_end=2.0)
     assert [c.name for c in half.claims] == (
@@ -389,7 +425,7 @@ def test_verify_claim_names_in_order():
 def test_verify_reports_integration_failure_as_claim():
     # a wall of strength 1e20 with an agent 0.05 from it collapses the step size
     m = wf.FlockModel(
-        wf.CommunicationKernel("constant", 1.0),
+        wf.CommunicationKernel("powerlaw", 1.0, 0.0),
         wf.WallPotential(1.0, 1e20),
         wf.Geometry("halfline"),
     )
