@@ -112,8 +112,6 @@ def _attempt(m: FlockModel, y: np.ndarray, dt):
 
 
 def _sample_grid(t0: float, t_end: float, sample_every: float) -> np.ndarray:
-    if not sample_every > 0:
-        raise ValueError("sample_every must be positive")
     span = t_end - t0
     n = int(math.floor(span / sample_every + 1e-9))
     times = t0 + sample_every * np.arange(n + 1)
@@ -125,7 +123,7 @@ def _sample_grid(t0: float, t_end: float, sample_every: float) -> np.ndarray:
 
 
 # numbers that one run's recorded samples may hold (1 GiB): config validation
-# rejects a longer grid through sample_rows, before any is built
+# and _sample reject a longer grid through sample_rows, before any is built
 _MAX_SAMPLE_NUMBERS = 1 << 27
 
 
@@ -215,6 +213,9 @@ def _sample(m: FlockModel, states: list, t_end: float, sample_every: float, adva
         raise ValueError("batched states must share N and their initial time")
     if not t_end > t0:
         raise ValueError("t_end must exceed the initial time")
+    if not sample_every > 0:
+        raise ValueError("sample_every must be positive")
+    sample_rows(states[0].n, t_end - t0, sample_every)
     results: list = [None] * len(states)
     G = {}
     for b, s in enumerate(states):

@@ -6,9 +6,51 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1
 
 FAMILIES = ("powerlaw",)
+
+# the 12-node Gauss-Legendre rule on [-1, 1], as (node, weight) pairs
+_GAUSS = tuple(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(12))))
+# beta -> (e0, anchors): anchors[k] is the integral of (1 + r^2)^-beta
+# over [0, 2^(e0 + k)]
+_ANCHORS: dict = {}
+
+
+def _panel(beta: float, a: float, b: float) -> float:
+    """Integral of (1 + r^2)^-beta over [a, b] by the 12-node rule.
+
+    The integrand's only singularities, r = +-i, lie far from [a, 2a] for its
+    width, and from [0, b] for b <= 1/2, so the rule reaches round-off there
+    while the kernel is flat enough: beta b^2 <= 1/4 on [0, b].
+    """
+    h = 0.5 * (b - a)
+    c = a + h
+    s = 0.0
+    if b <= 2.0**500:
+        for x, w in _GAUSS:
+            r = c + h * x
+            s += w * (1.0 + r * r) ** -beta
+    else:  # r * r may overflow, and 1 + r^-2 rounds to 1
+        for x, w in _GAUSS:
+            s += w * (c + h * x) ** (-2.0 * beta)
+    return h * s
+
+
+def _anchors(beta: float, e: int) -> tuple:
+    """(e0, anchors) of beta, the anchors reaching 2^e.  The first panel is
+    [0, 2^e0], 2^e0 <= 1/2 with beta 4^e0 < 1/4, and each next one doubles
+    the end, so each anchor depends on (beta, k) alone."""
+    entry = _ANCHORS.get(beta)
+    if entry is not None and len(entry[1]) > e - entry[0]:
+        return entry
+    e0, table = entry or (min(-1, -1 - (math.frexp(beta)[1] + 1) // 2), ())
+    grown = list(table) or [_panel(beta, 0.0, math.ldexp(1.0, e0))]
+    while len(grown) <= e - e0:
+        a = math.ldexp(1.0, e0 + len(grown) - 1)
+        grown.append(grown[-1] + _panel(beta, a, 2.0 * a))
+    # stored whole, so callers on other threads store equal tables
+    entry = _ANCHORS[beta] = (e0, tuple(grown))
+    return entry
 
 
 @dataclass(frozen=True)
@@ -53,14 +95,22 @@ class CommunicationKernel:
         return w
 
     def primitive(self, D: float) -> float:
-        """Phi(D) = integral of phi(r) over [0, D], in closed form."""
+        """Phi(D) = integral of phi(r) over [0, D]: in closed form at beta in
+        {0, 1/2, 1}, else one panel [0, D] below the first anchor, or the
+        anchor at 2^e <= D < 2^(e + 1) plus the panel [2^e, D]."""
         if not (math.isfinite(D) and D >= 0.0):
             raise ValueError("primitive argument D must be nonnegative and finite")
+        if self.beta == 0.0:
+            return self.H * D
         if self.beta == 0.5:
             return self.H * math.asinh(D)
         if self.beta == 1.0:
             return self.H * math.atan(D)
-        return self.H * D * float(hyp2f1(0.5, self.beta, 1.5, -D * D))
+        e = math.frexp(D)[1] - 1
+        e0, anchors = _anchors(self.beta, e)
+        if D < math.ldexp(1.0, e0):
+            return self.H * _panel(self.beta, 0.0, D)
+        return self.H * (anchors[e - e0] + _panel(self.beta, math.ldexp(1.0, e), D))
 
     def fat_tail(self) -> bool:
         """True iff the primitive diverges as D grows: 2 beta <= 1."""

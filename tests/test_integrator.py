@@ -187,6 +187,26 @@ def test_sample_grid_exact_and_uniform():
     assert len(traj2.X) == len(t2) == len(traj2.records)
 
 
+@pytest.mark.parametrize("entry", ["verify", "integrate", "integrate_batch", "reference_rk4"])
+def test_sample_grid_bound_holds_on_the_python_api(entry, monkeypatch):
+    # the config-time bound, before any grid is built: 1e310 rows would
+    # overflow int() in _sample_grid
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(integrator, "_sample_grid", no_grid)
+    m = wf.FlockModel(wf.CommunicationKernel(), wf.WallPotential(), wf.Geometry("halfline"))
+    s = wf.FlockState(0.0, [1.0, 2.0, 3.0, 4.0], [0.1, -0.2, 0.3, 0.0])
+    run = {
+        "verify": lambda: wf.verify(m, s, t_end=1e300, sample_every=1e-10),
+        "integrate": lambda: integrate(m, s, 1e300, 1e-10),
+        "integrate_batch": lambda: integrate_batch(m, [s, s], 1e300, 1e-10),
+        "reference_rk4": lambda: reference_rk4(m, s, 1e300, 0.01, 1e-10),
+    }[entry]
+    with pytest.raises(ValueError, match="records more than 134217728 numbers"):
+        run()
+
+
 def test_matches_closed_form():
     m = two_agent_constant()
     s = wf.FlockState(0.0, [2.0, 3.0], [0.5, 1.0])

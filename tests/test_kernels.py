@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
+from scipy.special import hyp2f1
 
 from wallflock import (
     CommunicationKernel,
@@ -11,6 +13,7 @@ from wallflock import (
     acceleration,
     diagnostics,
     geometry_force,
+    kernels,
 )
 
 # closed-form primitives at D=1, H=1
@@ -86,7 +89,7 @@ def test_primitive_closed_forms():
 
 
 def test_flat_kernel_primitive_is_h_times_d_bitwise():
-    # beta = 0 takes the general hypergeometric path, whose factor is exactly 1
+    # beta = 0 has its own branch, H * D
     grid = np.concatenate([[0.0], np.logspace(-6, 4, 2001), [1e200]])
     for H in (1.0, 0.15, 3.7):
         k = CommunicationKernel("powerlaw", H, 0.0)
@@ -112,6 +115,82 @@ def test_primitive_derivative_is_kernel():
         D = float(rng.uniform(0.2, 5.0))
         num = (k.primitive(D + h) - k.primitive(D - h)) / (2.0 * h)
         assert abs(num - float(k.eval(D))) < 1e-8
+
+
+# betas off the closed forms, two of them 1e-4 from the beta = 1/2 one
+ORACLE_BETAS = (0.1, 0.25, 0.4999, 0.5001, 0.7, 1.5, 1.6, 2.5, 3.0)
+# log-spaced, past D = 2^511.5 ~ 1.34e154, where D * D overflows
+ORACLE_GRID = np.unique(np.concatenate([np.logspace(-8, 300, 45), np.logspace(-2, 3, 16)]))
+
+
+def _mp_primitive(beta, grid):
+    """Phi (H = 1) on the increasing grid to 40 digits, by tanh-sinh quadrature.
+
+    [0, D] for D <= 1; past 1, Phi(1) plus the exact integral of r^(-2 beta)
+    over [1, D] plus that of the rest, r^(-2 beta) ((1 + r^-2)^(-beta) - 1),
+    taken in u = ln r, where it decays, span by span along the grid.
+    """
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        c = 1 - 2 * b
+        phi = lambda r: (1 + r * r) ** -b
+        rest = lambda u: mpmath.exp(c * u) * mpmath.expm1(-b * mpmath.log1p(mpmath.exp(-2 * u)))
+        head = mpmath.quad(phi, [0, 1])
+        out, u0, tail = [], mpmath.mpf(0), mpmath.mpf(0)
+        for D in grid:
+            D = mpmath.mpf(float(D))
+            if D <= 1:
+                out.append(mpmath.quad(phi, [0, D]))
+                continue
+            u = mpmath.log(D)
+            tail += mpmath.quad(rest, [u0, u])
+            u0 = u
+            out.append(head + mpmath.expm1(c * u) / c + tail)
+        return out
+
+
+# phi ~ exp(-beta r^2) near 0 at beta = 20 and 100, where the first panel shrinks
+@pytest.mark.parametrize(
+    "beta, tol", [(b, 4e-15) for b in ORACLE_BETAS] + [(20.0, 1e-14), (100.0, 1e-14)]
+)
+def test_primitive_matches_40_digit_quadrature(beta, tol):
+    k = CommunicationKernel("powerlaw", 1.0, beta)
+    for D, ref in zip(ORACLE_GRID, _mp_primitive(beta, ORACLE_GRID)):
+        got = k.primitive(float(D))
+        assert abs(mpmath.mpf(got) - ref) <= tol * ref, (D, got, ref)
+
+
+@pytest.mark.parametrize("beta", [b for b in ORACLE_BETAS if abs(b - 0.5) >= 0.05])
+def test_primitive_matches_hypergeometric_form(beta):
+    # Phi(D) = H D 2F1(1/2, beta; 3/2; -D^2); scipy's 2F1 errs by ~1e-12 near
+    # beta = 1/2, and at beta = 3 it returns 0 from D ~ 1e82 on
+    k = CommunicationKernel("powerlaw", 1.3, beta)
+    for D in np.logspace(-8, 60, 35):
+        ref = 1.3 * D * hyp2f1(0.5, beta, 1.5, -D * D)
+        assert abs(k.primitive(float(D)) - ref) <= 1e-14 * ref, D
+
+
+@pytest.mark.parametrize("beta", ORACLE_BETAS)
+def test_primitive_is_zero_at_zero_and_strictly_increasing(beta):
+    k = CommunicationKernel("powerlaw", 0.8, beta)
+    assert k.primitive(0.0) == 0.0
+    # past D ~ 1e2, Phi(D) moves by less than an ulp where beta > 1/2
+    vals = [k.primitive(float(D)) for D in np.logspace(-8, 2, 41)]
+    assert np.all(np.diff(vals) > 0.0)
+    vals = [k.primitive(float(D)) for D in ORACLE_GRID]
+    assert np.all(np.diff(vals) >= 0.0)
+
+
+def test_primitive_does_not_depend_on_the_cache(monkeypatch):
+    # each value with a cold cache equals the value from one cache warmed from the top
+    grid = [float(D) for D in ORACLE_GRID] + [1.7976931348623157e308]
+    for beta in (0.25, 1.5, 40.0):
+        k = CommunicationKernel("powerlaw", 1.0, beta)
+        monkeypatch.setattr(kernels, "_ANCHORS", {})
+        warm = [k.primitive(D) for D in reversed(grid)][::-1]
+        for D, value in zip(grid, warm):
+            monkeypatch.setattr(kernels, "_ANCHORS", {})
+            assert _bits(k.primitive(D)) == _bits(value), (beta, D)
 
 
 def test_fat_tail():
