@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import math
 import sys
@@ -52,18 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("sweep", parents=[common], help="run a parameter/seed cross product")
     sub.add_parser("plot-data", parents=[common], help="run and emit plot-ready columns")
     return parser
-
-
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must be a 64-bit unsigned integer")
-        cfg = dataclasses.replace(cfg, ic=dataclasses.replace(cfg.ic, seed=args.seed))
-    if args.out is not None:
-        cfg = dataclasses.replace(
-            cfg, output=dataclasses.replace(cfg.output, directory=str(args.out))
-        )
-    return cfg
 
 
 # every file a simulate, plot-data or verify run may write besides config.yaml
@@ -143,12 +130,6 @@ def run_verify(cfg: RunConfig, config_text: str = "", quiet: bool = False) -> in
     return 0 if report.passed else 1
 
 
-def _set_dotted(data: dict, key: str, value) -> None:
-    """Set section.field in data, copying the section so a shared base stays intact."""
-    section, _, field = key.partition(".")
-    data[section] = {**(data.get(section) or {}), field: value}
-
-
 def _sort_key(value):
     if isinstance(value, bool) or isinstance(value, str):
         return (2, str(value))
@@ -158,66 +139,38 @@ def _sort_key(value):
 
 
 def _sweep_job(batch: list) -> list:
-    """The sweep.csv rows of a batch of runs (index, axis values, seed, config)
-    that share a model, N and sample grid, stepped together by verify_batch."""
-    cfg = batch[0][3]
-    reports = verify_batch(
+    """The TheoremReports of a batch of run configs that share a model, N and
+    sample grid, stepped together by verify_batch."""
+    cfg = batch[0]
+    return verify_batch(
         model_from_config(cfg),
-        [initial_state_from_config(c) for *_, c in batch],
+        [initial_state_from_config(c) for c in batch],
         t_end=cfg.t_end,
         sample_every=cfg.sample_every,
     )
-    rows = []
-    for (_, combo, seed, _), report in zip(batch, reports):
-        completed = report.claim("integration_completed")
+
+
+def _sweep_row(combo, seed: int, run) -> list:
+    """The sweep.csv row of a run: its TheoremReport, or the ConfigError that rejected it."""
+    if isinstance(run, ConfigError):
+        results = ["", "", "", "", False, f"config-error: {run}"]
+    else:
+        completed = run.claim("integration_completed")
         results = [
-            report.variant,
-            report.final_A,
-            "" if report.fit is None else report.fit.delta,
-            report.min_wall_distance,
-            bool(report.passed),
+            run.variant,
+            run.final_A,
+            "" if run.fit is None else run.fit.delta,
+            run.min_wall_distance,
+            bool(run.passed),
             "ok" if completed.passed else f"integration-error: {completed.detail}",
         ]
-        rows.append(_sweep_row(combo, seed, results))
-    return rows
-
-
-def _sweep_row(combo, seed: int, results: list) -> list:
     # floats as %.17g, which reads back bit for bit
     return [format(v, ".17g") if isinstance(v, float) else v for v in [*combo, seed, *results]]
 
 
-def _sweep_batches(base: dict, axes, jobs: list):
-    """(batches for _sweep_job, rows) for the jobs [(axis values, seed)]: a
-    job whose config is invalid has its row in rows, the others None there.
-
-    A batch holds runs with equal model, N, t_end and sample_every, at most
-    integrator.batch_members of them.
-    """
-    rows: list = [None] * len(jobs)
-    groups: dict = {}
-    for i, (combo, seed) in enumerate(jobs):
-        data = dict(base)
-        for (key, _), value in zip(axes, combo):
-            _set_dotted(data, key, value)
-        _set_dotted(data, "ic.seed", seed)
-        try:
-            cfg = config_from_data(data)
-        except ConfigError as exc:
-            rows[i] = _sweep_row(combo, seed, ["", "", "", "", False, f"config-error: {exc}"])
-            continue
-        key = (model_from_config(cfg), cfg.ic.n_agents, cfg.t_end, cfg.sample_every)
-        groups.setdefault(key, []).append((i, combo, seed, cfg))
-    batches = []
-    for (_, n, t_end, sample_every), members in groups.items():
-        size = batch_members(n, sample_rows(n, t_end, sample_every))
-        batches += [members[lo : lo + size] for lo in range(0, len(members), size)]
-    return batches, rows
-
-
-def run_sweep(text: str, out_override: Path | None, quiet: bool = False) -> int:
-    base, base_cfg, axes, seeds, parallelism = parse_sweep(text)
-    out = Path(out_override if out_override is not None else base_cfg.output.directory)
+def run_sweep(text: str, overrides: dict, quiet: bool = False) -> int:
+    base, base_cfg, axes, seeds, parallelism = parse_sweep(text, overrides)
+    out = Path(base_cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep_config.yaml").write_text(text, encoding="utf-8")
 
@@ -226,15 +179,33 @@ def run_sweep(text: str, out_override: Path | None, quiet: bool = False) -> int:
         ((combo, seed) for combo in itertools.product(*(v for _, v in axes)) for seed in seeds),
         key=lambda job: (tuple(_sort_key(v) for v in job[0]), job[1]),
     )
-    batches, rows = _sweep_batches(base, axes, jobs)
+    keys = [key for key, _ in axes]
+    # per job its RunConfig, later its TheoremReport, or the ConfigError that
+    # rejected it; a batch holds the indices of runs with equal model, N,
+    # t_end and sample_every, at most integrator.batch_members of them
+    runs: list = []
+    groups: dict = {}
+    for combo, seed in jobs:
+        try:
+            cfg = config_from_data(base, {**dict(zip(keys, combo)), "ic.seed": seed})
+        except ConfigError as exc:
+            runs.append(exc)
+            continue
+        key = (model_from_config(cfg), cfg.ic.n_agents, cfg.t_end, cfg.sample_every)
+        groups.setdefault(key, []).append(len(runs))
+        runs.append(cfg)
+    batches = []
+    for (_, n, t_end, sample_every), members in groups.items():
+        size = batch_members(n, sample_rows(n, t_end, sample_every))
+        batches += [members[lo : lo + size] for lo in range(0, len(members), size)]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        for batch, batch_rows in zip(batches, pool.map(_sweep_job, batches)):
-            for (i, *_), row in zip(batch, batch_rows):
-                rows[i] = row
+        reports = pool.map(_sweep_job, [[runs[i] for i in batch] for batch in batches])
+        for batch, batch_reports in zip(batches, reports):
+            for i, report in zip(batch, batch_reports):
+                runs[i] = report
+    rows = [_sweep_row(combo, seed, run) for (combo, seed), run in zip(jobs, runs)]
 
-    header = [key for key, _ in axes] + [
-        "seed", "variant", "final_A", "delta", "min_wall_distance", "passed", "status",
-    ]
+    header = keys + ["seed", "variant", "final_A", "delta", "min_wall_distance", "passed", "status"]
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -246,22 +217,27 @@ def run_sweep(text: str, out_override: Path | None, quiet: bool = False) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # every command-line override is a config key, validated with the file's own
+    overrides: dict = {}
+    if args.seed is not None:
+        overrides["ic.seed"] = args.seed
+    if args.out is not None:
+        overrides["output.directory"] = str(args.out)
+    if args.command == "plot-data":
+        overrides["output.formats"] = ["plot"]
     try:
         if args.command == "sweep":
             if args.config is None:
                 raise ConfigError("sweep requires --config")
             if args.seed is not None:
                 raise ConfigError("sweep takes no --seed: list the seeds under sweep.seeds")
-            return run_sweep(read_config_text(args.config), args.out, args.quiet)
+            return run_sweep(read_config_text(args.config), overrides, args.quiet)
         text = "" if args.config is None else read_config_text(args.config)
-        cfg = _apply_overrides(parse_config(text), args)
+        cfg = parse_config(text, overrides)
         if args.seed is not None:
             text = ""  # the input names another seed: config.yaml gets the effective config
         if args.command == "verify":
             return run_verify(cfg, text, args.quiet)
-        if args.command == "plot-data":
-            plot_only = dataclasses.replace(cfg.output, formats=("plot",))
-            cfg = dataclasses.replace(cfg, output=plot_only)
         return run_simulate(cfg, text, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -99,14 +99,15 @@ def _coerce(kind: str, key: str, value):
     raise AssertionError(kind)
 
 
-def _section(data: dict, name: str) -> dict:
+def _section(data: dict, name: str, overrides: dict) -> dict:
     raw = data.get(name, {})
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{name}: expected a mapping")
     out = {}
-    for key, value in raw.items():
+    # the document's keys, then the overrides over them: each is checked and coerced
+    for key, value in [*raw.items(), *overrides.get(name, {}).items()]:
         if key not in _SCHEMA[name]:
             raise ConfigError(f"unknown key {name}.{key}")
         out[key] = _coerce(_SCHEMA[name][key], f"{name}.{key}", value)
@@ -120,20 +121,25 @@ def _load_yaml(text: str):
         raise ConfigError(f"invalid YAML: {exc}") from exc
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     data = _load_yaml(text)
-    return config_from_data({} if data is None else data)
+    return config_from_data({} if data is None else data, overrides)
 
 
-def config_from_data(data: dict) -> RunConfig:
-    """Coerce and validate a loaded config document."""
+def config_from_data(data: dict, overrides: dict | None = None) -> RunConfig:
+    """Coerce and validate a loaded config document, with the values of
+    overrides ({"section.field": value}) in place of the document's own."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    for key in data:
+    by_section: dict = {}
+    for key, value in (overrides or {}).items():
+        section, _, field = key.partition(".")
+        by_section.setdefault(section, {})[field] = value
+    for key in [*data, *by_section]:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown section {key}")
 
-    sections = {name: _section(data, name) for name in _SCHEMA}
+    sections = {name: _section(data, name, by_section) for name in _SCHEMA}
     try:
         parts = {attr: cls(**sections[name]) for name, (attr, cls) in _SECTIONS.items()}
     except ValueError as exc:
@@ -189,7 +195,7 @@ def serialize_config(cfg: RunConfig) -> str:
     return yaml.safe_dump(data, sort_keys=True)
 
 
-def parse_sweep(text: str):
+def parse_sweep(text: str, overrides: dict | None = None):
     """A sweep document: (base data, base RunConfig, [(key, values)], seeds, parallelism)."""
     data = _load_yaml(text)
     if not isinstance(data, dict) or "sweep" not in data:
@@ -219,7 +225,7 @@ def parse_sweep(text: str):
                 )
         axes.append((str(entry["key"]), values))
 
-    base_cfg = config_from_data(base)  # validates sections and keys
+    base_cfg = config_from_data(base, overrides)  # validates sections and keys
     keys = [key for key, _ in axes]
     for key in keys:
         section, _, field = key.partition(".")

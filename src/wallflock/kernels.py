@@ -33,7 +33,8 @@ def _panel(beta: float, a: float, b: float) -> float:
     else:  # r * r may overflow, and 1 + r^-2 rounds to 1
         for x, w in _GAUSS:
             s += w * (c + h * x) ** (-2.0 * beta)
-    return h * s
+    # (b - a) s / 2, halving s first: h underflows to 0 at b = 5e-324
+    return (b - a) * (0.5 * s)
 
 
 def _anchors(beta: float, e: int) -> tuple:

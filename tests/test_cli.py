@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallflock
-from wallflock import FIELDS, ConfigError, parse_config
+from wallflock import FIELDS, ConfigError, parse_config, serialize_config
 from wallflock.cli import build_parser, main, parse_sweep
 
 FREE_ALIGNING = """
@@ -101,6 +101,32 @@ def test_seed_override_changes_the_run(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--seed", "not-a-number"])
     assert main(["simulate", "--config", str(cfg), "--out", str(a), "--seed", "-1"]) == 2
+
+
+def test_out_of_range_seed_is_rejected_as_ic_seed(tmp_path, capsys):
+    cfg = write(tmp_path, "run.yaml", FREE_ALIGNING)
+    out = tmp_path / "big"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", str(2**64)]) == 2
+    assert capsys.readouterr().err == "config error: ic.seed must be a 64-bit unsigned integer\n"
+    assert not out.exists()
+
+
+def test_seed_over_a_malformed_section_is_a_config_error(tmp_path, capsys):
+    # the section's mapping check comes first: an exit 2, not a TypeError
+    cfg = write(tmp_path, "bad.yaml", "ic: 5\n")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "3"]) == 2
+    assert capsys.readouterr().err == "config error: ic: expected a mapping\n"
+
+
+def test_plot_data_seed_without_config_records_the_effective_config(tmp_path):
+    out = tmp_path / "plots"
+    assert main(["plot-data", "--out", str(out), "--seed", "5", "--quiet"]) == 0
+    text = (out / "config.yaml").read_text()
+    recorded = parse_config(text)
+    assert (recorded.ic.seed, recorded.output.formats) == (5, ("plot",))
+    assert recorded.output.directory == str(out)
+    assert text == serialize_config(recorded)
+    assert sorted(p.name for p in out.iterdir()) == ["config.yaml", "plot.dat", "plot_positions.dat"]
 
 
 def test_verify_pass_fail_and_report(tmp_path, capsys):

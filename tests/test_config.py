@@ -89,6 +89,47 @@ def test_type_errors():
         parse_config("kernel: {family: 2}")
 
 
+def test_overrides_replace_document_values_and_are_checked_like_them():
+    cfg = parse_config(CANONICAL, {"ic.seed": 7, "output.formats": ["plot"], "kernel.beta": 1})
+    assert (cfg.ic.seed, cfg.output.formats, cfg.kernel.beta) == (7, ("plot",), 1.0)
+    assert cfg.ic.n_agents == parse_config(CANONICAL).ic.n_agents
+    # a section the document leaves out takes the override alone
+    assert config_from_data({}, {"integrator.t_end": 5}).t_end == 5.0
+    with pytest.raises(ConfigError, match="ic.seed: expected an integer"):
+        parse_config(CANONICAL, {"ic.seed": "7"})
+    with pytest.raises(ConfigError, match="ic.seed must be a 64-bit unsigned integer"):
+        parse_config(CANONICAL, {"ic.seed": 2**64})
+    # the document's own values are still checked where an override replaces them
+    with pytest.raises(ConfigError, match="ic.seed: expected an integer"):
+        parse_config("ic: {seed: 1.5}", {"ic.seed": 3})
+    # a section's mapping check comes before its overrides
+    with pytest.raises(ConfigError, match="ic: expected a mapping"):
+        parse_config("ic: 5", {"ic.seed": 3})
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("bogus.x", "unknown section bogus"),
+        ("solver", "unknown section solver"),
+        ("ic.bogus", "unknown key ic.bogus"),
+        ("ic", "unknown key ic."),
+    ],
+)
+def test_override_of_an_unknown_name_is_rejected(key, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_data({}, {key: 1})
+
+
+def test_overrides_leave_the_document_unchanged():
+    data = {"ic": {"seed": 1, "n_agents": 4}, "kernel": {"beta": 0.5}}
+    before = {name: dict(section) for name, section in data.items()}
+    cfg = config_from_data(data, {"ic.seed": 9, "kernel.beta": 1.0, "integrator.t_end": 3.0})
+    assert (cfg.ic.seed, cfg.kernel.beta, cfg.t_end) == (9, 1.0, 3.0)
+    assert data == before
+    assert config_from_data(data).ic.seed == 1
+
+
 def test_sample_grid_is_bounded_at_config_time():
     # t_end / sample_every overflows to inf in the first, and is finite but
     # past the bound in the second; neither builds a grid

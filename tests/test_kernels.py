@@ -181,6 +181,16 @@ def test_primitive_is_zero_at_zero_and_strictly_increasing(beta):
     assert np.all(np.diff(vals) >= 0.0)
 
 
+@pytest.mark.parametrize("beta", ORACLE_BETAS + (20.0, 100.0))
+def test_primitive_is_h_times_d_at_subnormal_d(beta):
+    # phi = H to the last bit on [0, D]; at D = 5e-324 the panel's half-width
+    # D / 2 underflows to 0, so the panel must not scale by it
+    for H in (1.0, 0.8, 1.3):
+        k = CommunicationKernel("powerlaw", H, beta)
+        for D in (5e-324, 1e-310):
+            assert _bits(k.primitive(D)) == _bits(H * D), (H, D)
+
+
 def test_primitive_does_not_depend_on_the_cache(monkeypatch):
     # each value with a cold cache equals the value from one cache warmed from the top
     grid = [float(D) for D in ORACLE_GRID] + [1.7976931348623157e308]

@@ -341,28 +341,69 @@ _T40 = np.linspace(0.0, 40.0, 401)
 _TAIL_STEP = [[4.0, 5.0 + 1.5 * verification.SETTLE_EPS * (t > 0.85)] for t in _T]
 
 
-# per claim, a synthetic half-line run (times, positions, record series) just
-# past its bar
+_HALF = wf.Geometry("halfline")
+_BOX = wf.Geometry("interval", 0.0, 10.0)
+# the tail window of _T is its last three samples, t >= 0.8
+_IN_TAIL = (_T > 0.75) & (_T < 0.95)
+# per case, a synthetic run (geometry, times, positions, record series) just
+# past the bar of the claim the case is named after
 _VIOLATIONS = {
     # an agent reaches the wall exactly: the distance infimum 0.0 is a collision
-    "no_wall_collision": (_T, [[4.0, 5.0]] * 5 + [[0.0, 5.0]] + [[4.0, 5.0]] * 5, {}),
+    "no_wall_collision": (_HALF, _T, [[4.0, 5.0]] * 5 + [[0.0, 5.0]] + [[4.0, 5.0]] * 5, {}),
+    # A sits at ALIGN_EPS at the end, inside the tail guard's 2 ALIGN_EPS
+    "velocity_alignment": (_HALF, _T, [[4.0, 5.0]] * 11, {"A": verification.ALIGN_EPS}),
+    # A ends at 0, after a tail sample at the guard's 2 ALIGN_EPS
+    "velocity_alignment-tail_guard": (
+        _HALF, _T, [[4.0, 5.0]] * 11, {"A": 2.0 * verification.ALIGN_EPS * _IN_TAIL}
+    ),
     # A grows as exp(0.2 t) with p(0) > 0: a clean fit (R^2 = 1) of negative delta
-    "exponential_rate": (_T40, [[2.0, 3.0]] * 401, {"A": np.exp(0.2 * _T40), "p": 1.0}),
+    "exponential_rate": (_HALF, _T40, [[2.0, 3.0]] * 401, {"A": np.exp(0.2 * _T40), "p": 1.0}),
     # no escape, and the tail mean sits 2 SETTLE_EPS inside the wall range (ell = 1)
-    "outside_wall_range": (_T, [[1.0 - 2.0 * verification.SETTLE_EPS, 5.0]] * 11, {}),
-    "positions_settle": (_T, _TAIL_STEP, {}),
-    "strong_flocking": (_T, _TAIL_STEP, {}),
+    "outside_wall_range": (_HALF, _T, [[1.0 - 2.0 * verification.SETTLE_EPS, 5.0]] * 11, {}),
+    "positions_settle": (_HALF, _T, _TAIL_STEP, {}),
+    "strong_flocking": (_HALF, _T, _TAIL_STEP, {}),
+    # E rises by 2e-9 against the 1e-9 max(1, |E(0)|) slack
+    "energy_nonincreasing": (_HALF, _T, [[4.0, 5.0]] * 11, {"E": 1.0 + 2e-9 * (_T > 0.5)}),
+    # v_max runs 0.5 % over the speed bound sqrt(2 N G)
+    "velocity_bound": (_HALF, _T, [[4.0, 5.0]] * 11, {"v_max": 1.005 * _SPEED * (_T > 0.5)}),
     # D runs 1e-6 over its budget D(0) + 2 sqrt(2 N G) t + 1e-9 after t = 0.5
-    "diameter_growth": (_T, [[4.0, 5.0]] * 11, {"D": 1.0 + 2.0 * _SPEED * _T + 1e-6 * (_T > 0.5)}),
+    "diameter_growth": (
+        _HALF, _T, [[4.0, 5.0]] * 11, {"D": 1.0 + 2.0 * _SPEED * _T + 1e-6 * (_T > 0.5)}
+    ),
+    # with F_max = 0, L may rise by BUDGET_TOL max(1, |L(0)|) and rises 1 % more
+    "lyapunov_budget": (
+        _HALF, _T, [[4.0, 5.0]] * 11, {"L": 1.01 * verification.BUDGET_TOL * (_T > 0.5)}
+    ),
+    # with F_mean = 0, p moves by 2e-4 against the 1e-4 max(1, |p(0)| + 1) slack
+    "momentum_force_identity": (_HALF, _T, [[4.0, 5.0]] * 11, {"p": 2e-4 * (_T > 0.5)}),
+    # p drops by 2e-9 against the 1e-9 slack
+    "momentum_nondecreasing": (_HALF, _T, [[4.0, 5.0]] * 11, {"p": -2e-9 * (_T > 0.5)}),
+    # K decays to ALIGN_EPS^2 at the end, a tail share of 1 / (1 + exp(10))
+    "kinetic_decay": (
+        _BOX, _T, [[4.0, 5.0]] * 11, {"K": verification.ALIGN_EPS**2 * np.exp(20.0 * (1.0 - _T))}
+    ),
+    # F_max decays to ALIGN_EPS at the end, F_sq = F_max^2 with it
+    "force_decay": (
+        _BOX, _T, [[4.0, 5.0]] * 11,
+        {
+            "F_max": verification.ALIGN_EPS * np.exp(10.0 * (1.0 - _T)),
+            "F_sq": verification.ALIGN_EPS**2 * np.exp(20.0 * (1.0 - _T)),
+        },
+    ),
+    # the envelope sqrt(2K) N F_max is 2 at K = 0.5, N = 2, F_max = 1; |W| runs 1e-9 past it
+    "work_of_force_bounded": (
+        _BOX, _T, [[4.0, 5.0]] * 11, {"K": 0.5, "F_max": 1.0, "W": 2.0 + 1e-9}
+    ),
 }
 
 
-@pytest.mark.parametrize("claim", list(_VIOLATIONS))
-def test_report_carries_each_claim_verdict(claim):
+@pytest.mark.parametrize("case", list(_VIOLATIONS))
+def test_report_carries_each_claim_verdict(case):
     # the claim's own verdict in a whole report, not only its helper's return value
-    times, xs, series = _VIOLATIONS[claim]
+    claim = case.partition("-")[0]
+    geometry, times, xs, series = _VIOLATIONS[case]
     traj = synthetic_traj(times, xs, G=0.5, **series)
-    report = verification._report(_two_agents(wf.Geometry("halfline")), traj)
+    report = verification._report(_two_agents(geometry), traj)
     verdict = report.claim(claim)
     assert verdict.applicable and not verdict.passed
     assert not report.passed
@@ -370,6 +411,10 @@ def test_report_carries_each_claim_verdict(claim):
         assert report.fit.r_squared > 0.99 and report.fit.delta < 0.0
     if claim == "outside_wall_range":
         assert report.escape_time is None
+    if case == "velocity_alignment":
+        assert verdict.value == verification.ALIGN_EPS
+    if case == "velocity_alignment-tail_guard":
+        assert verdict.value == 0.0
 
 
 def test_verify_halfline_report_shape(canonical_model, canonical_state):
@@ -513,7 +558,7 @@ def _recovered(value, loaded) -> bool:
 
 
 @given(_reports())
-def test_report_json_and_pairwise_npy_round_trip(rep):
+def test_any_report_round_trips_through_json(rep):
     data = json.loads(rep.to_json())
     assert rep.to_json() == json.dumps(data, indent=2, sort_keys=True) + "\n"
     expected = {name: getattr(rep, name) for name in rep.__dataclass_fields__}
