@@ -139,11 +139,11 @@ def _sort_key(value):
 
 
 def _sweep_job(batch: list) -> list:
-    """The TheoremReports of a batch of run configs that share a model, N and
-    sample grid, stepped together by verify_batch."""
+    """The TheoremReports of a batch of run configs that share a wall,
+    geometry, N and sample grid, stepped together by verify_batch."""
     cfg = batch[0]
     return verify_batch(
-        model_from_config(cfg),
+        [model_from_config(c) for c in batch],
         [initial_state_from_config(c) for c in batch],
         t_end=cfg.t_end,
         sample_every=cfg.sample_every,
@@ -181,8 +181,9 @@ def run_sweep(text: str, overrides: dict, quiet: bool = False) -> int:
     )
     keys = [key for key, _ in axes]
     # per job its RunConfig, later its TheoremReport, or the ConfigError that
-    # rejected it; a batch holds the indices of runs with equal model, N,
-    # t_end and sample_every, at most integrator.batch_members of them
+    # rejected it; a batch holds the indices of runs with equal wall,
+    # geometry, N, t_end and sample_every, at most integrator.batch_members of
+    # them
     runs: list = []
     groups: dict = {}
     for combo, seed in jobs:
@@ -191,11 +192,11 @@ def run_sweep(text: str, overrides: dict, quiet: bool = False) -> int:
         except ConfigError as exc:
             runs.append(exc)
             continue
-        key = (model_from_config(cfg), cfg.ic.n_agents, cfg.t_end, cfg.sample_every)
+        key = (cfg.wall, cfg.geometry, cfg.ic.n_agents, cfg.t_end, cfg.sample_every)
         groups.setdefault(key, []).append(len(runs))
         runs.append(cfg)
     batches = []
-    for (_, n, t_end, sample_every), members in groups.items():
+    for (*_, n, t_end, sample_every), members in groups.items():
         size = batch_members(n, sample_rows(n, t_end, sample_every))
         batches += [members[lo : lo + size] for lo in range(0, len(members), size)]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:

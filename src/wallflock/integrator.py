@@ -6,12 +6,12 @@ rejected (never clamped) when any internal stage leaves the open domain, so
 the discrete flow never evaluates the potential at or behind a wall.
 
 Both integrators step one phase state y = (x, v), an array of shape (2, N);
-Fehlberg also steps a batch of them, (2, B, N), for runs that share a model,
-so y[0] and y[1] are the positions and velocities either way.  Fehlberg
-keeps its stages in a (2, [B,] 6, N) array, stages on axis -2, so every
-tableau row combines one (6, N) block per component and member, each with
-the matvec path of an N-wide row; a flat (2N,) state would take another path
-at width 2N and change the last bits of the run.
+Fehlberg also steps a batch of them, (2, B, N), for runs that share a wall
+and geometry, so y[0] and y[1] are the positions and velocities either way.
+Fehlberg keeps its stages in a (2, [B,] 6, N) array, stages on axis -2, so
+every tableau row combines one (6, N) block per component and member, each
+with the matvec path of an N-wide row; a flat (2N,) state would take another
+path at width 2N and change the last bits of the run.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FlockModel, FlockState, acceleration, block_rows
+from .kernels import KernelStack
 from .observables import DiagnosticsRecord, diagnostics, initial_energy
 from .potentials import WallDomainError, check_domain, wall_distances
 
@@ -179,9 +180,20 @@ def _attempt_one(m: FlockModel, y: np.ndarray, h: float):
     return y_new, _error_ratio(y, y_new, err)[0], float(dist)
 
 
-def _round(m: FlockModel, y: np.ndarray, act: list, hs: list) -> list:
+def _stepping_model(models: list, kid: list, act: list) -> FlockModel:
+    """The model of one batched attempt over the members act: its KernelStack
+    holds a run per stretch of act whose members share a kernel id kid[b]."""
+    cuts = [j for j in range(1, len(act)) if kid[act[j]] != kid[act[j - 1]]]
+    bounds = zip([0, *cuts], [*cuts, len(act)])
+    stack = KernelStack(tuple((models[act[lo]].kernel, lo, hi) for lo, hi in bounds))
+    m = models[act[0]]
+    return FlockModel(stack, m.wall, m.geometry)
+
+
+def _round(models: list, kid: list, y: np.ndarray, act: list, hs: list) -> list:
     """One Fehlberg attempt for each member act[j] of the (2, B, N) states y at
-    step hs[j]: a list of _attempt_one's results.
+    step hs[j], member b with model models[b] and kernel id kid[b]: a list of
+    _attempt_one's results.
 
     The members share one batched attempt; a round of every member takes y as
     it is, and one member alone takes the single-state path, because the
@@ -189,18 +201,19 @@ def _round(m: FlockModel, y: np.ndarray, act: list, hs: list) -> list:
     the domain, each is attempted alone, so only that one is rejected.
     """
     if len(act) == 1:
-        return [_attempt_one(m, y[:, act[0]], hs[0])]
+        return [_attempt_one(models[act[0]], y[:, act[0]], hs[0])]
     ya = y if len(act) == y.shape[1] else y[:, act]
     try:
-        y_new, err, dist = _attempt(m, ya, np.array(hs)[:, None])
+        y_new, err, dist = _attempt(_stepping_model(models, kid, act), ya, np.array(hs)[:, None])
     except WallDomainError:
-        return [_attempt_one(m, y[:, b], h) for b, h in zip(act, hs)]
+        return [_attempt_one(models[b], y[:, b], h) for b, h in zip(act, hs)]
     return list(zip(y_new.swapaxes(0, 1), _error_ratio(ya, y_new, err), dist.tolist()))
 
 
-def _sample(m: FlockModel, states: list, t_end: float, sample_every: float, advance) -> list:
+def _sample(models: list, states: list, t_end: float, sample_every: float, advance) -> list:
     """Sample runs from states, which share N and their start time, to t_end
-    on the uniform grid; one Trajectory or error per state.
+    on the uniform grid, state b under models[b]; one Trajectory or error per
+    state.
 
     Records each state and its diagnostics in row 0, then calls
     advance(y, live, t0, t1) once per grid span on the (2, B, N) phase states
@@ -220,7 +233,7 @@ def _sample(m: FlockModel, states: list, t_end: float, sample_every: float, adva
     G = {}
     for b, s in enumerate(states):
         try:
-            G[b] = initial_energy(m, s)  # applies the domain rule to s.x
+            G[b] = initial_energy(models[b], s)  # applies the domain rule to s.x
         except WallDomainError as exc:
             results[b] = exc
     live = list(G)
@@ -232,7 +245,7 @@ def _sample(m: FlockModel, states: list, t_end: float, sample_every: float, adva
     records = np.recarray(X.shape[:2], dtype=[(f, float) for f in DiagnosticsRecord._fields])
     X[:, 0], V[:, 0] = y
     for b in live:
-        records[b, 0] = diagnostics(m, states[b], G[b])
+        records[b, 0] = diagnostics(models[b], states[b], G[b])
     for k in range(1, times.size):
         for b, exc in advance(y, live, times[k - 1], times[k]).items():
             results[b] = exc
@@ -241,7 +254,7 @@ def _sample(m: FlockModel, states: list, t_end: float, sample_every: float, adva
         for b in live:
             # the state is validated (finite x and v) before its diagnostics
             state = FlockState(t=times[k], x=y[0, b], v=y[1, b])
-            records[b, k] = diagnostics(m, state, G[b])
+            records[b, k] = diagnostics(models[b], state, G[b])
 
     for b in live:
         results[b] = Trajectory(sample_times=times, X=X[b], V=V[b], records=records[b])
@@ -257,18 +270,33 @@ def _single(results: list) -> Trajectory:
 
 
 def integrate_batch(
-    m: FlockModel, states: list, t_end: float, sample_every: float = 0.1
+    models: list, states: list, t_end: float, sample_every: float = 0.1
 ) -> list:
-    """integrate each state, the runs stepped together: one Trajectory,
-    StiffnessError or WallDomainError per state, each bit-identical to its
-    single run.
+    """integrate each state under its model, models[b] for states[b], the runs
+    stepped together: one Trajectory, StiffnessError or WallDomainError per
+    state, each bit-identical to its single run.
 
-    The states share N and their start time.  Every member keeps its own step
+    The states share N and their start time, and the models their wall and
+    geometry; the kernels may differ, and equal ones next to each other share
+    a slice of the batched kernel matrix.  Every member keeps its own step
     control, in integrate's order of operations on Python floats; each round
     makes one Fehlberg attempt, batched over the members that have not yet
     reached the current sample time.  A member that fails drops out.
     """
+    if not states:
+        raise ValueError("integrate_batch needs at least one state")
+    if len(models) != len(states):
+        raise ValueError(
+            f"integrate_batch takes one model per state, not {len(models)} for {len(states)}"
+        )
+    m = models[0]
+    if any(mb.wall != m.wall or mb.geometry != m.geometry for mb in models):
+        raise ValueError("batched models must share their wall and geometry")
     walls_on = not m.wall.disabled
+    # per member the id of its kernel, one per distinct kernel: a batched
+    # round's KernelStack cuts its members wherever the id changes
+    ids: dict = {}
+    kid = [ids.setdefault(mb.kernel, len(ids)) for mb in models]
     # per member: the standing step proposal (dt_prop <= DT_MAX throughout:
     # DT_INIT <= DT_MAX, every update is below h or capped), the last accepted
     # error ratio, and the nearest wall distance of the current state, the
@@ -294,14 +322,14 @@ def integrate_batch(
                     cap = _WALL_SAFETY * dist[b] / (vmax[b] + 1.0)
                     if cap < DT_MIN:
                         failed[b] = _stiffness_error(
-                            m, y[:, b], t[b], cap, "wall layer forces dt below dt_min"
+                            models[b], y[:, b], t[b], cap, "wall layer forces dt below dt_min"
                         )
                         continue
                     h = min(h, cap)
                 act.append(b)
                 hs.append(h)
             pending = []
-            for b, h, (y_new, ratio, dist_new) in zip(act, hs, _round(m, y, act, hs)):
+            for b, h, (y_new, ratio, dist_new) in zip(act, hs, _round(models, kid, y, act, hs)):
                 clamped = h < dt_prop[b]
                 if ratio is None:
                     dt_prop[b] = h / 2.0  # a stage left the domain: halve and retry
@@ -322,13 +350,13 @@ def integrate_batch(
                     continue
                 if dt_prop[b] < DT_MIN:
                     failed[b] = _stiffness_error(
-                        m, y[:, b], t[b], h, "step size collapsed below dt_min"
+                        models[b], y[:, b], t[b], h, "step size collapsed below dt_min"
                     )
                     continue
                 pending.append(b)
         return failed
 
-    return _sample(m, states, t_end, sample_every, advance)
+    return _sample(models, states, t_end, sample_every, advance)
 
 
 def integrate(m: FlockModel, s0: FlockState, t_end: float, sample_every: float = 0.1) -> Trajectory:
@@ -337,7 +365,7 @@ def integrate(m: FlockModel, s0: FlockState, t_end: float, sample_every: float =
     Steps are clamped to land exactly on sample times and capped by the wall
     layer (_WALL_SAFETY).  A one-member integrate_batch.
     """
-    return _single(integrate_batch(m, [s0], t_end, sample_every))
+    return _single(integrate_batch([m], [s0], t_end, sample_every))
 
 
 def reference_rk4(
@@ -371,4 +399,4 @@ def reference_rk4(
         ys[:, 0] = y
         return {}
 
-    return _single(_sample(m, [s0], t_end, sample_every, advance))
+    return _single(_sample([m], [s0], t_end, sample_every, advance))

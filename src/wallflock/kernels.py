@@ -87,7 +87,8 @@ class CommunicationKernel:
         return self._phi(xi[..., :, None] - xj[..., None, :])
 
     def _phi(self, w: np.ndarray) -> np.ndarray:
-        """Overwrite the distances in w with phi of them; the one formula of eval and matrix."""
+        """Overwrite the distances in w with phi of them; the one formula of
+        eval, matrix and KernelStack.matrix."""
         # r enters through r^2 only, so evenness is exact in floating point
         w *= w
         w += 1.0
@@ -116,3 +117,21 @@ class CommunicationKernel:
     def fat_tail(self) -> bool:
         """True iff the primitive diverges as D grows: 2 beta <= 1."""
         return 2.0 * self.beta <= 1.0
+
+
+@dataclass(frozen=True)
+class KernelStack:
+    """The kernels of a batch's members, one (kernel, lo, hi) per run [lo, hi)
+    of members that share it; matrix on (B, N) rows gives each member's own
+    kernel.matrix bit for bit."""
+
+    runs: tuple
+
+    def matrix(self, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
+        w = xi[..., :, None] - xj[..., None, :]
+        # each run's kernel on its own slice: beta stays a Python float, so
+        # numpy keeps its scalar paths (w^-1 a reciprocal, w^-0 ones), which
+        # an array of exponents would leave
+        for k, lo, hi in self.runs:
+            k._phi(w[lo:hi])
+        return w

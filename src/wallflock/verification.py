@@ -417,15 +417,17 @@ def verify(
 
 
 def verify_batch(
-    m: FlockModel,
+    models: list,
     states: list,
     *,
     t_end: float,
     sample_every: float = 0.1,
 ) -> list:
-    """verify each state, the runs stepped together by integrate_batch (the
-    states share N and their start time); each report equals verify's."""
-    return [_report(m, run) for run in integrate_batch(m, states, t_end, sample_every)]
+    """verify each state under its model, the runs stepped together by
+    integrate_batch (the states share N and their start time, the models their
+    wall and geometry); each report equals verify's."""
+    runs = integrate_batch(models, states, t_end, sample_every)
+    return [_report(m, run) for m, run in zip(models, runs)]
 
 
 def _report(m: FlockModel, run) -> TheoremReport:

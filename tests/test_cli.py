@@ -754,6 +754,41 @@ def test_batched_sweep_rows_equal_one_member_batches(tmp_path, monkeypatch, swee
         assert stiff[1]["status"] == "ok"
 
 
+KERNEL_SWEEP = """
+base:
+  ic: {n_agents: 4, x_low: 1.0, x_high: 3.0, v_low: -0.5, v_high: 0.5}
+  integrator: {t_end: 2.0, sample_every: 0.5}
+sweep:
+  axes:
+    - {key: ic.x_high, values: [3.0, 4.0]}
+    - {key: kernel.beta, values: [0.0, 0.25, 1.0]}
+    - {key: kernel.H, values: [0.3, 1.0]}
+  seeds: [1, 2]
+"""
+
+
+def test_kernel_axes_sweep_is_one_batch_with_one_member_rows(tmp_path, monkeypatch):
+    # runs that differ only in their kernel (or their initial data) step as
+    # one batch in the rows' sorted order, which interleaves the kernels;
+    # every row is the row its run gives alone
+    kernels = []
+    job = wallflock.cli._sweep_job
+
+    def recorded(batch):
+        kernels.append([c.kernel for c in batch])
+        return job(batch)
+
+    monkeypatch.setattr(wallflock.cli, "_sweep_job", recorded)
+    batched, sizes = _sweep_batches(tmp_path, monkeypatch, KERNEL_SWEEP, "batched", False)
+    alone, ones = _sweep_batches(tmp_path, monkeypatch, KERNEL_SWEEP, "alone", True)
+    assert batched == alone
+    rows = batched.decode().splitlines()[1:]
+    assert sizes == [len(rows)] == [24] and ones == [1] * 24
+    runs = kernels[0]
+    assert len({(k.H, k.beta) for k in runs}) == 6
+    assert sum(a != b for a, b in zip(runs, runs[1:])) == 11
+
+
 def test_sweep_batches_hold_one_member_above_one_strip(tmp_path, monkeypatch):
     # at N = 182 one member's kernel matrix is more than one strip
     text = """

@@ -307,3 +307,25 @@ def test_batched_acceleration_memory_is_one_strip():
         # each member's row has its own single call's bits
         for j in (0, b - 1):
             assert np.array_equal(_bits(got[j]), _bits(acceleration(m, x[j], v[j]))), n
+
+
+def test_mixed_kernel_batch_acceleration_bitwise_equal_single_states():
+    # the stepping model of a batch whose members carry their own kernels, in
+    # the order (a, b, a, ...): each member's row is its single call's
+    ks = [wf.CommunicationKernel("powerlaw", H, beta)
+          for beta in (0.0, 0.5, 1.0, 1.5) for H in (0.3, 1.0)]
+    wall, geometry = wf.WallPotential(1.0, 1.0), wf.Geometry("interval", 0.0, 40.0)
+    models = [FlockModel(ks[i], wall, geometry) for i in (0, 1, 0, 2, 3, 3, 4, 5, 6, 7, 1)]
+    kid = [ks.index(m.kernel) for m in models]
+    stepping = wf.integrator._stepping_model(models, kid, list(range(len(models))))
+    assert len(stepping.kernel.runs) == len(models) - 1
+    # a subset's stepping model stacks exactly its members' kernels
+    assert wf.integrator._stepping_model(models, kid, [4, 5]).kernel.runs == ((ks[3], 0, 2),)
+    rng = np.random.default_rng(13)
+    for n in (1, 8, 16):
+        x = rng.uniform(0.5, 39.5, (len(models), n))
+        x[:, 0] = 0.7  # inside the wall layer: the wall force is evaluated
+        v = rng.uniform(-1.0, 1.0, (len(models), n))
+        got = acceleration(stepping, x, v)
+        for b, m in enumerate(models):
+            assert np.array_equal(_bits(got[b]), _bits(acceleration(m, x[b], v[b]))), (n, b)

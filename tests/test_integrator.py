@@ -200,7 +200,7 @@ def test_sample_grid_bound_holds_on_the_python_api(entry, monkeypatch):
     run = {
         "verify": lambda: wf.verify(m, s, t_end=1e300, sample_every=1e-10),
         "integrate": lambda: integrate(m, s, 1e300, 1e-10),
-        "integrate_batch": lambda: integrate_batch(m, [s, s], 1e300, 1e-10),
+        "integrate_batch": lambda: integrate_batch([m] * 2, [s, s], 1e300, 1e-10),
         "reference_rk4": lambda: reference_rk4(m, s, 1e300, 0.01, 1e-10),
     }[entry]
     with pytest.raises(ValueError, match="records more than 134217728 numbers"):
@@ -434,7 +434,7 @@ def test_batch_members_bitwise_equal_single_runs(monkeypatch, model, box):
     states = [wf.initial_condition(8, *box, seed) for seed in (1, 2, 3)]
     singles = [integrate(model, s, 6.0, 0.1) for s in states]
     calls = _counting_attempts(monkeypatch)
-    runs = integrate_batch(model, states, 6.0, 0.1)
+    runs = integrate_batch([model] * len(states), states, 6.0, 0.1)
     for run, single in zip(runs, singles):
         _assert_same_run(run, single)
     # most rounds step all three members in one batched attempt
@@ -458,11 +458,80 @@ def test_batch_domain_rejection_rejects_only_its_member(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         singles = [integrate(m, s, 1e-6, 5e-7) for s in states]
         calls = _counting_attempts(monkeypatch)
-        runs = integrate_batch(m, states, 1e-6, 5e-7)
+        runs = integrate_batch([m] * len(states), states, 1e-6, 5e-7)
     for run, single in zip(runs, singles):
         _assert_same_run(run, single)
     # the first round raised on the batch; alone, only member 0 left the domain
     assert calls[:4] == [(3, True), (1, True), (1, False), (1, False)]
+
+
+@pytest.mark.parametrize(
+    "geometry, box",
+    [
+        (wf.Geometry("halfline"), (0.5, 3.0, -0.5, 1.0)),
+        (wf.Geometry("interval", 0.0, 10.0), (1.0, 9.0, -1.0, 1.0)),
+    ],
+    ids=["halfline", "interval"],
+)
+def test_batch_members_with_own_kernels_bitwise_equal_single_runs(monkeypatch, geometry, box):
+    # every member its own kernel, beta = 0 and beta = 1 among them: the
+    # batched attempts stack the kernels, and each run equals its own in
+    # every bit, diagnostics (whose L takes the member's primitive) included
+    kernels = [(1.0, 0.25), (0.3, 1.0), (1.0, 0.0), (0.3, 1.5)]
+    models = [
+        wf.FlockModel(wf.CommunicationKernel("powerlaw", H, beta), wf.WallPotential(1.0, 1.0),
+                      geometry)
+        for H, beta in kernels
+    ]
+    states = [wf.initial_condition(8, *box, seed) for seed in (1, 2, 3, 4)]
+    singles = [integrate(m, s, 6.0, 0.1) for m, s in zip(models, states)]
+    calls = _counting_attempts(monkeypatch)
+    runs = integrate_batch(models, states, 6.0, 0.1)
+    for run, single in zip(runs, singles):
+        _assert_same_run(run, single)
+    # the members still share most rounds
+    assert sum(members > 1 for members, _ in calls) > len(calls) / 2
+
+
+def test_batch_domain_rejection_with_own_kernels_rejects_only_its_member(monkeypatch):
+    # test_batch_domain_rejection_rejects_only_its_member with a kernel per
+    # member: the members re-run alone take their own models
+    models = [
+        wf.FlockModel(wf.CommunicationKernel("powerlaw", H, beta), wf.WallPotential(1.0, 0.0),
+                      wf.Geometry("halfline"))
+        for H, beta in [(1e8, 0.0), (1e8, 1.0), (0.5, 0.5)]
+    ]
+    states = [
+        wf.FlockState(0.0, [1.0, 2.0], [-1e299, 1e299]),
+        wf.FlockState(0.0, [1.0, 2.0], [0.5, -0.5]),
+        wf.FlockState(0.0, [1.0, 3.0], [0.1, 0.2]),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        singles = [integrate(m, s, 1e-6, 5e-7) for m, s in zip(models, states)]
+        calls = _counting_attempts(monkeypatch)
+        runs = integrate_batch(models, states, 1e-6, 5e-7)
+    for run, single in zip(runs, singles):
+        _assert_same_run(run, single)
+    assert calls[:4] == [(3, True), (1, True), (1, False), (1, False)]
+
+
+@pytest.mark.parametrize("entry", ["integrate_batch", "verify_batch"])
+def test_batch_rejects_an_empty_or_mismatched_batch(entry):
+    run = {
+        "integrate_batch": lambda models, states: integrate_batch(models, states, 1.0),
+        "verify_batch": lambda models, states: wf.verify_batch(models, states, t_end=1.0),
+    }[entry]
+    m = wf.FlockModel(wf.CommunicationKernel(), wf.WallPotential(), wf.Geometry("halfline"))
+    s = wf.FlockState(0.0, [1.0, 2.0], [0.1, -0.1])
+    with pytest.raises(ValueError, match="needs at least one state"):
+        run([], [])
+    with pytest.raises(ValueError, match="one model per state, not 1 for 2"):
+        run([m], [s, s])
+    other_wall = wf.FlockModel(m.kernel, wf.WallPotential(1.0, 2.0), m.geometry)
+    other_geometry = wf.FlockModel(m.kernel, m.wall, wf.Geometry("interval", 0.0, 10.0))
+    for other in (other_wall, other_geometry):
+        with pytest.raises(ValueError, match="must share their wall and geometry"):
+            run([m, other], [s, s])
 
 
 def test_batch_failures_drop_only_their_member():
@@ -477,14 +546,14 @@ def test_batch_failures_drop_only_their_member():
     stiff = wf.FlockState(0.0, [0.05, 6.0], [-2.0, 2.0])
     outside = wf.FlockState(0.0, [-1.0, 6.0], [0.0, 0.0])
     free = wf.FlockState(0.0, [3.0, 6.0], [0.5, 0.2])
-    runs = integrate_batch(m, [stiff, outside, free], 1.0, 0.5)
+    runs = integrate_batch([m] * 3, [stiff, outside, free], 1.0, 0.5)
     with pytest.raises(StiffnessError) as single:
         integrate(m, stiff, 1.0, 0.5)
     assert isinstance(runs[0], StiffnessError) and str(runs[0]) == str(single.value)
     assert isinstance(runs[1], WallDomainError)
     _assert_same_run(runs[2], integrate(m, free, 1.0, 0.5))
     with pytest.raises(ValueError, match="share N"):
-        integrate_batch(m, [free, wf.FlockState(0.0, [3.0], [0.5])], 1.0, 0.5)
+        integrate_batch([m] * 2, [free, wf.FlockState(0.0, [3.0], [0.5])], 1.0, 0.5)
 
 
 def test_batch_size_bounds_kernel_block_and_samples():

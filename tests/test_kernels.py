@@ -243,6 +243,26 @@ def test_kernel_matrix_consumers_bitwise_equal_direct_form(family, beta):
         assert _bits(k.eval(gaps[-1, 0])) == _bits(phi[-1, 0])
 
 
+def test_kernel_stack_matrix_bitwise_equal_each_members_own():
+    # a batch whose members carry their own kernels, one of them twice apart
+    # (a, b, a): each member's slice has its own kernel.matrix's bits, the
+    # beta = 1 reciprocal and beta = 0 ones paths included
+    ks = [CommunicationKernel("powerlaw", H, beta)
+          for beta in (0.0, 0.5, 1.0, 1.5) for H in (0.3, 1.0)]
+    members = [ks[i] for i in (0, 1, 0, 2, 2, 3, 4, 5, 6, 7, 7, 4)]
+    bounds = [j for j in range(1, len(members)) if members[j] != members[j - 1]]
+    runs = tuple(
+        (members[lo], lo, hi) for lo, hi in zip([0, *bounds], [*bounds, len(members)])
+    )
+    stack = kernels.KernelStack(runs)
+    rng = np.random.default_rng(12)
+    for n in (1, 8, 16):
+        x = np.sort(rng.uniform(0.5, 40.0, (len(members), n)), axis=1)
+        got = stack.matrix(x, x)
+        for b, k in enumerate(members):
+            assert np.array_equal(_bits(got[b]), _bits(k.matrix(x[b], x[b]))), (n, b)
+
+
 def test_constant_kernel_is_the_power_law_at_beta_zero():
     # no family of its own: "constant" is unknown, and beta = 0 is H everywhere
     with pytest.raises(ValueError, match="unknown kernel family 'constant'"):
