@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -181,8 +182,9 @@ def _attempt_one(m: FlockModel, y: np.ndarray, h: float):
 
 
 def _stepping_model(models: list, kid: list, act: list) -> FlockModel:
-    """The model of one batched attempt over the members act: its KernelStack
-    holds a run per stretch of act whose members share a kernel id kid[b]."""
+    """The model of one batched attempt or sample over the members act: its
+    KernelStack holds a run per stretch of act whose members share a kernel id
+    kid[b]."""
     cuts = [j for j in range(1, len(act)) if kid[act[j]] != kid[act[j - 1]]]
     bounds = zip([0, *cuts], [*cuts, len(act)])
     stack = KernelStack(tuple((models[act[lo]].kernel, lo, hi) for lo, hi in bounds))
@@ -210,16 +212,17 @@ def _round(models: list, kid: list, y: np.ndarray, act: list, hs: list) -> list:
     return list(zip(y_new.swapaxes(0, 1), _error_ratio(ya, y_new, err), dist.tolist()))
 
 
-def _sample(models: list, states: list, t_end: float, sample_every: float, advance) -> list:
+def _sample(models: list, kid: list, states: list, t_end: float, sample_every: float, advance):
     """Sample runs from states, which share N and their start time, to t_end
-    on the uniform grid, state b under models[b]; one Trajectory or error per
-    state.
+    on the uniform grid, state b under models[b] with kernel id kid[b]; one
+    Trajectory or error per state.
 
     Records each state and its diagnostics in row 0, then calls
     advance(y, live, t0, t1) once per grid span on the (2, B, N) phase states
     y = (x, v): it moves the members in live to t1 in place and
     returns {member: error} for those that cannot get there, whose result is
     that error.  A state outside the domain fails at t0 with WallDomainError.
+    Each sample's diagnostics are one call for all live members.
     """
     t0 = states[0].t
     if any(s.t != t0 or s.n != states[0].n for s in states):
@@ -230,34 +233,42 @@ def _sample(models: list, states: list, t_end: float, sample_every: float, advan
         raise ValueError("sample_every must be positive")
     sample_rows(states[0].n, t_end - t0, sample_every)
     results: list = [None] * len(states)
-    G = {}
+    G = np.full(len(states), math.nan)
+    live = []
     for b, s in enumerate(states):
         try:
             G[b] = initial_energy(models[b], s)  # applies the domain rule to s.x
+            live.append(b)
         except WallDomainError as exc:
             results[b] = exc
-    live = list(G)
 
     times = _sample_grid(t0, t_end, sample_every)
     y = np.stack([np.stack((s.x, s.v)) for s in states], axis=1)
     X = np.empty((len(states), times.size, y.shape[-1]))
     V = np.empty_like(X)
-    records = np.recarray(X.shape[:2], dtype=[(f, float) for f in DiagnosticsRecord._fields])
-    X[:, 0], V[:, 0] = y
-    for b in live:
-        records[b, 0] = diagnostics(models[b], states[b], G[b])
-    for k in range(1, times.size):
-        for b, exc in advance(y, live, times[k - 1], times[k]).items():
-            results[b] = exc
-            live.remove(b)
+    records = np.empty(X.shape[:2], dtype=[(f, float) for f in DiagnosticsRecord._fields])
+    for k in range(times.size):
+        if k:
+            for b, exc in advance(y, live, times[k - 1], times[k]).items():
+                results[b] = exc
+                live.remove(b)
         X[:, k], V[:, k] = y
-        for b in live:
-            # the state is validated (finite x and v) before its diagnostics
+        # the rows are validated (finite x and v) before their diagnostics
+        if len(live) == 1:  # one member keeps its own model, as in _round
+            (b,) = live
             state = FlockState(t=times[k], x=y[0, b], v=y[1, b])
-            records[b, k] = diagnostics(models[b], state, G[b])
+            records[b, k] = diagnostics(models[b], state, float(G[b]))
+        elif live:
+            rows = y if len(live) == len(states) else y[:, live]
+            if not np.isfinite(rows).all():
+                raise ValueError("state entries must be finite")
+            sample = SimpleNamespace(t=float(times[k]), x=rows[0], v=rows[1])
+            rec = diagnostics(_stepping_model(models, kid, live), sample, G[live])
+            for f, column in zip(rec._fields, rec):
+                records[f][live, k] = column
 
     for b in live:
-        results[b] = Trajectory(sample_times=times, X=X[b], V=V[b], records=records[b])
+        results[b] = Trajectory(times, X[b], V[b], records[b].view(np.recarray))
     return results
 
 
@@ -328,6 +339,8 @@ def integrate_batch(
                     h = min(h, cap)
                 act.append(b)
                 hs.append(h)
+            if not act:  # none left to attempt: each failed the wall cap or snapped
+                break
             pending = []
             for b, h, (y_new, ratio, dist_new) in zip(act, hs, _round(models, kid, y, act, hs)):
                 clamped = h < dt_prop[b]
@@ -356,7 +369,7 @@ def integrate_batch(
                 pending.append(b)
         return failed
 
-    return _sample(models, states, t_end, sample_every, advance)
+    return _sample(models, kid, states, t_end, sample_every, advance)
 
 
 def integrate(m: FlockModel, s0: FlockState, t_end: float, sample_every: float = 0.1) -> Trajectory:
@@ -399,4 +412,4 @@ def reference_rk4(
         ys[:, 0] = y
         return {}
 
-    return _single(_sample([m], [s0], t_end, sample_every, advance))
+    return _single(_sample([m], [0], [s0], t_end, sample_every, advance))

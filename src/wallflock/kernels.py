@@ -123,7 +123,7 @@ class CommunicationKernel:
 class KernelStack:
     """The kernels of a batch's members, one (kernel, lo, hi) per run [lo, hi)
     of members that share it; matrix on (B, N) rows gives each member's own
-    kernel.matrix bit for bit."""
+    kernel.matrix bit for bit, and primitive each member's own Phi."""
 
     runs: tuple
 
@@ -135,3 +135,7 @@ class KernelStack:
         for k, lo, hi in self.runs:
             k._phi(w[lo:hi])
         return w
+
+    def primitive(self, D: np.ndarray) -> np.ndarray:
+        """Each member's own kernel.primitive of its diameter, D one per member."""
+        return np.array([k.primitive(d) for k, lo, hi in self.runs for d in D[lo:hi].tolist()])

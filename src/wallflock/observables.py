@@ -44,46 +44,48 @@ def initial_energy(m: FlockModel, s: FlockState) -> float:
     return kinetic + potential
 
 
-def diagnostics(m: FlockModel, s: FlockState, G: float) -> DiagnosticsRecord:
-    x, v, n = s.x, s.v, s.n
-    # one set of wall distances, checked once, feeds the potential, the force
-    # and x_min_wall (their minimum, lo); a.sum() / n is the same IEEE
-    # arithmetic as np.mean(a), without its wrapper
+def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:
+    """The record of one state, in floats; row-wise, as acceleration, a batch's
+    sample (its time s.t and (B, N) rows s.x and s.v, N <= 181) under its
+    KernelStack, with G per member, gives (B,) columns with each member's bits."""
+    x, v = s.x, s.v
+    n = x.shape[-1]
+    # one state's sums become Python floats, a batch's stay arrays; one set of
+    # wall distances, checked once, feeds the potential, the force and
+    # x_min_wall; a.sum() / n is np.mean(a)'s IEEE arithmetic without its
+    # wrapper, and np.vecdot(v, v) has the bits of v @ v
+    f = float if x.ndim == 1 else np.asarray
     d = wall_distances(m.geometry, x)
-    lo = m.wall._check(d)
-    P = float(layer_potential(m.wall, d, lo).sum()) / n
+    lo = m.wall._check(d)  # a batch's smallest distance over all its members
+    x_min_wall = f(lo) if x.ndim == 1 else d.min(axis=(1, 2))
+    P = f(layer_potential(m.wall, d, lo).sum(axis=-1)) / n
     F = layer_force(m.geometry, m.wall, d, lo)
-    K = float(v @ v) / (2.0 * n)
-    v_max = float(v.max())
-    v_min = float(v.min())
+    K = f(np.vecdot(v, v)) / (2.0 * n)
+    v_max = f(v.max(axis=-1))
+    v_min = f(v.min(axis=-1))
     A = v_max - v_min
-    D = float(x.max() - x.min())
-    # phi (v_i - v_j)^2 is even, so a strip's columns past its rows count twice
-    total = 0.0
-    for start, stop, w in kernel_strips(m.kernel, x):
-        dv = v[start:stop, None] - v[None, start:]
+    D = f(x.max(axis=-1) - x.min(axis=-1))
+    if x.ndim == 1:
+        # phi (v_i - v_j)^2 is even, so a strip's columns past its rows count twice
+        total = 0.0
+        for start, stop, w in kernel_strips(m.kernel, x):
+            dv = v[start:stop, None] - v[None, start:]
+            w *= dv
+            w *= dv
+            total += w.sum() + w[:, stop - start :].sum()
+    else:
+        # one strip: each member's N^2 contiguous entries, summed as w.sum()
+        # sums one state's
+        w = m.kernel.matrix(x, x)
+        dv = v[:, :, None] - v[:, None, :]
         w *= dv
         w *= dv
-        total += w.sum() + w[:, stop - start :].sum()
-    I2 = float(total) / (2.0 * n * n)
+        total = w.reshape(len(w), n * n).sum(axis=1)
     return DiagnosticsRecord(
-        t=s.t,
-        K=K,
-        P=P,
-        E=K + P,
-        p=float(v.sum()) / n,
-        A=A,
-        D=D,
-        I2=I2,
-        L=A + m.kernel.primitive(D),
-        W=-float(v @ F),
-        F_max=float(np.abs(F).max()),
-        F_mean=float(F.sum()) / n,
-        x_min_wall=float(lo),
-        v_max=v_max,
-        v_min=v_min,
-        G=G,
-        F_sq=float((F**2).sum()),
+        t=s.t, K=K, P=P, E=K + P, p=f(v.sum(axis=-1)) / n, A=A, D=D, I2=f(total) / (2.0 * n * n),
+        L=A + m.kernel.primitive(D), W=-f(np.vecdot(v, F)), F_max=f(np.abs(F).max(axis=-1)),
+        F_mean=f(F.sum(axis=-1)) / n, x_min_wall=x_min_wall, v_max=v_max, v_min=v_min, G=G,
+        F_sq=f((F**2).sum(axis=-1)),
     )
 
 

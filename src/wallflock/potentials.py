@@ -130,7 +130,8 @@ def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
 
 
 def distance_potential(wall: WallPotential, d: np.ndarray) -> np.ndarray:
-    """Per-position confinement energy from the rows of wall_distances."""
+    """Per-position confinement energy from the rows of wall_distances, (B, N)
+    from a batch's (B, walls, N)."""
     return layer_potential(wall, d, wall._check(d))
 
 
@@ -144,8 +145,8 @@ def distance_potential(wall: WallPotential, d: np.ndarray) -> np.ndarray:
 def layer_potential(wall: WallPotential, d: np.ndarray, lo) -> np.ndarray:
     """distance_potential of checked distances."""
     if lo >= wall.ell or wall.disabled:
-        return np.zeros(d.shape[1])
-    return np.add.reduce(wall._value(d), axis=0)
+        return np.zeros(d.shape[:-2] + d.shape[-1:])
+    return np.add.reduce(wall._value(d), axis=-2)
 
 
 def layer_force(geom: Geometry, wall: WallPotential, d: np.ndarray, lo) -> np.ndarray:

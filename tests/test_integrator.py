@@ -556,6 +556,65 @@ def test_batch_failures_drop_only_their_member():
         integrate_batch([m] * 2, [free, wf.FlockState(0.0, [3.0], [0.5])], 1.0, 0.5)
 
 
+def _counting_diagnostics(monkeypatch):
+    """Patch integrator.diagnostics to log the members of each call, 0 for one state."""
+    calls = []
+    diagnostics = integrator.diagnostics
+
+    def counted(m, s, G):
+        calls.append(np.size(G) if np.ndim(G) else 0)
+        return diagnostics(m, s, G)
+
+    monkeypatch.setattr(integrator, "diagnostics", counted)
+    return calls
+
+
+def _mixed_kernel_models(geometry):
+    return [
+        wf.FlockModel(wf.CommunicationKernel("powerlaw", H, beta), wf.WallPotential(1.0, 1.0),
+                      geometry)
+        for H, beta in [(1.0, 0.25), (0.3, 1.0), (1.0, 0.25), (0.3, 1.5)]
+    ]
+
+
+def test_one_diagnostics_call_per_sample(monkeypatch):
+    # a 4-member batch with its own kernels (a, b, a, c) records each of its
+    # 21 samples in one call on all members' rows; a single run in one call
+    # on its state
+    models = _mixed_kernel_models(wf.Geometry("halfline"))
+    states = [wf.initial_condition(8, 0.5, 3.0, -0.5, 1.0, seed) for seed in (1, 2, 3, 4)]
+    singles = [integrate(m, s, 2.0, 0.1) for m, s in zip(models, states)]
+    calls = _counting_diagnostics(monkeypatch)
+    runs = integrate_batch(models, states, 2.0, 0.1)
+    assert calls == [4] * 21
+    for run, single in zip(runs, singles):
+        _assert_same_run(run, single)
+    calls.clear()
+    _assert_same_run(integrate(models[0], states[0], 2.0, 0.1), singles[0])
+    assert calls == [0] * 21
+
+
+def test_batch_member_failing_mid_run_leaves_its_siblings_records(monkeypatch):
+    # member 0's agent 0 runs at the wall at speed 1e6 and fails the wall cap
+    # at t = 1.5e-6, between samples; the members left are recorded in one call
+    # per sample, or alone once one is left, each bit-equal to its single run
+    models = _mixed_kernel_models(wf.Geometry("halfline"))
+    states = [wf.initial_condition(8, 1.5, 3.0, -0.5, 1.0, seed) for seed in (1, 2, 3, 4)]
+    states[0].v[0] = -1e6
+    stiff = r"^wall layer forces dt below dt_min at t=1\.5"
+    with pytest.raises(StiffnessError, match=stiff) as failed:
+        integrate(models[0], states[0], 2e-5, 1e-6)
+    singles = [integrate(m, s, 2e-5, 1e-6) for m, s in zip(models[1:], states[1:])]
+    for members in (4, 2):
+        calls = _counting_diagnostics(monkeypatch)
+        runs = integrate_batch(models[:members], states[:members], 2e-5, 1e-6)
+        assert isinstance(runs[0], StiffnessError) and str(runs[0]) == str(failed.value)
+        for run, single in zip(runs[1:], singles):
+            _assert_same_run(run, single)
+        left = members - 1 if members > 2 else 0
+        assert calls == [members] * 2 + [left] * 19
+
+
 def test_batch_size_bounds_kernel_block_and_samples():
     # stacked N x N matrices within one 2^15-entry strip: one member above N = 181
     block = wf.dynamics._BLOCK_ELEMENTS

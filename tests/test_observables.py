@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from wallflock import (
     FIELDS,
     diagnostics,
     dynamics,
+    integrator,
     dissipation_residual,
     initial_energy,
     write_diagnostics_csv,
@@ -160,6 +162,66 @@ def test_diagnostics_bitwise_equal_direct_form(monkeypatch, geometry, theta, n, 
                     continue
                 got = np.float64(getattr(rec, name)).view(np.int64)
                 assert got == np.float64(value).view(np.int64), (name, block)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _batched_diagnostics(models, x, v, t=0.7):
+    """diagnostics on the (B, N) rows x, v under the models' KernelStack, each
+    member's column checked against its own call's record in every bit."""
+    states = [wf.FlockState(t, xb, vb) for xb, vb in zip(x, v)]
+    G = np.array([initial_energy(m, s) for m, s in zip(models, states)])
+    ids: dict = {}
+    kid = [ids.setdefault(m.kernel, len(ids)) for m in models]
+    stack = integrator._stepping_model(models, kid, list(range(len(models))))
+    rec = diagnostics(stack, SimpleNamespace(t=t, x=x, v=v), G)
+    for b, (m, s) in enumerate(zip(models, states)):
+        want = diagnostics(m, s, G[b])
+        for name in wf.DiagnosticsRecord._fields:
+            got = np.broadcast_to(getattr(rec, name), len(models))[b]
+            assert _bits(got) == _bits(getattr(want, name)), (name, b)
+    return rec
+
+
+@pytest.mark.parametrize("n", [8, 16, 181])
+@pytest.mark.parametrize(
+    "geometry", [wf.Geometry("halfline"), wf.Geometry("interval", 0.0, 10.0)],
+    ids=["halfline", "interval"],
+)
+def test_batched_diagnostics_bitwise_equal_per_member_calls(geometry, n):
+    # members with their own kernels through the stack, one of them twice
+    # apart (a, b, a); every third member has agents inside the wall layer
+    # and the others none, so the batch's layer sums take the formula path
+    ks = [wf.CommunicationKernel("powerlaw", H, beta)
+          for beta in (0.0, 0.5, 1.0, 1.5) for H in (0.3, 1.0)]
+    models = [wf.FlockModel(ks[i], wf.WallPotential(1.0, 1.0), geometry)
+              for i in (0, 1, 0, 2, 2, 3, 4, 5, 6, 7, 7, 4)]
+    rng = np.random.default_rng(n)
+    x = rng.uniform(1.5, 8.5, (len(models), n))
+    x[::3, 0] = rng.uniform(0.05, 0.95, len(x[::3]))
+    if geometry.variant == "interval":
+        x[::3, -1] = rng.uniform(9.05, 9.95, len(x[::3]))
+    v = rng.uniform(-1.0, 1.0, x.shape)
+    rec = _batched_diagnostics(models, x, v)
+    assert (rec.P[::3] > 0.0).all() and (rec.P[1::3] == 0.0).all()
+
+
+def test_batched_diagnostics_takes_each_members_own_wall_distance():
+    # a disabled wall (theta = 0): member 1 has crossed it, so the batch's
+    # smallest wall distance is its own, and every other member keeps its own
+    model = wf.FlockModel(
+        wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, 0.0),
+        wf.Geometry("halfline"),
+    )
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0.5, 4.0, (3, 8))
+    x[1, 3] = -0.75
+    v = rng.uniform(-1.0, 1.0, x.shape)
+    rec = _batched_diagnostics([model] * 3, x, v)
+    assert rec.x_min_wall.tolist() == x.min(axis=1).tolist()
+    assert rec.x_min_wall[1] == -0.75 and (rec.x_min_wall[[0, 2]] > 0.0).all()
 
 
 def test_diagnostics_holds_one_pairwise_buffer():

@@ -17,7 +17,7 @@ from wallflock import (
     wall_distances,
     warn_if_overlapping,
 )
-from wallflock.potentials import distance_potential
+from wallflock.potentials import distance_potential, layer_potential
 
 
 # The wall formula is reached only through wall-distance rows.  On the
@@ -284,6 +284,27 @@ def test_layer_sums_bitwise_equal_direct_form(variant, case, n):
         "x_min_wall": float(d.min()),
     }
     assert {k: _bits(getattr(rec, k)) for k in direct} == {k: _bits(x) for k, x in direct.items()}
+
+
+@pytest.mark.parametrize("case", ["mixed", "outside"])
+@pytest.mark.parametrize("variant", ["halfline", "interval"])
+def test_layer_sums_of_a_batch_equal_per_row_calls(variant, case):
+    # a batch's (B, walls, N) distances are summed over the walls, not over
+    # the batch, and a batch with no distance inside the layer gets (B, N) zeros
+    geom = Geometry("halfline") if variant == "halfline" else Geometry("interval", 0.0, 10.0)
+    wall = WallPotential(1.0, 1.0)
+    rows = {"mixed": [[0.5, 5.0, 9.7], [3.0, 4.0, 5.0]], "outside": [[3.0, 4.0, 5.0], [2.0, 6.0, 7.5]]}
+    x = np.array(rows[case])
+    d = wall_distances(geom, x)
+    per_row = [wall_distances(geom, row) for row in x]
+    for got, want in [
+        (distance_potential(wall, d), [distance_potential(wall, r) for r in per_row]),
+        (layer_potential(wall, d, wall._check(d)),
+         [layer_potential(wall, r, wall._check(r)) for r in per_row]),
+        (geometry_force(geom, wall, x), [geometry_force(geom, wall, row) for row in x]),
+    ]:
+        assert got.shape == x.shape
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,10 @@ Usage, from the repository root:
 Runs `wallflock verify`, `wallflock simulate` and `wallflock plot-data` on
 configs/{halfline,interval,settle,control_nowall}.yaml and `wallflock sweep` on
 configs/sweep_beta.yaml, plus `wallflock simulate` with no --config (whose
-config.yaml is the serialized defaults), each into its own directory under a
-temporary working directory, and prints one line per run (`<command> <config> exit=<code>`)
+config.yaml is the serialized defaults) and `wallflock simulate` and `verify` of
+configs/halfline.yaml at ic.n_agents 320 and integrator.t_end 0.3 (written to
+halfline_n320.yaml), each into its own directory under a temporary working
+directory, and prints one line per run (`<command> <config> exit=<code>`)
 followed by `<sha256>  <command>/<config>/<file>` for every file the run
 wrote.  wallflock is imported from the src/ tree next to this script, so two
 checkouts give two digests whose diff is the byte-identity check of a change.
@@ -22,6 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import yaml
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -32,6 +36,22 @@ RUNS = [
     for name in ("halfline", "interval", "settle", "control_nowall")
     for command in ("verify", "simulate", "plot-data")
 ] + [("sweep", "sweep_beta"), ("simulate", None)]
+# the only runs here on the strip path of dynamics.kernel_strips (N > 181): at
+# N = 320 the kernel sums run over four strips of 102 rows, so the order in
+# which each strip's terms join the running totals shows in the digest (at
+# N = 256 the second and last of two strips has no columns past its rows)
+STRIP = "halfline_n320"
+RUNS += [("simulate", STRIP), ("verify", STRIP)]
+
+
+def write_strip_config(directory: Path) -> Path:
+    """configs/halfline.yaml at 320 agents to t = 0.3, as directory/STRIP.yaml."""
+    data = yaml.safe_load((ROOT / "configs" / "halfline.yaml").read_text())
+    data["ic"]["n_agents"] = 320
+    data["integrator"]["t_end"] = 0.3
+    path = directory / f"{STRIP}.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return path
 
 
 def print_digest() -> None:
@@ -40,12 +60,15 @@ def print_digest() -> None:
         # relative --out paths keep the temporary directory's name out of the
         # output.directory that the defaults run serializes into config.yaml
         os.chdir(tmp)
+        strip_config = write_strip_config(Path(tmp))
         try:
             for command, config in RUNS:
                 name = config or "defaults"
                 out = Path(command) / name
                 argv = [command, "--out", str(out), "--quiet"]
-                if config is not None:
+                if config == STRIP:
+                    argv += ["--config", str(strip_config)]
+                elif config is not None:
                     argv += ["--config", str(ROOT / "configs" / f"{config}.yaml")]
                 code = main(argv)
                 print(f"{command} {name} exit={code}")
