@@ -76,7 +76,7 @@ def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     # the wall force validates x (finite, inside the domain) before the O(N^2) work
     force = geometry_force(m.geometry, m.wall, x)
     n = x.shape[-1]
-    if block_rows(n) >= n:
+    if n * n <= _BLOCK_ELEMENTS:
         # one strip, the dense N x N form: no loop, which costs 5 % at N = 16
         w = m.kernel.matrix(x, x)
         w *= v[..., None, :] - v[..., :, None]

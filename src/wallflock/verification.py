@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -269,132 +270,135 @@ def check_work_of_force(traj: Trajectory):
     return ok, float(np.max(W)), float(np.max(envelope))
 
 
-def budget_claims(m: FlockModel, traj: Trajectory) -> list:
-    """Trajectory-wide inequality checks shared by both geometries."""
-    times, rec = traj.sample_times, traj.records
-    E, L, p, D = rec.E, rec.L, rec.p, rec.D
-    F_max, F_mean = rec.F_max, rec.F_mean
-    v_hi = np.maximum(np.abs(rec.v_max), np.abs(rec.v_min))
-    G = rec[0].G
-    n = traj.X.shape[1]
-    claims = []
+def _largest_step(series: np.ndarray) -> float:
+    return float(np.max(series[1:] - series[:-1])) if len(series) > 1 else 0.0
 
-    tol_E = 1e-9 * max(1.0, abs(E[0]))
-    worst_rise = float(np.max(E[1:] - E[:-1])) if len(E) > 1 else 0.0
-    claims.append(Claim("energy_nonincreasing", worst_rise <= tol_E, worst_rise, tol_E))
 
-    # sqrt(2NG) bounds every speed, so the diameter grows at most twice as fast
-    speed = math.sqrt(max(2.0 * n * G, 0.0))
-    v_bound = speed + 1e-9
-    v_peak = float(np.max(v_hi))
-    claims.append(Claim("velocity_bound", v_peak <= v_bound, v_peak, v_bound))
-
-    d_budget = 2.0 * speed * (times - times[0]) + D[0] + 1e-9
-    d_excess = float(np.max(D - d_budget))
-    claims.append(Claim("diameter_growth", d_excess <= 0.0, d_excess, 0.0))
-
-    lyap_budget = L[0] + _cumulative_trapezoid(F_max, times) + BUDGET_TOL * max(1.0, abs(L[0]))
-    l_excess = float(np.max(L - lyap_budget))
-    claims.append(Claim("lyapunov_budget", l_excess <= 0.0, l_excess, 0.0))
-
+def _impulse(times: np.ndarray, F_mean: np.ndarray) -> np.ndarray:
+    """The time integral of F_mean from the first sample to each sample."""
     # samples are h apart but for a shorter last interval when sample_every does
     # not divide the run (integrator._sample_grid); one trapezoid closes that one
     h = float(times[1] - times[0]) if len(times) > 1 else 0.0
     last = float(times[-1] - times[-2]) if len(times) > 1 else 0.0
     if math.isclose(last, h, rel_tol=1e-9, abs_tol=1e-12):
-        impulse = _cumulative_simpson(F_mean, h)
-    else:
-        impulse = _cumulative_simpson(F_mean[:-1], h)
-        impulse = np.append(impulse, impulse[-1] + 0.5 * (F_mean[-2] + F_mean[-1]) * last)
-    p_tol = 1e-4 * max(1.0, abs(p[0]) + 1.0)
-    p_err = float(np.max(np.abs(p - p[0] - impulse)))
-    claims.append(Claim("momentum_force_identity", p_err <= p_tol, p_err, p_tol))
-
-    if m.geometry.variant == "halfline":
-        worst_drop = float(np.max(p[:-1] - p[1:])) if len(p) > 1 else 0.0
-        claims.append(Claim("momentum_nondecreasing", worst_drop <= 1e-9, worst_drop, 1e-9))
-
-    return claims
+        return _cumulative_simpson(F_mean, h)
+    impulse = _cumulative_simpson(F_mean[:-1], h)
+    return np.append(impulse, impulse[-1] + 0.5 * (F_mean[-2] + F_mean[-1]) * last)
 
 
-def _halfline_claims(m: FlockModel, traj: Trajectory, report: TheoremReport):
-    """Strong flocking, settlement or escape, and the exponential rate.
+class _RunStats:
+    """The statistics of one completed run that the claims compare with their bars:
+    those that both geometries' claims read are computed here, the others on first
+    use, so a run computes each at most once and only those its geometry reads."""
 
-    The exponential-rate claim applies only when the initial momentum is
-    positive (the escaping regime) and A leaves the fit's round-off floor at
-    some sample (a single agent, or a flock aligned from the start, has no
-    velocity spread to decay); absolute settlement only when the flock is not
-    in drift mode.
-    """
-    escape = detect_escape(traj, m.geometry, m.wall)
-    settle = check_settlement(traj, m.wall)
-    fit = fit_exponential(traj, window_start=escape)
-    report.fit, report.escape_time = fit, escape
-    report.settled_positions = settle.settled_positions
-    outside = escape is not None or settle.min_mean_position >= m.wall.ell - SETTLE_EPS
-    flat = bool(np.all(traj.records.A < _FIT_FLOOR))
+    def __init__(self, m: FlockModel, traj: Trajectory):
+        times, rec = traj.sample_times, traj.records.view(np.ndarray)
+        self.m, self.traj, self.times = m, traj, times
+        self.A, self.E, self.p, self.D = rec["A"], rec["E"], rec["p"], rec["D"]
+        self.K, self.F_sq = rec["K"], rec["F_sq"]
+        D, L = self.D, rec["L"]
+        self.no_collision = check_no_collision(traj)
+        self.alignment = check_alignment(traj)
+        self.E_rise = _largest_step(self.E)
+        # sqrt(2NG) bounds every speed, so the diameter grows at most twice as fast
+        self.speed = math.sqrt(max(2.0 * traj.X.shape[1] * rec["G"][0], 0.0))
+        self.v_peak = float(np.max(np.maximum(np.abs(rec["v_max"]), np.abs(rec["v_min"]))))
+        self.D_excess = float(np.max(D - (2.0 * self.speed * (times - times[0]) + D[0] + 1e-9)))
+        slack = BUDGET_TOL * max(1.0, abs(L[0]))
+        L_budget = L[0] + _cumulative_trapezoid(rec["F_max"], times) + slack
+        self.L_excess = float(np.max(L - L_budget))
+        self.p_error = float(np.max(np.abs(self.p - self.p[0] - _impulse(times, rec["F_mean"]))))
+
+    @cached_property
+    def settle(self) -> SettlementResult:
+        return check_settlement(self.traj, self.m.wall)
+
+    @cached_property
+    def escape(self) -> float | None:
+        return detect_escape(self.traj, self.m.geometry, self.m.wall)
+
+    @cached_property
+    def fit(self) -> FitResult | None:
+        return fit_exponential(self.traj, window_start=self.escape)
+
+    @cached_property
+    def decay(self) -> IntervalDecayResult:
+        return check_interval_decay(self.m, self.traj)
+
+
+def _below(value: float, bar: float):
+    return value < bar, value, bar
+
+
+def _at_most(value: float, bar: float):
+    return value <= bar, value, bar
+
+
+def _positions_settle(s: _RunStats):
+    """Absolute settlement applies only when the flock is not in drift mode."""
+    detail = "drift mode: flock translates at its aligned velocity" if s.settle.drift else ""
+    return s.settle.passed, s.settle.max_variation, SETTLE_EPS, not s.settle.drift, detail
+
+
+def _outside_wall_range(s: _RunStats):
+    if s.escape is not None:
+        return True, s.escape, s.m.wall.ell, True, "escape time"
+    low = s.settle.min_mean_position
+    return low >= s.m.wall.ell - SETTLE_EPS, low, s.m.wall.ell, True, "tail-window mean position"
+
+
+def _exponential_rate(s: _RunStats):
+    """Applies only when the initial momentum is positive (the escaping regime)
+    and A leaves the fit's round-off floor at some sample: a single agent, or a
+    flock aligned from the start, has no velocity spread to decay."""
+    fit, flat = s.fit, bool(np.all(s.A < _FIT_FLOOR))
     if flat:
-        rate_detail = "A stays below the round-off floor 100 eps: nothing to fit"
+        detail = "A stays below the round-off floor 100 eps: nothing to fit"
     else:
-        rate_detail = "" if fit is not None else "fit unavailable"
-    report.claims += [
-        Claim(
-            "strong_flocking",
-            settle.max_pair_variation < SETTLE_EPS,
-            settle.max_pair_variation,
-            SETTLE_EPS,
-        ),
-        Claim(
-            "positions_settle",
-            settle.passed,
-            settle.max_variation,
-            SETTLE_EPS,
-            applicable=not settle.drift,
-            detail="drift mode: flock translates at its aligned velocity" if settle.drift else "",
-        ),
-        Claim(
-            "outside_wall_range",
-            outside,
-            settle.min_mean_position if escape is None else float(escape),
-            m.wall.ell,
-            detail="escape time" if escape is not None else "tail-window mean position",
-        ),
-        Claim(
-            "exponential_rate",
-            fit is not None and fit.delta > 0.0 and fit.r_squared > 0.99,
-            math.nan if fit is None else fit.delta,
-            0.0,
-            applicable=traj.records[0].p > 0.0 and not flat,
-            detail=rate_detail,
-        ),
-    ]
+        detail = "" if fit is not None else "fit unavailable"
+    passed = fit is not None and fit.delta > 0.0 and fit.r_squared > 0.99
+    return passed, math.nan if fit is None else fit.delta, 0.0, s.p[0] > 0.0 and not flat, detail
 
 
-def _interval_claims(m: FlockModel, traj: Trajectory, report: TheoremReport):
-    """Decay of kinetic energy and wall forces, and the bounded work of the force.
+def _decays(final: float, bar: float, tail_share: float):
+    """final below bar, and at most a tenth of the time integral in the second half."""
+    return final < bar and tail_share <= 0.10, final, bar, True, f"tail share {tail_share:.3g}"
 
-    The flock diameter is reported without a verdict: boundedness of the
-    asymptotic shape carries no claim in this geometry.
-    """
-    decay = check_interval_decay(m, traj)
-    ok, w_peak, envelope = check_work_of_force(traj)
-    report.claims += [
-        Claim(
-            "kinetic_decay",
-            decay.final_K < ALIGN_EPS**2 and decay.kinetic_tail_share <= 0.10,
-            decay.final_K,
-            ALIGN_EPS**2,
-            detail=f"tail share {decay.kinetic_tail_share:.3g}",
-        ),
-        Claim(
-            "force_decay",
-            decay.final_F_max < ALIGN_EPS and decay.force_tail_share <= 0.10,
-            decay.final_F_max,
-            ALIGN_EPS,
-            detail=f"tail share {decay.force_tail_share:.3g}",
-        ),
-        Claim("work_of_force_bounded", ok, w_peak, envelope),
-    ]
+
+_HALFLINE, _INTERVAL, _BOTH = ("halfline",), ("interval",), ("halfline", "interval")
+# one row per claim after integration_completed, in the order report.json lists
+# them: its name, the geometries it applies to, and its verdict on the run's
+# statistics, (passed, value, threshold[, applicable, detail]); the interval's
+# diameter has no row, since boundedness of its asymptotic shape carries no claim
+_CLAIMS = (
+    ("no_wall_collision", _BOTH, lambda s: (*s.no_collision, 0.0)),
+    ("velocity_alignment", _BOTH, lambda s: (*s.alignment, ALIGN_EPS)),
+    ("strong_flocking", _HALFLINE, lambda s: _below(s.settle.max_pair_variation, SETTLE_EPS)),
+    ("positions_settle", _HALFLINE, _positions_settle),
+    ("outside_wall_range", _HALFLINE, _outside_wall_range),
+    ("exponential_rate", _HALFLINE, _exponential_rate),
+    (
+        "kinetic_decay",
+        _INTERVAL,
+        lambda s: _decays(s.decay.final_K, ALIGN_EPS**2, s.decay.kinetic_tail_share),
+    ),
+    (
+        "force_decay",
+        _INTERVAL,
+        lambda s: _decays(s.decay.final_F_max, ALIGN_EPS, s.decay.force_tail_share),
+    ),
+    ("work_of_force_bounded", _INTERVAL, lambda s: check_work_of_force(s.traj)),
+    ("energy_nonincreasing", _BOTH, lambda s: _at_most(s.E_rise, 1e-9 * max(1.0, abs(s.E[0])))),
+    ("velocity_bound", _BOTH, lambda s: _at_most(s.v_peak, s.speed + 1e-9)),
+    ("diameter_growth", _BOTH, lambda s: _at_most(s.D_excess, 0.0)),
+    ("lyapunov_budget", _BOTH, lambda s: _at_most(s.L_excess, 0.0)),
+    (
+        "momentum_force_identity",
+        _BOTH,
+        lambda s: _at_most(s.p_error, 1e-4 * max(1.0, abs(s.p[0]) + 1.0)),
+    ),
+    ("momentum_nondecreasing", _HALFLINE, lambda s: _at_most(_largest_step(-s.p), 1e-9)),
+)
 
 
 def verify(
@@ -439,24 +443,19 @@ def _report(m: FlockModel, run) -> TheoremReport:
         )
         return TheoremReport(variant=variant, claims=[claim])
 
-    traj = run
-    times, rec = traj.sample_times, traj.records
-    no_collision, min_dist = check_no_collision(traj)
-    aligned, final_A = check_alignment(traj)
+    s = _RunStats(m, run)
+    claims = [Claim("integration_completed", True, s.times[-1], s.times[-1])]
+    claims += [Claim(name, *verdict(s)) for name, where, verdict in _CLAIMS if variant in where]
     report = TheoremReport(
         variant=variant,
-        claims=[
-            Claim("integration_completed", True, times[-1], times[-1]),
-            Claim("no_wall_collision", no_collision, min_dist, 0.0),
-            Claim("velocity_alignment", aligned, final_A, ALIGN_EPS),
-        ],
-        min_wall_distance=min_dist,
-        final_A=final_A,
-        final_D=float(rec[-1].D),
-        kinetic_integral=float(np.trapezoid(rec.K, times)),
-        force_sq_integral=float(np.trapezoid(rec.F_sq, times)),
+        claims=claims,
+        min_wall_distance=s.no_collision[1],
+        final_A=s.alignment[1],
+        final_D=float(s.D[-1]),
+        kinetic_integral=float(np.trapezoid(s.K, s.times)),
+        force_sq_integral=float(np.trapezoid(s.F_sq, s.times)),
     )
-    own_claims = _halfline_claims if variant == "halfline" else _interval_claims
-    own_claims(m, traj, report)
-    report.claims += budget_claims(m, traj)
+    if variant == "halfline":
+        report.fit, report.escape_time = s.fit, s.escape
+        report.settled_positions = s.settle.settled_positions
     return report

@@ -225,6 +225,19 @@ def test_momentum_identity_with_a_short_last_sample_interval():
     assert claims[50.05].value == pytest.approx(claims[50.0].value, rel=1e-3)
 
 
+def test_momentum_identity_closes_a_short_last_interval_with_a_trapezoid():
+    # F_mean is 0 but at the last sample, 0.05 after the 0.1 grid's end: the
+    # impulse gains 0.5 (F_mean[-2] + F_mean[-1]) * 0.05 there, and p with it
+    times = np.append(np.linspace(0.0, 1.0, 11), 1.05)
+    F_mean, p = np.zeros(12), np.zeros(12)
+    F_mean[-1], p[-1] = 1.0, 0.5 * (times[-1] - times[-2])
+    traj = synthetic_traj(times, [[4.0, 5.0]] * 12, G=0.5, F_mean=F_mean, p=p)
+    claim = verification._report(_two_agents(wf.Geometry("interval", 0.0, 10.0)), traj).claim(
+        "momentum_force_identity"
+    )
+    assert claim.passed and claim.value == 0.0
+
+
 def test_interval_decay_requires_interval_geometry(interval_fixture):
     m, s0, traj = interval_fixture
     res = check_interval_decay(m, traj)
@@ -302,8 +315,8 @@ _SPEED = math.sqrt(2.0)  # the speed bound sqrt(2 N G) at N = 2, G = 0.5
 )
 def test_budget_bars(claim, series, passed):
     traj = synthetic_traj(_T, [[4.0, 5.0]] * len(_T), G=0.5, **series)
-    claims = verification.budget_claims(_two_agents(wf.Geometry("halfline")), traj)
-    assert {c.name: c.passed for c in claims}[claim] == passed
+    report = verification._report(_two_agents(wf.Geometry("halfline")), traj)
+    assert {c.name: c.passed for c in report.claims}[claim] == passed
 
 
 @pytest.mark.parametrize("wobble, passed", [(0.2, True), (0.7, False)])
@@ -313,8 +326,7 @@ def test_exponential_rate_needs_r_squared_above_its_bar(wobble, passed):
     times = np.linspace(0.0, 40.0, 401)
     A = np.exp(-0.2 * times + wobble * np.sin(3.0 * times))
     traj = synthetic_traj(times, [[2.0, 3.0]] * 401, A=A, p=1.0)
-    report = TheoremReport(variant="halfline", claims=[])
-    verification._halfline_claims(_two_agents(wf.Geometry("halfline")), traj, report)
+    report = verification._report(_two_agents(wf.Geometry("halfline")), traj)
     assert report.fit.r_squared > 0.9 and (report.fit.r_squared > 0.99) == passed
     assert report.claim("exponential_rate").passed == passed
 
@@ -330,8 +342,7 @@ def test_decay_tail_share_bars(rate, passed):
     box = _two_agents(wf.Geometry("interval", 0.0, 10.0))
     share = check_interval_decay(box, traj).kinetic_tail_share
     assert share == pytest.approx(1.0 / (1.0 + math.exp(20.0 * rate)), rel=1e-2)
-    report = TheoremReport(variant="interval", claims=[])
-    verification._interval_claims(box, traj, report)
+    report = verification._report(box, traj)
     assert report.claim("kinetic_decay").passed == passed
     assert report.claim("force_decay").passed == passed
 
@@ -415,6 +426,47 @@ def test_report_carries_each_claim_verdict(case):
         assert verdict.value == verification.ALIGN_EPS
     if case == "velocity_alignment-tail_guard":
         assert verdict.value == 0.0
+
+
+# per case, a synthetic run (geometry, times, positions, record series) and the
+# applicable flag and detail that the claim the case is named after reports
+_BRANCHES = {
+    # A decays cleanly but p(0) = 0: the fit exists and the rate does not apply
+    "exponential_rate-no_momentum": (
+        _HALF, _T40, [[2.0, 3.0]] * 401, {"A": np.exp(-0.2 * _T40)}, False, ""
+    ),
+    # p(0) > 0 and A above the floor, but agent 0 never leaves the wall range, so
+    # the fit reads the tail window: 3 of _T's samples, below FIT_MIN_POINTS
+    "exponential_rate-short_window": (
+        _HALF, _T, [[0.5, 3.0]] * 11, {"A": 1.0, "p": 1.0}, True, "fit unavailable"
+    ),
+    # agent 0 leaves the wall range (ell = 1) at t = 0.5 and stays out
+    "outside_wall_range-escape": (
+        _HALF, _T, [[0.5, 5.0]] * 5 + [[2.0, 5.0]] * 6, {}, True, "escape time"
+    ),
+    # agent 0 ends inside the wall range, so there is no escape time
+    "outside_wall_range-no_escape": (
+        _HALF, _T, [[0.995, 5.0]] * 11, {}, True, "tail-window mean position"
+    ),
+    # p = 0.05 >= SETTLE_EPS: the flock drifts, and absolute settlement does not apply
+    "positions_settle-drift": (
+        _HALF, _T, [[4.0, 5.0]] * 11, {"p": 0.05}, False,
+        "drift mode: flock translates at its aligned velocity",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BRANCHES))
+def test_report_carries_each_claim_applicability_and_detail(case):
+    claim = case.partition("-")[0]
+    geometry, times, xs, series, applicable, detail = _BRANCHES[case]
+    traj = synthetic_traj(times, xs, G=0.5, **series)
+    verdict = verification._report(_two_agents(geometry), traj).claim(claim)
+    assert (verdict.applicable, verdict.detail) == (applicable, detail)
+    if case == "outside_wall_range-escape":
+        assert verdict.passed and verdict.value == 0.5
+    if case == "outside_wall_range-no_escape":
+        assert verdict.passed and verdict.value == pytest.approx(0.995)
 
 
 def test_verify_halfline_report_shape(canonical_model, canonical_state):

@@ -9,8 +9,9 @@ configs/{halfline,interval,settle,control_nowall}.yaml and `wallflock sweep` on
 configs/sweep_beta.yaml, plus `wallflock simulate` with no --config (whose
 config.yaml is the serialized defaults) and `wallflock simulate` and `verify` of
 configs/halfline.yaml at ic.n_agents 320 and integrator.t_end 0.3 (written to
-halfline_n320.yaml), each into its own directory under a temporary working
-directory, and prints one line per run (`<command> <config> exit=<code>`)
+halfline_n320.yaml), and `wallflock verify` of configs/interval.yaml at
+integrator.t_end 1.05 (interval_short_last.yaml), each into its own directory
+under a temporary working directory, and prints one line per run (`<command> <config> exit=<code>`)
 followed by `<sha256>  <command>/<config>/<file>` for every file the run
 wrote.  wallflock is imported from the src/ tree next to this script, so two
 checkouts give two digests whose diff is the byte-identity check of a change.
@@ -36,22 +37,30 @@ RUNS = [
     for name in ("halfline", "interval", "settle", "control_nowall")
     for command in ("verify", "simulate", "plot-data")
 ] + [("sweep", "sweep_beta"), ("simulate", None)]
-# the only runs here on the strip path of dynamics.kernel_strips (N > 181): at
-# N = 320 the kernel sums run over four strips of 102 rows, so the order in
-# which each strip's terms join the running totals shows in the digest (at
-# N = 256 the second and last of two strips has no columns past its rows)
-STRIP = "halfline_n320"
-RUNS += [("simulate", STRIP), ("verify", STRIP)]
+# per config name, the shipped config it changes and the values it changes
+DERIVED = {
+    # the only runs here on the strip path of dynamics.kernel_strips (N > 181):
+    # at N = 320 the kernel sums run over four strips of 102 rows, so the order
+    # in which each strip's terms join the running totals shows in the digest
+    # (at N = 256 the second and last of two strips has no columns past its rows)
+    "halfline_n320": ("halfline", {"ic": {"n_agents": 320}, "integrator": {"t_end": 0.3}}),
+    # t_end 1.05 ends the 0.1 sample grid with one 0.05 interval, which the
+    # impulse of momentum_force_identity closes with a trapezoid; the walls still
+    # push at t = 1.05, so the closing term sets the claim's value (on the
+    # half-line the flock has left the wall layer by then, and no t_end shows it)
+    "interval_short_last": ("interval", {"integrator": {"t_end": 1.05}}),
+}
+RUNS += [("simulate", "halfline_n320"), ("verify", "halfline_n320")]
+RUNS += [("verify", "interval_short_last")]
 
 
-def write_strip_config(directory: Path) -> Path:
-    """configs/halfline.yaml at 320 agents to t = 0.3, as directory/STRIP.yaml."""
-    data = yaml.safe_load((ROOT / "configs" / "halfline.yaml").read_text())
-    data["ic"]["n_agents"] = 320
-    data["integrator"]["t_end"] = 0.3
-    path = directory / f"{STRIP}.yaml"
-    path.write_text(yaml.safe_dump(data))
-    return path
+def write_derived_configs(directory: Path) -> None:
+    """Each DERIVED config as directory/<name>.yaml."""
+    for name, (base, changes) in DERIVED.items():
+        data = yaml.safe_load((ROOT / "configs" / f"{base}.yaml").read_text())
+        for section, values in changes.items():
+            data[section].update(values)
+        (directory / f"{name}.yaml").write_text(yaml.safe_dump(data))
 
 
 def print_digest() -> None:
@@ -60,14 +69,14 @@ def print_digest() -> None:
         # relative --out paths keep the temporary directory's name out of the
         # output.directory that the defaults run serializes into config.yaml
         os.chdir(tmp)
-        strip_config = write_strip_config(Path(tmp))
+        write_derived_configs(Path(tmp))
         try:
             for command, config in RUNS:
                 name = config or "defaults"
                 out = Path(command) / name
                 argv = [command, "--out", str(out), "--quiet"]
-                if config == STRIP:
-                    argv += ["--config", str(strip_config)]
+                if config in DERIVED:
+                    argv += ["--config", str(Path(tmp) / f"{config}.yaml")]
                 elif config is not None:
                     argv += ["--config", str(ROOT / "configs" / f"{config}.yaml")]
                 code = main(argv)
