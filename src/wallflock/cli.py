@@ -12,7 +12,6 @@ import csv
 import itertools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from .config import (
     read_config_text,
     serialize_config,
 )
-from .integrator import StiffnessError, Trajectory, batch_members, integrate, sample_rows
+from .integrator import StiffnessError, Trajectory, integrate
 from .observables import write_diagnostics_csv
 from .potentials import WallDomainError
 from .verification import REPORT_JSON, TheoremReport, verify, verify_batch
@@ -138,15 +137,14 @@ def _sort_key(value):
     return (1, 0.0) if math.isnan(value) else (0, value)
 
 
-def _sweep_job(batch: list) -> list:
-    """The TheoremReports of a batch of run configs that share a wall,
+def _sweep_job(group: list) -> list:
+    """The TheoremReports of a group of run configs that share a wall,
     geometry, N and sample grid, stepped together by verify_batch."""
-    cfg = batch[0]
     return verify_batch(
-        [model_from_config(c) for c in batch],
-        [initial_state_from_config(c) for c in batch],
-        t_end=cfg.t_end,
-        sample_every=cfg.sample_every,
+        [model_from_config(c) for c in group],
+        [initial_state_from_config(c) for c in group],
+        t_end=group[0].t_end,
+        sample_every=group[0].sample_every,
     )
 
 
@@ -169,7 +167,7 @@ def _sweep_row(combo, seed: int, run) -> list:
 
 
 def run_sweep(text: str, overrides: dict, quiet: bool = False) -> int:
-    base, base_cfg, axes, seeds, parallelism = parse_sweep(text, overrides)
+    base, base_cfg, axes, seeds = parse_sweep(text, overrides)
     out = Path(base_cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep_config.yaml").write_text(text, encoding="utf-8")
@@ -181,9 +179,8 @@ def run_sweep(text: str, overrides: dict, quiet: bool = False) -> int:
     )
     keys = [key for key, _ in axes]
     # per job its RunConfig, later its TheoremReport, or the ConfigError that
-    # rejected it; a batch holds the indices of runs with equal wall,
-    # geometry, N, t_end and sample_every, at most integrator.batch_members of
-    # them
+    # rejected it; a group holds the indices of runs with equal wall,
+    # geometry, N, t_end and sample_every
     runs: list = []
     groups: dict = {}
     for combo, seed in jobs:
@@ -195,15 +192,9 @@ def run_sweep(text: str, overrides: dict, quiet: bool = False) -> int:
         key = (cfg.wall, cfg.geometry, cfg.ic.n_agents, cfg.t_end, cfg.sample_every)
         groups.setdefault(key, []).append(len(runs))
         runs.append(cfg)
-    batches = []
-    for (*_, n, t_end, sample_every), members in groups.items():
-        size = batch_members(n, sample_rows(n, t_end, sample_every))
-        batches += [members[lo : lo + size] for lo in range(0, len(members), size)]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        reports = pool.map(_sweep_job, [[runs[i] for i in batch] for batch in batches])
-        for batch, batch_reports in zip(batches, reports):
-            for i, report in zip(batch, batch_reports):
-                runs[i] = report
+    for members in groups.values():
+        for i, report in zip(members, _sweep_job([runs[i] for i in members])):
+            runs[i] = report
     rows = [_sweep_row(combo, seed, run) for (combo, seed), run in zip(jobs, runs)]
 
     header = keys + ["seed", "variant", "final_A", "delta", "min_wall_distance", "passed", "status"]

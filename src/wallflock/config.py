@@ -77,6 +77,7 @@ _SCHEMA = {name: _fields(cls) for name, (_, cls) in _SECTIONS.items()}
 _SCHEMA["integrator"] = _RUN_SCALARS
 
 MAX_SWEEP_RUNS = 10_000
+_SWEEP_KEYS = ("axes", "seeds")  # the settable keys of a sweep document's sweep section
 
 
 def _coerce(kind: str, key: str, value):
@@ -196,7 +197,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def parse_sweep(text: str, overrides: dict | None = None):
-    """A sweep document: (base data, base RunConfig, [(key, values)], seeds, parallelism)."""
+    """A sweep document: (base data, base RunConfig, [(key, values)], seeds)."""
     data = _load_yaml(text)
     if not isinstance(data, dict) or "sweep" not in data:
         raise ConfigError("sweep config requires a top-level 'sweep' section")
@@ -206,7 +207,7 @@ def parse_sweep(text: str, overrides: dict | None = None):
     sweep = data["sweep"] or {}
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: expected a mapping")
-    unknown = set(sweep) - {"axes", "seeds", "parallelism"}
+    unknown = set(sweep) - set(_SWEEP_KEYS)
     if unknown:
         raise ConfigError(f"unknown key sweep.{sorted(unknown)[0]}")
 
@@ -247,16 +248,11 @@ def parse_sweep(text: str, overrides: dict | None = None):
         isinstance(s, int) and not isinstance(s, bool) for s in seeds
     ):
         raise ConfigError("sweep.seeds must be a nonempty list of integers")
-    parallelism = sweep.get("parallelism", 1)
-    if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
-        raise ConfigError("sweep.parallelism must be a positive integer")
 
-    total = len(seeds)
-    for _, values in axes:
-        total *= len(values)
+    total = len(seeds) * math.prod(len(values) for _, values in axes)
     if total > MAX_SWEEP_RUNS:
         raise ConfigError(f"sweep size {total} exceeds the limit of {MAX_SWEEP_RUNS}")
-    return base, base_cfg, axes, seeds, parallelism
+    return base, base_cfg, axes, seeds
 
 
 def read_config_text(path) -> str:

@@ -38,7 +38,7 @@ DT_MAX = 0.1
 # dt <= _WALL_SAFETY * (nearest wall distance) / (max |v| + 1), so the stiff
 # wall layer is resolved before it is entered
 _WALL_SAFETY = 0.25
-# numbers that one batch's recorded samples may hold (32 MB)
+# numbers that one slice's recorded samples may hold (32 MB)
 _SAMPLE_ELEMENTS = 1 << 22
 
 
@@ -135,9 +135,14 @@ def _row_numbers(n: int) -> int:
 
 
 def sample_rows(n: int, t_end: float, sample_every: float) -> int:
-    """Most rows of _sample_grid to t_end, ceil(t_end / sample_every) + 1; a
-    ValueError where n agents' rows hold more than _MAX_SAMPLE_NUMBERS numbers
-    (the float ratio is compared, so an infinite one never reaches int(inf))."""
+    """Most rows of _sample_grid over a span t_end, ceil(t_end / sample_every)
+    + 1; a ValueError unless both are positive, or where n agents' rows hold
+    more than _MAX_SAMPLE_NUMBERS numbers (the float ratio is compared, so an
+    infinite one never reaches int(inf))."""
+    if not t_end > 0:
+        raise ValueError("t_end must exceed the initial time")
+    if not sample_every > 0:
+        raise ValueError("sample_every must be positive")
     ratio = t_end / sample_every
     if not ratio <= _MAX_SAMPLE_NUMBERS // _row_numbers(n) - 1:
         raise ValueError(
@@ -148,11 +153,11 @@ def sample_rows(n: int, t_end: float, sample_every: float) -> int:
 
 
 def batch_members(n: int, samples: int) -> int:
-    """Most members that one integrate_batch call steps together, at n agents
-    and samples rows each.
+    """Most members that integrate_batch steps together in one slice, at n
+    agents and samples rows each.
 
     Their stacked N x N kernel matrices fill at most one strip of
-    dynamics.block_rows, so above N = 181 a batch is one member on the strip
+    dynamics.block_rows, so above N = 181 a slice is one member on the strip
     path, and their recorded samples hold at most _SAMPLE_ELEMENTS numbers.
     """
     return max(1, min(block_rows(n) // n, _SAMPLE_ELEMENTS // (samples * _row_numbers(n))))
@@ -225,12 +230,6 @@ def _sample(models: list, kid: list, states: list, t_end: float, sample_every: f
     Each sample's diagnostics are one call for all live members.
     """
     t0 = states[0].t
-    if any(s.t != t0 or s.n != states[0].n for s in states):
-        raise ValueError("batched states must share N and their initial time")
-    if not t_end > t0:
-        raise ValueError("t_end must exceed the initial time")
-    if not sample_every > 0:
-        raise ValueError("sample_every must be positive")
     sample_rows(states[0].n, t_end - t0, sample_every)
     results: list = [None] * len(states)
     G = np.full(len(states), math.nan)
@@ -280,29 +279,12 @@ def _single(results: list) -> Trajectory:
     return result
 
 
-def integrate_batch(
-    models: list, states: list, t_end: float, sample_every: float = 0.1
-) -> list:
-    """integrate each state under its model, models[b] for states[b], the runs
-    stepped together: one Trajectory, StiffnessError or WallDomainError per
-    state, each bit-identical to its single run.
-
-    The states share N and their start time, and the models their wall and
-    geometry; the kernels may differ, and equal ones next to each other share
-    a slice of the batched kernel matrix.  Every member keeps its own step
-    control, in integrate's order of operations on Python floats; each round
-    makes one Fehlberg attempt, batched over the members that have not yet
-    reached the current sample time.  A member that fails drops out.
-    """
-    if not states:
-        raise ValueError("integrate_batch needs at least one state")
-    if len(models) != len(states):
-        raise ValueError(
-            f"integrate_batch takes one model per state, not {len(models)} for {len(states)}"
-        )
+def _batch(models: list, states: list, t_end: float, sample_every: float) -> list:
+    """integrate_batch's runs of one slice, stepped as one (2, B, N) batch:
+    every member keeps its own step control, in integrate's order of
+    operations on Python floats, and a member that fails drops out; each
+    round is one Fehlberg attempt over the members short of the sample time."""
     m = models[0]
-    if any(mb.wall != m.wall or mb.geometry != m.geometry for mb in models):
-        raise ValueError("batched models must share their wall and geometry")
     walls_on = not m.wall.disabled
     # per member the id of its kernel, one per distinct kernel: a batched
     # round's KernelStack cuts its members wherever the id changes
@@ -372,13 +354,43 @@ def integrate_batch(
     return _sample(models, kid, states, t_end, sample_every, advance)
 
 
+def integrate_batch(
+    models: list, states: list, t_end: float, sample_every: float = 0.1, *, each=lambda m, r: r
+) -> list:
+    """integrate each state under its model, models[b] for states[b]: one
+    Trajectory, StiffnessError or WallDomainError per state, bit-identical to
+    its single run, or each(model, run) in its place.  The states share N and
+    their start time, the models their wall and geometry; the runs are stepped
+    in slices of at most batch_members, a slice's runs passed to each before
+    the next slice is stepped."""
+    if not states:
+        raise ValueError("integrate_batch needs at least one state")
+    if len(models) != len(states):
+        raise ValueError(
+            f"integrate_batch takes one model per state, not {len(models)} for {len(states)}"
+        )
+    m = models[0]
+    s0 = states[0]
+    if any(mb.wall != m.wall or mb.geometry != m.geometry for mb in models):
+        raise ValueError("batched models must share their wall and geometry")
+    if any(s.t != s0.t or s.n != s0.n for s in states):
+        raise ValueError("batched states must share N and their initial time")
+    size = batch_members(s0.n, sample_rows(s0.n, t_end - s0.t, sample_every))
+    results: list = []
+    for lo in range(0, len(states), size):
+        ms = models[lo : lo + size]
+        # no name holds a slice's runs, whose rows are views of its sample arrays
+        results += map(each, ms, _batch(ms, states[lo : lo + size], t_end, sample_every))
+    return results
+
+
 def integrate(m: FlockModel, s0: FlockState, t_end: float, sample_every: float = 0.1) -> Trajectory:
     """Advance s0 to t_end, sampling diagnostics on a uniform grid.
 
     Steps are clamped to land exactly on sample times and capped by the wall
-    layer (_WALL_SAFETY).  A one-member integrate_batch.
+    layer (_WALL_SAFETY).  A one-member batch.
     """
-    return _single(integrate_batch([m], [s0], t_end, sample_every))
+    return _single(_batch([m], [s0], t_end, sample_every))
 
 
 def reference_rk4(

@@ -429,9 +429,8 @@ def verify_batch(
 ) -> list:
     """verify each state under its model, the runs stepped together by
     integrate_batch (the states share N and their start time, the models their
-    wall and geometry); each report equals verify's."""
-    runs = integrate_batch(models, states, t_end, sample_every)
-    return [_report(m, run) for m, run in zip(models, runs)]
+    wall and geometry): each report equals verify's, made before the next slice steps."""
+    return integrate_batch(models, states, t_end, sample_every, each=_report)
 
 
 def _report(m: FlockModel, run) -> TheoremReport:

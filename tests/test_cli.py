@@ -45,7 +45,6 @@ sweep:
   axes:
     - {key: kernel.H, values: [1.2, 0.8]}
   seeds: [2, 1]
-  parallelism: %d
 """
 
 
@@ -218,6 +217,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main([command, "--config", str(tmp_path / "missing.yaml")]) == 2
         assert "cannot read config" in capsys.readouterr().err
     assert main(["sweep"]) == 2  # sweep requires --config
+    capsys.readouterr()
+    parallel = write(tmp_path, "parallel.yaml", "sweep:\n  seeds: [1]\n  parallelism: 2\n")
+    assert main(["sweep", "--config", str(parallel), "--out", str(tmp_path / "par")]) == 2
+    assert capsys.readouterr().err.strip() == "config error: unknown key sweep.parallelism"
+    assert not (tmp_path / "par").exists()
     # a bound that is not finite, or a span that overflows, is a config error, not a crash
     for ic in ("{x_low: .nan}", "{x_high: .inf}", "{v_low: -1.0e+308, v_high: 1.0e+308}"):
         bad_ic = write(tmp_path, "bad_ic.yaml", f"ic: {ic}\n")
@@ -241,7 +245,7 @@ def test_unusable_out_exits_2(tmp_path, capsys, command, out):
     (tmp_path / "file").write_text("")
     (tmp_path / "run" / "report.json").mkdir(parents=True)
     (tmp_path / "run" / "sweep.csv").mkdir()
-    cfg = write(tmp_path, "run.yaml", SWEEP % 1 if command == "sweep" else FREE_ALIGNING)
+    cfg = write(tmp_path, "run.yaml", SWEEP if command == "sweep" else FREE_ALIGNING)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cannot write output: ") and err.count("\n") == 1
@@ -319,12 +323,11 @@ def test_verdict_bars_and_wall_cap_are_not_config(tmp_path, capsys, command, tex
 
 
 def test_parse_sweep_validation():
-    base, base_cfg, axes, seeds, par = parse_sweep(SWEEP % 2)
+    base, base_cfg, axes, seeds = parse_sweep(SWEEP)
     assert (base_cfg.kernel.family, base_cfg.kernel.beta) == ("powerlaw", 0.0)
     assert base_cfg.output.directory == "."  # the default, from config.OutputConfig
     assert axes == [("kernel.H", [1.2, 0.8])]
     assert seeds == [2, 1]
-    assert par == 2
     with pytest.raises(ConfigError, match="top-level 'sweep'"):
         parse_sweep("base: {}")
     with pytest.raises(ConfigError, match="exactly the keys"):
@@ -342,8 +345,9 @@ def test_parse_sweep_validation():
         parse_sweep("sweep:\n  axes:\n    - {key: kernel.H, values: [{a: 1}]}")
     with pytest.raises(ConfigError, match="seeds"):
         parse_sweep("sweep:\n  seeds: [1, true]")
-    with pytest.raises(ConfigError, match="parallelism"):
-        parse_sweep("sweep:\n  parallelism: 0")
+    # a sweep runs in one process: parallelism is no key
+    with pytest.raises(ConfigError, match="^unknown key sweep.parallelism$"):
+        parse_sweep("sweep:\n  parallelism: 1")
     with pytest.raises(ConfigError, match="exceeds"):
         parse_sweep("sweep:\n  seeds: [%s]" % ", ".join(str(i) for i in range(10_001)))
 
@@ -393,7 +397,6 @@ sweep:
     - {key: kernel.H, values: %s}
     - {key: kernel.beta, values: %s}
   seeds: %s
-  parallelism: 2
 """
 
 
@@ -435,38 +438,32 @@ def test_sweep_csv_places_nan_after_every_number(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["0.5", "1", "nan"]
 
 
-def test_sweep_runs_sorted_and_parallelism_independent(tmp_path):
-    rows = {}
-    for par, name in ((1, "p1"), (4, "p4")):
-        cfg = write(tmp_path, f"sweep_{name}.yaml", SWEEP % par)
-        out = tmp_path / name
-        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-        rows[name] = (out / "sweep.csv").read_text()
-    lines = rows["p1"].splitlines()
+def test_sweep_runs_sorted_by_axis_value_then_seed(tmp_path):
+    cfg = write(tmp_path, "sweep.yaml", SWEEP)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "kernel.H,seed,variant,final_A,delta,min_wall_distance,passed,status"
     assert len(lines) == 5
-    # rows ordered by axis value then seed, regardless of list or completion order
+    # rows ordered by axis value then seed, regardless of list order
     assert [l.split(",")[:2] for l in lines[1:]] == [
         ["0.80000000000000004", "1"],
         ["0.80000000000000004", "2"],
         ["1.2", "1"],
         ["1.2", "2"],
     ]
-    assert rows["p1"].split("\n") == rows["p4"].split("\n")
-    # byte-identical across parallelism
-    assert (tmp_path / "p1" / "sweep.csv").read_bytes() == (tmp_path / "p4" / "sweep.csv").read_bytes()
 
 
 def test_sweep_without_out_writes_to_base_output_directory(tmp_path, monkeypatch):
     target = tmp_path / "from_base"
-    text = (SWEEP % 1).replace("base:\n", f"base:\n  output: {{directory: '{target}'}}\n", 1)
+    text = SWEEP.replace("base:\n", f"base:\n  output: {{directory: '{target}'}}\n", 1)
     cfg = write(tmp_path, "sweep.yaml", text)
     assert main(["sweep", "--config", str(cfg), "--quiet"]) == 0
     assert (target / "sweep.csv").is_file()
     assert (target / "sweep_config.yaml").read_text() == text
     # no output section: the default directory "." is the working directory
     monkeypatch.chdir(tmp_path)
-    cfg = write(tmp_path, "plain.yaml", SWEEP % 1)
+    cfg = write(tmp_path, "plain.yaml", SWEEP)
     assert main(["sweep", "--config", str(cfg), "--quiet"]) == 0
     assert (tmp_path / "sweep.csv").read_bytes() == (target / "sweep.csv").read_bytes()
 
@@ -695,7 +692,7 @@ def test_verify_prints_skip_for_an_inapplicable_claim(tmp_path, capsys):
 
 
 def test_sweep_rejects_seed_before_writing(tmp_path, capsys):
-    cfg = write(tmp_path, "sweep.yaml", SWEEP % 1)
+    cfg = write(tmp_path, "sweep.yaml", SWEEP)
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "99"]) == 2
     assert "sweep.seeds" in capsys.readouterr().err
@@ -715,21 +712,21 @@ sweep:
 
 
 def _sweep_batches(tmp_path, monkeypatch, text, name, one_member):
-    """sweep.csv bytes and the batch sizes _sweep_job was given."""
-    sizes = []
-    job = wallflock.cli._sweep_job
+    """sweep.csv bytes and the models of each slice the integrator stepped."""
+    slices = []
+    step = wallflock.integrator._batch
 
-    def sized(batch):
-        sizes.append(len(batch))
-        return job(batch)
+    def recorded(models, states, t_end, sample_every):
+        slices.append(models)
+        return step(models, states, t_end, sample_every)
 
     with monkeypatch.context() as mp:
-        mp.setattr(wallflock.cli, "_sweep_job", sized)
+        mp.setattr(wallflock.integrator, "_batch", recorded)
         if one_member:
-            mp.setattr(wallflock.cli, "batch_members", lambda n, samples: 1)
+            mp.setattr(wallflock.integrator, "batch_members", lambda n, samples: 1)
         cfg = write(tmp_path, f"{name}.yaml", text)
         main(["sweep", "--config", str(cfg), "--out", str(tmp_path / name), "--quiet"])
-    return (tmp_path / name / "sweep.csv").read_bytes(), sizes
+    return (tmp_path / name / "sweep.csv").read_bytes(), slices
 
 
 @pytest.mark.parametrize("sweep", ["sweep_beta", "mixed_failure"])
@@ -740,8 +737,9 @@ def test_batched_sweep_rows_equal_one_member_batches(tmp_path, monkeypatch, swee
         text = (Path(__file__).resolve().parents[1] / "configs" / "sweep_beta.yaml").read_text()
     else:
         text = MIXED_FAILURE_SWEEP
-    batched, sizes = _sweep_batches(tmp_path, monkeypatch, text, "batched", False)
-    alone, ones = _sweep_batches(tmp_path, monkeypatch, text, "alone", True)
+    batched, slices = _sweep_batches(tmp_path, monkeypatch, text, "batched", False)
+    alone, singles = _sweep_batches(tmp_path, monkeypatch, text, "alone", True)
+    sizes, ones = [len(s) for s in slices], [len(s) for s in singles]
     assert batched == alone
     assert max(sizes) > 1 and set(ones) == {1}
     assert sum(sizes) == sum(ones) == len(batched.decode().splitlines()) - 1
@@ -769,22 +767,15 @@ sweep:
 
 def test_kernel_axes_sweep_is_one_batch_with_one_member_rows(tmp_path, monkeypatch):
     # runs that differ only in their kernel (or their initial data) step as
-    # one batch in the rows' sorted order, which interleaves the kernels;
+    # one slice in the rows' sorted order, which interleaves the kernels;
     # every row is the row its run gives alone
-    kernels = []
-    job = wallflock.cli._sweep_job
-
-    def recorded(batch):
-        kernels.append([c.kernel for c in batch])
-        return job(batch)
-
-    monkeypatch.setattr(wallflock.cli, "_sweep_job", recorded)
-    batched, sizes = _sweep_batches(tmp_path, monkeypatch, KERNEL_SWEEP, "batched", False)
-    alone, ones = _sweep_batches(tmp_path, monkeypatch, KERNEL_SWEEP, "alone", True)
+    batched, slices = _sweep_batches(tmp_path, monkeypatch, KERNEL_SWEEP, "batched", False)
+    alone, singles = _sweep_batches(tmp_path, monkeypatch, KERNEL_SWEEP, "alone", True)
     assert batched == alone
     rows = batched.decode().splitlines()[1:]
-    assert sizes == [len(rows)] == [24] and ones == [1] * 24
-    runs = kernels[0]
+    assert [len(s) for s in slices] == [len(rows)] == [24]
+    assert [len(s) for s in singles] == [1] * 24
+    runs = [m.kernel for m in slices[0]]
     assert len({(k.H, k.beta) for k in runs}) == 6
     assert sum(a != b for a, b in zip(runs, runs[1:])) == 11
 
@@ -798,8 +789,8 @@ base:
 sweep:
   seeds: [1, 2, 3]
 """
-    _, sizes = _sweep_batches(tmp_path, monkeypatch, text, "n182", False)
-    assert sizes == [1, 1, 1]
+    _, slices = _sweep_batches(tmp_path, monkeypatch, text, "n182", False)
+    assert [len(s) for s in slices] == [1, 1, 1]
 
 
 def test_aligned_flock_has_no_rate_to_fit(tmp_path):

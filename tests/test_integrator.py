@@ -625,3 +625,46 @@ def test_batch_size_bounds_kernel_block_and_samples():
     row = 2 * 8 + len(wf.DiagnosticsRecord._fields)
     assert batch_members(8, 4001) * 4001 * row <= 1 << 22
     assert batch_members(8, 10**7) == 1
+
+
+@pytest.mark.parametrize("entry", ["integrate_batch", "verify_batch"])
+@pytest.mark.parametrize(
+    "n, members, slices",
+    [(182, None, [1, 1, 1]), (8, 2, [2, 2, 1])],
+    ids=["n182_one_strip", "two_members"],
+)
+def test_batch_is_stepped_in_slices_bitwise_equal_single_runs(
+    monkeypatch, entry, n, members, slices
+):
+    # any number of states at any N: the integrator cuts them into slices of
+    # at most batch_members (one member above N = 181, or a patched two), and
+    # each run still equals its own, with its own kernel
+    kernels = [(1.0, 0.25), (0.3, 1.0), (1.0, 0.25), (1.0, 0.0), (0.3, 1.5)][: sum(slices)]
+    models = [
+        wf.FlockModel(wf.CommunicationKernel("powerlaw", H, beta), wf.WallPotential(1.0, 1.0),
+                      wf.Geometry("halfline"))
+        for H, beta in kernels
+    ]
+    states = [wf.initial_condition(n, 2.0, 4.0 * n**0.5, -0.5, 1.0, seed) for seed in range(1, 6)]
+    states = states[: len(models)]
+    if entry == "verify_batch":
+        singles = [wf.verify(m, s, t_end=0.4) for m, s in zip(models, states)]
+    else:
+        singles = [integrate(m, s, 0.4) for m, s in zip(models, states)]
+    sizes = []
+    step = integrator._batch
+
+    def recorded(models, states, t_end, sample_every):
+        sizes.append(len(states))
+        return step(models, states, t_end, sample_every)
+
+    monkeypatch.setattr(integrator, "_batch", recorded)
+    if members is not None:
+        monkeypatch.setattr(integrator, "batch_members", lambda n, samples: members)
+    if entry == "verify_batch":
+        reports = wf.verify_batch(models, states, t_end=0.4)
+        assert [r.to_json() for r in reports] == [r.to_json() for r in singles]
+    else:
+        for run, single in zip(integrate_batch(models, states, 0.4), singles, strict=True):
+            _assert_same_run(run, single)
+    assert sizes == slices

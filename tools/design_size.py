@@ -1,4 +1,4 @@
-"""The design numbers of the package: source lines, settable config keys, public names.
+"""The design numbers of the package: source lines, settable config and sweep keys, public names.
 
 Usage, from the repository root:
 
@@ -6,10 +6,11 @@ Usage, from the repository root:
 
 Prints the line count of each src/wallflock/*.py and their total (as
 `wc -l` counts them), the number of settable config keys,
-sum(len(v) for v in config._SCHEMA.values()), and the number of public
-names of the wallflock package: those without a leading underscore that are
-not its submodules.  wallflock is imported from the src/ tree next to this
-script, so two checkouts give two outputs to compare.
+sum(len(v) for v in config._SCHEMA.values()), the number of settable keys
+of a sweep document's sweep section, len(config._SWEEP_KEYS), and the
+number of public names of the wallflock package: those without a leading
+underscore that are not its submodules.  wallflock is imported from the
+src/ tree next to this script, so two checkouts give two outputs to compare.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ def print_sizes() -> None:
         print(f"{lines:6d} src/wallflock/{path.name}")
     print(f"{total:6d} total")
     print(f"config keys: {sum(len(v) for v in config._SCHEMA.values())}")
+    print(f"sweep keys: {len(config._SWEEP_KEYS)}")
     public = [
         name for name, value in vars(wallflock).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
