@@ -80,7 +80,7 @@ def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         # one strip, the dense N x N form: no loop, which costs 5 % at N = 16
         w = m.kernel.matrix(x, x)
         w *= v[..., None, :] - v[..., :, None]
-        sums = w.sum(axis=-1)
+        sums = np.add.reduce(w, axis=-1)
     else:
         # phi is even in r^2, so phi_ij (v_j - v_i) = -phi_ji (v_i - v_j) to the
         # bit: a strip's columns past its rows are also the later rows' terms
@@ -89,7 +89,9 @@ def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
             w *= v[None, lo:] - v[lo:hi, None]
             sums[lo:hi] += w.sum(axis=1)
             sums[hi:] -= w[:, hi - lo :].sum(axis=0)
-    return sums / n + force
+    sums /= n
+    sums += force
+    return sums
 
 
 def initial_condition(

@@ -163,27 +163,33 @@ def batch_members(n: int, samples: int) -> int:
     return max(1, min(block_rows(n) // n, _SAMPLE_ELEMENTS // (samples * _row_numbers(n))))
 
 
-def _error_ratio(y, y_new, err) -> list:
-    """Per member (one for a (2, N) state): the largest |err| over its
-    tolerance scale, inf where that or y_new is not finite."""
-    scale = ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new))
+def _error_quotients(y, y_new, err) -> np.ndarray:
+    """|err| over its tolerance scale; adding 0 * y_new keeps every finite
+    quotient's bits and makes it NaN where y_new is not finite."""
     q = np.abs(err)
-    q /= scale
-    # adding 0 * y_new keeps every finite quotient's bits and makes it NaN
-    # where y_new is not finite; the NaN carries through the max
+    q /= ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new))
     q += 0.0 * y_new
-    ratios = np.max(q, axis=(0, -1)).reshape(-1).tolist()
+    return q
+
+
+def _error_ratio(y, y_new, err) -> list:
+    """Per member (one for a (2, N) state): the largest error quotient, inf
+    where that or y_new is not finite (a NaN carries through the max)."""
+    ratios = np.max(_error_quotients(y, y_new, err), axis=(0, -1)).reshape(-1).tolist()
     return [r if r <= math.inf else math.inf for r in ratios]
 
 
 def _attempt_one(m: FlockModel, y: np.ndarray, h: float):
     """_attempt on one (2, N) state -> (y_new, error ratio, endpoint distance),
-    with a ratio of None when a stage left the domain."""
+    with a ratio of None when a stage left the domain.  The ratio is
+    _error_ratio's as a float: argmax, too, stops at the first NaN."""
     try:
         y_new, err, dist = _attempt(m, y, h)
     except WallDomainError:
         return None, None, None
-    return y_new, _error_ratio(y, y_new, err)[0], float(dist)
+    q = _error_quotients(y, y_new, err)
+    ratio = q.item(q.argmax())
+    return y_new, ratio if ratio <= math.inf else math.inf, dist
 
 
 def _stepping_model(models: list, kid: list, act: list) -> FlockModel:
@@ -252,15 +258,15 @@ def _sample(models: list, kid: list, states: list, t_end: float, sample_every: f
                 results[b] = exc
                 live.remove(b)
         X[:, k], V[:, k] = y
-        # the rows are validated (finite x and v) before their diagnostics
+        # the live rows are validated (finite x and v) before their diagnostics
+        rows = y if len(live) == len(states) else y[:, live]
+        if not np.isfinite(rows).all():
+            raise ValueError("state entries must be finite")
         if len(live) == 1:  # one member keeps its own model, as in _round
             (b,) = live
-            state = FlockState(t=times[k], x=y[0, b], v=y[1, b])
-            records[b, k] = diagnostics(models[b], state, float(G[b]))
+            sample = SimpleNamespace(t=float(times[k]), x=rows[0, 0], v=rows[1, 0])
+            records[b, k] = diagnostics(models[b], sample, float(G[b]))
         elif live:
-            rows = y if len(live) == len(states) else y[:, live]
-            if not np.isfinite(rows).all():
-                raise ValueError("state entries must be finite")
             sample = SimpleNamespace(t=float(times[k]), x=rows[0], v=rows[1])
             rec = diagnostics(_stepping_model(models, kid, live), sample, G[live])
             for f, column in zip(rec._fields, rec):

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import FlockModel, FlockState, kernel_strips
+from .dynamics import _BLOCK_ELEMENTS, FlockModel, FlockState, kernel_strips
 from .potentials import distance_potential, layer_force, layer_potential, wall_distances
 
 
@@ -65,7 +65,7 @@ def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:
     v_min = f(v.min(axis=-1))
     A = v_max - v_min
     D = f(x.max(axis=-1) - x.min(axis=-1))
-    if x.ndim == 1:
+    if n * n > _BLOCK_ELEMENTS:  # one state: a batch this wide is one member
         # phi (v_i - v_j)^2 is even, so a strip's columns past its rows count twice
         total = 0.0
         for start, stop, w in kernel_strips(m.kernel, x):
@@ -75,12 +75,12 @@ def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:
             total += w.sum() + w[:, stop - start :].sum()
     else:
         # one strip: each member's N^2 contiguous entries, summed as w.sum()
-        # sums one state's
+        # sums them, and as the strip loop's 0.0 + (w.sum() + 0.0) does
         w = m.kernel.matrix(x, x)
-        dv = v[:, :, None] - v[:, None, :]
+        dv = v[..., :, None] - v[..., None, :]
         w *= dv
         w *= dv
-        total = w.reshape(len(w), n * n).sum(axis=1)
+        total = np.add.reduce(w.reshape(x.shape[:-1] + (n * n,)), axis=-1)
     return DiagnosticsRecord(
         t=s.t, K=K, P=P, E=K + P, p=f(v.sum(axis=-1)) / n, A=A, D=D, I2=f(total) / (2.0 * n * n),
         L=A + m.kernel.primitive(D), W=-f(np.vecdot(v, F)), F_max=f(np.abs(F).max(axis=-1)),

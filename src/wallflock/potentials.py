@@ -46,21 +46,24 @@ class WallPotential:
         g = np.maximum(self.ell - x, 0.0)
         return self.theta * (4.0 * g**3 * x + g**4) / (x * x)
 
-    def _check(self, x: np.ndarray) -> float:
-        """The domain rule on wall distances: finite, and positive while the wall is on.
-
-        Returns the smallest distance (inf when there is none).
+    def _check(self, x: np.ndarray, geom: Geometry | None = None) -> float:
+        """The domain rule on wall distances x, or on positions x in geom: finite,
+        and positive while the wall is on.  Returns the smallest distance (inf
+        when there is none), from x's extremes alone: argmin and argmax stop at
+        the first NaN, and correctly rounded subtraction is monotone, so
+        fl(min x - a) and fl(b - max x) are the nearest distances to the walls.
         """
         if not x.size:
             return math.inf
-        # two reductions and no temporaries: this runs on every force
-        # evaluation; a NaN fails both comparisons of the finiteness test
-        lo = x.min()
-        hi = x.max()
+        lo, hi = x.item(x.argmin()), x.item(x.argmax())
+        if geom is not None and geom.variant == "interval":
+            lo, hi = min(lo - geom.a, geom.b - hi), max(hi - geom.a, geom.b - lo)
         if not (-math.inf < lo and hi < math.inf):
             raise WallDomainError("wall distance must be finite")
         if lo <= 0.0 and not self.disabled:
             raise WallDomainError("wall distance must be positive")
+        if lo == 0.0:  # the sign of a zero is the one numpy's min picks among tied zeros
+            return (x if geom is None else wall_distances(geom, x)).min()
         return lo
 
 
@@ -118,15 +121,22 @@ def check_domain(geom: Geometry, wall: WallPotential, x):
     asks only for finite distances: control runs can cross the boundary and
     be flagged by the collision check afterwards.
     """
-    d = wall_distances(geom, x)
-    lo = wall._check(d)
-    return lo if d.ndim == 2 else d.min(axis=(-2, -1))
+    x = np.asarray(x, dtype=float)
+    lo = wall._check(x, geom)
+    return lo if x.ndim < 2 else wall_distances(geom, x).min(axis=(-2, -1))
 
 
 def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
-    """Signed confining force: each wall pushes along its direction."""
-    d = wall_distances(geom, x)
-    return layer_force(geom, wall, d, wall._check(d))
+    """Signed confining force: each wall pushes along its direction.  The wall
+    distances are formed only inside the layer, and on the half-line not at
+    all: there d = 1.0 * (x - 0.0) is x, and a sum over one wall is its row."""
+    x = np.array(x, dtype=float, ndmin=1, copy=None)
+    lo = wall._check(x, geom)
+    if lo >= wall.ell or wall.disabled:
+        return np.zeros(x.shape)
+    if geom.variant == "halfline":
+        return wall._force(x)
+    return layer_force(geom, wall, wall_distances(geom, x), lo)
 
 
 def distance_potential(wall: WallPotential, d: np.ndarray) -> np.ndarray:

@@ -225,15 +225,15 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     no prefix falls back to a low-order rule (except the very first, where a
     trapezoid is exact to leading order since the run starts quiescent).
     """
-    n = y.size
-    out = np.zeros(n)
-    if n > 1:
+    out = np.zeros(y.size)
+    if y.size > 1:
         out[1] = 0.5 * h * (y[0] + y[1])
-    for k in range(2, n):
-        if k % 2 == 0:
-            out[k] = out[k - 2] + h * (y[k - 2] + 4.0 * y[k - 1] + y[k]) / 3.0
-        else:
-            out[k] = out[k - 3] + 3.0 * h * (y[k - 3] + 3.0 * y[k - 2] + 3.0 * y[k - 1] + y[k]) / 8.0
+    # prefix k = 2j sums its j Simpson blocks left to right, as add.accumulate
+    # does, from out[0] = 0.0; prefix k = 2j + 3 adds one 3/8 block to out[2j]
+    even = out[::2]
+    even[1:] = h * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) / 3.0
+    np.add.accumulate(even, out=even)
+    out[3::2] = out[:-3:2] + 3.0 * h * (y[:-3:2] + 3.0 * y[1:-2:2] + 3.0 * y[2:-1:2] + y[3::2]) / 8.0
     return out
 
 

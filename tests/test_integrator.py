@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -169,6 +170,55 @@ def test_phase_state_steps_bitwise_equal_paired_form(geometry, n):
             xr, vr = _paired_rk4_substep(m, xr, vr, dt)
         assert np.array_equal(_bits(traj.X[-1]), _bits(xr))
         assert np.array_equal(_bits(traj.V[-1]), _bits(vr))
+
+
+@pytest.mark.parametrize("poison", [None, math.nan, math.inf])
+def test_one_member_ratio_bitwise_equal_error_ratio(monkeypatch, poison):
+    # _attempt_one's float ratio is _error_ratio's one-member list entry, over
+    # steps that pass and fail the error test, and inf where y_new is not finite
+    m = wf.FlockModel(
+        wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, 1.0),
+        wf.Geometry("interval", 0.0, 6.0),
+    )
+    attempt = integrator._attempt
+
+    def poisoned(m, y, h):
+        y_new, err, dist = attempt(m, y, h)
+        if poison is not None:
+            y_new[1, -1] = poison  # a velocity: the endpoint's positions stay in the domain
+        return y_new, err, dist
+
+    monkeypatch.setattr(integrator, "_attempt", poisoned)
+    rng = np.random.default_rng(11)
+    ratios = []
+    for n in (1, 2, 16):
+        for dt in (1e-3, 0.02, 0.1):
+            y = np.stack((rng.uniform(0.5, 5.5, n), rng.uniform(-1.0, 1.0, n)))
+            with np.errstate(invalid="ignore"):  # 0 * inf
+                _, ratio, _ = integrator._attempt_one(m, y, dt)
+                (want,) = _error_ratio(y, *poisoned(m, y, dt)[:2])
+            assert type(ratio) is float and _bits(ratio) == _bits(want)
+            ratios.append(ratio)
+    if poison is None:
+        assert min(ratios) < 1.0 < max(ratios) < math.inf
+    else:
+        assert ratios == [math.inf] * len(ratios)
+
+
+@pytest.mark.parametrize("component, value", [(0, math.nan), (1, math.inf)])
+@pytest.mark.parametrize("members", [1, 2])
+def test_one_member_sample_rejects_a_non_finite_row(members, component, value):
+    # the one live member's rows, of a single run or of a batch whose other
+    # member failed in the same span, are checked before their diagnostics
+    m = two_agent_constant()
+    s = wf.FlockState(0.0, [2.0, 3.0], [0.5, 1.0])
+
+    def advance(y, live, t0, t1):
+        y[component, live[-1], 0] = value
+        return {0: StiffnessError("dropped")} if len(live) == 2 else {}
+
+    with pytest.raises(ValueError, match="^state entries must be finite$"):
+        integrator._sample([m] * members, [0] * members, [s] * members, 0.2, 0.1, advance)
 
 
 def test_sample_grid_exact_and_uniform():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -331,3 +333,81 @@ def test_domain_rule_edges():
     w = WallPotential()
     for out in (F(w, np.array([])), U(w, np.empty((1, 0))), distance_potential(w, np.empty((2, 0)))):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+# The domain rule reads only the two extremes of the positions.  Its oracle is
+# the rule as two full reductions of the (walls, N) distance array, which
+# decides every value from all of its entries.
+def _distance_rule(wall, d):
+    if not d.size:
+        return math.inf
+    lo, hi = d.min(), d.max()
+    if not (-math.inf < lo and hi < math.inf):
+        raise WallDomainError("wall distance must be finite")
+    if lo <= 0.0 and not wall.disabled:
+        raise WallDomainError("wall distance must be positive")
+    return lo
+
+
+def _outcome(call):
+    """The bits of call()'s result, or its exception's class and message."""
+    try:
+        return "returned", _bits(call()).tolist()
+    except ValueError as exc:  # WallDomainError, or numpy's for an empty batch
+        return type(exc), str(exc)
+
+
+_SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 1e300, -1e300)
+
+
+@st.composite
+def _rule_cases(draw):
+    """(geometry, wall, positions): a scalar, an (N,) row or (B, N) rows, N >= 0,
+    inside the domain or with NaN, +-inf, +-0.0, huge values or agents on a wall."""
+    if draw(st.booleans()):
+        geom = Geometry()
+    else:
+        # at a = -1e308, max(x) - a overflows where b - min(x) does not
+        a = draw(st.sampled_from([0.0, -0.0, -2.5, 1.0, -1e308]))
+        geom = Geometry("interval", a, 1e308 if a == -1e308 else a + draw(st.floats(0.5, 20.0)))
+    wall = WallPotential(draw(st.floats(0.1, 5.0)), draw(st.sampled_from([0.0, 1.5])))
+    lo, hi = (0.0, 12.0) if geom.variant == "halfline" else (geom.a, geom.b)
+    inside = st.floats(lo, hi)
+    walls = st.sampled_from([lo, hi] if geom.variant == "interval" else [lo])
+    element = draw(st.sampled_from(["inside", "walls", "any"]))
+    values = {
+        "inside": inside,
+        "walls": st.one_of(inside, walls),
+        "any": st.one_of(inside, walls, st.sampled_from(_SPECIAL), st.floats()),
+    }[element]
+    shape = draw(st.sampled_from(["scalar", "row", "batch"]))
+    if shape == "scalar":
+        return geom, wall, draw(values)
+    n = draw(st.integers(0, 6))
+    rows = draw(st.integers(1, 3)) if shape == "batch" else 1
+    x = np.array(draw(st.lists(values, min_size=n * rows, max_size=n * rows)), dtype=float)
+    return geom, wall, x.reshape(rows, n) if shape == "batch" else x
+
+
+@given(_rule_cases())
+def test_extremes_rule_equals_the_distance_array_rule(case):
+    geom, wall, x = case
+    # distances near 1e308 overflow, and the formula behind a disabled wall
+    # (which the force does not evaluate) divides by zero or gives NaN
+    with np.errstate(all="ignore"):
+        d = wall_distances(geom, x)
+        want = _outcome(lambda: _distance_rule(wall, d))
+        assert _outcome(lambda: wall._check(np.asarray(x, dtype=float), geom)) == want
+        assert _outcome(lambda: wall._check(d)) == want
+        per_member = np.ndim(x) == 2 and want[0] == "returned"
+        want_domain = _outcome(lambda: d.min(axis=(-2, -1))) if per_member else want
+        assert _outcome(lambda: check_domain(geom, wall, x)) == want_domain
+        if want[0] != "returned":
+            assert _outcome(lambda: geometry_force(geom, wall, x)) == want
+            return
+        force = geometry_force(geom, wall, x)
+        formula = np.add.reduce(geom._direction * wall._force(d), axis=-2)
+    assert isinstance(force, np.ndarray) and force.shape == (np.shape(x) or (1,))
+    if wall.disabled:  # zeros, without the formula
+        formula = np.zeros(force.shape)
+    assert _bits(force).tolist() == _bits(formula).tolist()

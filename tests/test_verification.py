@@ -209,6 +209,33 @@ def test_cumulative_quadrature_rules():
     assert np.max(np.abs(simp - exact)) < 1e-3 * np.max(np.abs(trap - exact))
 
 
+def _cumulative_simpson_loop(y, h):
+    """The cumulative Simpson rule one prefix at a time: the bitwise oracle."""
+    n = y.size
+    out = np.zeros(n)
+    if n > 1:
+        out[1] = 0.5 * h * (y[0] + y[1])
+    for k in range(2, n):
+        if k % 2 == 0:
+            out[k] = out[k - 2] + h * (y[k - 2] + 4.0 * y[k - 1] + y[k]) / 3.0
+        else:
+            out[k] = out[k - 3] + 3.0 * h * (y[k - 3] + 3.0 * y[k - 2] + 3.0 * y[k - 1] + y[k]) / 8.0
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(10), 101, 4001])
+def test_cumulative_simpson_bitwise_equal_loop(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        # magnitudes over 20 decades and both signs, so that rounding differs
+        # between summation orders
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-10, 10, n)
+        h = rng.uniform(1e-3, 1.0)
+        got, want = _cumulative_simpson(y, h), _cumulative_simpson_loop(y, h)
+        assert got.shape == want.shape == (n,)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_momentum_identity_with_a_short_last_sample_interval():
     # t_end 50.05 ends the 0.1 grid with one 0.05 interval; the impulse up to
     # t = 50 must still be integrated with Simpson's rule, not a trapezoid
