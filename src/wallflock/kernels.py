@@ -89,11 +89,13 @@ class CommunicationKernel:
     def _phi(self, w: np.ndarray) -> np.ndarray:
         """Overwrite the distances in w with phi of them; the one formula of
         eval, matrix and KernelStack.matrix."""
-        # r enters through r^2 only, so evenness is exact in floating point
+        # r enters through r^2 only, so evenness is exact in floating point; a
+        # unit H multiplies nothing (1.0 * a is a for every double)
         w *= w
         w += 1.0
         w **= -self.beta
-        w *= self.H
+        if self.H != 1.0:
+            w *= self.H
         return w
 
     def primitive(self, D: float) -> float:

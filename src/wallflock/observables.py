@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import _BLOCK_ELEMENTS, FlockModel, FlockState, kernel_strips
-from .potentials import distance_potential, layer_force, layer_potential, wall_distances
+from .potentials import layer_terms, wall_distances, wall_layer
 
 
 class DiagnosticsRecord(NamedTuple):
@@ -38,10 +38,8 @@ FIELDS = tuple(f for f in DiagnosticsRecord._fields if f != "F_sq")
 
 def initial_energy(m: FlockModel, s: FlockState) -> float:
     """K + P at a state; captured once per run as the constant G."""
-    # the arithmetic of diagnostics' K and P, so that G equals E at t = 0
-    kinetic = float(s.v @ s.v) / (2.0 * s.n)
-    potential = float(distance_potential(m.wall, wall_distances(m.geometry, s.x)).sum()) / s.n
-    return kinetic + potential
+    # diagnostics' K, and its P from the same wall_layer call, so that G equals E at t = 0
+    return float(s.v @ s.v) / (2.0 * s.n) + wall_layer(m.geometry, m.wall, s.x, potential=True)[1]
 
 
 def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:
@@ -50,16 +48,23 @@ def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:
     KernelStack, with G per member, gives (B,) columns with each member's bits."""
     x, v = s.x, s.v
     n = x.shape[-1]
-    # one state's sums become Python floats, a batch's stay arrays; one set of
-    # wall distances, checked once, feeds the potential, the force and
-    # x_min_wall; a.sum() / n is np.mean(a)'s IEEE arithmetic without its
-    # wrapper, and np.vecdot(v, v) has the bits of v @ v
+    # one state's sums become Python floats, a batch's stay arrays; a.sum() / n
+    # is np.mean(a)'s IEEE arithmetic without its wrapper, and np.vecdot(v, v)
+    # has the bits of v @ v.  One state's wall terms are wall_layer's, from the
+    # walls in reach alone; a batch's come from its (B, walls, N) distances,
+    # checked once, which also give each member's x_min_wall
     f = float if x.ndim == 1 else np.asarray
-    d = wall_distances(m.geometry, x)
-    lo = m.wall._check(d)  # a batch's smallest distance over all its members
-    x_min_wall = f(lo) if x.ndim == 1 else d.min(axis=(1, 2))
-    P = f(layer_potential(m.wall, d, lo).sum(axis=-1)) / n
-    F = layer_force(m.geometry, m.wall, d, lo)
+    if x.ndim == 1:
+        x_min_wall, P, F = wall_layer(m.geometry, m.wall, x, potential=True)
+    else:
+        d = wall_distances(m.geometry, x)
+        U, F = layer_terms(m.geometry, m.wall, d, m.wall._check(d))
+        x_min_wall, P = d.min(axis=(1, 2)), U.sum(axis=-1) / n
+    if F is None:  # no wall in reach: the zeros that the formula gives, without it
+        F_max = F_mean = F_sq = 0.0
+        F = np.zeros(n)  # for W = -(v . F), computed as in the layer
+    else:
+        F_max, F_mean, F_sq = f(np.abs(F).max(axis=-1)), f(F.sum(axis=-1)) / n, f((F**2).sum(axis=-1))
     K = f(np.vecdot(v, v)) / (2.0 * n)
     v_max = f(v.max(axis=-1))
     v_min = f(v.min(axis=-1))
@@ -83,9 +88,8 @@ def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:
         total = np.add.reduce(w.reshape(x.shape[:-1] + (n * n,)), axis=-1)
     return DiagnosticsRecord(
         t=s.t, K=K, P=P, E=K + P, p=f(v.sum(axis=-1)) / n, A=A, D=D, I2=f(total) / (2.0 * n * n),
-        L=A + m.kernel.primitive(D), W=-f(np.vecdot(v, F)), F_max=f(np.abs(F).max(axis=-1)),
-        F_mean=f(F.sum(axis=-1)) / n, x_min_wall=x_min_wall, v_max=v_max, v_min=v_min, G=G,
-        F_sq=f((F**2).sum(axis=-1)),
+        L=A + m.kernel.primitive(D), W=-f(np.vecdot(v, F)), F_max=F_max, F_mean=F_mean,
+        x_min_wall=x_min_wall, v_max=v_max, v_min=v_min, G=G, F_sq=F_sq,
     )
 
 

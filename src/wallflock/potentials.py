@@ -37,34 +37,46 @@ class WallPotential:
     def disabled(self) -> bool:
         return self.theta == 0.0
 
-    def _value(self, x):
+    def _terms(self, x, potential: bool = False):
+        """(U(x), -U'(x)) with g = (ell - x)+, the force pointing away from the
+        wall; U is None unless potential, and shares g and g^4 with the force.
+        A unit theta multiplies nothing: 1.0 * a is a for every double."""
         g = np.maximum(self.ell - x, 0.0)
-        return self.theta * g**4 / x
-
-    def _force(self, x):
-        # -U'(x) with g = (ell - x)+, pointing away from the wall
-        g = np.maximum(self.ell - x, 0.0)
-        return self.theta * (4.0 * g**3 * x + g**4) / (x * x)
+        g4 = g**4
+        force = 4.0 * g**3 * x + g4
+        if self.theta != 1.0:
+            force *= self.theta
+            g4 *= self.theta
+        force /= x * x
+        return (g4 / x if potential else None), force
 
     def _check(self, x: np.ndarray, geom: Geometry | None = None) -> float:
         """The domain rule on wall distances x, or on positions x in geom: finite,
-        and positive while the wall is on.  Returns the smallest distance (inf
-        when there is none), from x's extremes alone: argmin and argmax stop at
-        the first NaN, and correctly rounded subtraction is monotone, so
+        and positive while the wall is on.  Returns the smallest distance, inf
+        when there is none (_reach's first value)."""
+        return self._reach(x, geom)[0]
+
+    def _reach(self, x: np.ndarray, geom: Geometry | None = None) -> tuple:
+        """(_check's smallest distance, the nearest distances to the first and
+        the second wall), all from x's extremes: argmin and argmax stop at the
+        first NaN, and correctly rounded subtraction is monotone, so
         fl(min x - a) and fl(b - max x) are the nearest distances to the walls.
+        The half-line's second wall, like that of a distance array, is at infinity.
         """
         if not x.size:
-            return math.inf
+            return math.inf, math.inf, math.inf
         lo, hi = x.item(x.argmin()), x.item(x.argmax())
+        left, right = lo, math.inf
         if geom is not None and geom.variant == "interval":
-            lo, hi = min(lo - geom.a, geom.b - hi), max(hi - geom.a, geom.b - lo)
+            left, right = lo - geom.a, geom.b - hi
+            lo, hi = min(left, right), max(hi - geom.a, geom.b - lo)
         if not (-math.inf < lo and hi < math.inf):
             raise WallDomainError("wall distance must be finite")
         if lo <= 0.0 and not self.disabled:
             raise WallDomainError("wall distance must be positive")
         if lo == 0.0:  # the sign of a zero is the one numpy's min picks among tied zeros
-            return (x if geom is None else wall_distances(geom, x)).min()
-        return lo
+            lo = float((x if geom is None else wall_distances(geom, x)).min())
+        return lo, left, right
 
 
 @dataclass(frozen=True)
@@ -127,43 +139,49 @@ def check_domain(geom: Geometry, wall: WallPotential, x):
 
 
 def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
-    """Signed confining force: each wall pushes along its direction.  The wall
-    distances are formed only inside the layer, and on the half-line not at
-    all: there d = 1.0 * (x - 0.0) is x, and a sum over one wall is its row."""
+    """Signed confining force: each wall pushes along its direction (wall_layer's F,
+    zeros where it has none)."""
     x = np.array(x, dtype=float, ndmin=1, copy=None)
-    lo = wall._check(x, geom)
+    F = wall_layer(geom, wall, x)[2]
+    return np.zeros(x.shape) if F is None else F
+
+
+def wall_layer(geom: Geometry, wall: WallPotential, x: np.ndarray, potential: bool = False):
+    """(lo, P, F) at positions x, one state's (N,) row or a batch's (B, N) rows:
+    the domain rule's smallest wall distance; with potential, one state's mean
+    wall potential per agent, else None; and the force per position, None when
+    no agent is within ell of a wall or the wall is off, where it is zeros.
+
+    Only the walls in reach are evaluated, bit for bit the sum over all walls:
+    a wall out of reach adds +0.0 to the potential and direction * +0.0 to the
+    force, so the right wall's force alone is the two-row sum +0.0 + (-F).
+    """
+    lo, left, right = wall._reach(x, geom)
     if lo >= wall.ell or wall.disabled:
-        return np.zeros(x.shape)
-    if geom.variant == "halfline":
-        return wall._force(x)
-    return layer_force(geom, wall, wall_distances(geom, x), lo)
+        return lo, (0.0 if potential else None), None
+    if right >= wall.ell:  # the first wall alone: 1.0 * (x - a) is x - a, which is x at a zero a (x > 0)
+        U, F = wall._terms(x - geom.a if geom.a else x, potential)
+    elif left >= wall.ell:
+        U, F = wall._terms(geom.b - x, potential)
+        F = 0.0 - F
+    else:  # both walls of an interval: the (walls, N) form
+        U, F = layer_terms(geom, wall, wall_distances(geom, x), lo, potential)
+    return lo, (float(U.sum()) / x.shape[-1] if potential else None), F
 
 
-def distance_potential(wall: WallPotential, d: np.ndarray) -> np.ndarray:
-    """Per-position confinement energy from the rows of wall_distances, (B, N)
-    from a batch's (B, walls, N)."""
-    return layer_potential(wall, d, wall._check(d))
-
-
-# The layer sums take distances that have passed the domain rule, with lo their
-# minimum.  With every distance >= ell or the wall off they return exact zeros
-# without evaluating the formula: there the formula gives +0.0 for every wall,
-# and the sum over walls +0.0 + (-0.0) is +0.0 as well.  So a batch member
-# outside the layer gets the same zeros whether or not another member is in it.
-
-
-def layer_potential(wall: WallPotential, d: np.ndarray, lo) -> np.ndarray:
-    """distance_potential of checked distances."""
+def layer_terms(geom: Geometry, wall: WallPotential, d: np.ndarray, lo, potential: bool = True):
+    """(U, F) per position from distances d that passed the domain rule with
+    smallest lo, wall_distances' (walls, N) or a batch's (B, walls, N): the
+    potential (None unless potential) and the force, each summed over the walls.
+    With every distance >= ell or the wall off they are exact zeros without the
+    formula, which gives +0.0 for every wall there; so a batch member outside
+    the layer gets the same zeros whether or not another member is in it.
+    """
     if lo >= wall.ell or wall.disabled:
-        return np.zeros(d.shape[:-2] + d.shape[-1:])
-    return np.add.reduce(wall._value(d), axis=-2)
-
-
-def layer_force(geom: Geometry, wall: WallPotential, d: np.ndarray, lo) -> np.ndarray:
-    """geometry_force of checked distances."""
-    if lo >= wall.ell or wall.disabled:
-        return np.zeros(d.shape[:-2] + d.shape[-1:])
-    return np.add.reduce(geom._direction * wall._force(d), axis=-2)
+        zeros = np.zeros(d.shape[:-2] + d.shape[-1:])
+        return zeros, zeros
+    U, F = wall._terms(d, potential)
+    return (np.add.reduce(U, axis=-2) if potential else None), np.add.reduce(geom._direction * F, axis=-2)
 
 
 def warn_if_overlapping(geom: Geometry, wall: WallPotential) -> None:

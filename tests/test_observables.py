@@ -14,7 +14,7 @@ from wallflock import (
     initial_energy,
     write_diagnostics_csv,
 )
-from wallflock.potentials import distance_potential
+from wallflock.potentials import layer_terms
 
 # frozen hand values for the N=2 reference state below (H=1, beta=0.5)
 I2_REF = 0.1767766952966369  # phi(1)/4 = 1/(4 sqrt 2)
@@ -111,7 +111,8 @@ def _direct_diagnostics(m, s, G):
     A = float(np.max(v)) - float(np.min(v))
     D = float(np.max(x) - np.min(x))
     K = float(v @ v) / (2.0 * n)
-    P = float(np.mean(distance_potential(m.wall, wf.wall_distances(m.geometry, x))))
+    d = wf.wall_distances(m.geometry, x)
+    P = float(np.mean(layer_terms(m.geometry, m.wall, d, m.wall._check(d))[0]))
     return dict(
         t=s.t, K=K, P=P, E=K + P, p=float(np.mean(v)), A=A, D=D,
         I2=float(np.sum(m.kernel.matrix(x, x) * dv * dv)) / (2.0 * n * n),

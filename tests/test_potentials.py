@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,17 +17,19 @@ from wallflock import (
     check_domain,
     diagnostics,
     geometry_force,
+    initial_energy,
+    integrator,
     wall_distances,
     warn_if_overlapping,
 )
-from wallflock.potentials import distance_potential, layer_potential
+from wallflock.potentials import layer_terms, wall_layer
 
 
-# The wall formula is reached only through wall-distance rows.  On the
-# half-line there is one row with direction +1, so the checked potential and
-# force of that row are the single-wall U(x) and F(x) = -U'(x).
+# On the half-line the one wall's distance is the position, so the mean
+# potential of a one-agent flock at x and the force at x are the single-wall
+# U(x) and F(x) = -U'(x).
 def U(w, x):
-    return distance_potential(w, np.array(x, dtype=float, ndmin=2))
+    return np.array([wall_layer(Geometry(), w, np.array([xi]), potential=True)[1] for xi in np.ravel(x)])
 
 
 def F(w, x):
@@ -154,7 +157,7 @@ def test_geometry_potential_sums_both_walls():
     w = WallPotential(ell=1.0)
     x = np.array([0.75])  # inside both reaction zones
     expected_u = U(w, 0.75)[0] + U(w, 0.75)[0]
-    assert abs(float(distance_potential(w, wall_distances(geom, x))[0]) - expected_u) < 1e-15
+    assert abs(wall_layer(geom, w, x, potential=True)[1] - expected_u) < 1e-15
 
 
 def test_check_domain():
@@ -270,7 +273,7 @@ def test_layer_sums_bitwise_equal_direct_form(variant, case, n):
     U, F = _direct_terms(variant, wall, d)
 
     assert np.array_equal(_bits(geometry_force(geom, wall, x)), _bits(F))
-    assert np.array_equal(_bits(distance_potential(wall, d)), _bits(U))
+    assert np.array_equal(_bits(layer_terms(geom, wall, d, wall._check(d))[0]), _bits(U))
     w = m.kernel.matrix(x, x)
     w *= v[None, :] - v[:, None]
     expected = w.sum(axis=1) / n + F
@@ -300,13 +303,106 @@ def test_layer_sums_of_a_batch_equal_per_row_calls(variant, case):
     d = wall_distances(geom, x)
     per_row = [wall_distances(geom, row) for row in x]
     for got, want in [
-        (distance_potential(wall, d), [distance_potential(wall, r) for r in per_row]),
-        (layer_potential(wall, d, wall._check(d)),
-         [layer_potential(wall, r, wall._check(r)) for r in per_row]),
+        *zip(layer_terms(geom, wall, d, wall._check(d)),
+             zip(*[layer_terms(geom, wall, r, wall._check(r)) for r in per_row])),
         (geometry_force(geom, wall, x), [geometry_force(geom, wall, row) for row in x]),
     ]:
         assert got.shape == x.shape
         assert np.array_equal(_bits(got), _bits(want))
+
+
+# The reach-limited layer: geometry_force, one-state diagnostics and
+# initial_energy evaluate the formula only for the walls that some agent is
+# within ell of.  The oracle is the (walls, N) form of every wall, layer_terms
+# of wall_distances, itself checked against the formula written out.  Values
+# are compared with their sign bits, so -0.0 in place of +0.0 fails.
+_LAYERS = {"left": (0.05, 0.95), "right": (9.05, 9.95)}
+_REACH = {"neither": (), "left": ("left",), "right": ("right",), "both": ("left", "right")}
+_REACH_CASES = [
+    (reach, n, at_ell)
+    for reach in _REACH
+    for n in (1, 2, 16)
+    for at_ell in (None, "left", "right")
+    if len(_REACH[reach]) + (at_ell is not None) <= n
+]
+# wall strength, kernel amplitude and the interval (a, a + 10)
+_MODELS = pytest.mark.parametrize(
+    "theta, H, a",
+    [(1.0, 1.0, 0.0), (2.5, 0.7, 0.0), (1.0, 1.0, -2.5), (0.0, 1.0, 0.0)],
+    ids=["unit", "scaled", "shifted", "off"],
+)
+
+
+def _same(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _reach_positions(reach, n, at_ell, rng, a):
+    """n positions in (a, a + 10), ell = 1: one agent inside each layer of
+    reach, the others in (a + 1.5, a + 8.5), and with at_ell the last exactly
+    ell from that wall, where the formula gives +0.0."""
+    x = rng.uniform(1.5, 8.5, n)
+    for i, side in enumerate(_REACH[reach]):
+        x[i] = rng.uniform(*_LAYERS[side])
+    if at_ell:
+        x[-1] = {"left": 1.0, "right": 9.0}[at_ell]
+    return a + x
+
+
+def _layer_record(geom, wall, x, v):
+    """The wall fields of one state's record, and its force, by the (walls, N) form."""
+    d = wall_distances(geom, x)
+    U, F = layer_terms(geom, wall, d, wall._check(d))
+    assert all(map(_same, (U, F), _direct_terms("interval", wall, d)))
+    n = x.size
+    P = float(U.sum()) / n
+    E = float(v @ v) / (2.0 * n) + P
+    return F, {
+        "P": P, "E": E, "G": E, "W": -float(v @ F), "F_max": float(np.abs(F).max()),
+        "F_mean": float(F.sum()) / n, "F_sq": float((F**2).sum()), "x_min_wall": float(d.min()),
+    }
+
+
+@_MODELS
+@pytest.mark.parametrize("reach, n, at_ell", _REACH_CASES)
+def test_reach_limited_layer_bitwise_equal_all_walls(reach, n, at_ell, theta, H, a):
+    geom, wall = Geometry("interval", a, a + 10.0), WallPotential(1.0, theta)
+    m = FlockModel(CommunicationKernel("powerlaw", H, 0.25), wall, geom)
+    rng = np.random.default_rng([n, len(reach), len(at_ell or "")])
+    x = _reach_positions(reach, n, at_ell, rng, a)
+    v = rng.uniform(-1.0, 1.0, n)
+    F, want = _layer_record(geom, wall, x, v)
+    assert _same(geometry_force(geom, wall, x), F)
+    s = FlockState(0.0, x, v)
+    rec = diagnostics(m, s, initial_energy(m, s))
+    assert {k: _same(getattr(rec, k), w) for k, w in want.items()} == dict.fromkeys(want, True)
+    # phi written out: a unit H multiplies nothing
+    r = x[:, None] - x[None, :]
+    w = H * (r * r + 1.0) ** -0.25
+    assert _same(acceleration(m, x, v), (w * (v[None, :] - v[:, None])).sum(axis=1) / n + F)
+
+
+@_MODELS
+@pytest.mark.parametrize(
+    "rows", [("left", "neither"), ("right", "neither"), ("left", "right"), ("both", "neither"),
+             ("neither", "neither")],
+)
+def test_reach_limited_layer_of_a_batch_bitwise_equal_all_walls(rows, theta, H, a):
+    # geometry_force on a batch's rows evaluates the walls in reach of any
+    # member; the batch's diagnostics keep the (walls, N) form
+    geom, wall = Geometry("interval", a, a + 10.0), WallPotential(1.0, theta)
+    m = FlockModel(CommunicationKernel("powerlaw", H, 0.25), wall, geom)
+    rng = np.random.default_rng([len(rows[0]), len(rows[1])])
+    x = np.array([_reach_positions(reach, 6, "right", rng, a) for reach in rows])
+    v = rng.uniform(-1.0, 1.0, x.shape)
+    oracle = [_layer_record(geom, wall, xb, vb) for xb, vb in zip(x, v)]
+    assert _same(geometry_force(geom, wall, x), [F for F, want in oracle])
+    stack = integrator._stepping_model([m] * len(rows), [0] * len(rows), list(range(len(rows))))
+    G = np.array([want["G"] for F, want in oracle])
+    rec = diagnostics(stack, SimpleNamespace(t=0.0, x=x, v=v), G)
+    for b, (F, want) in enumerate(oracle):
+        assert {k: _same(getattr(rec, k)[b], w) for k, w in want.items()} == dict.fromkeys(want, True)
 
 
 @pytest.mark.parametrize(
@@ -317,7 +413,7 @@ def test_domain_rule_messages(distance, message):
     w = WallPotential()
     d = np.array([[2.0, distance, 0.5]])
     for call in (
-        lambda: distance_potential(w, d),
+        lambda: w._check(d),
         lambda: geometry_force(Geometry("halfline"), w, d[0]),
         lambda: check_domain(Geometry("halfline"), w, d[0]),
     ):
@@ -331,7 +427,9 @@ def test_domain_rule_edges():
     with pytest.raises(WallDomainError, match="finite"):
         F(off, np.array([-0.3, np.nan]))
     w = WallPotential()
-    for out in (F(w, np.array([])), U(w, np.empty((1, 0))), distance_potential(w, np.empty((2, 0)))):
+    empty = np.empty((2, 0))
+    terms = layer_terms(Geometry("interval", 0.0, 1.0), w, empty, w._check(empty))
+    for out in (F(w, np.array([])), U(w, np.empty((1, 0))), *terms):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
@@ -406,7 +504,7 @@ def test_extremes_rule_equals_the_distance_array_rule(case):
             assert _outcome(lambda: geometry_force(geom, wall, x)) == want
             return
         force = geometry_force(geom, wall, x)
-        formula = np.add.reduce(geom._direction * wall._force(d), axis=-2)
+        formula = np.add.reduce(geom._direction * wall._terms(d)[1], axis=-2)
     assert isinstance(force, np.ndarray) and force.shape == (np.shape(x) or (1,))
     if wall.disabled:  # zeros, without the formula
         formula = np.zeros(force.shape)

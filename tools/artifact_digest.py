@@ -10,7 +10,9 @@ configs/sweep_beta.yaml, plus `wallflock simulate` with no --config (whose
 config.yaml is the serialized defaults) and `wallflock simulate` and `verify` of
 configs/halfline.yaml at ic.n_agents 320 and integrator.t_end 0.3 (written to
 halfline_n320.yaml), and `wallflock verify` of configs/interval.yaml at
-integrator.t_end 1.05 (interval_short_last.yaml), each into its own directory
+integrator.t_end 1.05 (interval_short_last.yaml), and `wallflock simulate` and
+`verify` of configs/interval.yaml at geometry.b 4 with the initial box
+[0.5, 3.5] (interval_two_walls.yaml), each into its own directory
 under a temporary working directory, and prints one line per run (`<command> <config> exit=<code>`)
 followed by `<sha256>  <command>/<config>/<file>` for every file the run
 wrote.  wallflock is imported from the src/ tree next to this script, so two
@@ -49,9 +51,14 @@ DERIVED = {
     # push at t = 1.05, so the closing term sets the claim's value (on the
     # half-line the flock has left the wall layer by then, and no t_end shows it)
     "interval_short_last": ("interval", {"integrator": {"t_end": 1.05}}),
+    # the only run whose flock is within both walls' layers at once, where the
+    # wall terms take the (walls, N) form; it is also within one layer only
+    # and within none, so each path of the wall layer shows in one digest
+    "interval_two_walls": ("interval", {"geometry": {"b": 4.0}, "ic": {"x_low": 0.5, "x_high": 3.5}}),
 }
 RUNS += [("simulate", "halfline_n320"), ("verify", "halfline_n320")]
 RUNS += [("verify", "interval_short_last")]
+RUNS += [("simulate", "interval_two_walls"), ("verify", "interval_two_walls")]
 
 
 def write_derived_configs(directory: Path) -> None:
