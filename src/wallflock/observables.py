@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import _BLOCK_ELEMENTS, FlockModel, FlockState, kernel_strips
-from .potentials import layer_terms, wall_distances, wall_layer
+from .potentials import wall_layer
 
 
 class DiagnosticsRecord(NamedTuple):
@@ -50,16 +50,10 @@ def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:
     n = x.shape[-1]
     # one state's sums become Python floats, a batch's stay arrays; a.sum() / n
     # is np.mean(a)'s IEEE arithmetic without its wrapper, and np.vecdot(v, v)
-    # has the bits of v @ v.  One state's wall terms are wall_layer's, from the
-    # walls in reach alone; a batch's come from its (B, walls, N) distances,
-    # checked once, which also give each member's x_min_wall
+    # has the bits of v @ v.  The wall terms are wall_layer's, from the walls
+    # in reach alone, with each member's x_min_wall and P
     f = float if x.ndim == 1 else np.asarray
-    if x.ndim == 1:
-        x_min_wall, P, F = wall_layer(m.geometry, m.wall, x, potential=True)
-    else:
-        d = wall_distances(m.geometry, x)
-        U, F = layer_terms(m.geometry, m.wall, d, m.wall._check(d))
-        x_min_wall, P = d.min(axis=(1, 2)), U.sum(axis=-1) / n
+    x_min_wall, P, F = wall_layer(m.geometry, m.wall, x, potential=True)
     if F is None:  # no wall in reach: the zeros that the formula gives, without it
         F_max = F_mean = F_sq = 0.0
         F = np.zeros(n)  # for W = -(v . F), computed as in the layer

@@ -50,24 +50,18 @@ class WallPotential:
         force /= x * x
         return (g4 / x if potential else None), force
 
-    def _check(self, x: np.ndarray, geom: Geometry | None = None) -> float:
-        """The domain rule on wall distances x, or on positions x in geom: finite,
-        and positive while the wall is on.  Returns the smallest distance, inf
-        when there is none (_reach's first value)."""
-        return self._reach(x, geom)[0]
-
-    def _reach(self, x: np.ndarray, geom: Geometry | None = None) -> tuple:
-        """(_check's smallest distance, the nearest distances to the first and
-        the second wall), all from x's extremes: argmin and argmax stop at the
-        first NaN, and correctly rounded subtraction is monotone, so
-        fl(min x - a) and fl(b - max x) are the nearest distances to the walls.
-        The half-line's second wall, like that of a distance array, is at infinity.
-        """
+    def _reach(self, x: np.ndarray, geom: Geometry) -> tuple:
+        """The domain rule on positions x in geom, finite and, while the wall is
+        on, positive: (the smallest wall distance, inf for no x; the nearest
+        distances to the first and the second wall, inf for the half-line's
+        second), from x's extremes: argmin and argmax stop at the first NaN,
+        and correctly rounded subtraction is monotone, so fl(min x - a) and
+        fl(b - max x) are the nearest distances to the walls."""
         if not x.size:
             return math.inf, math.inf, math.inf
         lo, hi = x.item(x.argmin()), x.item(x.argmax())
         left, right = lo, math.inf
-        if geom is not None and geom.variant == "interval":
+        if geom.variant == "interval":
             left, right = lo - geom.a, geom.b - hi
             lo, hi = min(left, right), max(hi - geom.a, geom.b - lo)
         if not (-math.inf < lo and hi < math.inf):
@@ -75,7 +69,7 @@ class WallPotential:
         if lo <= 0.0 and not self.disabled:
             raise WallDomainError("wall distance must be positive")
         if lo == 0.0:  # the sign of a zero is the one numpy's min picks among tied zeros
-            lo = float((x if geom is None else wall_distances(geom, x)).min())
+            lo = float(wall_distances(geom, x).min())
         return lo, left, right
 
 
@@ -134,7 +128,7 @@ def check_domain(geom: Geometry, wall: WallPotential, x):
     be flagged by the collision check afterwards.
     """
     x = np.asarray(x, dtype=float)
-    lo = wall._check(x, geom)
+    lo = wall._reach(x, geom)[0]
     return lo if x.ndim < 2 else wall_distances(geom, x).min(axis=(-2, -1))
 
 
@@ -148,40 +142,32 @@ def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
 
 def wall_layer(geom: Geometry, wall: WallPotential, x: np.ndarray, potential: bool = False):
     """(lo, P, F) at positions x, one state's (N,) row or a batch's (B, N) rows:
-    the domain rule's smallest wall distance; with potential, one state's mean
-    wall potential per agent, else None; and the force per position, None when
-    no agent is within ell of a wall or the wall is off, where it is zeros.
+    the smallest wall distance, by the domain rule; P, with potential, the
+    mean wall potential (else None); and the force per position, None where
+    no agent is within ell of a wall or the wall is off.  With potential, a
+    batch's lo and P are per member and its F is never None.
 
-    Only the walls in reach are evaluated, bit for bit the sum over all walls:
-    a wall out of reach adds +0.0 to the potential and direction * +0.0 to the
-    force, so the right wall's force alone is the two-row sum +0.0 + (-F).
+    Each wall in reach of some agent adds its row, x - a or b - x, bit for bit
+    the sum over all walls of wall_distances: a wall out of reach adds +0.0,
+    and direction -1 makes the force F_a + (-F_b), which is F_a - F_b, or
+    0.0 - F_b with the second wall alone.
     """
     lo, left, right = wall._reach(x, geom)
-    if lo >= wall.ell or wall.disabled:
-        return lo, (0.0 if potential else None), None
-    if right >= wall.ell:  # the first wall alone: 1.0 * (x - a) is x - a, which is x at a zero a (x > 0)
-        U, F = wall._terms(x - geom.a if geom.a else x, potential)
-    elif left >= wall.ell:
-        U, F = wall._terms(geom.b - x, potential)
-        F = 0.0 - F
-    else:  # both walls of an interval: the (walls, N) form
-        U, F = layer_terms(geom, wall, wall_distances(geom, x), lo, potential)
-    return lo, (float(U.sum()) / x.shape[-1] if potential else None), F
-
-
-def layer_terms(geom: Geometry, wall: WallPotential, d: np.ndarray, lo, potential: bool = True):
-    """(U, F) per position from distances d that passed the domain rule with
-    smallest lo, wall_distances' (walls, N) or a batch's (B, walls, N): the
-    potential (None unless potential) and the force, each summed over the walls.
-    With every distance >= ell or the wall off they are exact zeros without the
-    formula, which gives +0.0 for every wall there; so a batch member outside
-    the layer gets the same zeros whether or not another member is in it.
-    """
-    if lo >= wall.ell or wall.disabled:
-        zeros = np.zeros(d.shape[:-2] + d.shape[-1:])
-        return zeros, zeros
-    U, F = wall._terms(d, potential)
-    return (np.add.reduce(U, axis=-2) if potential else None), np.add.reduce(geom._direction * F, axis=-2)
+    U = F = None
+    if lo < wall.ell and not wall.disabled:
+        U = F = 0.0
+        if left < wall.ell:  # 1.0 * (x - a) is x - a, which is x at a zero a (x > 0)
+            U, F = wall._terms(x - geom.a if geom.a else x, potential)
+        if right < wall.ell:
+            U_b, F_b = wall._terms(geom.b - x, potential)
+            U, F = (U + U_b if potential else None), F - F_b
+    if not potential:
+        return lo, None, F
+    if x.ndim == 1:
+        return lo, (0.0 if U is None else float(U.sum()) / x.size), F
+    if F is None:  # a batch's sample: each member's zeros, which the formula gives
+        U = F = np.zeros(x.shape)
+    return wall_distances(geom, x).min(axis=(-2, -1)), U.sum(axis=-1) / x.shape[-1], F
 
 
 def warn_if_overlapping(geom: Geometry, wall: WallPotential) -> None:

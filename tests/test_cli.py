@@ -631,9 +631,9 @@ def test_a_reused_out_holds_only_the_latest_runs_files(tmp_path):
 
 
 def test_interval_verify_builds_wall_distances_a_fixed_number_of_times(tmp_path, monkeypatch):
-    # a one-state record takes its wall terms from the walls in reach, and the
-    # shipped interval flock is never within both walls' layers at once, so a
-    # verify twice as long builds the (walls, N) distances no more often
+    # a one-state record takes its wall terms from the rows of the walls in
+    # reach, without the (walls, N) distances, so a verify twice as long
+    # builds them no more often
     real = wallflock.potentials.wall_distances
     calls = []
 

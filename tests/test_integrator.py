@@ -473,14 +473,17 @@ def _counting_attempts(monkeypatch):
                        wf.Geometry("halfline")), (0.5, 3.0, -0.5, 1.0)),
         (wf.FlockModel(wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, 1.0),
                        wf.Geometry("interval", 0.0, 10.0)), (1.0, 9.0, -1.0, 1.0)),
+        (wf.FlockModel(wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, 1.0),
+                       wf.Geometry("interval", 0.0, 4.0)), (0.5, 3.5, -1.0, 1.0)),
         (wf.FlockModel(wf.CommunicationKernel("powerlaw", 1.0, 0.25), wf.WallPotential(1.0, 0.0),
                        wf.Geometry("halfline")), (0.5, 3.0, -1.0, -0.5)),
     ],
-    ids=["halfline", "interval", "control_nowall"],
+    ids=["halfline", "interval", "interval_two_walls", "control_nowall"],
 )
 def test_batch_members_bitwise_equal_single_runs(monkeypatch, model, box):
     # three members that share the model but take different steps, stepped in
-    # lockstep rounds; each equals its own run in every bit
+    # lockstep rounds; each equals its own run in every bit.  On (0, 4) some
+    # members are within both walls' layers at once, others within one
     states = [wf.initial_condition(8, *box, seed) for seed in (1, 2, 3)]
     singles = [integrate(model, s, 6.0, 0.1) for s in states]
     calls = _counting_attempts(monkeypatch)

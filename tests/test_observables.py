@@ -14,7 +14,6 @@ from wallflock import (
     initial_energy,
     write_diagnostics_csv,
 )
-from wallflock.potentials import layer_terms
 
 # frozen hand values for the N=2 reference state below (H=1, beta=0.5)
 I2_REF = 0.1767766952966369  # phi(1)/4 = 1/(4 sqrt 2)
@@ -112,7 +111,9 @@ def _direct_diagnostics(m, s, G):
     D = float(np.max(x) - np.min(x))
     K = float(v @ v) / (2.0 * n)
     d = wf.wall_distances(m.geometry, x)
-    P = float(np.mean(layer_terms(m.geometry, m.wall, d, m.wall._check(d))[0]))
+    g = np.maximum(m.wall.ell - d, 0.0)
+    U = np.zeros_like(d) if m.wall.disabled else m.wall.theta * g**4 / d
+    P = float(np.mean(np.add.reduce(U, axis=0)))
     return dict(
         t=s.t, K=K, P=P, E=K + P, p=float(np.mean(v)), A=A, D=D,
         I2=float(np.sum(m.kernel.matrix(x, x) * dv * dv)) / (2.0 * n * n),

@@ -22,7 +22,7 @@ from wallflock import (
     wall_distances,
     warn_if_overlapping,
 )
-from wallflock.potentials import layer_terms, wall_layer
+from wallflock.potentials import wall_layer
 
 
 # On the half-line the one wall's distance is the position, so the mean
@@ -273,7 +273,6 @@ def test_layer_sums_bitwise_equal_direct_form(variant, case, n):
     U, F = _direct_terms(variant, wall, d)
 
     assert np.array_equal(_bits(geometry_force(geom, wall, x)), _bits(F))
-    assert np.array_equal(_bits(layer_terms(geom, wall, d, wall._check(d))[0]), _bits(U))
     w = m.kernel.matrix(x, x)
     w *= v[None, :] - v[:, None]
     expected = w.sum(axis=1) / n + F
@@ -294,28 +293,34 @@ def test_layer_sums_bitwise_equal_direct_form(variant, case, n):
 @pytest.mark.parametrize("case", ["mixed", "outside"])
 @pytest.mark.parametrize("variant", ["halfline", "interval"])
 def test_layer_sums_of_a_batch_equal_per_row_calls(variant, case):
-    # a batch's (B, walls, N) distances are summed over the walls, not over
-    # the batch, and a batch with no distance inside the layer gets (B, N) zeros
+    # a batch's rows are summed over the walls, not over the batch, and a
+    # batch with no agent inside the layer gets no force and zero potentials
     geom = Geometry("halfline") if variant == "halfline" else Geometry("interval", 0.0, 10.0)
     wall = WallPotential(1.0, 1.0)
+    m = FlockModel(CommunicationKernel("powerlaw", 1.0, 0.25), wall, geom)
     rows = {"mixed": [[0.5, 5.0, 9.7], [3.0, 4.0, 5.0]], "outside": [[3.0, 4.0, 5.0], [2.0, 6.0, 7.5]]}
     x = np.array(rows[case])
-    d = wall_distances(geom, x)
-    per_row = [wall_distances(geom, row) for row in x]
-    for got, want in [
-        *zip(layer_terms(geom, wall, d, wall._check(d)),
-             zip(*[layer_terms(geom, wall, r, wall._check(r)) for r in per_row])),
-        (geometry_force(geom, wall, x), [geometry_force(geom, wall, row) for row in x]),
-    ]:
-        assert got.shape == x.shape
-        assert np.array_equal(_bits(got), _bits(want))
+    v = np.array([[0.3, -0.2, 0.1], [-0.4, 0.5, 0.25]])
+    lo, P, F = wall_layer(geom, wall, x, potential=True)
+    per_row = [wall_layer(geom, wall, row, potential=True) for row in x]
+    force = geometry_force(geom, wall, x)
+    assert F.shape == force.shape == x.shape
+    assert _same(lo, [r[0] for r in per_row])
+    assert _same(P, [r[1] for r in per_row])
+    assert _same(F, force) and _same(force, [geometry_force(geom, wall, row) for row in x])
+    assert all(r[2] is None for r in per_row) == (case == "outside")
+    stack = integrator._stepping_model([m] * len(x), [0] * len(x), list(range(len(x))))
+    rec = diagnostics(stack, SimpleNamespace(t=0.0, x=x, v=v), np.zeros(len(x)))
+    for b, (xb, vb) in enumerate(zip(x, v)):
+        want = diagnostics(m, FlockState(0.0, xb, vb), 0.0)
+        assert [_same(np.broadcast_to(got, len(x))[b], w) for got, w in zip(rec, want)] == [True] * len(want)
 
 
-# The reach-limited layer: geometry_force, one-state diagnostics and
-# initial_energy evaluate the formula only for the walls that some agent is
-# within ell of.  The oracle is the (walls, N) form of every wall, layer_terms
-# of wall_distances, itself checked against the formula written out.  Values
-# are compared with their sign bits, so -0.0 in place of +0.0 fails.
+# The reach-limited layer: geometry_force, diagnostics and initial_energy
+# evaluate the formula only for the walls that some agent is within ell of.
+# The oracle is the formula written out on every wall's row of wall_distances,
+# summed over the walls.  Values are compared with their sign bits, so -0.0 in
+# place of +0.0 fails.
 _LAYERS = {"left": (0.05, 0.95), "right": (9.05, 9.95)}
 _REACH = {"neither": (), "left": ("left",), "right": ("right",), "both": ("left", "right")}
 _REACH_CASES = [
@@ -351,10 +356,9 @@ def _reach_positions(reach, n, at_ell, rng, a):
 
 
 def _layer_record(geom, wall, x, v):
-    """The wall fields of one state's record, and its force, by the (walls, N) form."""
+    """The wall fields of one state's record, and its force, by the formula on every wall."""
     d = wall_distances(geom, x)
-    U, F = layer_terms(geom, wall, d, wall._check(d))
-    assert all(map(_same, (U, F), _direct_terms("interval", wall, d)))
+    U, F = _direct_terms("interval", wall, d)
     n = x.size
     P = float(U.sum()) / n
     E = float(v @ v) / (2.0 * n) + P
@@ -389,8 +393,8 @@ def test_reach_limited_layer_bitwise_equal_all_walls(reach, n, at_ell, theta, H,
              ("neither", "neither")],
 )
 def test_reach_limited_layer_of_a_batch_bitwise_equal_all_walls(rows, theta, H, a):
-    # geometry_force on a batch's rows evaluates the walls in reach of any
-    # member; the batch's diagnostics keep the (walls, N) form
+    # geometry_force and the diagnostics of a batch's rows evaluate the walls
+    # in reach of any member
     geom, wall = Geometry("interval", a, a + 10.0), WallPotential(1.0, theta)
     m = FlockModel(CommunicationKernel("powerlaw", H, 0.25), wall, geom)
     rng = np.random.default_rng([len(rows[0]), len(rows[1])])
@@ -413,7 +417,6 @@ def test_domain_rule_messages(distance, message):
     w = WallPotential()
     d = np.array([[2.0, distance, 0.5]])
     for call in (
-        lambda: w._check(d),
         lambda: geometry_force(Geometry("halfline"), w, d[0]),
         lambda: check_domain(Geometry("halfline"), w, d[0]),
     ):
@@ -427,9 +430,9 @@ def test_domain_rule_edges():
     with pytest.raises(WallDomainError, match="finite"):
         F(off, np.array([-0.3, np.nan]))
     w = WallPotential()
-    empty = np.empty((2, 0))
-    terms = layer_terms(Geometry("interval", 0.0, 1.0), w, empty, w._check(empty))
-    for out in (F(w, np.array([])), U(w, np.empty((1, 0))), *terms):
+    interval = Geometry("interval", 0.0, 1.0)
+    assert wall_layer(interval, w, np.empty(0), potential=True) == (math.inf, 0.0, None)
+    for out in (F(w, np.array([])), U(w, np.empty((1, 0))), geometry_force(interval, w, np.empty(0))):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
@@ -495,8 +498,7 @@ def test_extremes_rule_equals_the_distance_array_rule(case):
     with np.errstate(all="ignore"):
         d = wall_distances(geom, x)
         want = _outcome(lambda: _distance_rule(wall, d))
-        assert _outcome(lambda: wall._check(np.asarray(x, dtype=float), geom)) == want
-        assert _outcome(lambda: wall._check(d)) == want
+        assert _outcome(lambda: wall._reach(np.asarray(x, dtype=float), geom)[0]) == want
         per_member = np.ndim(x) == 2 and want[0] == "returned"
         want_domain = _outcome(lambda: d.min(axis=(-2, -1))) if per_member else want
         assert _outcome(lambda: check_domain(geom, wall, x)) == want_domain

@@ -12,7 +12,9 @@ configs/halfline.yaml at ic.n_agents 320 and integrator.t_end 0.3 (written to
 halfline_n320.yaml), and `wallflock verify` of configs/interval.yaml at
 integrator.t_end 1.05 (interval_short_last.yaml), and `wallflock simulate` and
 `verify` of configs/interval.yaml at geometry.b 4 with the initial box
-[0.5, 3.5] (interval_two_walls.yaml), each into its own directory
+[0.5, 3.5] (interval_two_walls.yaml), and `wallflock sweep` of
+configs/sweep_beta.yaml on the interval (0, 4) with the initial box [0.5, 3.5]
+(sweep_interval.yaml), each into its own directory
 under a temporary working directory, and prints one line per run (`<command> <config> exit=<code>`)
 followed by `<sha256>  <command>/<config>/<file>` for every file the run
 wrote.  wallflock is imported from the src/ tree next to this script, so two
@@ -51,14 +53,23 @@ DERIVED = {
     # push at t = 1.05, so the closing term sets the claim's value (on the
     # half-line the flock has left the wall layer by then, and no t_end shows it)
     "interval_short_last": ("interval", {"integrator": {"t_end": 1.05}}),
-    # the only run whose flock is within both walls' layers at once, where the
-    # wall terms take the (walls, N) form; it is also within one layer only
-    # and within none, so each path of the wall layer shows in one digest
+    # the only one-state run whose flock is within both walls' layers at once,
+    # where both walls add their rows; it is also within one layer only and
+    # within none, so each path of the wall layer shows in one digest
     "interval_two_walls": ("interval", {"geometry": {"b": 4.0}, "ic": {"x_low": 0.5, "x_high": 3.5}}),
+    # the only batched interval runs: a sweep steps its runs as one batch, whose
+    # samples take each member's wall terms, x_min_wall (sweep.csv's
+    # min_wall_distance) and verdicts from the batch's rows; the base sections
+    # given here replace those of sweep_beta in full
+    "sweep_interval": ("sweep_beta", {"base": {
+        "geometry": {"variant": "interval", "a": 0.0, "b": 4.0},
+        "ic": {"n_agents": 8, "x_low": 0.5, "x_high": 3.5, "v_low": -0.5, "v_high": 0.8, "seed": 1},
+    }}),
 }
 RUNS += [("simulate", "halfline_n320"), ("verify", "halfline_n320")]
 RUNS += [("verify", "interval_short_last")]
 RUNS += [("simulate", "interval_two_walls"), ("verify", "interval_two_walls")]
+RUNS += [("sweep", "sweep_interval")]
 
 
 def write_derived_configs(directory: Path) -> None:

@@ -1,11 +1,12 @@
-"""Python and C calls of one `wallflock verify` per canonical config.
+"""Python and C calls of one `wallflock verify` per canonical config, and of one sweep.
 
 Usage, from the repository root:
 
     python3 tools/call_count.py [--top N]
 
-Runs `wallflock verify --quiet` on configs/{halfline,interval,settle,control_nowall}.yaml,
-each into its own temporary directory: once without a hook, so that imports
+Runs `wallflock verify --quiet` on configs/{halfline,interval,settle,control_nowall}.yaml
+and `wallflock sweep --quiet` on configs/sweep_beta.yaml, whose runs are stepped
+as one batch, each into its own temporary directory: once without a hook, so that imports
 and first-call caches are out of the way, and once under a sys.setprofile hook
 that counts every `call` event (a Python function) and `c_call` event (a
 builtin function or method).  Prints one line per config, `<config> calls=<all>
@@ -32,13 +33,16 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from wallflock.cli import main as wallflock  # noqa: E402
 
-CONFIGS = ("halfline", "interval", "settle", "control_nowall")
+RUNS = (
+    ("verify", "halfline"), ("verify", "interval"), ("verify", "settle"), ("verify", "control_nowall"),
+    ("sweep", "sweep_beta"),
+)
 
 
-def count_calls(config: str) -> tuple:
-    """(Python calls, C calls, Counter of calls by function name) of one verify
-    of configs/<config>.yaml."""
-    argv = ["verify", "--config", str(ROOT / "configs" / f"{config}.yaml"), "--quiet", "--out"]
+def count_calls(command: str, config: str) -> tuple:
+    """(Python calls, C calls, Counter of calls by function name) of one run
+    of command on configs/<config>.yaml."""
+    argv = [command, "--config", str(ROOT / "configs" / f"{config}.yaml"), "--quiet", "--out"]
     python: Counter = Counter()  # by code object
     c: Counter = Counter()  # by (module, qualname); a bound method is a new object per call
 
@@ -67,8 +71,8 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--top", type=int, default=0, help="list the N most frequent functions")
     args = parser.parse_args(argv)
-    for config in CONFIGS:
-        python, c, by_name = count_calls(config)
+    for command, config in RUNS:
+        python, c, by_name = count_calls(command, config)
         print(f"{config} calls={python + c} python={python} c={c}")
         if args.top > 0:
             for name, n in by_name.most_common(args.top):
