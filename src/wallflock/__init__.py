@@ -8,7 +8,6 @@ from .potentials import (
     WallPotential,
     check_domain,
     geometry_force,
-    wall_distances,
     warn_if_overlapping,
 )
 from .dynamics import (

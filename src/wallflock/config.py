@@ -19,7 +19,7 @@ import yaml
 from .dynamics import FlockModel, FlockState, initial_condition
 from .integrator import sample_rows
 from .kernels import CommunicationKernel
-from .potentials import Geometry, WallPotential, wall_distances
+from .potentials import Geometry, WallPotential
 
 
 class ConfigError(ValueError):
@@ -171,8 +171,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"ic.{low} and ic.{high} must be finite with a finite difference")
         if span < 0:
             raise ConfigError(f"ic.{low} must not exceed ic.{high}")
-    margin = 0.05 * cfg.wall.ell
-    if wall_distances(cfg.geometry, (ic.x_low, ic.x_high)).min() < margin:
+    margin, g = 0.05 * cfg.wall.ell, cfg.geometry
+    if min(ic.x_low - (g.a or 0.0), math.inf if g.b is None else g.b - ic.x_high) < margin:
         raise ConfigError(f"ic box must keep wall distance >= {margin} from every wall")
     bad = set(cfg.output.formats) - {"csv", "json", "plot"}
     if bad:

@@ -25,7 +25,7 @@ import numpy as np
 from .dynamics import FlockModel, FlockState, acceleration, block_rows
 from .kernels import KernelStack
 from .observables import DiagnosticsRecord, diagnostics, initial_energy
-from .potentials import WallDomainError, check_domain, wall_distances
+from .potentials import WallDomainError, check_domain
 
 
 # step control, the same for every run: first step, error tolerances,
@@ -48,11 +48,12 @@ class StiffnessError(RuntimeError):
 
 def _stiffness_error(m: FlockModel, y, t: float, dt: float, why: str) -> StiffnessError:
     """StiffnessError naming t, the attempted dt and the agent nearest a wall."""
-    d = wall_distances(m.geometry, y[0])
-    wall, agent = np.unravel_index(np.argmin(d), d.shape)
+    x, geom = y[0], m.geometry
+    lo, left, right = m.wall._reach(x, geom)  # the first wall where they tie
+    agent, at = (x.argmin(), geom.a) if left <= right else (x.argmax(), geom.b)
     return StiffnessError(
-        f"{why} at t={t:.6g} (attempted dt={dt:.3g}): agent {agent} is {d[wall, agent]:.3g} "
-        f"from the wall at x={m.geometry._position[wall, 0]:g}, speed {abs(y[1, agent]):.3g}"
+        f"{why} at t={t:.6g} (attempted dt={dt:.3g}): agent {agent} is {lo:.3g} "
+        f"from the wall at x={0.0 if at is None else at:g}, speed {abs(y[1, agent]):.3g}"
     )
 
 
@@ -298,11 +299,11 @@ def _batch(models: list, states: list, t_end: float, sample_every: float) -> lis
     kid = [ids.setdefault(mb.kernel, len(ids)) for mb in models]
     # per member: the standing step proposal (dt_prop <= DT_MAX throughout:
     # DT_INIT <= DT_MAX, every update is below h or capped), the last accepted
-    # error ratio, and the nearest wall distance of the current state, the
-    # wall cap's input, taken from each accepted attempt's endpoint check
+    # error ratio, and the wall cap's input, the nearest wall distance of the
+    # current state: a live state's own, then each accepted endpoint check's
     dt_prop = [DT_INIT] * len(states)
     prev_ratio = [1.0] * len(states)
-    dist = [float(wall_distances(m.geometry, s.x).min()) for s in states]
+    dist = [None] * len(states)
 
     def advance(y, live, t0, tb):
         failed = {}
@@ -318,6 +319,8 @@ def _batch(models: list, states: list, t_end: float, sample_every: float) -> lis
                     continue
                 h = min(dt_prop[b], gap)
                 if walls_on:
+                    if dist[b] is None:
+                        dist[b] = m.wall._reach(y[0, b], m.geometry)[0]
                     cap = _WALL_SAFETY * dist[b] / (vmax[b] + 1.0)
                     if cap < DT_MIN:
                         failed[b] = _stiffness_error(

@@ -50,13 +50,16 @@ class WallPotential:
         force /= x * x
         return (g4 / x if potential else None), force
 
-    def _reach(self, x: np.ndarray, geom: Geometry) -> tuple:
-        """The domain rule on positions x in geom, finite and, while the wall is
-        on, positive: (the smallest wall distance, inf for no x; the nearest
-        distances to the first and the second wall, inf for the half-line's
-        second), from x's extremes: argmin and argmax stop at the first NaN,
-        and correctly rounded subtraction is monotone, so fl(min x - a) and
-        fl(b - max x) are the nearest distances to the walls."""
+    def _reach(self, x: np.ndarray, geom: Geometry, each: bool = False) -> tuple:
+        """The domain rule on positions x in geom, one state's (N,) row or a
+        batch's (B, N) rows: finite wall distances, positive while the wall is
+        on.  Returns the nearest distance (inf for no x; with each, a batch's
+        (B,) array of each member's own) and any agent's nearest distances to
+        the first and the second wall (inf for the half-line's second), from
+        the extremes of x: argmin, argmax and ufunc reductions stop at a NaN,
+        and correctly rounded subtraction is monotone.  A zero is -0.0 when any
+        agent's distance, x, x - a or -(x - b), is -0.0, as IEEE 754-2019
+        minimum ranks -0.0 below +0.0."""
         if not x.size:
             return math.inf, math.inf, math.inf
         lo, hi = x.item(x.argmin()), x.item(x.argmax())
@@ -68,8 +71,16 @@ class WallPotential:
             raise WallDomainError("wall distance must be finite")
         if lo <= 0.0 and not self.disabled:
             raise WallDomainError("wall distance must be positive")
-        if lo == 0.0:  # the sign of a zero is the one numpy's min picks among tied zeros
-            lo = float(wall_distances(geom, x).min())
+        if lo == 0.0 or each and x.ndim > 1:  # the sign of a zero, or each member's own
+            each, zero = each and x.ndim > 1, lo <= 0.0  # a member's nearest may be 0
+            if each:
+                lo = np.minimum.reduce(x, axis=-1)
+                if geom.variant == "interval":
+                    lo = np.minimum(lo - geom.a, geom.b - np.maximum.reduce(x, axis=-1), out=lo)
+            if zero:  # no distance is below a zero nearest one, so any signbit is -0.0
+                d = [x] if geom.variant == "halfline" else [x - geom.a, -(x - geom.b)]
+                neg = np.signbit(d).any(axis=(0, -1) if each else None)
+                lo = np.where(lo == 0.0, np.where(neg, -0.0, 0.0), lo)[()]
         return lo, left, right
 
 
@@ -77,11 +88,10 @@ class WallPotential:
 class Geometry:
     """Open confinement domain: the half-line (0, inf) or an interval (a, b).
 
-    The domain is bounded by its walls, each a position and a direction that
-    points into the domain: the half-line has the wall at 0 facing +1, the
-    interval the walls at a facing +1 and at b facing -1.  _position and
-    _direction hold them as (walls, 1) columns that broadcast against a row
-    of positions.
+    The domain is bounded by its walls: the half-line's at 0, the interval's
+    at a and b.  A position x is at distance x from the half-line's wall, and
+    at x - a and -(x - b) from the interval's; WallPotential._reach holds the
+    domain rule on them.
     """
 
     variant: str = "halfline"
@@ -92,30 +102,13 @@ class Geometry:
         if self.variant == "halfline":
             if self.a is not None or self.b is not None:
                 raise ValueError("geometry.a and geometry.b apply to the interval variant only")
-            walls = ((0.0, 1.0),)
         elif self.variant == "interval":
             if self.a is None or self.b is None:
                 raise ValueError("interval geometry requires both endpoints a and b")
             if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
                 raise ValueError("interval geometry requires finite endpoints with b > a")
-            walls = ((self.a, 1.0), (self.b, -1.0))
         else:
             raise ValueError(f"unknown geometry variant {self.variant!r}")
-        position, direction = np.array(walls, dtype=float).T[:, :, None]
-        object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_direction", direction)
-
-
-def wall_distances(geom: Geometry, x) -> np.ndarray:
-    """Distance from each position to every wall, one row per wall.
-
-    A batch's (B, N) positions give (B, walls, N).  direction * (x - position)
-    is exact for direction -1: fl(x - b) = -fl(b - x).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        x = x[:, None, :]
-    return geom._direction * (x - geom._position)
 
 
 def check_domain(geom: Geometry, wall: WallPotential, x):
@@ -127,13 +120,11 @@ def check_domain(geom: Geometry, wall: WallPotential, x):
     asks only for finite distances: control runs can cross the boundary and
     be flagged by the collision check afterwards.
     """
-    x = np.asarray(x, dtype=float)
-    lo = wall._reach(x, geom)[0]
-    return lo if x.ndim < 2 else wall_distances(geom, x).min(axis=(-2, -1))
+    return wall._reach(np.asarray(x, dtype=float), geom, True)[0]
 
 
 def geometry_force(geom: Geometry, wall: WallPotential, x) -> np.ndarray:
-    """Signed confining force: each wall pushes along its direction (wall_layer's F,
+    """Signed confining force: each wall pushes into the domain (wall_layer's F,
     zeros where it has none)."""
     x = np.array(x, dtype=float, ndmin=1, copy=None)
     F = wall_layer(geom, wall, x)[2]
@@ -148,13 +139,13 @@ def wall_layer(geom: Geometry, wall: WallPotential, x: np.ndarray, potential: bo
     batch's lo and P are per member and its F is never None.
 
     Each wall in reach of some agent adds its row, x - a or b - x, bit for bit
-    the sum over all walls of wall_distances: a wall out of reach adds +0.0,
-    and direction -1 makes the force F_a + (-F_b), which is F_a - F_b, or
-    0.0 - F_b with the second wall alone.
+    the sum over both walls of the formula on every distance: a wall out of
+    reach adds +0.0, and the second wall pushes towards -x, so the force is
+    F_a + (-F_b), which is F_a - F_b, or 0.0 - F_b with the second wall alone.
     """
-    lo, left, right = wall._reach(x, geom)
+    lo, left, right = wall._reach(x, geom, potential)
     U = F = None
-    if lo < wall.ell and not wall.disabled:
+    if (left < wall.ell or right < wall.ell) and not wall.disabled:
         U = F = 0.0
         if left < wall.ell:  # 1.0 * (x - a) is x - a, which is x at a zero a (x > 0)
             U, F = wall._terms(x - geom.a if geom.a else x, potential)
@@ -167,7 +158,7 @@ def wall_layer(geom: Geometry, wall: WallPotential, x: np.ndarray, potential: bo
         return lo, (0.0 if U is None else float(U.sum()) / x.size), F
     if F is None:  # a batch's sample: each member's zeros, which the formula gives
         U = F = np.zeros(x.shape)
-    return wall_distances(geom, x).min(axis=(-2, -1)), U.sum(axis=-1) / x.shape[-1], F
+    return lo, U.sum(axis=-1) / x.shape[-1], F
 
 
 def warn_if_overlapping(geom: Geometry, wall: WallPotential) -> None:

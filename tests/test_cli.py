@@ -630,31 +630,6 @@ def test_a_reused_out_holds_only_the_latest_runs_files(tmp_path):
         assert parse_config((out / "config.yaml").read_text()).ic.seed == seed
 
 
-def test_interval_verify_builds_wall_distances_a_fixed_number_of_times(tmp_path, monkeypatch):
-    # a one-state record takes its wall terms from the rows of the walls in
-    # reach, without the (walls, N) distances, so a verify twice as long
-    # builds them no more often
-    real = wallflock.potentials.wall_distances
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "wallflock" and getattr(module, "wall_distances", None) is real:
-            monkeypatch.setattr(module, "wall_distances", counted)
-    text = (Path(__file__).resolve().parents[1] / "configs" / "interval.yaml").read_text()
-    counts = []
-    for t_end in (5.0, 10.0):
-        config = write(tmp_path, f"interval_{t_end}.yaml", text.replace("t_end: 400.0", f"t_end: {t_end}"))
-        assert parse_config(config.read_text()).t_end == t_end
-        calls.clear()
-        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "run"), "--quiet"]) in (0, 1)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
-
-
 def test_seed_override_is_recorded_in_config_yaml(tmp_path):
     # config.yaml must reproduce the run it sits next to, --seed included
     halfline = Path(__file__).resolve().parents[1] / "configs" / "halfline.yaml"

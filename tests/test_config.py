@@ -186,6 +186,11 @@ def test_wall_margin_enforced():
         parse_config(
             "geometry: {variant: interval, a: 0.0, b: 10.0}\nic: {x_low: 0.5, x_high: 9.99}"
         )
+    # at ell = 2.5 the margin is 0.125, and every difference below is exact
+    interval = "potential: {ell: 2.5}\ngeometry: {variant: interval, a: 1.0, b: 9.0}\n"
+    with pytest.raises(ConfigError, match=one_rule.replace("0.05", "0.125")):
+        parse_config(interval + "ic: {x_low: 1.0625, x_high: 5.0}")  # the first wall
+    parse_config(interval + "ic: {x_low: 1.125, x_high: 8.875}")  # both exactly at the margin
 
 
 def test_readme_config_table_is_the_schema():

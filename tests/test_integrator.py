@@ -158,8 +158,10 @@ def test_phase_state_steps_bitwise_equal_paired_form(geometry, n):
         x_new, v_new, err_x, err_v = _paired_attempt(m, x, v, dt)
         assert np.array_equal(_bits(y_new), _bits([x_new, v_new]))
         assert np.array_equal(_bits(err), _bits([err_x, err_v]))
-        # the endpoint's nearest wall distance, which caps the next step
-        assert _bits(dist) == _bits(wf.wall_distances(geometry, x_new).min())
+        # the endpoint's nearest wall distance, which caps the next step:
+        # x_new on the half-line, x_new - a and -(x_new - b) on the interval
+        near = [x_new] if geometry.variant == "halfline" else [x_new - geometry.a, -(x_new - geometry.b)]
+        assert _bits(dist) == _bits(np.min(near))
         (ratio,) = _error_ratio(np.stack((x, v)), y_new, err)
         assert _bits(ratio) == _bits(_paired_error_ratio(x, v, x_new, v_new, err_x, err_v))
         # one reference_rk4 span of five substeps against five paired substeps
@@ -317,20 +319,21 @@ def test_interval_bounces_both_walls():
 
 def test_stiffness_error_when_dt_min_unreachable():
     # a wall of strength 1e20 with an agent 0.05 from it: the error test
-    # halves the step below the 1e-12 floor
-    m = wf.FlockModel(
-        wf.CommunicationKernel("powerlaw", 1.0, 0.0),
-        wf.WallPotential(1.0, 1e20),
-        wf.Geometry("halfline"),
-    )
-    s = wf.FlockState(0.0, [0.05, 6.0], [-2.0, 2.0])
-    # the message names t, the attempted dt, and the agent nearest a wall with its speed
-    with pytest.raises(
-        StiffnessError,
-        match=r"^step size collapsed below dt_min at t=0 \(attempted dt=6.1e-12\): "
-        r"agent 0 is 0.05 from the wall at x=0, speed 2$",
-    ):
-        integrate(m, s, 1.0, sample_every=1.0)
+    # halves the step below the 1e-12 floor.  The message names t, the
+    # attempted dt, and the agent nearest a wall with its speed: on the
+    # interval the agent at the largest x, next to the second wall
+    cases = [
+        (wf.Geometry("halfline"), [0.05, 6.0], [-2.0, 2.0],
+         r"\(attempted dt=6.1e-12\): agent 0 is 0.05 from the wall at x=0, speed 2$"),
+        (wf.Geometry("interval", -3.0, 10.0), [1.0, 9.95, 2.0], [-2.0, 2.0, 0.0],
+         r"\(attempted dt=1.49e-12\): agent 1 is 0.05 from the wall at x=10, speed 2$"),
+    ]
+    for geometry, x, v, message in cases:
+        m = wf.FlockModel(
+            wf.CommunicationKernel("powerlaw", 1.0, 0.0), wf.WallPotential(1.0, 1e20), geometry
+        )
+        with pytest.raises(StiffnessError, match=r"^step size collapsed below dt_min at t=0 " + message):
+            integrate(m, wf.FlockState(0.0, x, v), 1.0, sample_every=1.0)
 
 
 def test_trajectory_length_validation():
@@ -429,7 +432,7 @@ def test_wall_cap_is_the_current_states(monkeypatch):
     steps = []
 
     def attempt(m, y, h):
-        cap = 0.25 * wf.wall_distances(m.geometry, y[0]).min() / (np.abs(y[1]).max() + 1.0)
+        cap = 0.25 * y[0].min() / (np.abs(y[1]).max() + 1.0)  # on the half-line: x
         steps.append((h, cap))
         return _attempt(m, y, h)
 

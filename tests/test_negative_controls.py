@@ -6,6 +6,11 @@ claims that FAIL (DeMillo, Lipton & Sayward, IEEE Computer 11, 1978).  The
 baseline row holds what the unperturbed model FAILs at that horizon: nothing
 on the half-line; on the interval the decay claims, which need a longer run.
 A row whose set equals the baseline's is a perturbation no claim detects.
+
+A whole-run relation sees some of those: reflecting the interval, x -> a + b - x
+and v -> -v with the agents reversed, must reflect the run at every sample
+(metamorphic testing: Chen et al., ACM Comput. Surv. 51(1), 2018; Segura et
+al., IEEE TSE 42(9), 2016).
 """
 
 from pathlib import Path
@@ -16,10 +21,15 @@ import yaml
 
 import wallflock.dynamics as dynamics
 import wallflock.integrator as integrator
+import wallflock.observables as observables
+import wallflock.potentials as potentials
 from wallflock import (
     CommunicationKernel,
+    FlockState,
+    Geometry,
     config_from_data,
     initial_state_from_config,
+    integrate,
     model_from_config,
     verify,
 )
@@ -30,6 +40,7 @@ SHORT_HORIZON = {"force_decay", "kinetic_decay", "velocity_alignment"}
 _acceleration = dynamics.acceleration
 _geometry_force = dynamics.geometry_force
 _matrix = CommunicationKernel.matrix
+_wall_layer = potentials.wall_layer
 
 
 def _uniform_force(monkeypatch, eps):
@@ -69,6 +80,21 @@ def _one_agent_drift(monkeypatch, eps):
     monkeypatch.setattr(integrator, "acceleration", drifted)
 
 
+def _stronger_second_wall(monkeypatch, eps):
+    # the interval's second wall with F and U scaled by 1 + eps: its terms are
+    # the half-line wall's at the distances b - x, and it pushes towards -x
+    def layer(geom, wall, x, potential=False):
+        lo, P, F = _wall_layer(geom, wall, x, potential)
+        _, P_b, F_b = _wall_layer(Geometry(), wall, geom.b - x, potential)
+        if F_b is not None:
+            F = F - eps * F_b
+            P = P + eps * P_b if potential else P
+        return lo, P, F
+
+    monkeypatch.setattr(potentials, "wall_layer", layer)
+    monkeypatch.setattr(observables, "wall_layer", layer)
+
+
 ROWS = {
     "baseline": lambda mp: None,
     "uniform_force_1e-5": lambda mp: _uniform_force(mp, 1e-5),
@@ -79,6 +105,7 @@ ROWS = {
     "kernel_asymmetry_1e-4": lambda mp: _asymmetric_kernel(mp, 1e-4),
     "kernel_asymmetry_1e-2": lambda mp: _asymmetric_kernel(mp, 1e-2),
     "one_agent_drift_1e-2": lambda mp: _one_agent_drift(mp, 1e-2),
+    "second_wall_scaled_1+1e-6": lambda mp: _stronger_second_wall(mp, 1e-6),
 }
 
 EXPECTED = [
@@ -123,13 +150,19 @@ EXPECTED = [
         },
     ),
     ("one_agent_drift_1e-2", "interval", SHORT_HORIZON | {"momentum_force_identity"}),
+    # seen by the reflection relation alone (test_reflected_interval_run_is_its_mirror_image)
+    ("second_wall_scaled_1+1e-6", "interval", SHORT_HORIZON),
 ]
 
 
-def _failed_claims(name):
+def _config(name, t_end):
     data = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
-    data["integrator"]["t_end"] = 10.0
-    cfg = config_from_data(data)
+    data["integrator"]["t_end"] = t_end
+    return config_from_data(data)
+
+
+def _failed_claims(name):
+    cfg = _config(name, 10.0)
     report = verify(
         model_from_config(cfg),
         initial_state_from_config(cfg),
@@ -164,3 +197,31 @@ def test_kernel_asymmetry_takes_the_one_strip_path(monkeypatch):
     dense = w.sum(axis=1) / n + _geometry_force(m.geometry, m.wall, x)
     _asymmetric_kernel(monkeypatch, eps)
     assert np.array_equal(dynamics.acceleration(m, x, v), dense)
+
+
+# The reflected run differs from the mirror image of the run only by rounding:
+# fl(b - (b - x)) is not x, and the two runs take their own adaptive steps.
+# On configs/interval.yaml the gap is 1.4e-9 in X and 2.5e-9 in V at T = 40,
+# and no larger at T = 400, so k = 0.1 in the bar k * ABS_TOL * (1 + T) leaves
+# a factor 16.
+REFLECTION_T = 40.0
+REFLECTION_BAR = 0.1 * integrator.ABS_TOL * (1.0 + REFLECTION_T)
+
+
+@pytest.mark.parametrize("row, detected", [("baseline", False), ("second_wall_scaled_1+1e-6", True)])
+def test_reflected_interval_run_is_its_mirror_image(monkeypatch, row, detected):
+    ROWS[row](monkeypatch)
+    cfg = _config("interval", REFLECTION_T)
+    m, s = model_from_config(cfg), initial_state_from_config(cfg)
+    a, b = m.geometry.a, m.geometry.b
+    mirrored = FlockState(s.t, (a + b - s.x)[::-1], -s.v[::-1])
+    runs, verdicts = [], []
+    for state in (s, mirrored):
+        runs.append(integrate(m, state, cfg.t_end, cfg.sample_every))
+        report = verify(m, state, t_end=cfg.t_end, sample_every=cfg.sample_every)
+        verdicts.append([(c.name, c.applicable, c.passed) for c in report.claims])
+    run, reflected = runs
+    gap_x = np.abs(reflected.X - (a + b - run.X)[:, ::-1]).max()
+    gap_v = np.abs(reflected.V + run.V[:, ::-1]).max()
+    assert verdicts[0] == verdicts[1]  # no claim tells the two apart
+    assert (max(gap_x, gap_v) > REFLECTION_BAR) == detected, (gap_x, gap_v)

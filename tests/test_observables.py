@@ -110,7 +110,8 @@ def _direct_diagnostics(m, s, G):
     A = float(np.max(v)) - float(np.min(v))
     D = float(np.max(x) - np.min(x))
     K = float(v @ v) / (2.0 * n)
-    d = wf.wall_distances(m.geometry, x)
+    geom = m.geometry  # each wall's distances: x, or x - a and -(x - b)
+    d = np.array([x] if geom.variant == "halfline" else [x - geom.a, -(x - geom.b)])
     g = np.maximum(m.wall.ell - d, 0.0)
     U = np.zeros_like(d) if m.wall.disabled else m.wall.theta * g**4 / d
     P = float(np.mean(np.add.reduce(U, axis=0)))
@@ -119,7 +120,7 @@ def _direct_diagnostics(m, s, G):
         I2=float(np.sum(m.kernel.matrix(x, x) * dv * dv)) / (2.0 * n * n),
         L=A + m.kernel.primitive(D), W=-float(v @ F),
         F_max=float(np.max(np.abs(F))), F_mean=float(np.mean(F)),
-        x_min_wall=float(np.min(wf.wall_distances(m.geometry, x))),
+        x_min_wall=float(np.min(d)),
         v_max=float(np.max(v)), v_min=float(np.min(v)), G=G, F_sq=float(np.sum(F**2)),
     )
 

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wallflock import (
@@ -19,7 +19,6 @@ from wallflock import (
     geometry_force,
     initial_energy,
     integrator,
-    wall_distances,
     warn_if_overlapping,
 )
 from wallflock.potentials import wall_layer
@@ -124,21 +123,6 @@ def test_geometry_validation():
         Geometry("halfline", b=4.0)
 
 
-def test_wall_distances_shapes_and_values():
-    # each wall is at distance 0 from itself and faces into the domain
-    assert np.array_equal(wall_distances(Geometry("halfline"), [0.0]), [[0.0]])
-    d_walls = wall_distances(Geometry("interval", 0.0, 10.0), [0.0, 10.0])
-    assert np.array_equal(d_walls, [[0.0, 10.0], [10.0, 0.0]])
-    x = np.array([0.5, 2.0, 7.0])
-    d_half = wall_distances(Geometry("halfline"), x)
-    assert d_half.shape == (1, 3)
-    assert np.array_equal(d_half[0], x)
-    d_int = wall_distances(Geometry("interval", 0.0, 10.0), x)
-    assert d_int.shape == (2, 3)
-    assert np.array_equal(d_int[0], x)
-    assert np.array_equal(d_int[1], 10.0 - x)
-
-
 def test_interval_force_antisymmetric():
     geom = Geometry("interval", 0.0, 4.0)
     w = WallPotential()
@@ -229,6 +213,14 @@ def test_interval_force_points_inward_and_reflects(ell, half_width, u):
 _DIRECTIONS = {"halfline": np.array([[1.0]]), "interval": np.array([[1.0], [-1.0]])}
 
 
+def _distances(geom, x):
+    """Every position's distance to every wall, written out, one row per wall
+    ((walls, N), or (B, walls, N) for a batch): x on the half-line, x - a and
+    -(x - b) on the interval, each wall's direction times (x - wall)."""
+    x = np.array(x, dtype=float, ndmin=1)
+    return np.stack([x] if geom.variant == "halfline" else [x - geom.a, -(x - geom.b)], axis=-2)
+
+
 def _direct_terms(variant, wall, d):
     """Per-position potential and signed force, formula on every distance."""
     if wall.disabled:
@@ -269,7 +261,7 @@ def test_layer_sums_bitwise_equal_direct_form(variant, case, n):
     rng = np.random.default_rng([n, len(case), len(variant)])
     x = _positions(variant, case, n, rng)
     v = rng.uniform(-1.0, 1.0, n)
-    d = wall_distances(geom, x)
+    d = _distances(geom, x)
     U, F = _direct_terms(variant, wall, d)
 
     assert np.array_equal(_bits(geometry_force(geom, wall, x)), _bits(F))
@@ -318,7 +310,7 @@ def test_layer_sums_of_a_batch_equal_per_row_calls(variant, case):
 
 # The reach-limited layer: geometry_force, diagnostics and initial_energy
 # evaluate the formula only for the walls that some agent is within ell of.
-# The oracle is the formula written out on every wall's row of wall_distances,
+# The oracle is the formula written out on every wall's row of distances,
 # summed over the walls.  Values are compared with their sign bits, so -0.0 in
 # place of +0.0 fails.
 _LAYERS = {"left": (0.05, 0.95), "right": (9.05, 9.95)}
@@ -357,7 +349,7 @@ def _reach_positions(reach, n, at_ell, rng, a):
 
 def _layer_record(geom, wall, x, v):
     """The wall fields of one state's record, and its force, by the formula on every wall."""
-    d = wall_distances(geom, x)
+    d = _distances(geom, x)
     U, F = _direct_terms("interval", wall, d)
     n = x.size
     P = float(U.sum()) / n
@@ -437,8 +429,10 @@ def test_domain_rule_edges():
 
 
 # The domain rule reads only the two extremes of the positions.  Its oracle is
-# the rule as two full reductions of the (walls, N) distance array, which
-# decides every value from all of its entries.
+# the rule as two full reductions of the distances written out, which decides
+# every value from all of them, with the zero of IEEE 754-2019 minimum: -0.0
+# ranks below +0.0, so a zero is -0.0 when any distance is -0.0 (numpy's min
+# picks among tied zeros by the array's length and the zeros' places).
 def _distance_rule(wall, d):
     if not d.size:
         return math.inf
@@ -447,14 +441,24 @@ def _distance_rule(wall, d):
         raise WallDomainError("wall distance must be finite")
     if lo <= 0.0 and not wall.disabled:
         raise WallDomainError("wall distance must be positive")
-    return lo
+    if lo == 0.0:
+        return -0.0 if np.signbit(d[d == 0.0]).any() else 0.0
+    return float(lo)
+
+
+def _member_rule(wall, d):
+    """_distance_rule on one state's (walls, N) distances, or, for a batch's
+    (B, walls, N), on all of them (which raises if any member does) and then
+    on each member's; inf for no positions."""
+    lo = _distance_rule(wall, d)
+    return lo if d.ndim < 3 or not d.size else np.array([_distance_rule(wall, di) for di in d])
 
 
 def _outcome(call):
     """The bits of call()'s result, or its exception's class and message."""
     try:
         return "returned", _bits(call()).tolist()
-    except ValueError as exc:  # WallDomainError, or numpy's for an empty batch
+    except WallDomainError as exc:
         return type(exc), str(exc)
 
 
@@ -491,23 +495,64 @@ def _rule_cases(draw):
 
 
 @given(_rule_cases())
+# zeros tied across the walls (interval (0, 1) with the wall off), a zero a =
+# -0.0 (where x - a is +0.0 at x = -0.0), and a batch whose members tie apart
+@example((Geometry("interval", 0.0, 1.0), WallPotential(1.0, 0.0), np.array([0.0, 0.0, 0.0, 1.0, 0.0])))
+@example((Geometry("interval", -0.0, 1.0), WallPotential(1.0, 0.0), -0.0))
+@example((Geometry("interval", 0.0, 1.0), WallPotential(1.0, 0.0), np.array([[1.0], [0.0]])))
 def test_extremes_rule_equals_the_distance_array_rule(case):
     geom, wall, x = case
     # distances near 1e308 overflow, and the formula behind a disabled wall
     # (which the force does not evaluate) divides by zero or gives NaN
     with np.errstate(all="ignore"):
-        d = wall_distances(geom, x)
-        want = _outcome(lambda: _distance_rule(wall, d))
-        assert _outcome(lambda: wall._reach(np.asarray(x, dtype=float), geom)[0]) == want
-        per_member = np.ndim(x) == 2 and want[0] == "returned"
-        want_domain = _outcome(lambda: d.min(axis=(-2, -1))) if per_member else want
-        assert _outcome(lambda: check_domain(geom, wall, x)) == want_domain
+        d = _distances(geom, x)
+        want = _outcome(lambda: _member_rule(wall, d))
+        xs = np.array(x, dtype=float, ndmin=1)
+        assert _outcome(lambda: wall._reach(xs, geom, each=True)[0]) == want
+        assert _outcome(lambda: check_domain(geom, wall, x)) == want
+        assert _outcome(lambda: wall_layer(geom, wall, xs, potential=True)[0]) == want
+        # without each, a batch's nearest distance over all its members
+        assert _outcome(lambda: wall._reach(xs, geom)[0]) == _outcome(lambda: _distance_rule(wall, d))
         if want[0] != "returned":
             assert _outcome(lambda: geometry_force(geom, wall, x)) == want
             return
         force = geometry_force(geom, wall, x)
-        formula = np.add.reduce(geom._direction * wall._terms(d)[1], axis=-2)
+        formula = np.add.reduce(_DIRECTIONS[geom.variant] * wall._terms(d)[1], axis=-2)
     assert isinstance(force, np.ndarray) and force.shape == (np.shape(x) or (1,))
     if wall.disabled:  # zeros, without the formula
         formula = np.zeros(force.shape)
     assert _bits(force).tolist() == _bits(formula).tolist()
+
+
+@pytest.mark.parametrize(
+    "variant, x, want",
+    [
+        ("halfline", [0.0, 3.0], [0.0]),  # the wall at 0: x itself
+        ("halfline", [0.0, -0.0, 3.0], [-0.0]),
+        ("interval", [0.0, 0.5], [0.0]),  # the wall at a = 0: x - a
+        ("interval", [0.5, 1.0], [-0.0]),  # the wall at b = 1: -(x - b), -(+0.0)
+        ("interval", [0.0, 0.5, 1.0], [-0.0]),  # tied across the walls
+        ("halfline", [[-0.5, 1.0], [0.0, 1.0], [-0.0, 1.0]], [-0.5, 0.0, -0.0]),
+        # a member behind the wall, so the batch's nearest is below 0
+        ("interval", [[0.0, 0.5], [0.5, 1.0], [-0.0, 0.5], [0.5, 0.75], [-0.25, 0.5]],
+         [0.0, -0.0, -0.0, 0.25, -0.25]),
+    ],
+    ids=["halfline-plus", "halfline-minus", "first-wall", "second-wall", "both-walls",
+         "halfline-batch", "interval-batch"],
+)
+def test_a_zero_distance_is_minus_zero_when_any_agents_is(variant, x, want):
+    # a disabled wall lets agents reach it; the nearest distance and each
+    # member's x_min_wall take the sign of the rule, on each wall
+    geom = Geometry() if variant == "halfline" else Geometry("interval", 0.0, 1.0)
+    wall = WallPotential(0.25, 0.0)
+    m = FlockModel(CommunicationKernel("powerlaw", 1.0, 0.25), wall, geom)
+    x = np.array(x)
+    v = np.zeros(x.shape)
+    got = np.ravel(check_domain(geom, wall, x))
+    assert got.tolist() == want and np.signbit(got).tolist() == np.signbit(want).tolist()
+    if x.ndim == 1:
+        rec = diagnostics(m, FlockState(0.0, x, v), 0.0)
+    else:
+        stack = integrator._stepping_model([m] * len(x), [0] * len(x), list(range(len(x))))
+        rec = diagnostics(stack, SimpleNamespace(t=0.0, x=x, v=v), np.zeros(len(x)))
+    assert _same(rec.x_min_wall, want if x.ndim > 1 else want[0])
