@@ -17,8 +17,9 @@ import numpy as np
 from .kernels import CommunicationKernel
 from .potentials import Geometry, WallPotential, geometry_force, warn_if_overlapping
 
-# element bound of one row strip of a pairwise kernel sum (256 KB): 32 rows at
-# N = 1024, and one strip, the whole N x N matrix, up to N = 181
+# element bound of one row strip of every pairwise pass, the kernel sums and
+# the settlement check's gaps (256 KB): 32 rows at N = 1024, and one strip,
+# the whole N x N matrix, up to N = 181
 _BLOCK_ELEMENTS = 1 << 15
 
 

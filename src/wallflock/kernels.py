@@ -9,8 +9,23 @@ import numpy as np
 
 FAMILIES = ("powerlaw",)
 
-# the 12-node Gauss-Legendre rule on [-1, 1], as (node, weight) pairs
-_GAUSS = tuple(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(12))))
+# the 12-node Gauss-Legendre rule on [-1, 1], as (node, weight) pairs: the
+# values of numpy.polynomial.legendre.leggauss(12), in its order, written out
+# so that their bits depend on no numpy or LAPACK build
+_GAUSS = (
+    (-0.9815606342467192, 0.04717533638651141),
+    (-0.9041172563704748, 0.10693932599531907),
+    (-0.7699026741943047, 0.16007832854334642),
+    (-0.5873179542866175, 0.20316742672306573),
+    (-0.3678314989981802, 0.2334925365383546),
+    (-0.1252334085114689, 0.2491470458134027),
+    (0.1252334085114689, 0.2491470458134027),
+    (0.3678314989981802, 0.2334925365383546),
+    (0.5873179542866175, 0.20316742672306573),
+    (0.7699026741943047, 0.16007832854334642),
+    (0.9041172563704748, 0.10693932599531907),
+    (0.9815606342467192, 0.04717533638651141),
+)
 # beta -> (e0, anchors): anchors[k] is the integral of (1 + r^2)^-beta
 # over [0, 2^(e0 + k)]
 _ANCHORS: dict = {}

@@ -15,15 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import FlockModel, FlockState
+from .dynamics import FlockModel, FlockState, block_rows
 from .integrator import StiffnessError, Trajectory, integrate, integrate_batch
 from .potentials import Geometry, WallDomainError, WallPotential
 
 _EPS = float(np.finfo(float).eps)
 # the file TheoremReport.write keeps in an output directory
 REPORT_JSON = "report.json"
-# element count of one block of pairwise differences in check_settlement (32 MB)
-_BLOCK_ELEMENTS = 1 << 22
 # the verdict bars, fixed so that no config turns a FAIL into a PASS
 ALIGN_EPS = 1e-2  # final velocity spread A
 SETTLE_EPS = 1e-2  # tail-window position variation and wall-range slack
@@ -188,12 +186,12 @@ def check_settlement(traj: Trajectory, wall: WallPotential) -> SettlementResult:
     X = traj.X[k0:]  # (window, N)
     means = X.mean(axis=0)
     variation = X.max(axis=0) - X.min(axis=0)
-    # pairwise differences over strips of rows [lo, lo + rows) against the
-    # columns j >= lo, so no (window, N, N) array exists and each pair is seen
-    # once: fl(x_j - x_i) = -fl(x_i - x_j), and a gap's spread has the same
-    # bits from either side
+    # pairwise differences over the kernel sums' strips (past window N = 2^15,
+    # one row of window (N - lo)): rows [lo, lo + rows) against the columns
+    # j >= lo, so no (window, N, N) array exists and each pair is seen once:
+    # fl(x_j - x_i) = -fl(x_i - x_j), and a gap's spread has the same bits from either side
     window, n = X.shape
-    rows = max(1, _BLOCK_ELEMENTS // (window * n))
+    rows = block_rows(window * n)
     peaks = []
     for lo in range(0, n, rows):
         diffs = X[:, lo : lo + rows, None] - X[:, None, lo:]

@@ -203,6 +203,15 @@ def test_primitive_does_not_depend_on_the_cache(monkeypatch):
             assert _bits(k.primitive(D)) == _bits(value), (beta, D)
 
 
+def test_quadrature_rule_is_leggauss_12():
+    # the literals are numpy's rule within 1 ulp (another numpy or LAPACK build
+    # may round its eigen-solve otherwise), in its order, and exactly symmetric
+    nodes, weights = (np.array(a) for a in zip(*kernels._GAUSS))
+    for got, ref in zip((nodes, weights), np.polynomial.legendre.leggauss(12)):
+        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+
+
 def test_fat_tail():
     assert CommunicationKernel("powerlaw", 1.0, 0.0).fat_tail() is True
     assert CommunicationKernel("powerlaw", 1.0, 0.25).fat_tail() is True

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from wallflock import (
     integrate,
     verify,
 )
-from wallflock import verification
+from wallflock import dynamics, verification
 from wallflock.verification import FitResult, _cumulative_simpson, _cumulative_trapezoid
 
 
@@ -179,21 +180,42 @@ def test_settlement_flags_drift():
     assert res.max_pair_variation < 1e-12
 
 
-@pytest.mark.parametrize("window, n", [(2, 1024), (50, 200), (301, 16), (7, 1)])
+@pytest.mark.parametrize("window, n", [(2, 1024), (50, 200), (301, 16), (7, 1), (40, 1024)])
 def test_settlement_blocks_bitwise_equal_direct_form(window, n, monkeypatch):
     rng = np.random.default_rng(window + n)
     times = np.arange(4 * window) * 0.1
     xs = rng.uniform(1.0, 50.0, (times.size, n))
     traj = synthetic_traj(times, xs)
     X = xs[verification._tail_start_index(times) :]
-    diffs = X[:, :, None] - X[:, None, :]
-    peak = float(np.max(diffs.max(axis=0) - diffs.min(axis=0)))
-    # one strip at the default size, then strips of 3 rows and of 1 row (one
-    # strip at N=1), each against the columns from its first row on
-    for block in (verification._BLOCK_ELEMENTS, 3 * X.size, 1):
-        monkeypatch.setattr(verification, "_BLOCK_ELEMENTS", block)
+    # the direct form, every gap x_i - x_j, one row i at a time
+    peak = 0.0
+    for i in range(n):
+        diffs = X[:, i, None] - X
+        peak = max(peak, float(np.max(diffs.max(axis=0) - diffs.min(axis=0))))
+    # the default strips (several rows each up to (301, 16), one row at
+    # (40, 1024)), then strips of 3 rows and of 1 row (one strip at N=1), each
+    # against the columns from its first row on
+    for block in (dynamics._BLOCK_ELEMENTS, 3 * X.size, 1):
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", block)
         res = check_settlement(traj, wf.WallPotential())
         assert np.float64(res.max_pair_variation).view(np.int64) == np.float64(peak).view(np.int64)
+
+
+def test_settlement_memory_is_one_strip():
+    # the gaps come in the kernel sums' strips of at most 2^15 entries, or one
+    # row's window x N; a block of 2^22 gaps held 67 MB at (2, 4096)
+    for window, n in ((2, 4096), (13, 1024)):
+        rng = np.random.default_rng(window + n)
+        times = np.arange(4 * window) * 0.1
+        traj = synthetic_traj(times, rng.uniform(1.0, 50.0, (times.size, n)))
+        check_settlement(traj, wf.WallPotential())
+        tracemalloc.start()
+        try:
+            check_settlement(traj, wf.WallPotential())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, (window, n)
 
 
 def test_cumulative_quadrature_rules():
