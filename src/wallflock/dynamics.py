@@ -60,11 +60,26 @@ def block_rows(n: int) -> int:
     return max(1, _BLOCK_ELEMENTS // n)
 
 
-def kernel_strips(kernel: CommunicationKernel, x: np.ndarray):
-    """(lo, hi, phi(x_i - x_j)) for i in [lo, hi), j >= lo: each pair i < j in one strip."""
+def kernel_strips(kernel: CommunicationKernel, x: np.ndarray, v: np.ndarray):
+    """(lo, hi, phi(x_i - x_j), v_j - v_i) for i in [lo, hi), j >= lo: each pair
+    i < j in one strip; both strips are views of one workspace, reused by the next.
+
+    Each difference a_j - a_i is the rank-2 product [-a_i, 1] . [1, a_j]: both
+    products are exact, so the matmul rounds their sum once, as the subtraction
+    does, and at close to memory speed.  Only the sign of a zero from zeros of
+    opposite sign can differ, which squaring, or adding to a sum that is never
+    -0.0, removes.
+    """
     n, rows = x.shape[0], block_rows(x.shape[0])
+    ones = np.ones(n)
+    (px, qx), (pv, qv) = [(np.stack((-a, ones), axis=1), np.stack((ones, a))) for a in (x, v)]
+    work = np.empty((2, rows * n))
     for lo in range(0, n, rows):
-        yield lo, min(lo + rows, n), kernel.matrix(x[lo : lo + rows], x[lo:])
+        hi = min(lo + rows, n)
+        w, dv = work[:, : (hi - lo) * (n - lo)].reshape(2, hi - lo, n - lo)
+        np.matmul(px[lo:hi], qx[:, lo:], out=w)
+        np.matmul(pv[lo:hi], qv[:, lo:], out=dv)
+        yield lo, hi, kernel._phi(w), dv
 
 
 def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -86,8 +101,8 @@ def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         # phi is even in r^2, so phi_ij (v_j - v_i) = -phi_ji (v_i - v_j) to the
         # bit: a strip's columns past its rows are also the later rows' terms
         sums = np.zeros(n)
-        for lo, hi, w in kernel_strips(m.kernel, x):
-            w *= v[None, lo:] - v[lo:hi, None]
+        for lo, hi, w, dv in kernel_strips(m.kernel, x, v):
+            w *= dv
             sums[lo:hi] += w.sum(axis=1)
             sums[hi:] -= w[:, hi - lo :].sum(axis=0)
     sums /= n

@@ -103,7 +103,7 @@ class CommunicationKernel:
 
     def _phi(self, w: np.ndarray) -> np.ndarray:
         """Overwrite the distances in w with phi of them; the one formula of
-        eval, matrix and KernelStack.matrix."""
+        eval, matrix, KernelStack.matrix and dynamics.kernel_strips."""
         # r enters through r^2 only, so evenness is exact in floating point; a
         # unit H multiplies nothing (1.0 * a is a for every double)
         w *= w

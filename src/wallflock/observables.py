@@ -6,7 +6,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _BLOCK_ELEMENTS, FlockModel, FlockState, kernel_strips
+from . import dynamics
+from .dynamics import FlockModel, FlockState, kernel_strips
 from .potentials import wall_layer
 
 
@@ -64,11 +65,10 @@ def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:
     v_min = f(v.min(axis=-1))
     A = v_max - v_min
     D = f(x.max(axis=-1) - x.min(axis=-1))
-    if n * n > _BLOCK_ELEMENTS:  # one state: a batch this wide is one member
+    if n * n > dynamics._BLOCK_ELEMENTS:  # one state: a batch this wide is one member
         # phi (v_i - v_j)^2 is even, so a strip's columns past its rows count twice
         total = 0.0
-        for start, stop, w in kernel_strips(m.kernel, x):
-            dv = v[start:stop, None] - v[None, start:]
+        for start, stop, w, dv in kernel_strips(m.kernel, x, v):
             w *= dv
             w *= dv
             total += w.sum() + w[:, stop - start :].sum()

@@ -237,18 +237,111 @@ def test_row_blocked_acceleration_bitwise_equal_dense_form(monkeypatch, geometry
                 assert err.max() <= 1e-12 * np.abs(dense).max(), (n, block)
 
 
+def _awkward_values():
+    """Doubles whose differences probe the rounding of a_j - a_i: magnitudes
+    from 1e-300 to 1e300 of both signs, repeated values, neighbours one ulp
+    apart, subnormals, both zeros, and pairs whose difference overflows."""
+    big = np.finfo(float).max
+    mags = 10.0 ** np.arange(-300, 301, 20)
+    a = np.concatenate([
+        mags, -mags, mags[::3],  # repeats: equal values
+        np.nextafter(mags[::2], np.inf), np.nextafter(-mags[1::2], -np.inf),
+        [5e-324, -5e-324, 1e-310, -2.5e-315, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0)],
+        [0.0, -0.0, 0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0],
+        [big, -big, 0.9 * big, -0.9 * big, 1e308, -1e308],
+    ])
+    return np.random.default_rng(11).permutation(a)
+
+
+@pytest.mark.parametrize("block", [dynamics._BLOCK_ELEMENTS, 1000, 40])
+def test_rank2_differences_bitwise_equal_subtraction(monkeypatch, block):
+    # kernel_strips forms a_j - a_i as the product [-a_i, 1] . [1, a_j]: two
+    # exact products and one rounded sum (Higham 2002, section 2.2), so each
+    # entry has the subtraction's bits, an overflow included, except the sign
+    # of a zero from two zeros of opposite sign
+    class Raw:  # phi as the identity: the strip is the x differences
+        def _phi(self, w):
+            return w
+
+    monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", block)
+    a = _awkward_values()
+    b = a[::-1].copy()
+    bounds, overflows = [], 0
+    with np.errstate(over="ignore"):
+        for lo, hi, dx, dv in dynamics.kernel_strips(Raw(), a, b):
+            bounds.append((lo, hi))
+            for got, c in ((dx, a), (dv, b)):
+                want = c[None, lo:] - c[lo:hi, None]
+                overflows += np.isinf(want).sum()
+                ci, cj = np.broadcast_arrays(c[lo:hi, None], c[None, lo:])
+                signed_zeros = (ci == 0.0) & (cj == 0.0) & (np.signbit(ci) != np.signbit(cj))
+                differ = _bits(got) != _bits(want)
+                assert np.all(signed_zeros[differ] & (got[differ] == 0.0)), (lo, block)
+    rows = dynamics.block_rows(a.size)
+    assert bounds == [(lo, min(lo + rows, a.size)) for lo in range(0, a.size, rows)]
+    assert overflows > 0
+
+
+def _subtraction_strips(m, x, v):
+    """acceleration and diagnostics' I2 over kernel_strips' strips with the
+    differences formed by broadcast subtraction, term for term as before the
+    rank-2 products."""
+    n, rows = x.size, dynamics.block_rows(x.size)
+    sums, total = np.zeros(n), 0.0
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        phi = m.kernel.matrix(x[lo:hi], x[lo:])
+        w = phi * (v[None, lo:] - v[lo:hi, None])
+        sums[lo:hi] += w.sum(axis=1)
+        sums[hi:] -= w[:, hi - lo :].sum(axis=0)
+        dv = v[lo:hi, None] - v[None, lo:]
+        phi *= dv
+        phi *= dv
+        total += phi.sum() + phi[:, hi - lo :].sum()
+    sums /= n
+    sums += wf.geometry_force(m.geometry, m.wall, x)
+    return sums, float(total) / (2.0 * n * n)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [wf.Geometry("halfline"), wf.Geometry("interval", 0.0, 60.0)],
+    ids=["halfline", "interval"],
+)
+def test_strip_sums_bitwise_equal_subtraction_strips(monkeypatch, geometry):
+    # a v with exact +-0.0 entries gives zero differences of both signs: the
+    # force is never -0.0 and I2 squares them, so none reaches an output
+    m = FlockModel(wf.CommunicationKernel("powerlaw", 1.3, 0.25), wf.WallPotential(1.0, 1.0), geometry)
+    for n in ORACLE_N:
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(0.3, 59.7, n))  # a few agents in the wall layer
+        x[1::9] = x[::9][: x[1::9].size]  # coincident agents: zero gaps
+        v = rng.uniform(-1.0, 1.0, n)
+        v[::5], v[2::5] = 0.0, -0.0
+        s = FlockState(0.0, x, v)
+        for block in (dynamics._BLOCK_ELEMENTS, 1000, 40):
+            monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", block)
+            if n * n <= block:  # the dense path
+                continue
+            acc, I2 = _subtraction_strips(m, x, v)
+            assert np.array_equal(_bits(acceleration(m, x, v)), _bits(acc)), (n, block)
+            assert _bits(diagnostics(m, s, 0.0).I2) == _bits(I2), (n, block)
+
+
 def test_each_kernel_pair_is_evaluated_once(monkeypatch):
     # row strips of b = block_rows(N) rows hold the N (N + 1) / 2 pairs i <= j
     # and, in each b x b diagonal block, the b (b - 1) / 2 pairs i > j: at most
-    # N (N + 1) / 2 + N (b - 1) / 2 = N (N + b) / 2 kernel entries per call
+    # N (N + 1) / 2 + N (b - 1) / 2 = N (N + b) / 2 kernel entries per call.
+    # phi is counted where it is evaluated, in _phi, which the dense form
+    # reaches through matrix and the strips directly
     entries = []
-    matrix = wf.CommunicationKernel.matrix
+    phi = wf.CommunicationKernel._phi
 
-    def counted(kernel, xi, xj):
-        entries.append(xi.size * xj.size)
-        return matrix(kernel, xi, xj)
+    def counted(kernel, w):
+        entries.append(w.size)
+        return phi(kernel, w)
 
-    monkeypatch.setattr(wf.CommunicationKernel, "matrix", counted)
+    monkeypatch.setattr(wf.CommunicationKernel, "_phi", counted)
     for n in (1, 16, 181, 182, 1000, 1024, 4096):
         m = free_model()
         rng = np.random.default_rng(n)
@@ -257,26 +350,32 @@ def test_each_kernel_pair_is_evaluated_once(monkeypatch):
         for call in (lambda: acceleration(m, s.x, s.v), lambda: diagnostics(m, s, 0.0)):
             entries.clear()
             call()
-            assert sum(entries) <= bound, n
+            assert 0 < sum(entries) <= bound, n
             if n <= 181:  # one strip: the whole matrix
                 assert sum(entries) == n * n
 
 
+def _peak_bytes(call):
+    """The tracemalloc peak of call(), after one uncounted call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_acceleration_memory_is_one_row_block():
-    # the dense form held two N x N arrays: 268 MB at N = 4096; one strip is 256 KB
+    # the dense form held two N x N arrays: 268 MB at N = 4096; a call holds
+    # one 2^15-entry workspace for each of the two difference strips (512 KB)
+    # and the O(N) factors of their rank-2 products
     n = 4096
     m = free_model()
     rng = np.random.default_rng(4)
-    x = np.sort(rng.uniform(2.0, 400.0, n))
-    v = rng.uniform(-1.0, 1.0, n)
-    acceleration(m, x, v)
-    tracemalloc.start()
-    try:
-        acceleration(m, x, v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    s = FlockState(0.0, np.sort(rng.uniform(2.0, 400.0, n)), rng.uniform(-1.0, 1.0, n))
+    assert _peak_bytes(lambda: acceleration(m, s.x, s.v)) < 2e6
+    assert _peak_bytes(lambda: diagnostics(m, s, 0.0)) < 2e6
 
 
 def test_batched_acceleration_memory_is_one_strip():

@@ -12,7 +12,8 @@ configs/halfline.yaml at ic.n_agents 320 and integrator.t_end 0.3 (written to
 halfline_n320.yaml), and `wallflock verify` of configs/interval.yaml at
 integrator.t_end 1.05 (interval_short_last.yaml), and `wallflock simulate` and
 `verify` of configs/interval.yaml at geometry.b 4 with the initial box
-[0.5, 3.5] (interval_two_walls.yaml), and `wallflock sweep` of
+[0.5, 3.5] (interval_two_walls.yaml), and the same at ic.n_agents 320 and
+integrator.t_end 0.3 (interval_two_walls_n320.yaml), and `wallflock sweep` of
 configs/sweep_beta.yaml on the interval (0, 4) with the initial box [0.5, 3.5]
 (sweep_interval.yaml), each into its own directory
 under a temporary working directory, and prints one line per run (`<command> <config> exit=<code>`)
@@ -43,7 +44,7 @@ RUNS = [
 ] + [("sweep", "sweep_beta"), ("simulate", None)]
 # per config name, the shipped config it changes and the values it changes
 DERIVED = {
-    # the only runs here on the strip path of dynamics.kernel_strips (N > 181):
+    # the half-line runs on the strip path of dynamics.kernel_strips (N > 181):
     # at N = 320 the kernel sums run over four strips of 102 rows, so the order
     # in which each strip's terms join the running totals shows in the digest
     # (at N = 256 the second and last of two strips has no columns past its rows)
@@ -53,10 +54,17 @@ DERIVED = {
     # push at t = 1.05, so the closing term sets the claim's value (on the
     # half-line the flock has left the wall layer by then, and no t_end shows it)
     "interval_short_last": ("interval", {"integrator": {"t_end": 1.05}}),
-    # the only one-state run whose flock is within both walls' layers at once,
+    # a one-state run whose flock is within both walls' layers at once,
     # where both walls add their rows; it is also within one layer only and
     # within none, so each path of the wall layer shows in one digest
     "interval_two_walls": ("interval", {"geometry": {"b": 4.0}, "ic": {"x_low": 0.5, "x_high": 3.5}}),
+    # the interval runs on the strip path: interval_two_walls at N = 320 to
+    # t = 0.3, where the kernel strips meet both walls' rows
+    "interval_two_walls_n320": ("interval", {
+        "geometry": {"b": 4.0},
+        "ic": {"n_agents": 320, "x_low": 0.5, "x_high": 3.5},
+        "integrator": {"t_end": 0.3},
+    }),
     # the only batched interval runs: a sweep steps its runs as one batch, whose
     # samples take each member's wall terms, x_min_wall (sweep.csv's
     # min_wall_distance) and verdicts from the batch's rows; the base sections
@@ -69,6 +77,7 @@ DERIVED = {
 RUNS += [("simulate", "halfline_n320"), ("verify", "halfline_n320")]
 RUNS += [("verify", "interval_short_last")]
 RUNS += [("simulate", "interval_two_walls"), ("verify", "interval_two_walls")]
+RUNS += [("simulate", "interval_two_walls_n320"), ("verify", "interval_two_walls_n320")]
 RUNS += [("sweep", "sweep_interval")]
 
 
