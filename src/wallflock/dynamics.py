@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import CommunicationKernel
-from .potentials import Geometry, WallPotential, geometry_force, warn_if_overlapping
+from .potentials import Geometry, WallPotential, wall_layer, warn_if_overlapping
 
 # element bound of one row strip of every pairwise pass, the kernel sums and
 # the settlement check's gaps (256 KB): 32 rows at N = 1024, and one strip,
@@ -89,8 +89,8 @@ def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     where one strip holds a member's whole matrix; integrator.batch_members
     keeps a batch's stacked matrices within one strip's bound.
     """
-    # the wall force validates x (finite, inside the domain) before the O(N^2) work
-    force = geometry_force(m.geometry, m.wall, x)
+    # the wall layer validates x (finite, inside the domain) before the O(N^2) work
+    force = wall_layer(m.geometry, m.wall, x)[2]
     n = x.shape[-1]
     if n * n <= _BLOCK_ELEMENTS:
         # one strip, the dense N x N form: no loop, which costs 5 % at N = 16
@@ -106,7 +106,8 @@ def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
             sums[lo:hi] += w.sum(axis=1)
             sums[hi:] -= w[:, hi - lo :].sum(axis=0)
     sums /= n
-    sums += force
+    if force is not None:  # None with no wall in reach: no sum is -0.0, so 0.0 adds nothing
+        sums += force
     return sums
 
 

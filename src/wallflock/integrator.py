@@ -11,7 +11,8 @@ and geometry, so y[0] and y[1] are the positions and velocities either way.
 Fehlberg keeps its stages in a (2, [B,] 6, N) array, stages on axis -2, so
 every tableau row combines one (6, N) block per component and member, each
 with the matvec path of an N-wide row; a flat (2N,) state would take another
-path at width 2N and change the last bits of the run.
+path at width 2N and change the last bits of the run.  A batch's kernel is a
+kernels.KernelStack, a column per member, so that one pass serves them all.
 """
 
 from __future__ import annotations
@@ -107,11 +108,13 @@ def _attempt(m: FlockModel, y: np.ndarray, dt):
     """
     k = np.empty(y.shape[:-1] + (6, y.shape[-1]))
     _rhs(m, y, k[..., 0, :])
+    # y + dt * (row @ k), formed in place: IEEE * and + commute, so no bit moves
     for i in range(1, 6):
-        _rhs(m, y + dt * (_A[i] @ k[..., :i, :]), k[..., i, :])
-    y_new = y + dt * (_B4 @ k)
-    dist = check_domain(m.geometry, m.wall, y_new[0])
-    return y_new, dt * (_ERR @ k), dist
+        s = _A[i] @ k[..., :i, :]
+        _rhs(m, np.add(np.multiply(s, dt, out=s), y, out=s), k[..., i, :])
+    y_new, err = _B4 @ k, _ERR @ k
+    np.add(np.multiply(y_new, dt, out=y_new), y, out=y_new)
+    return y_new, np.multiply(err, dt, out=err), check_domain(m.geometry, m.wall, y_new[0])
 
 
 def _sample_grid(t0: float, t_end: float, sample_every: float) -> np.ndarray:
@@ -193,41 +196,39 @@ def _attempt_one(m: FlockModel, y: np.ndarray, h: float):
     return y_new, ratio if ratio <= math.inf else math.inf, dist
 
 
-def _stepping_model(models: list, kid: list, act: list) -> FlockModel:
-    """The model of one batched attempt or sample over the members act: its
-    KernelStack holds a run per stretch of act whose members share a kernel id
-    kid[b]."""
-    cuts = [j for j in range(1, len(act)) if kid[act[j]] != kid[act[j - 1]]]
-    bounds = zip([0, *cuts], [*cuts, len(act)])
-    stack = KernelStack(tuple((models[act[lo]].kernel, lo, hi) for lo, hi in bounds))
-    m = models[act[0]]
-    return FlockModel(stack, m.wall, m.geometry)
+def _members(m: FlockModel, act: list):
+    """The batch model m over its members act: m itself for all, else a namespace
+    of m's wall, geometry and act's kernel columns (no second overlap warning)."""
+    if len(act) == len(m.kernel.kernels):
+        return m
+    return SimpleNamespace(kernel=m.kernel.take(act), wall=m.wall, geometry=m.geometry)
 
 
-def _round(models: list, kid: list, y: np.ndarray, act: list, hs: list) -> list:
+def _round(models: list, batched: FlockModel, y: np.ndarray, act: list, hs: list) -> list:
     """One Fehlberg attempt for each member act[j] of the (2, B, N) states y at
-    step hs[j], member b with model models[b] and kernel id kid[b]: a list of
-    _attempt_one's results.
+    step hs[j], member b with model models[b]: a list of _attempt_one's results.
 
-    The members share one batched attempt; a round of every member takes y as
-    it is, and one member alone takes the single-state path, because the
-    batched attempt made a single run 1.3-1.6x slower.  If any member leaves
-    the domain, each is attempted alone, so only that one is rejected.
+    The members share one batched attempt under the slice's model batched, a
+    kernel column per member: a round of every member takes y and batched as
+    they are, a subset its rows and columns, and one member alone takes the
+    single-state path, because the batched attempt made a single run 1.3-1.6x
+    slower.  If any member leaves the domain, each is attempted alone, so only
+    that one is rejected.
     """
     if len(act) == 1:
         return [_attempt_one(models[act[0]], y[:, act[0]], hs[0])]
     ya = y if len(act) == y.shape[1] else y[:, act]
     try:
-        y_new, err, dist = _attempt(_stepping_model(models, kid, act), ya, np.array(hs)[:, None])
+        y_new, err, dist = _attempt(_members(batched, act), ya, np.array(hs)[:, None])
     except WallDomainError:
         return [_attempt_one(models[b], y[:, b], h) for b, h in zip(act, hs)]
     return list(zip(y_new.swapaxes(0, 1), _error_ratio(ya, y_new, err), dist.tolist()))
 
 
-def _sample(models: list, kid: list, states: list, t_end: float, sample_every: float, advance):
+def _sample(models: list, batched, states: list, t_end: float, sample_every: float, advance):
     """Sample runs from states, which share N and their start time, to t_end
-    on the uniform grid, state b under models[b] with kernel id kid[b]; one
-    Trajectory or error per state.
+    on the uniform grid, state b under models[b], a batch under batched (None
+    for one state); one Trajectory or error per state.
 
     Records each state and its diagnostics in row 0, then calls
     advance(y, live, t0, t1) once per grid span on the (2, B, N) phase states
@@ -269,7 +270,7 @@ def _sample(models: list, kid: list, states: list, t_end: float, sample_every: f
             records[b, k] = diagnostics(models[b], sample, float(G[b]))
         elif live:
             sample = SimpleNamespace(t=float(times[k]), x=rows[0], v=rows[1])
-            rec = diagnostics(_stepping_model(models, kid, live), sample, G[live])
+            rec = diagnostics(_members(batched, live), sample, G[live])
             for f, column in zip(rec._fields, rec):
                 records[f][live, k] = column
 
@@ -293,10 +294,9 @@ def _batch(models: list, states: list, t_end: float, sample_every: float) -> lis
     round is one Fehlberg attempt over the members short of the sample time."""
     m = models[0]
     walls_on = not m.wall.disabled
-    # per member the id of its kernel, one per distinct kernel: a batched
-    # round's KernelStack cuts its members wherever the id changes
-    ids: dict = {}
-    kid = [ids.setdefault(mb.kernel, len(ids)) for mb in models]
+    batched = None  # the model of the batched rounds and samples, a kernel column each
+    if len(models) > 1:
+        batched = FlockModel(KernelStack(tuple(mb.kernel for mb in models)), m.wall, m.geometry)
     # per member: the standing step proposal (dt_prop <= DT_MAX throughout:
     # DT_INIT <= DT_MAX, every update is below h or capped), the last accepted
     # error ratio, and the wall cap's input, the nearest wall distance of the
@@ -333,7 +333,7 @@ def _batch(models: list, states: list, t_end: float, sample_every: float) -> lis
             if not act:  # none left to attempt: each failed the wall cap or snapped
                 break
             pending = []
-            for b, h, (y_new, ratio, dist_new) in zip(act, hs, _round(models, kid, y, act, hs)):
+            for b, h, (y_new, ratio, dist_new) in zip(act, hs, _round(models, batched, y, act, hs)):
                 clamped = h < dt_prop[b]
                 if ratio is None:
                     dt_prop[b] = h / 2.0  # a stage left the domain: halve and retry
@@ -360,7 +360,7 @@ def _batch(models: list, states: list, t_end: float, sample_every: float) -> lis
                 pending.append(b)
         return failed
 
-    return _sample(models, kid, states, t_end, sample_every, advance)
+    return _sample(models, batched, states, t_end, sample_every, advance)
 
 
 def integrate_batch(
@@ -433,4 +433,4 @@ def reference_rk4(
         ys[:, 0] = y
         return {}
 
-    return _single(_sample([m], [0], [s0], t_end, sample_every, advance))
+    return _single(_sample([m], None, [s0], t_end, sample_every, advance))

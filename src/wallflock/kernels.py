@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,8 +102,8 @@ class CommunicationKernel:
         return self._phi(xi[..., :, None] - xj[..., None, :])
 
     def _phi(self, w: np.ndarray) -> np.ndarray:
-        """Overwrite the distances in w with phi of them; the one formula of
-        eval, matrix, KernelStack.matrix and dynamics.kernel_strips."""
+        """Overwrite the distances in w with phi of them; the one formula of eval,
+        matrix, dynamics.kernel_strips and, in columns, KernelStack.matrix."""
         # r enters through r^2 only, so evenness is exact in floating point; a
         # unit H multiplies nothing (1.0 * a is a for every double)
         w *= w
@@ -138,21 +138,36 @@ class CommunicationKernel:
 
 @dataclass(frozen=True)
 class KernelStack:
-    """The kernels of a batch's members, one (kernel, lo, hi) per run [lo, hi)
-    of members that share it; matrix on (B, N) rows gives each member's own
-    kernel.matrix bit for bit, and primitive each member's own Phi."""
+    """The kernels of a batch's members, which alone make a stack's equality and
+    hash, as (B, 1, 1) columns -beta, H (None if every H is 1) and beta == 1 (None
+    if none is): matrix is each member's own kernel.matrix, bit for bit, in one pass."""
 
-    runs: tuple
+    kernels: tuple
+    columns: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.columns is None:
+            beta, H = np.array([(k.beta, k.H) for k in self.kernels]).T.reshape(2, -1, 1, 1)
+            H, unit = (H if (H != 1.0).any() else None), (beta == 1.0 if 1.0 in beta else None)
+            object.__setattr__(self, "columns", (-beta, H, unit))
+
+    def take(self, members: list) -> KernelStack:
+        """The stack of the members at these indices, their columns taken by index."""
+        columns = tuple(None if c is None else c[members] for c in self.columns)
+        return KernelStack(tuple(self.kernels[b] for b in members), columns)
 
     def matrix(self, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
         w = xi[..., :, None] - xj[..., None, :]
-        # each run's kernel on its own slice: beta stays a Python float, so
-        # numpy keeps its scalar paths (w^-1 a reciprocal, w^-0 ones), which
-        # an array of exponents would leave
-        for k, lo, hi in self.runs:
-            k._phi(w[lo:hi])
+        exponent, H, unit = self.columns
+        w *= w
+        w += 1.0
+        if unit is not None:  # a member's own w ** -1.0 is numpy's reciprocal, not pow
+            np.reciprocal(w, out=w, where=unit)
+        np.power(w, exponent, out=w, where=True if unit is None else ~unit)
+        if H is not None:
+            w *= H
         return w
 
     def primitive(self, D: np.ndarray) -> np.ndarray:
-        """Each member's own kernel.primitive of its diameter, D one per member."""
-        return np.array([k.primitive(d) for k, lo, hi in self.runs for d in D[lo:hi].tolist()])
+        """Each member's kernel.primitive of its diameter D[b], on Python floats."""
+        return np.array([k.primitive(d) for k, d in zip(self.kernels, D.tolist())])

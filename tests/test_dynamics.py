@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import wallflock as wf
 from wallflock import FlockModel, FlockState, acceleration, diagnostics, dynamics, initial_condition
+from wallflock.potentials import wall_layer
 
 
 def free_model(family="powerlaw", H=1.0, beta=0.25):
@@ -415,11 +416,20 @@ def test_mixed_kernel_batch_acceleration_bitwise_equal_single_states():
           for beta in (0.0, 0.5, 1.0, 1.5) for H in (0.3, 1.0)]
     wall, geometry = wf.WallPotential(1.0, 1.0), wf.Geometry("interval", 0.0, 40.0)
     models = [FlockModel(ks[i], wall, geometry) for i in (0, 1, 0, 2, 3, 3, 4, 5, 6, 7, 1)]
-    kid = [ks.index(m.kernel) for m in models]
-    stepping = wf.integrator._stepping_model(models, kid, list(range(len(models))))
-    assert len(stepping.kernel.runs) == len(models) - 1
-    # a subset's stepping model stacks exactly its members' kernels
-    assert wf.integrator._stepping_model(models, kid, [4, 5]).kernel.runs == ((ks[3], 0, 2),)
+    stepping = FlockModel(wf.kernels.KernelStack(tuple(m.kernel for m in models)), wall, geometry)
+    # a column per member: its kernel's -beta and H, and whether beta is 1
+    assert stepping.kernel == wf.kernels.KernelStack(tuple(m.kernel for m in models))
+    exponent, H, unit = (c.ravel().tolist() for c in stepping.kernel.columns)
+    assert exponent == [-m.kernel.beta for m in models]
+    assert H == [m.kernel.H for m in models]
+    assert unit == [m.kernel.beta == 1.0 for m in models]
+    # a subset's model takes exactly its members' kernels and columns
+    subset = [4, 5, 9, 0]
+    sub = wf.integrator._members(stepping, subset)
+    assert sub.kernel == wf.kernels.KernelStack(tuple(models[b].kernel for b in subset))
+    for got, col in zip(sub.kernel.columns, stepping.kernel.columns):
+        assert np.array_equal(_bits(got), _bits(col[subset]))
+    assert wf.integrator._members(stepping, list(range(len(models)))) is stepping
     rng = np.random.default_rng(13)
     for n in (1, 8, 16):
         x = rng.uniform(0.5, 39.5, (len(models), n))
@@ -428,3 +438,41 @@ def test_mixed_kernel_batch_acceleration_bitwise_equal_single_states():
         got = acceleration(stepping, x, v)
         for b, m in enumerate(models):
             assert np.array_equal(_bits(got[b]), _bits(acceleration(m, x[b], v[b]))), (n, b)
+        got = acceleration(sub, x[subset], v[subset])
+        for j, b in enumerate(subset):
+            assert np.array_equal(_bits(got[j]), _bits(acceleration(models[b], x[b], v[b]))), (n, b)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [wf.Geometry("halfline"), wf.Geometry("interval", 0.0, 1000.0)],
+    ids=["halfline", "interval"],
+)
+@pytest.mark.parametrize("n", [16, 200], ids=["dense", "strips"])
+def test_acceleration_without_a_wall_in_reach_adds_no_zeros(geometry, n):
+    # with no agent in a wall layer, acceleration adds no force; adding
+    # geometry_force's zeros would change no bit, because no row sum is -0.0:
+    # an aligned flock (every term 0) and velocities of both zero signs
+    # included, one state or a batch's rows, and with a wall in reach the
+    # force is added as it is
+    kernel = wf.CommunicationKernel("powerlaw", 0.7, 0.25)
+    m = FlockModel(kernel, wf.WallPotential(1.0, 1.0), geometry)
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(2.0, 400.0, n))
+    signed = rng.choice([0.0, -0.0], n)
+    assert np.signbit(signed).any() and not np.signbit(signed).all()
+    # a batch's rows on the dense path, where a batch runs
+    states = [x] if n * n > dynamics._BLOCK_ELEMENTS else [x, np.stack([x, x + 1.0])]
+    for v in (np.full(n, 0.3), np.full(n, -0.0), signed):
+        for state in states:
+            assert wall_layer(geometry, m.wall, state)[2] is None
+            got = acceleration(m, state, np.broadcast_to(v, state.shape).copy())
+            zeros = wf.geometry_force(geometry, m.wall, state)
+            assert not np.signbit(got[got == 0.0]).any()
+            assert np.array_equal(_bits(got), _bits(got + zeros))
+    x[0] = 0.5  # inside the first wall's layer
+    v = rng.uniform(-1.0, 1.0, n)
+    F = wf.geometry_force(geometry, m.wall, x)
+    assert F[0] > 0.0
+    free = FlockModel(m.kernel, wf.WallPotential(1.0, 0.0), geometry)
+    assert np.array_equal(_bits(acceleration(m, x, v)), _bits(acceleration(free, x, v) + F))

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from wallflock import (
     integrate,
     reference_rk4,
 )
+from wallflock.kernels import KernelStack
 from wallflock.integrator import (
     ABS_TOL, REL_TOL, _A, _B4, _ERR, _attempt, _error_ratio, batch_members, integrate_batch,
 )
@@ -219,8 +222,10 @@ def test_one_member_sample_rejects_a_non_finite_row(members, component, value):
         y[component, live[-1], 0] = value
         return {0: StiffnessError("dropped")} if len(live) == 2 else {}
 
+    models = [m] * members
+    batched = wf.FlockModel(KernelStack((m.kernel,) * members), m.wall, m.geometry)
     with pytest.raises(ValueError, match="^state entries must be finite$"):
-        integrator._sample([m] * members, [0] * members, [s] * members, 0.2, 0.1, advance)
+        integrator._sample(models, batched, [s] * members, 0.2, 0.1, advance)
 
 
 def test_sample_grid_exact_and_uniform():
@@ -521,32 +526,78 @@ def test_batch_domain_rejection_rejects_only_its_member(monkeypatch):
     assert calls[:4] == [(3, True), (1, True), (1, False), (1, False)]
 
 
+_FOUR = [(1.0, 0.25), (0.3, 1.0), (1.0, 0.0), (0.3, 1.5)]
+# a sweep's kernel grid, beta in {0, 1/2, 1, 3/2} by H in {0.3, 1}, twice over
+# and interleaved so that no two adjacent members share a kernel
+_GRID = [(H, beta) for beta in (0.0, 0.5, 1.0, 1.5) for H in (0.3, 1.0)]
+_GRID += _GRID[::2] + _GRID[1::2]
+
+
 @pytest.mark.parametrize(
-    "geometry, box",
+    "geometry, box, kernels",
     [
-        (wf.Geometry("halfline"), (0.5, 3.0, -0.5, 1.0)),
-        (wf.Geometry("interval", 0.0, 10.0), (1.0, 9.0, -1.0, 1.0)),
+        (wf.Geometry("halfline"), (0.5, 3.0, -0.5, 1.0), _FOUR),
+        (wf.Geometry("interval", 0.0, 10.0), (1.0, 9.0, -1.0, 1.0), _FOUR),
+        (wf.Geometry("halfline"), (0.5, 3.0, -0.5, 1.0), _GRID),
+        (wf.Geometry("interval", 0.0, 10.0), (1.0, 9.0, -1.0, 1.0), _GRID),
     ],
-    ids=["halfline", "interval"],
+    ids=["halfline", "interval", "halfline_beta_by_H_grid", "interval_beta_by_H_grid"],
 )
-def test_batch_members_with_own_kernels_bitwise_equal_single_runs(monkeypatch, geometry, box):
-    # every member its own kernel, beta = 0 and beta = 1 among them: the
-    # batched attempts stack the kernels, and each run equals its own in
-    # every bit, diagnostics (whose L takes the member's primitive) included
-    kernels = [(1.0, 0.25), (0.3, 1.0), (1.0, 0.0), (0.3, 1.5)]
+def test_batch_members_with_own_kernels_bitwise_equal_single_runs(
+    monkeypatch, geometry, box, kernels
+):
+    # every member its own kernel, beta = 0 and beta = 1 among them: one kernel
+    # pass per stage serves the batch, beta = 1's reciprocal and the amplitude
+    # column included, and each run equals its own in every bit, diagnostics
+    # (whose L takes the member's primitive) included
+    assert all(a != b for a, b in zip(kernels, kernels[1:]))
     models = [
         wf.FlockModel(wf.CommunicationKernel("powerlaw", H, beta), wf.WallPotential(1.0, 1.0),
                       geometry)
         for H, beta in kernels
     ]
-    states = [wf.initial_condition(8, *box, seed) for seed in (1, 2, 3, 4)]
+    states = [wf.initial_condition(8, *box, seed) for seed in range(1, len(models) + 1)]
     singles = [integrate(m, s, 6.0, 0.1) for m, s in zip(models, states)]
     calls = _counting_attempts(monkeypatch)
     runs = integrate_batch(models, states, 6.0, 0.1)
-    for run, single in zip(runs, singles):
+    for run, single in zip(runs, singles, strict=True):
         _assert_same_run(run, single)
     # the members still share most rounds
     assert sum(members > 1 for members, _ in calls) > len(calls) / 2
+
+
+@pytest.mark.parametrize("beta", [0.25, 1.0])
+def test_batched_acceleration_calls_do_not_grow_with_distinct_kernels(beta):
+    # one batched acceleration under 16 distinct kernels makes the Python
+    # and C calls of one under a single shared kernel: one kernel pass,
+    # whatever the kernels (beta = 1 among them or throughout takes the
+    # masked pass either way; no H is 1 in either)
+    wall, geometry = wf.WallPotential(1.0, 1.0), wf.Geometry("halfline")
+    shared = [wf.CommunicationKernel("powerlaw", 0.7, beta)] * 16
+    distinct = [
+        wf.CommunicationKernel("powerlaw", 0.5 + 0.01 * j, beta + 0.25 * (j % 2)) for j in range(16)
+    ]
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(0.5, 6.0, (16, 8)), axis=1)
+    v = rng.uniform(-1.0, 1.0, x.shape)
+
+    def count(kernels):
+        m = wf.FlockModel(KernelStack(tuple(kernels)), wall, geometry)
+        wf.acceleration(m, x, v)  # first-call caches out of the way
+        events = Counter()
+
+        def hook(frame, event, arg):
+            events[event] += 1
+
+        sys.setprofile(hook)
+        try:
+            wf.acceleration(m, x, v)
+        finally:
+            sys.setprofile(None)
+        return events["call"], events["c_call"]
+
+    assert len(set(distinct)) == 16
+    assert count(distinct) == count(shared)
 
 
 def test_batch_domain_rejection_with_own_kernels_rejects_only_its_member(monkeypatch):

@@ -255,21 +255,38 @@ def test_kernel_matrix_consumers_bitwise_equal_direct_form(family, beta):
 def test_kernel_stack_matrix_bitwise_equal_each_members_own():
     # a batch whose members carry their own kernels, one of them twice apart
     # (a, b, a): each member's slice has its own kernel.matrix's bits, the
-    # beta = 1 reciprocal and beta = 0 ones paths included
+    # beta = 1 reciprocal and beta = 0 ones paths included, and so has each
+    # member of a subset that takes its columns by index
     ks = [CommunicationKernel("powerlaw", H, beta)
           for beta in (0.0, 0.5, 1.0, 1.5) for H in (0.3, 1.0)]
     members = [ks[i] for i in (0, 1, 0, 2, 2, 3, 4, 5, 6, 7, 7, 4)]
-    bounds = [j for j in range(1, len(members)) if members[j] != members[j - 1]]
-    runs = tuple(
-        (members[lo], lo, hi) for lo, hi in zip([0, *bounds], [*bounds, len(members)])
-    )
-    stack = kernels.KernelStack(runs)
+    stack = kernels.KernelStack(tuple(members))
+    subset = [11, 3, 7, 1]
+    sub = stack.take(subset)
     rng = np.random.default_rng(12)
     for n in (1, 8, 16):
         x = np.sort(rng.uniform(0.5, 40.0, (len(members), n)), axis=1)
         got = stack.matrix(x, x)
         for b, k in enumerate(members):
             assert np.array_equal(_bits(got[b]), _bits(k.matrix(x[b], x[b]))), (n, b)
+        got = sub.matrix(x[subset], x[subset])
+        for j, b in enumerate(subset):
+            assert np.array_equal(_bits(got[j]), _bits(members[b].matrix(x[b], x[b]))), (n, b)
+
+
+def test_kernel_stack_is_its_kernels():
+    # equal and hashed by its kernels alone, however its columns were made;
+    # a unit H or a beta other than 1 in every member leaves that column out
+    ks = (CommunicationKernel("powerlaw", 0.3, 1.0), CommunicationKernel("powerlaw", 1.0, 0.5))
+    stack = kernels.KernelStack(ks * 2)
+    taken = stack.take([0, 1])
+    assert taken == kernels.KernelStack(ks) and hash(taken) == hash(kernels.KernelStack(ks))
+    assert taken != kernels.KernelStack(ks[::-1])
+    assert kernels.KernelStack(ks[1:]).columns[1:] == (None, None)
+    exponent, H, unit = stack.columns
+    assert exponent.shape == H.shape == unit.shape == (4, 1, 1)
+    assert exponent.ravel().tolist() == [-1.0, -0.5] * 2 and H.ravel().tolist() == [0.3, 1.0] * 2
+    assert unit.ravel().tolist() == [True, False] * 2
 
 
 def test_constant_kernel_is_the_power_law_at_beta_zero():

@@ -38,7 +38,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHORT_HORIZON = {"force_decay", "kinetic_decay", "velocity_alignment"}
 
 _acceleration = dynamics.acceleration
-_geometry_force = dynamics.geometry_force
+_geometry_force = potentials.geometry_force
 _matrix = CommunicationKernel.matrix
 _wall_layer = potentials.wall_layer
 
@@ -57,7 +57,12 @@ def _flipped_interaction(monkeypatch):
 
 
 def _scaled_wall(monkeypatch, factor):
-    monkeypatch.setattr(dynamics, "geometry_force", lambda g, w, x: factor * _geometry_force(g, w, x))
+    # the wall force of acceleration alone, which takes it from its wall_layer
+    def layer(geom, wall, x, potential=False):
+        lo, P, F = _wall_layer(geom, wall, x, potential)
+        return lo, P, (None if F is None else factor * F)
+
+    monkeypatch.setattr(dynamics, "wall_layer", layer)
 
 
 def _asymmetric_kernel(monkeypatch, eps):
@@ -92,6 +97,7 @@ def _stronger_second_wall(monkeypatch, eps):
         return lo, P, F
 
     monkeypatch.setattr(potentials, "wall_layer", layer)
+    monkeypatch.setattr(dynamics, "wall_layer", layer)
     monkeypatch.setattr(observables, "wall_layer", layer)
 
 

@@ -9,7 +9,6 @@ from wallflock import (
     FIELDS,
     diagnostics,
     dynamics,
-    integrator,
     dissipation_residual,
     initial_energy,
     write_diagnostics_csv,
@@ -176,9 +175,8 @@ def _batched_diagnostics(models, x, v, t=0.7):
     member's column checked against its own call's record in every bit."""
     states = [wf.FlockState(t, xb, vb) for xb, vb in zip(x, v)]
     G = np.array([initial_energy(m, s) for m, s in zip(models, states)])
-    ids: dict = {}
-    kid = [ids.setdefault(m.kernel, len(ids)) for m in models]
-    stack = integrator._stepping_model(models, kid, list(range(len(models))))
+    m = models[0]
+    stack = wf.FlockModel(wf.kernels.KernelStack(tuple(m.kernel for m in models)), m.wall, m.geometry)
     rec = diagnostics(stack, SimpleNamespace(t=t, x=x, v=v), G)
     for b, (m, s) in enumerate(zip(models, states)):
         want = diagnostics(m, s, G[b])

@@ -18,9 +18,9 @@ from wallflock import (
     diagnostics,
     geometry_force,
     initial_energy,
-    integrator,
     warn_if_overlapping,
 )
+from wallflock.kernels import KernelStack
 from wallflock.potentials import wall_layer
 
 
@@ -301,7 +301,7 @@ def test_layer_sums_of_a_batch_equal_per_row_calls(variant, case):
     assert _same(P, [r[1] for r in per_row])
     assert _same(F, force) and _same(force, [geometry_force(geom, wall, row) for row in x])
     assert all(r[2] is None for r in per_row) == (case == "outside")
-    stack = integrator._stepping_model([m] * len(x), [0] * len(x), list(range(len(x))))
+    stack = FlockModel(KernelStack((m.kernel,) * len(x)), wall, geom)
     rec = diagnostics(stack, SimpleNamespace(t=0.0, x=x, v=v), np.zeros(len(x)))
     for b, (xb, vb) in enumerate(zip(x, v)):
         want = diagnostics(m, FlockState(0.0, xb, vb), 0.0)
@@ -394,7 +394,7 @@ def test_reach_limited_layer_of_a_batch_bitwise_equal_all_walls(rows, theta, H, 
     v = rng.uniform(-1.0, 1.0, x.shape)
     oracle = [_layer_record(geom, wall, xb, vb) for xb, vb in zip(x, v)]
     assert _same(geometry_force(geom, wall, x), [F for F, want in oracle])
-    stack = integrator._stepping_model([m] * len(rows), [0] * len(rows), list(range(len(rows))))
+    stack = FlockModel(KernelStack((m.kernel,) * len(rows)), wall, geom)
     G = np.array([want["G"] for F, want in oracle])
     rec = diagnostics(stack, SimpleNamespace(t=0.0, x=x, v=v), G)
     for b, (F, want) in enumerate(oracle):
@@ -553,6 +553,6 @@ def test_a_zero_distance_is_minus_zero_when_any_agents_is(variant, x, want):
     if x.ndim == 1:
         rec = diagnostics(m, FlockState(0.0, x, v), 0.0)
     else:
-        stack = integrator._stepping_model([m] * len(x), [0] * len(x), list(range(len(x))))
+        stack = FlockModel(KernelStack((m.kernel,) * len(x)), wall, geom)
         rec = diagnostics(stack, SimpleNamespace(t=0.0, x=x, v=v), np.zeros(len(x)))
     assert _same(rec.x_min_wall, want if x.ndim > 1 else want[0])

@@ -15,7 +15,9 @@ integrator.t_end 1.05 (interval_short_last.yaml), and `wallflock simulate` and
 [0.5, 3.5] (interval_two_walls.yaml), and the same at ic.n_agents 320 and
 integrator.t_end 0.3 (interval_two_walls_n320.yaml), and `wallflock sweep` of
 configs/sweep_beta.yaml on the interval (0, 4) with the initial box [0.5, 3.5]
-(sweep_interval.yaml), each into its own directory
+(sweep_interval.yaml), and `wallflock sweep` of configs/sweep_beta.yaml over
+kernel.beta [0, 0.5, 1, 1.5] by kernel.H [0.3, 1] (sweep_kernels.yaml), each
+into its own directory
 under a temporary working directory, and prints one line per run (`<command> <config> exit=<code>`)
 followed by `<sha256>  <command>/<config>/<file>` for every file the run
 wrote.  wallflock is imported from the src/ tree next to this script, so two
@@ -73,12 +75,19 @@ DERIVED = {
         "geometry": {"variant": "interval", "a": 0.0, "b": 4.0},
         "ic": {"n_agents": 8, "x_low": 0.5, "x_high": 3.5, "v_low": -0.5, "v_high": 0.8, "seed": 1},
     }}),
+    # a sweep over the kernel grid beta in {0, 1/2, 1, 3/2} by H in {0.3, 1}:
+    # its batch holds each kernel as a column, so beta = 1's reciprocal, beta =
+    # 0's ones and the amplitude column show in sweep.csv and the reports
+    "sweep_kernels": ("sweep_beta", {"sweep": {"axes": [
+        {"key": "kernel.beta", "values": [0.0, 0.5, 1.0, 1.5]},
+        {"key": "kernel.H", "values": [0.3, 1.0]},
+    ]}}),
 }
 RUNS += [("simulate", "halfline_n320"), ("verify", "halfline_n320")]
 RUNS += [("verify", "interval_short_last")]
 RUNS += [("simulate", "interval_two_walls"), ("verify", "interval_two_walls")]
 RUNS += [("simulate", "interval_two_walls_n320"), ("verify", "interval_two_walls_n320")]
-RUNS += [("sweep", "sweep_interval")]
+RUNS += [("sweep", "sweep_interval"), ("sweep", "sweep_kernels")]
 
 
 def write_derived_configs(directory: Path) -> None:
