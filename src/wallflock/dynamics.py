@@ -10,6 +10,7 @@ mean of kernel-weighted velocity differences plus the confining wall force:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .potentials import Geometry, WallPotential, wall_layer, warn_if_overlapping
 # the settlement check's gaps (256 KB): 32 rows at N = 1024, and one strip,
 # the whole N x N matrix, up to N = 181
 _BLOCK_ELEMENTS = 1 << 15
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
 
 
 @dataclass
@@ -111,6 +113,59 @@ def acceleration(m: FlockModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _philox_key(seed: int) -> tuple:
+    """numpy's SeedSequence(seed).generate_state(2, uint64): the seed's 32-bit
+    words, little end first, hashed into a pool of 4 and drawn out as 2 words."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+
+    def hasher(h, mult):  # a 32-bit hash whose constant h advances at each call
+        def hash32(value):
+            nonlocal h
+            value ^= h
+            h = h * mult & _M32
+            value = value * h & _M32
+            return value ^ value >> 16
+
+        return hash32
+
+    def mix(x, y):
+        r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+        return r ^ r >> 16
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:  # words past the pool's mix into each pool word
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = list(map(hasher(0x8B51F9DD, 0x58F38DED), pool))
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+def _philox_uniforms(seed: int, count: int) -> np.ndarray:
+    """The first count doubles in [0, 1) of numpy's Generator(Philox(seed)):
+    block c of Philox4x64-10 (Salmon et al., SC'11) is 10 rounds on the counter
+    (c, 0, 0, 0), from c = 1, and gives 4 words w, each the double (w >> 11) 2^-53."""
+    k0, k1 = _philox_key(seed)
+    keys = [(k0 + r * 0x9E3779B97F4A7C15 & _M64, k1 + r * 0xBB67AE8584CAA73B & _M64)
+            for r in range(10)]  # each round's key, bumped by a Weyl sequence
+    out = []
+    for c in range(1, (count + 3) // 4 + 1):
+        c0, c1, c2, c3 = c, 0, 0, 0
+        for r0, r1 in keys:
+            p, q = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = (q >> 64) ^ c1 ^ r0, q & _M64, (p >> 64) ^ c3 ^ r1, p & _M64
+        out += (c0 >> 11, c1 >> 11, c2 >> 11, c3 >> 11)
+    u = np.array(out[:count], dtype=float)
+    u *= 2.0**-53
+    return u
+
+
 def initial_condition(
     n_agents: int,
     x_low: float,
@@ -121,11 +176,15 @@ def initial_condition(
 ) -> FlockState:
     """Uniform box sample from a counter-based Philox stream, sorted by position.
 
-    Positions are drawn before velocities; agents are then reordered
-    ascending in x (pairs move together, so the dynamics are unchanged).
+    The stream is numpy's Generator(Philox(seed)).uniform, bit for bit, written
+    out so that a run imports no part of numpy's random package: positions
+    take its first n_agents draws low + (high - low) u, velocities the next
+    n_agents (mid-block when n_agents is not a multiple of 4).  Agents are
+    then reordered ascending in x (pairs move together, so the dynamics are
+    unchanged).
     """
-    rng = np.random.Generator(np.random.Philox(seed))
-    x = rng.uniform(x_low, x_high, n_agents)
-    v = rng.uniform(v_low, v_high, n_agents)
+    u = _philox_uniforms(operator.index(seed), 2 * n_agents)
+    x = float(x_low) + (float(x_high) - float(x_low)) * u[:n_agents]
+    v = float(v_low) + (float(v_high) - float(v_low)) * u[n_agents:]
     order = np.argsort(x, kind="stable")
     return FlockState(t=0.0, x=x[order], v=v[order])

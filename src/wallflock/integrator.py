@@ -170,9 +170,12 @@ def batch_members(n: int, samples: int) -> int:
 def _error_quotients(y, y_new, err) -> np.ndarray:
     """|err| over its tolerance scale; adding 0 * y_new keeps every finite
     quotient's bits and makes it NaN where y_new is not finite."""
-    q = np.abs(err)
-    q /= ABS_TOL + REL_TOL * np.maximum(np.abs(y), np.abs(y_new))
-    q += 0.0 * y_new
+    q, scale = np.abs(err), np.abs(y)
+    np.maximum(scale, np.abs(y_new), out=scale)
+    scale *= REL_TOL
+    scale += ABS_TOL
+    q /= scale
+    q += np.multiply(y_new, 0.0, out=scale)
     return q
 
 

@@ -36,6 +36,9 @@ class DiagnosticsRecord(NamedTuple):
 # constants.
 FIELDS = tuple(f for f in DiagnosticsRecord._fields if f != "F_sq")
 
+# the ufunc reductions that ndarray.max, .min and .sum call through numpy's wrappers
+_max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+
 
 def initial_energy(m: FlockModel, s: FlockState) -> float:
     """K + P at a state; captured once per run as the constant G."""
@@ -49,7 +52,7 @@ def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:
     KernelStack, with G per member, gives (B,) columns with each member's bits."""
     x, v = s.x, s.v
     n = x.shape[-1]
-    # one state's sums become Python floats, a batch's stay arrays; a.sum() / n
+    # one state's sums become Python floats, a batch's stay arrays; _sum(a) / n
     # is np.mean(a)'s IEEE arithmetic without its wrapper, and np.vecdot(v, v)
     # has the bits of v @ v.  The wall terms are wall_layer's, from the walls
     # in reach alone, with each member's x_min_wall and P
@@ -59,12 +62,14 @@ def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:
         F_max = F_mean = F_sq = 0.0
         F = np.zeros(n)  # for W = -(v . F), computed as in the layer
     else:
-        F_max, F_mean, F_sq = f(np.abs(F).max(axis=-1)), f(F.sum(axis=-1)) / n, f((F**2).sum(axis=-1))
+        F_abs = np.abs(F)  # then its square, which is F's
+        F_max, F_mean = f(_max(F_abs, axis=-1)), f(_sum(F, axis=-1)) / n
+        F_sq = f(_sum(np.square(F_abs, out=F_abs), axis=-1))
     K = f(np.vecdot(v, v)) / (2.0 * n)
-    v_max = f(v.max(axis=-1))
-    v_min = f(v.min(axis=-1))
+    v_max = f(_max(v, axis=-1))
+    v_min = f(_min(v, axis=-1))
     A = v_max - v_min
-    D = f(x.max(axis=-1) - x.min(axis=-1))
+    D = f(_max(x, axis=-1) - _min(x, axis=-1))
     if n * n > dynamics._BLOCK_ELEMENTS:  # one state: a batch this wide is one member
         # phi (v_i - v_j)^2 is even, so a strip's columns past its rows count twice
         total = 0.0
@@ -79,9 +84,9 @@ def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:
         dv = v[..., :, None] - v[..., None, :]
         w *= dv
         w *= dv
-        total = np.add.reduce(w.reshape(x.shape[:-1] + (n * n,)), axis=-1)
+        total = _sum(w.reshape(x.shape[:-1] + (n * n,)), axis=-1)
     return DiagnosticsRecord(
-        t=s.t, K=K, P=P, E=K + P, p=f(v.sum(axis=-1)) / n, A=A, D=D, I2=f(total) / (2.0 * n * n),
+        t=s.t, K=K, P=P, E=K + P, p=f(_sum(v, axis=-1)) / n, A=A, D=D, I2=f(total) / (2.0 * n * n),
         L=A + m.kernel.primitive(D), W=-f(np.vecdot(v, F)), F_max=F_max, F_mean=F_mean,
         x_min_wall=x_min_wall, v_max=v_max, v_min=v_min, G=G, F_sq=F_sq,
     )

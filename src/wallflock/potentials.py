@@ -40,10 +40,15 @@ class WallPotential:
     def _terms(self, x, potential: bool = False):
         """(U(x), -U'(x)) with g = (ell - x)+, the force pointing away from the
         wall; U is None unless potential, and shares g and g^4 with the force.
-        A unit theta multiplies nothing: 1.0 * a is a for every double."""
-        g = np.maximum(self.ell - x, 0.0)
+        A unit theta multiplies nothing: 1.0 * a is a for every double.  The
+        force is formed in g's buffer, after g^4 is taken from it."""
+        g = np.subtract(self.ell, x)
+        np.maximum(g, 0.0, out=g)
         g4 = g**4
-        force = 4.0 * g**3 * x + g4
+        force = np.power(g, 3, out=g)
+        force *= 4.0
+        force *= x
+        force += g4
         if self.theta != 1.0:
             force *= self.theta
             g4 *= self.theta

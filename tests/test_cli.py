@@ -657,22 +657,25 @@ def test_python_dash_m_runs_the_command_line(module, tmp_path):
 
 def test_a_verify_run_loads_no_scipy(tmp_path):
     # scipy is a test dependency only: a fresh interpreter that imports the
-    # package and runs verify (every sample calls kernel.primitive) holds no scipy
-    # module, and no numpy.polynomial, whose leggauss(12) the quadrature rule's
-    # literals hold
+    # package and runs verify (every sample calls kernel.primitive) and a sweep
+    # holds no scipy module, no numpy.polynomial, whose leggauss(12) the
+    # quadrature rule's literals hold, and no numpy.random, whose Philox stream
+    # initial_condition writes out
     src = Path(wallflock.__file__).resolve().parents[1]
-    config = write(tmp_path, "run.yaml", FREE_ALIGNING.replace("beta: 0.0", "beta: 0.3"))
-    argv = ["verify", "--config", str(config), "--out", str(tmp_path / "run"), "--quiet"]
+    runs = []
+    for command, text in (("verify", FREE_ALIGNING), ("sweep", SWEEP)):
+        config = write(tmp_path, f"{command}.yaml", text.replace("beta: 0.0", "beta: 0.3"))
+        runs.append([command, "--config", str(config), "--out", str(tmp_path / command), "--quiet"])
     script = (
         "import sys, wallflock, wallflock.cli\n"
-        f"code = wallflock.cli.main({argv!r})\n"
-        "print(code, sorted(m for m in sys.modules\n"
-        "                   if m == 'scipy' or m.startswith(('scipy.', 'numpy.polynomial'))))\n"
+        f"codes = [wallflock.cli.main(argv) for argv in {runs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m == 'scipy'\n"
+        "                    or m.startswith(('scipy.', 'numpy.polynomial', 'numpy.random'))))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 []"
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 BOUNCE_T30 = """

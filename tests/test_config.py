@@ -3,10 +3,12 @@ import string
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallflock as wf
+from wallflock import config
 from wallflock import (
     ConfigError,
     RunConfig,
@@ -74,6 +76,24 @@ def test_unknown_names_are_rejected_with_location():
         parse_config("- a\n- b")
     with pytest.raises(ConfigError, match="invalid YAML"):
         parse_config("kernel: {family: [unclosed")
+
+
+SHIPPED = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_shipped_configs_load_alike_through_both_yaml_loaders(path, monkeypatch):
+    # libyaml's loader where PyYAML has it, else the pure-Python one: the same
+    # objects, types included, and the same ConfigError for invalid YAML
+    text = path.read_text()
+    loaded = yaml.load(text, Loader=yaml.SafeLoader)
+    assert loaded
+    for loader in {config._LOADER, yaml.SafeLoader}:
+        monkeypatch.setattr(config, "_LOADER", loader)
+        assert config._load_yaml(text) == loaded
+        assert repr(config._load_yaml(text)) == repr(loaded)
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            config._load_yaml(text + "\nkernel: {family: [unclosed")
 
 
 def test_type_errors():

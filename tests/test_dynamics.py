@@ -119,6 +119,30 @@ def test_initial_condition_respects_box():
 def test_initial_condition_rejects_negative_seed():
     with pytest.raises(ValueError):
         initial_condition(4, 0.5, 3.0, -0.5, 1.0, -1)
+    with pytest.raises(TypeError):  # as numpy's SeedSequence rejects a float
+        initial_condition(4, 0.5, 3.0, -0.5, 1.0, 1.5)
+
+
+# seeds of one, two and four 32-bit words, and of five and seven, whose words
+# past the pool's fourth go through SeedSequence's extra mixing loop
+PHILOX_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 7, 2**128 + 5, 2**200 + 3] + [
+    int(s) for s in np.random.default_rng(35).integers(0, 2**64, 50, dtype=np.uint64)
+]
+
+
+@pytest.mark.parametrize("box", [(0.5, 3.0, -0.5, 1.0), (1.1, 5.0, -0.0462, -0.0378)])
+def test_initial_condition_is_numpys_philox_uniform(box):
+    # numpy.random is the oracle of the stream written out in the package:
+    # positions, then velocities from the same generator (mid-block unless
+    # n % 4 == 0), stable-sorted by position
+    for seed in PHILOX_SEEDS:
+        for n in (1, 2, 3, 4, 5, 16, 1024):
+            rng = np.random.Generator(np.random.Philox(seed))
+            x, v = rng.uniform(box[0], box[1], n), rng.uniform(box[2], box[3], n)
+            order = np.argsort(x, kind="stable")
+            s = initial_condition(n, *box, seed)
+            assert s.x.tobytes() == x[order].tobytes(), (seed, n)
+            assert s.v.tobytes() == v[order].tobytes(), (seed, n)
 
 
 @st.composite

@@ -16,13 +16,25 @@ at once; what an earlier phase left allocated is not counted.
 
 perfbench's peak_rss_mb is one number for its whole process, which on
 large_n its in-process dense oracle can set; these peaks name the phase
-that holds the memory, and do not depend on timing.  wallflock is imported
-from the src/ tree next to this script, so two checkouts give two outputs
-to compare.
+that holds the memory, and do not depend on timing.
+
+A last line, `fresh import_mb=<rss> verify_mb=<rss> numpy_random=<loaded>`,
+comes from a fresh interpreter: its ru_maxrss (10^6 bytes) after
+`import wallflock` and after one `wallflock verify` of configs/halfline.yaml
+(N = 16, its own t_end), and whether any numpy.random module is then
+loaded.  That is the whole-process figure perfbench reads, without
+perfbench's own imports.  The interpreter is started by a bare one, because
+Linux carries a parent's RSS high-water mark into its child's ru_maxrss
+across exec, and this process's own peak is far above a fresh one's.
+
+wallflock is imported from the src/ tree next to this script, so two
+checkouts give two outputs to compare.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -61,12 +73,29 @@ def phase_peaks(n: int, directory: Path) -> tuple:
     return integrate_peak, claims_peak, json_peak
 
 
+FRESH = """
+import resource, sys
+def rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+import wallflock.cli
+imported = rss_mb()
+wallflock.cli.main(["verify", "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"])
+loaded = any(m == "numpy.random" or m.startswith("numpy.random.") for m in sys.modules)
+print(f"fresh import_mb={imported:.2f} verify_mb={rss_mb():.2f} numpy_random={int(loaded)}")
+"""
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for n in SIZES:
             phase_peaks(n, Path(tmp))
             peaks = phase_peaks(n, Path(tmp))
             print(f"n={n} " + " ".join(f"{k}={v / 1e6:.3f}" for k, v in zip(PHASES, peaks)))
+        launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+        fresh = [sys.executable, "-c", FRESH, str(CONFIG), str(Path(tmp) / "fresh")]
+        argv = [sys.executable, "-c", launch, *fresh]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        print(subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout, end="")
 
 
 if __name__ == "__main__":
