@@ -136,7 +136,10 @@ def fit_exponential(traj: Trajectory, window_start: float | None = None):
     """Least-squares line on (t, log A) over the tail window.
 
     Samples with A below 100x machine epsilon sit in the round-off floor and
-    are skipped.  Returns None when fewer than FIT_MIN_POINTS remain.
+    are skipped.  Returns None when fewer than FIT_MIN_POINTS remain.  The line
+    is in closed form on centred data dt, dl (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 20), every sum an `np.add.reduce`: no LAPACK
+    or BLAS call, so its bits do not depend on the OpenBLAS kernel.
     """
     times, A = traj.sample_times, traj.records.A
     if window_start is None:
@@ -146,10 +149,13 @@ def fit_exponential(traj: Trajectory, window_start: float | None = None):
         return None
     tt = times[mask]
     la = np.log(A[mask])
-    slope, intercept = np.polyfit(tt, la, 1)
+    tm, lm = np.add.reduce(tt) / tt.size, np.add.reduce(la) / la.size
+    dt, dl = tt - tm, la - lm
+    slope = np.add.reduce(dt * dl) / np.add.reduce(dt * dt)
+    intercept = lm - slope * tm
     fitted = slope * tt + intercept
     ss_res = float(np.sum((la - fitted) ** 2))
-    ss_tot = float(np.sum((la - np.mean(la)) ** 2))
+    ss_tot = float(np.sum(dl**2))
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res <= 1e-28 else 0.0
     else:

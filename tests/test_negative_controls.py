@@ -10,7 +10,9 @@ A row whose set equals the baseline's is a perturbation no claim detects.
 A whole-run relation sees some of those: reflecting the interval, x -> a + b - x
 and v -> -v with the agents reversed, must reflect the run at every sample
 (metamorphic testing: Chen et al., ACM Comput. Surv. 51(1), 2018; Segura et
-al., IEEE TSE 42(9), 2016).
+al., IEEE TSE 42(9), 2016).  So does each agent's first integral on the line,
+Q_i = v_i - (1/N) sum_j Psi(x_j - x_i) while no wall force acts (Ha, Kim, Park
+and Zhang, Arch. Ration. Mech. Anal. 231, 2019).
 """
 
 from pathlib import Path
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from scipy.special import hyp2f1
 
 import wallflock.dynamics as dynamics
 import wallflock.integrator as integrator
@@ -108,6 +111,7 @@ ROWS = {
     "interaction_sign_flipped": _flipped_interaction,
     "wall_force_negated": lambda mp: _scaled_wall(mp, -1.0),
     "wall_force_scaled_1-1e-3": lambda mp: _scaled_wall(mp, 1.0 - 1e-3),
+    "kernel_asymmetry_1e-8": lambda mp: _asymmetric_kernel(mp, 1e-8),
     "kernel_asymmetry_1e-4": lambda mp: _asymmetric_kernel(mp, 1e-4),
     "kernel_asymmetry_1e-2": lambda mp: _asymmetric_kernel(mp, 1e-2),
     "one_agent_drift_1e-2": lambda mp: _one_agent_drift(mp, 1e-2),
@@ -140,6 +144,9 @@ EXPECTED = [
     ("wall_force_negated", "interval", {"integration_completed"}),
     ("wall_force_scaled_1-1e-3", "halfline", set()),
     ("wall_force_scaled_1-1e-3", "interval", SHORT_HORIZON | {"momentum_force_identity"}),
+    # seen by the first-integral law alone (test_control_nowall_keeps_each_agents_first_integral)
+    ("kernel_asymmetry_1e-8", "halfline", set()),
+    ("kernel_asymmetry_1e-8", "interval", SHORT_HORIZON),
     ("kernel_asymmetry_1e-4", "halfline", {"momentum_nondecreasing"}),
     ("kernel_asymmetry_1e-4", "interval", SHORT_HORIZON),
     ("kernel_asymmetry_1e-2", "halfline", {"momentum_force_identity", "momentum_nondecreasing"}),
@@ -189,7 +196,7 @@ def test_kernel_asymmetry_takes_the_one_strip_path(monkeypatch):
     # asymmetric patch would lose its asymmetry there; every config the rows
     # run fits in one strip, where the patched acceleration is the dense
     # asymmetric form phi_ij (1 + eps) for i < j exactly
-    for name in {config for _, config, _ in EXPECTED}:
+    for name in {config for _, config, _ in EXPECTED} | {"control_nowall"}:
         n = config_from_data(yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())).ic.n_agents
         assert dynamics.block_rows(n) >= n, name
     n, eps = 16, 1e-2
@@ -231,3 +238,32 @@ def test_reflected_interval_run_is_its_mirror_image(monkeypatch, row, detected):
     gap_v = np.abs(reflected.V + run.V[:, ::-1]).max()
     assert verdicts[0] == verdicts[1]  # no claim tells the two apart
     assert (max(gap_x, gap_v) > REFLECTION_BAR) == detected, (gap_x, gap_v)
+
+
+# With no wall force, d/dt Psi(x_j - x_i) = phi(x_j - x_i) (v_j - v_i) makes
+# Q_i = v_i - (1/N) sum_j Psi(x_j - x_i) constant for each agent, where Psi is
+# the kernel's odd primitive, H r 2F1(1/2, beta; 3/2; -r^2), taken from scipy
+# so that it shares no code with CommunicationKernel.primitive.  On
+# configs/control_nowall.yaml (theta = 0) max |Q_i(t) - Q_i(0)| is 4.2e-11 at
+# T = 10 and at T = 100, so the bar 0.05 * ABS_TOL (5e-10) leaves a factor 12.
+FIRST_INTEGRAL_BAR = 0.05 * integrator.ABS_TOL
+
+
+def _first_integral_drift(cfg):
+    m = model_from_config(cfg)
+    traj = integrate(m, initial_state_from_config(cfg), cfg.t_end, cfg.sample_every)
+    r = traj.X[:, None, :] - traj.X[:, :, None]  # r[s, i, j] = x_j - x_i
+    psi = m.kernel.H * r * hyp2f1(0.5, m.kernel.beta, 1.5, -r * r)
+    Q = traj.V - psi.sum(axis=2) / traj.X.shape[1]
+    return float(np.abs(Q - Q[0]).max())
+
+
+@pytest.mark.parametrize("row, detected", [("baseline", False), ("kernel_asymmetry_1e-8", True)])
+def test_control_nowall_keeps_each_agents_first_integral(monkeypatch, row, detected):
+    cfg = _config("control_nowall", 10.0)
+    assert cfg.wall.theta == 0.0
+    failed = _failed_claims("control_nowall")
+    ROWS[row](monkeypatch)
+    assert _failed_claims("control_nowall") == failed  # no claim tells the two apart
+    drift = _first_integral_drift(cfg)
+    assert (drift > FIRST_INTEGRAL_BAR) == detected, drift

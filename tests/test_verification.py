@@ -135,6 +135,54 @@ def test_fit_requires_enough_points():
     assert fit_exponential(traj) is None
 
 
+def _tail(times, A):
+    """A Trajectory of one agent whose records carry t and A only (the fit reads A)."""
+    n, names = len(times), DiagnosticsRecord._fields
+    records = np.rec.fromarrays([np.zeros(n)] * len(names), names=names)
+    records.t[:], records.A[:] = times, A
+    return Trajectory(times, np.zeros((n, 1)), np.zeros((n, 1)), records)
+
+
+def test_fit_agrees_with_polyfit():
+    # np.polyfit's SVD least squares is the oracle. Each window spans `span`
+    # and starts at up to 3 spans (a tail quarter starts at 3), and log A
+    # moves by 1 to 25 along it, so both solutions are well conditioned
+    rng = np.random.default_rng(36)
+    for _ in range(60):
+        n = int(rng.integers(10, 4001))
+        span = 10.0 ** rng.uniform(0.0, 2.5)
+        slope = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 25.0) / span
+        t0 = rng.uniform(0.0, 3.0) * span
+        times = np.linspace(t0, t0 + span, n)
+        noise = rng.choice([0.0, 1e-8, 1e-3, 0.3])
+        A = np.exp(rng.uniform(-3.0, 3.0) + slope * (times - t0) + noise * rng.standard_normal(n))
+        fit = fit_exponential(_tail(times, A), window_start=t0)
+        la = np.log(A)
+        s, c = np.polyfit(times, la, 1)
+        r2 = 1.0 - np.sum((la - (s * times + c)) ** 2) / np.sum((la - np.mean(la)) ** 2)
+        assert fit.window == (t0, times[-1])
+        assert fit.delta == pytest.approx(-s, rel=1e-12, abs=0.0)
+        assert fit.C == pytest.approx(np.exp(c), rel=1e-12, abs=0.0)
+        assert fit.r_squared == pytest.approx(r2, rel=0.0, abs=1e-12)
+
+
+def test_verify_fits_the_rate_without_lapack(monkeypatch):
+    # no run reaches np.polyfit or numpy.linalg: the half-line fit is closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.polyfit or numpy.linalg called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
+            monkeypatch.setattr(np.linalg, name, refuse)
+    text = (Path(__file__).resolve().parents[1] / "configs" / "halfline.yaml").read_text()
+    cfg = wf.parse_config(text, {"integrator.t_end": 30.0})
+    m, s0 = wf.model_from_config(cfg), wf.initial_state_from_config(cfg)
+    report = verify(m, s0, t_end=cfg.t_end, sample_every=cfg.sample_every)
+    assert report.fit is not None and report.fit.delta > 0.0
+    assert report.claim("exponential_rate").passed
+
+
 def test_detect_escape():
     geom = wf.Geometry("halfline")
     wall = wf.WallPotential()
