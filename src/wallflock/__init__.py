@@ -27,23 +27,13 @@ from .observables import (
     FIELDS,
     DiagnosticsRecord,
     diagnostics,
-    dissipation_residual,
     initial_energy,
     write_diagnostics_csv,
 )
 from .verification import (
     Claim,
     FitResult,
-    IntervalDecayResult,
-    SettlementResult,
     TheoremReport,
-    check_alignment,
-    check_interval_decay,
-    check_no_collision,
-    check_settlement,
-    check_work_of_force,
-    detect_escape,
-    fit_exponential,
     verify,
     verify_batch,
 )

@@ -97,17 +97,3 @@ def write_diagnostics_csv(records: np.recarray, path) -> None:
     header = ",".join(FIELDS)
     np.savetxt(path, records[list(FIELDS)], fmt="%.17g", delimiter=",", header=header, comments="")
 
-
-def dissipation_residual(traj) -> np.ndarray:
-    """Central-difference dE/dt plus I2 at interior samples.
-
-    The identity dE/dt = -I2 makes this a pure discretization residual; it
-    shrinks at second order in the sample spacing.
-    """
-    if len(traj.records) < 3:
-        raise ValueError("need at least 3 samples for a central difference")
-    t = np.asarray(traj.sample_times, dtype=float)
-    E = traj.records.E
-    I2 = traj.records.I2
-    dEdt = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
-    return dEdt + I2[1:-1]

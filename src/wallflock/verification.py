@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import FlockModel, FlockState, block_rows
 from .integrator import StiffnessError, Trajectory, integrate, integrate_batch
-from .potentials import Geometry, WallDomainError, WallPotential
+from .potentials import WallDomainError
 
 _EPS = float(np.finfo(float).eps)
 # the file TheoremReport.write keeps in an output directory
@@ -48,24 +48,6 @@ class Claim:
     threshold: float
     applicable: bool = True
     detail: str = ""
-
-
-@dataclass
-class SettlementResult:
-    passed: bool
-    settled_positions: np.ndarray
-    drift: bool
-    max_variation: float
-    max_pair_variation: float
-    min_mean_position: float
-
-
-@dataclass
-class IntervalDecayResult:
-    final_K: float
-    final_F_max: float
-    kinetic_tail_share: float
-    force_tail_share: float
 
 
 @dataclass
@@ -118,20 +100,6 @@ def _tail_start_index(times: np.ndarray) -> int:
     return min(idx, len(times) - 2)
 
 
-def check_no_collision(traj: Trajectory):
-    """A completed trajectory plus a positive wall-distance infimum."""
-    min_dist = float(np.min(traj.records.x_min_wall))
-    return min_dist > 0.0, min_dist
-
-
-def check_alignment(traj: Trajectory):
-    A = traj.records.A
-    final_A = float(A[-1])
-    tail_max = float(np.max(A[_tail_start_index(traj.sample_times):]))
-    # the tail guard rejects a lucky dip sampled at the final instant
-    return final_A < ALIGN_EPS and tail_max < 2.0 * ALIGN_EPS, final_A
-
-
 def fit_exponential(traj: Trajectory, window_start: float | None = None):
     """Least-squares line on (t, log A) over the tail window.
 
@@ -168,54 +136,6 @@ def fit_exponential(traj: Trajectory, window_start: float | None = None):
     )
 
 
-def detect_escape(traj: Trajectory, geom: Geometry, wall: WallPotential):
-    """Earliest sample time after which every agent stays at distance >= ell."""
-    if geom.variant != "halfline":
-        raise ValueError("escape detection applies to the half-line only")
-    outside = traj.X.min(axis=1) >= wall.ell
-    if not outside[-1]:
-        return None
-    inside = np.nonzero(~outside)[0]
-    k0 = 0 if inside.size == 0 else int(inside[-1]) + 1
-    return float(traj.sample_times[k0])
-
-
-def check_settlement(traj: Trajectory, wall: WallPotential) -> SettlementResult:
-    """Tail-window position convergence, absolute and pairwise.
-
-    Absolute settlement asks every agent to stop moving and rest at wall
-    distance >= ell - SETTLE_EPS.  A flock that aligned to a nonzero drift
-    velocity cannot satisfy that; it is reported as drift mode, where only
-    the pairwise (shape) convergence is meaningful.
-    """
-    k0 = _tail_start_index(traj.sample_times)
-    X = traj.X[k0:]  # (window, N)
-    means = X.mean(axis=0)
-    variation = X.max(axis=0) - X.min(axis=0)
-    # pairwise differences over the kernel sums' strips (past window N = 2^15,
-    # one row of window (N - lo)): rows [lo, lo + rows) against the columns
-    # j >= lo, so no (window, N, N) array exists and each pair is seen once:
-    # fl(x_j - x_i) = -fl(x_i - x_j), and a gap's spread has the same bits from either side
-    window, n = X.shape
-    rows = block_rows(window * n)
-    peaks = []
-    for lo in range(0, n, rows):
-        diffs = X[:, lo : lo + rows, None] - X[:, None, lo:]
-        peaks.append(np.max(diffs.max(axis=0) - diffs.min(axis=0)))
-    drift = abs(traj.records[-1].p) >= SETTLE_EPS
-    passed = bool(
-        np.all(variation < SETTLE_EPS) and np.all(means >= wall.ell - SETTLE_EPS)
-    )
-    return SettlementResult(
-        passed=passed,
-        settled_positions=means,
-        drift=bool(drift),
-        max_variation=float(np.max(variation)),
-        max_pair_variation=float(np.max(peaks)),
-        min_mean_position=float(np.min(means)),
-    )
-
-
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
@@ -241,37 +161,11 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _tail_share(series: np.ndarray, times: np.ndarray) -> float:
-    """Share of the time integral of series that falls in the second half."""
-    total = float(np.trapezoid(series, times))
+def _tail_share(series: np.ndarray, times: np.ndarray, total: float) -> float:
+    """Share of total, the time integral of series, that falls in the second half."""
     mid = int(np.searchsorted(times, 0.5 * (times[0] + times[-1])))
     last = float(np.trapezoid(series[mid:], times[mid:]))
     return 0.0 if total == 0.0 else last / total
-
-
-def check_interval_decay(m: FlockModel, traj: Trajectory) -> IntervalDecayResult:
-    """Final kinetic energy and wall force, and the late share of their time integrals."""
-    if m.geometry.variant != "interval":
-        raise ValueError("interval decay check requires interval geometry")
-    K, times = traj.records.K, traj.sample_times
-    return IntervalDecayResult(
-        final_K=float(K[-1]),
-        final_F_max=float(traj.records[-1].F_max),
-        kinetic_tail_share=_tail_share(K, times),
-        force_tail_share=_tail_share(traj.records.F_sq, times),
-    )
-
-
-def check_work_of_force(traj: Trajectory):
-    """|W| against its per-sample Cauchy-Schwarz envelope sqrt(2K) * N * F_max.
-
-    Returns the verdict, the peak |W| and the peak envelope.
-    """
-    rec = traj.records
-    envelope = np.sqrt(2.0 * rec.K) * traj.X.shape[1] * rec.F_max
-    W = np.abs(rec.W)
-    ok = bool(np.all(W <= envelope + 1e-12 * np.maximum(1.0, envelope)))
-    return ok, float(np.max(W)), float(np.max(envelope))
 
 
 def _largest_step(series: np.ndarray) -> float:
@@ -299,35 +193,62 @@ class _RunStats:
         times, rec = traj.sample_times, traj.records.view(np.ndarray)
         self.m, self.traj, self.times = m, traj, times
         self.A, self.E, self.p, self.D = rec["A"], rec["E"], rec["p"], rec["D"]
-        self.K, self.F_sq = rec["K"], rec["F_sq"]
+        self.K, self.F_sq, self.F_max = rec["K"], rec["F_sq"], rec["F_max"]
         D, L = self.D, rec["L"]
-        self.no_collision = check_no_collision(traj)
-        self.alignment = check_alignment(traj)
+        # a completed run collides with no wall when the wall-distance infimum is positive
+        self.min_dist = float(np.min(rec["x_min_wall"]))
+        self.tail = _tail_start_index(times)
+        self.final_A = float(self.A[-1])
+        # the tail guard rejects a lucky dip sampled at the final instant
+        tail_max = float(np.max(self.A[self.tail :]))
+        self.aligned = self.final_A < ALIGN_EPS and tail_max < 2.0 * ALIGN_EPS
+        self.kinetic_integral = float(np.trapezoid(self.K, times))
+        self.force_sq_integral = float(np.trapezoid(self.F_sq, times))
         self.E_rise = _largest_step(self.E)
         # sqrt(2NG) bounds every speed, so the diameter grows at most twice as fast
         self.speed = math.sqrt(max(2.0 * traj.X.shape[1] * rec["G"][0], 0.0))
         self.v_peak = float(np.max(np.maximum(np.abs(rec["v_max"]), np.abs(rec["v_min"]))))
         self.D_excess = float(np.max(D - (2.0 * self.speed * (times - times[0]) + D[0] + 1e-9)))
         slack = BUDGET_TOL * max(1.0, abs(L[0]))
-        L_budget = L[0] + _cumulative_trapezoid(rec["F_max"], times) + slack
+        L_budget = L[0] + _cumulative_trapezoid(self.F_max, times) + slack
         self.L_excess = float(np.max(L - L_budget))
         self.p_error = float(np.max(np.abs(self.p - self.p[0] - _impulse(times, rec["F_mean"]))))
 
     @cached_property
-    def settle(self) -> SettlementResult:
-        return check_settlement(self.traj, self.m.wall)
+    def escape(self) -> float | None:
+        """Earliest sample time after which every agent stays at distance >= ell."""
+        outside = self.traj.X.min(axis=1) >= self.m.wall.ell
+        if not outside[-1]:
+            return None
+        inside = np.nonzero(~outside)[0]
+        k0 = 0 if inside.size == 0 else int(inside[-1]) + 1
+        return float(self.times[k0])
 
     @cached_property
-    def escape(self) -> float | None:
-        return detect_escape(self.traj, self.m.geometry, self.m.wall)
+    def settle(self) -> tuple:
+        """Each agent's mean position over the tail window, and its range there."""
+        X = self.traj.X[self.tail :]
+        return X.mean(axis=0), X.max(axis=0) - X.min(axis=0)
+
+    @cached_property
+    def pair_variation(self) -> float:
+        """The largest range of a gap x_i - x_j over the tail window."""
+        # pairwise differences over the kernel sums' strips (past window N = 2^15,
+        # one row of window (N - lo)): rows [lo, lo + rows) against the columns
+        # j >= lo, so no (window, N, N) array exists and each pair is seen once:
+        # fl(x_j - x_i) = -fl(x_i - x_j), and a gap's spread has the same bits from either side
+        X = self.traj.X[self.tail :]
+        window, n = X.shape
+        rows = block_rows(window * n)
+        peaks = []
+        for lo in range(0, n, rows):
+            diffs = X[:, lo : lo + rows, None] - X[:, None, lo:]
+            peaks.append(np.max(diffs.max(axis=0) - diffs.min(axis=0)))
+        return float(np.max(peaks))
 
     @cached_property
     def fit(self) -> FitResult | None:
         return fit_exponential(self.traj, window_start=self.escape)
-
-    @cached_property
-    def decay(self) -> IntervalDecayResult:
-        return check_interval_decay(self.m, self.traj)
 
 
 def _below(value: float, bar: float):
@@ -339,15 +260,23 @@ def _at_most(value: float, bar: float):
 
 
 def _positions_settle(s: _RunStats):
-    """Absolute settlement applies only when the flock is not in drift mode."""
-    detail = "drift mode: flock translates at its aligned velocity" if s.settle.drift else ""
-    return s.settle.passed, s.settle.max_variation, SETTLE_EPS, not s.settle.drift, detail
+    """Every agent stops moving and rests at wall distance >= ell - SETTLE_EPS.
+
+    A flock that aligned to a nonzero drift velocity cannot satisfy that: in
+    drift mode the claim does not apply, and only the pairwise (shape)
+    convergence of strong_flocking is meaningful.
+    """
+    means, variation = s.settle
+    drift = abs(s.p[-1]) >= SETTLE_EPS
+    passed = bool(np.all(variation < SETTLE_EPS) and np.all(means >= s.m.wall.ell - SETTLE_EPS))
+    detail = "drift mode: flock translates at its aligned velocity" if drift else ""
+    return passed, float(np.max(variation)), SETTLE_EPS, not drift, detail
 
 
 def _outside_wall_range(s: _RunStats):
     if s.escape is not None:
         return True, s.escape, s.m.wall.ell, True, "escape time"
-    low = s.settle.min_mean_position
+    low = float(np.min(s.settle[0]))
     return low >= s.m.wall.ell - SETTLE_EPS, low, s.m.wall.ell, True, "tail-window mean position"
 
 
@@ -364,9 +293,20 @@ def _exponential_rate(s: _RunStats):
     return passed, math.nan if fit is None else fit.delta, 0.0, s.p[0] > 0.0 and not flat, detail
 
 
-def _decays(final: float, bar: float, tail_share: float):
-    """final below bar, and at most a tenth of the time integral in the second half."""
-    return final < bar and tail_share <= 0.10, final, bar, True, f"tail share {tail_share:.3g}"
+def _decays(s: _RunStats, last: np.ndarray, bar: float, series: np.ndarray, total: float):
+    """last's final value below bar, and at most a tenth of total, the time
+    integral of series, in the second half."""
+    final, share = float(last[-1]), _tail_share(series, s.times, total)
+    return final < bar and share <= 0.10, final, bar, True, f"tail share {share:.3g}"
+
+
+def _work_of_force(s: _RunStats):
+    """|W| against its per-sample Cauchy-Schwarz envelope sqrt(2K) * N * F_max:
+    the verdict, the peak |W| and the peak envelope."""
+    envelope = np.sqrt(2.0 * s.K) * s.traj.X.shape[1] * s.F_max
+    W = np.abs(s.traj.records.W)
+    ok = bool(np.all(W <= envelope + 1e-12 * np.maximum(1.0, envelope)))
+    return ok, float(np.max(W)), float(np.max(envelope))
 
 
 _HALFLINE, _INTERVAL, _BOTH = ("halfline",), ("interval",), ("halfline", "interval")
@@ -375,23 +315,19 @@ _HALFLINE, _INTERVAL, _BOTH = ("halfline",), ("interval",), ("halfline", "interv
 # statistics, (passed, value, threshold[, applicable, detail]); the interval's
 # diameter has no row, since boundedness of its asymptotic shape carries no claim
 _CLAIMS = (
-    ("no_wall_collision", _BOTH, lambda s: (*s.no_collision, 0.0)),
-    ("velocity_alignment", _BOTH, lambda s: (*s.alignment, ALIGN_EPS)),
-    ("strong_flocking", _HALFLINE, lambda s: _below(s.settle.max_pair_variation, SETTLE_EPS)),
+    ("no_wall_collision", _BOTH, lambda s: (s.min_dist > 0.0, s.min_dist, 0.0)),
+    ("velocity_alignment", _BOTH, lambda s: (s.aligned, s.final_A, ALIGN_EPS)),
+    ("strong_flocking", _HALFLINE, lambda s: _below(s.pair_variation, SETTLE_EPS)),
     ("positions_settle", _HALFLINE, _positions_settle),
     ("outside_wall_range", _HALFLINE, _outside_wall_range),
     ("exponential_rate", _HALFLINE, _exponential_rate),
-    (
-        "kinetic_decay",
-        _INTERVAL,
-        lambda s: _decays(s.decay.final_K, ALIGN_EPS**2, s.decay.kinetic_tail_share),
-    ),
+    ("kinetic_decay", _INTERVAL, lambda s: _decays(s, s.K, ALIGN_EPS**2, s.K, s.kinetic_integral)),
     (
         "force_decay",
         _INTERVAL,
-        lambda s: _decays(s.decay.final_F_max, ALIGN_EPS, s.decay.force_tail_share),
+        lambda s: _decays(s, s.F_max, ALIGN_EPS, s.F_sq, s.force_sq_integral),
     ),
-    ("work_of_force_bounded", _INTERVAL, lambda s: check_work_of_force(s.traj)),
+    ("work_of_force_bounded", _INTERVAL, _work_of_force),
     ("energy_nonincreasing", _BOTH, lambda s: _at_most(s.E_rise, 1e-9 * max(1.0, abs(s.E[0])))),
     ("velocity_bound", _BOTH, lambda s: _at_most(s.v_peak, s.speed + 1e-9)),
     ("diameter_growth", _BOTH, lambda s: _at_most(s.D_excess, 0.0)),
@@ -452,13 +388,13 @@ def _report(m: FlockModel, run) -> TheoremReport:
     report = TheoremReport(
         variant=variant,
         claims=claims,
-        min_wall_distance=s.no_collision[1],
-        final_A=s.alignment[1],
+        min_wall_distance=s.min_dist,
+        final_A=s.final_A,
         final_D=float(s.D[-1]),
-        kinetic_integral=float(np.trapezoid(s.K, s.times)),
-        force_sq_integral=float(np.trapezoid(s.F_sq, s.times)),
+        kinetic_integral=s.kinetic_integral,
+        force_sq_integral=s.force_sq_integral,
     )
     if variant == "halfline":
         report.fit, report.escape_time = s.fit, s.escape
-        report.settled_positions = s.settle.settled_positions
+        report.settled_positions = s.settle[0]
     return report

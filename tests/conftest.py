@@ -27,6 +27,27 @@ def interval_model(a=0.0, b=10.0):
 
 
 @pytest.fixture(scope="session")
+def dissipation_residual():
+    """The function of a trajectory that gives central-difference dE/dt plus I2
+    at its interior samples.
+
+    The identity dE/dt = -I2 makes this a pure discretization residual; it
+    shrinks at second order in the sample spacing.
+    """
+
+    def residual(traj):
+        if len(traj.records) < 3:
+            raise ValueError("need at least 3 samples for a central difference")
+        t = np.asarray(traj.sample_times, dtype=float)
+        E = traj.records.E
+        I2 = traj.records.I2
+        dEdt = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
+        return dEdt + I2[1:-1]
+
+    return residual
+
+
+@pytest.fixture(scope="session")
 def canonical_model():
     return halfline_model()
 

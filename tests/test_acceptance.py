@@ -9,7 +9,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 import wallflock as wf
-from wallflock import integrator
+from wallflock import integrator, verification
 from wallflock.cli import main
 
 
@@ -18,11 +18,13 @@ def _verdict(num, title, ok, detail):
     assert ok, f"criterion {num:02d} {title}: {detail}"
 
 
-def test_criterion_01_energy_dissipation_identity(halfline_traj, halfline_traj_halved):
+def test_criterion_01_energy_dissipation_identity(
+    halfline_traj, halfline_traj_halved, dissipation_residual
+):
     E0 = halfline_traj.records[0].E
     bar = 1e-3 * max(1.0, abs(E0))
-    r_coarse = float(np.max(np.abs(wf.dissipation_residual(halfline_traj))))
-    r_fine = float(np.max(np.abs(wf.dissipation_residual(halfline_traj_halved))))
+    r_coarse = float(np.max(np.abs(dissipation_residual(halfline_traj))))
+    r_fine = float(np.max(np.abs(dissipation_residual(halfline_traj_halved))))
     drop = r_coarse / r_fine
     ok = r_coarse <= bar and drop >= 3.5
     _verdict(
@@ -37,7 +39,8 @@ def test_criterion_02_no_wall_collision(scenario_table):
     details = []
     ok = True
     for name, m, traj in scenario_table:
-        passed, dist = wf.check_no_collision(traj)
+        report = verification._report(m, traj)
+        passed, dist = report.claim("no_wall_collision").passed, report.min_wall_distance
         if name == "control":
             # disabled-wall control must cross: the check has to fail
             ok = ok and not passed
@@ -128,7 +131,7 @@ def test_criterion_06_alignment(halfline_traj, interval_fixture):
 
 def test_criterion_07_exponential_rate(twoagent_fixture, canonical_model, halfline_traj):
     m2, s2, traj2 = twoagent_fixture
-    fit2 = wf.fit_exponential(traj2)
+    fit2 = verification.fit_exponential(traj2)
     # closed-form route: the velocity gap contracts at exactly the kernel height
     t2 = np.asarray(traj2.sample_times)
     A_exact = (s2.v[1] - s2.v[0]) * np.exp(-m2.kernel.H * t2)
@@ -140,8 +143,8 @@ def test_criterion_07_exponential_rate(twoagent_fixture, canonical_model, halfli
         and overlay < 1e-7
     )
 
-    esc = wf.detect_escape(halfline_traj, canonical_model.geometry, canonical_model.wall)
-    fit_c = wf.fit_exponential(halfline_traj, window_start=esc)
+    esc = verification._RunStats(canonical_model, halfline_traj).escape
+    fit_c = verification.fit_exponential(halfline_traj, window_start=esc)
     canon_ok = esc is not None and fit_c is not None and fit_c.delta > 0.0 and fit_c.r_squared > 0.99
     _verdict(
         7,
@@ -155,32 +158,37 @@ def test_criterion_07_exponential_rate(twoagent_fixture, canonical_model, halfli
 def test_criterion_08_settlement(settle_fixture):
     m, s0, traj = settle_fixture
     p0 = traj.records[0].p
-    res = wf.check_settlement(traj, m.wall)
-    ok = p0 < 0.0 and res.passed and not res.drift
+    report = verification._report(m, traj)
+    settle = report.claim("positions_settle")
+    # applicable: the flock is not in drift mode
+    ok = p0 < 0.0 and settle.passed and settle.applicable
     _verdict(
         8,
         "settlement outside the wall range",
         ok,
-        f"p0={p0:.4f} < 0, tail variation {res.max_variation:.3e} < 1e-2, "
-        f"min mean position {res.min_mean_position:.4f} >= {m.wall.ell - 1e-2:.2f}",
+        f"p0={p0:.4f} < 0, tail variation {settle.value:.3e} < 1e-2, "
+        f"min mean position {np.min(report.settled_positions):.4f} >= {m.wall.ell - 1e-2:.2f}",
     )
 
 
 def test_criterion_09_interval_decay(interval_fixture):
     m, s0, traj = interval_fixture
-    res = wf.check_interval_decay(m, traj)
+    t, K, F_sq = traj.sample_times, traj.records.K, traj.records.F_sq
+    final_K, final_F_max = float(K[-1]), float(traj.records[-1].F_max)
+    kinetic_tail_share = verification._tail_share(K, t, float(np.trapezoid(K, t)))
+    force_tail_share = verification._tail_share(F_sq, t, float(np.trapezoid(F_sq, t)))
     ok = (
-        res.final_K < 1e-4
-        and res.final_F_max < 1e-2
-        and res.kinetic_tail_share < 0.10
-        and res.force_tail_share < 0.10
+        final_K < 1e-4
+        and final_F_max < 1e-2
+        and kinetic_tail_share < 0.10
+        and force_tail_share < 0.10
     )
     _verdict(
         9,
         "interval decay",
         ok,
-        f"K(400)={res.final_K:.3e} < 1e-4, max|F|(400)={res.final_F_max:.3e} < 1e-2, "
-        f"tail shares {res.kinetic_tail_share:.3f}/{res.force_tail_share:.3f} < 0.10",
+        f"K(400)={final_K:.3e} < 1e-4, max|F|(400)={final_F_max:.3e} < 1e-2, "
+        f"tail shares {kinetic_tail_share:.3f}/{force_tail_share:.3f} < 0.10",
     )
 
 

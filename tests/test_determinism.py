@@ -21,8 +21,9 @@ import pytest
 import yaml
 
 import wallflock
-from wallflock import DiagnosticsRecord, Trajectory, config_from_data, fit_exponential
+from wallflock import DiagnosticsRecord, Trajectory, config_from_data
 from wallflock import initial_state_from_config, model_from_config, verify
+from wallflock.verification import fit_exponential
 
 HERE = Path(__file__).resolve().parent
 CONFIGS = HERE.parent / "configs"
@@ -73,6 +74,15 @@ def claim_rows():
     return rows
 
 
+def lowered_env():
+    """The SIMD targets numpy found above its baseline, and the environment that
+    switches them off (on top of any already off) and puts OpenBLAS on its
+    Haswell kernel."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    off = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *found]).strip()
+    return found, {"NPY_DISABLE_CPU_FEATURES": off, "OPENBLAS_CORETYPE": "Haswell"}
+
+
 def child(call, **env):
     """The JSON result of `test_determinism.<call>` in a fresh interpreter with env set."""
     src = Path(wallflock.__file__).resolve().parents[1]
@@ -104,10 +114,8 @@ def _close(a, b):
 
 
 def test_verdicts_do_not_depend_on_the_simd_dispatch_or_blas_kernel():
-    # the targets this process runs with, on top of any it was told to leave off
-    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-    off = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *found]).strip()
-    probe, rows = child("claim_rows", NPY_DISABLE_CPU_FEATURES=off, OPENBLAS_CORETYPE="Haswell")
+    found, env = lowered_env()
+    probe, rows = child("claim_rows", **env)
     if not found and probe == probe_bits():
         pytest.skip("no dispatch target above numpy's baseline and OPENBLAS_CORETYPE is not honoured")
     here = claim_rows()

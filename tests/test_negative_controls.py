@@ -36,6 +36,7 @@ from wallflock import (
     model_from_config,
     verify,
 )
+from wallflock.verification import _report
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHORT_HORIZON = {"force_decay", "kinetic_decay", "velocity_alignment"}
@@ -249,12 +250,17 @@ def test_reflected_interval_run_is_its_mirror_image(monkeypatch, row, detected):
 FIRST_INTEGRAL_BAR = 0.05 * integrator.ABS_TOL
 
 
+def _first_integrals(m, X, V):
+    """Q_i at each sample of the positions X and velocities V, (S, N) each."""
+    r = X[:, None, :] - X[:, :, None]  # r[s, i, j] = x_j - x_i
+    psi = m.kernel.H * r * hyp2f1(0.5, m.kernel.beta, 1.5, -r * r)
+    return V - psi.sum(axis=2) / X.shape[1]
+
+
 def _first_integral_drift(cfg):
     m = model_from_config(cfg)
     traj = integrate(m, initial_state_from_config(cfg), cfg.t_end, cfg.sample_every)
-    r = traj.X[:, None, :] - traj.X[:, :, None]  # r[s, i, j] = x_j - x_i
-    psi = m.kernel.H * r * hyp2f1(0.5, m.kernel.beta, 1.5, -r * r)
-    Q = traj.V - psi.sum(axis=2) / traj.X.shape[1]
+    Q = _first_integrals(m, traj.X, traj.V)
     return float(np.abs(Q - Q[0]).max())
 
 
@@ -267,3 +273,37 @@ def test_control_nowall_keeps_each_agents_first_integral(monkeypatch, row, detec
     assert _failed_claims("control_nowall") == failed  # no claim tells the two apart
     drift = _first_integral_drift(cfg)
     assert (drift > FIRST_INTEGRAL_BAR) == detected, drift
+
+
+# On the half-line the wall force is 0 once every agent is at distance >= ell,
+# so from the escape sample on Q_i is constant there too.  configs/halfline.yaml
+# escapes at t = 4.8; unperturbed, max |Q_i(t) - Q_i(4.8)| over [4.8, 200] is
+# 5.7e-13 (4.1e-13 to t = 10, and 4.2e-13 with numpy's dispatch and the BLAS
+# kernel lowered), so the bar 5e-4 * ABS_TOL (5e-12) leaves a factor 8.8.
+ESCAPED_FIRST_INTEGRAL_BAR = 5e-4 * integrator.ABS_TOL
+
+
+def _first_integral_drift_after_escape(cfg):
+    """(report, escape time, max |Q_i(t) - Q_i(escape)| over the samples from the escape on)."""
+    m = model_from_config(cfg)
+    traj = integrate(m, initial_state_from_config(cfg), cfg.t_end, cfg.sample_every)
+    # the samples from which every later record's nearest wall distance is >= ell
+    stays_out = np.logical_and.accumulate((traj.records.x_min_wall >= m.wall.ell)[::-1])[::-1]
+    assert stays_out[-1], "the flock never leaves the wall range"
+    k0 = int(np.argmax(stays_out))
+    assert not np.any(traj.records.F_max[k0:])  # no wall force from the escape on
+    Q = _first_integrals(m, traj.X[k0:], traj.V[k0:])
+    return _report(m, traj), float(traj.sample_times[k0]), float(np.abs(Q - Q[0]).max())
+
+
+@pytest.mark.parametrize("row, detected", [("baseline", False), ("kernel_asymmetry_1e-8", True)])
+def test_halfline_keeps_each_agents_first_integral_after_escape(monkeypatch, row, detected):
+    cfg = _config("halfline", 200.0)
+    report = _first_integral_drift_after_escape(cfg)[0]
+    verdicts = [(c.name, c.applicable, c.passed) for c in report.claims]
+    ROWS[row](monkeypatch)
+    report, escape, drift = _first_integral_drift_after_escape(cfg)
+    assert report.escape_time == escape
+    # no claim tells the two apart
+    assert [(c.name, c.applicable, c.passed) for c in report.claims] == verdicts
+    assert (drift > ESCAPED_FIRST_INTEGRAL_BAR) == detected, drift

@@ -9,7 +9,6 @@ from wallflock import (
     FIELDS,
     diagnostics,
     dynamics,
-    dissipation_residual,
     initial_energy,
     write_diagnostics_csv,
 )
@@ -295,7 +294,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_dissipation_residual_needs_three_samples(twoagent_fixture):
+def test_dissipation_residual_needs_three_samples(twoagent_fixture, dissipation_residual):
     m, s0, traj = twoagent_fixture
     with pytest.raises(ValueError):
         dissipation_residual(

@@ -18,18 +18,20 @@ from wallflock import (
     DiagnosticsRecord,
     TheoremReport,
     Trajectory,
-    check_alignment,
-    check_interval_decay,
-    check_no_collision,
-    check_settlement,
-    check_work_of_force,
-    detect_escape,
-    fit_exponential,
     integrate,
     verify,
 )
 from wallflock import dynamics, verification
-from wallflock.verification import FitResult, _cumulative_simpson, _cumulative_trapezoid
+from wallflock.verification import (
+    FitResult,
+    _cumulative_simpson,
+    _cumulative_trapezoid,
+    _report,
+    _RunStats,
+    _tail_share,
+    _work_of_force,
+    fit_exponential,
+)
 
 
 def make_record(t, **values):
@@ -59,6 +61,15 @@ def synthetic_traj(times, xs, **series):
     return Trajectory(times, X, np.zeros_like(X), records)
 
 
+_HALF = wf.Geometry("halfline")
+_BOX = wf.Geometry("interval", 0.0, 10.0)
+
+
+def _two_agents(geometry=_HALF):
+    kernel, wall = wf.CommunicationKernel("powerlaw", 1.0, 0.0), wf.WallPotential(1.0, 1.0)
+    return wf.FlockModel(kernel, wall, geometry)
+
+
 def test_readme_verdict_bars_are_the_constants():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme.split("The verdict bars are fixed values", 1)[1].split("\n\n", 1)[0]
@@ -76,27 +87,34 @@ def test_readme_verdict_bars_are_the_constants():
 def test_no_collision_uses_infimum():
     times = np.arange(4.0)
     xs = [[2.0, 3.0], [1.0, 2.0], [0.4, 1.0], [1.5, 2.0]]
-    ok, dist = check_no_collision(synthetic_traj(times, xs))
+    report = _report(_two_agents(), synthetic_traj(times, xs))
+    ok, dist = report.claim("no_wall_collision").passed, report.min_wall_distance
     assert ok and dist == 0.4
     xs[2] = [-0.1, 1.0]
-    ok, dist = check_no_collision(synthetic_traj(times, xs))
+    report = _report(_two_agents(), synthetic_traj(times, xs))
+    ok, dist = report.claim("no_wall_collision").passed, report.min_wall_distance
     assert not ok and dist == -0.1
 
 
 def test_alignment_tail_guard():
     times = np.linspace(0.0, 100.0, 201)
     xs = [[1.0, 2.0]] * 201
+
+    def aligned(A):
+        report = _report(_two_agents(), synthetic_traj(times, xs, A=A))
+        return report.claim("velocity_alignment").passed
+
     A = np.full(201, 1e-4)
-    assert check_alignment(synthetic_traj(times, xs, A=A))[0]
+    assert aligned(A)
     # lucky dip at the last sample must not pass while the tail is large
     A_bad = np.full(201, 0.5)
     A_bad[-1] = 1e-4
-    assert not check_alignment(synthetic_traj(times, xs, A=A_bad))[0]
+    assert not aligned(A_bad)
     # the tail may peak below 2 ALIGN_EPS, not above
-    for peak, aligned in ((3.0, False), (1.5, True)):
+    for peak, passes in ((3.0, False), (1.5, True)):
         A_peak = np.full(201, 1e-4)
         A_peak[180] = peak * verification.ALIGN_EPS  # t = 90, inside the tail window
-        assert check_alignment(synthetic_traj(times, xs, A=A_peak))[0] == aligned
+        assert aligned(A_peak) == passes
 
 
 def test_fit_recovers_synthetic_rate():
@@ -184,48 +202,52 @@ def test_verify_fits_the_rate_without_lapack(monkeypatch):
 
 
 def test_detect_escape():
-    geom = wf.Geometry("halfline")
-    wall = wf.WallPotential()
+    # the escape time is the first sample from which every agent stays at distance >= ell = 1
     times = np.arange(5.0)
+
+    def escape_time(xs):
+        return _report(_two_agents(), synthetic_traj(times, xs)).escape_time
+
     xs = [[0.5, 2.0], [0.8, 2.0], [1.2, 2.0], [1.5, 2.0], [1.7, 2.0]]
-    assert detect_escape(synthetic_traj(times, xs), geom, wall) == 2.0
+    assert escape_time(xs) == 2.0
     xs_in = [[0.5, 2.0]] * 5
-    assert detect_escape(synthetic_traj(times, xs_in), geom, wall) is None
+    assert escape_time(xs_in) is None
     xs_out = [[1.5, 2.0]] * 5
-    assert detect_escape(synthetic_traj(times, xs_out), geom, wall) == 0.0
-    with pytest.raises(ValueError):
-        detect_escape(synthetic_traj(times, xs), wf.Geometry("interval", 0.0, 10.0), wall)
+    assert escape_time(xs_out) == 0.0
 
 
 def test_settlement_parked_flock_passes():
-    wall = wf.WallPotential()
     times = np.linspace(0.0, 100.0, 101)
     xs = [[1.2 + 0.001 * math.sin(t), 1.5] for t in times]
-    res = check_settlement(synthetic_traj(times, xs), wall)
-    assert res.passed
-    assert not res.drift
-    assert res.min_mean_position > 1.1
-    assert res.max_variation < 0.003
+    report = _report(_two_agents(), synthetic_traj(times, xs))
+    settle = report.claim("positions_settle")
+    assert settle.passed
+    assert settle.applicable  # not in drift mode
+    assert np.min(report.settled_positions) > 1.1
+    assert settle.value < 0.003  # the largest tail-window variation
 
 
 def test_settlement_rejects_wandering_or_inside():
-    wall = wf.WallPotential()
     times = np.linspace(0.0, 100.0, 101)
+
+    def settles(xs):
+        return _report(_two_agents(), synthetic_traj(times, xs)).claim("positions_settle").passed
+
     xs_wander = [[1.2 + 0.02 * math.sin(0.3 * t), 1.5] for t in times]
-    assert not check_settlement(synthetic_traj(times, xs_wander), wall).passed
+    assert not settles(xs_wander)
     xs_inside = [[0.5, 1.5]] * 101
-    assert not check_settlement(synthetic_traj(times, xs_inside), wall).passed
+    assert not settles(xs_inside)
 
 
 def test_settlement_flags_drift():
-    wall = wf.WallPotential()
     times = np.linspace(0.0, 100.0, 101)
     xs = [[2.0 + 0.05 * t, 3.0 + 0.05 * t] for t in times]
     p = np.full(101, 0.05)
-    res = check_settlement(synthetic_traj(times, xs, p=p), wall)
-    assert res.drift
-    assert not res.passed  # absolute settlement fails even though the shape is rigid
-    assert res.max_pair_variation < 1e-12
+    report = _report(_two_agents(), synthetic_traj(times, xs, p=p))
+    settle = report.claim("positions_settle")
+    assert not settle.applicable  # drift mode
+    assert not settle.passed  # absolute settlement fails even though the shape is rigid
+    assert report.claim("strong_flocking").value < 1e-12
 
 
 @pytest.mark.parametrize("window, n", [(2, 1024), (50, 200), (301, 16), (7, 1), (40, 1024)])
@@ -245,8 +267,8 @@ def test_settlement_blocks_bitwise_equal_direct_form(window, n, monkeypatch):
     # against the columns from its first row on
     for block in (dynamics._BLOCK_ELEMENTS, 3 * X.size, 1):
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", block)
-        res = check_settlement(traj, wf.WallPotential())
-        assert np.float64(res.max_pair_variation).view(np.int64) == np.float64(peak).view(np.int64)
+        got = _RunStats(_two_agents(), traj).pair_variation
+        assert np.float64(got).view(np.int64) == np.float64(peak).view(np.int64)
 
 
 def test_settlement_memory_is_one_strip():
@@ -256,10 +278,11 @@ def test_settlement_memory_is_one_strip():
         rng = np.random.default_rng(window + n)
         times = np.arange(4 * window) * 0.1
         traj = synthetic_traj(times, rng.uniform(1.0, 50.0, (times.size, n)))
-        check_settlement(traj, wf.WallPotential())
+        _RunStats(_two_agents(), traj).pair_variation
+        stats = _RunStats(_two_agents(), traj)
         tracemalloc.start()
         try:
-            check_settlement(traj, wf.WallPotential())
+            stats.pair_variation
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -329,7 +352,7 @@ def test_momentum_identity_closes_a_short_last_interval_with_a_trapezoid():
     F_mean, p = np.zeros(12), np.zeros(12)
     F_mean[-1], p[-1] = 1.0, 0.5 * (times[-1] - times[-2])
     traj = synthetic_traj(times, [[4.0, 5.0]] * 12, G=0.5, F_mean=F_mean, p=p)
-    claim = verification._report(_two_agents(wf.Geometry("interval", 0.0, 10.0)), traj).claim(
+    claim = _report(_two_agents(wf.Geometry("interval", 0.0, 10.0)), traj).claim(
         "momentum_force_identity"
     )
     assert claim.passed and claim.value == 0.0
@@ -337,20 +360,22 @@ def test_momentum_identity_closes_a_short_last_interval_with_a_trapezoid():
 
 def test_interval_decay_requires_interval_geometry(interval_fixture):
     m, s0, traj = interval_fixture
-    res = check_interval_decay(m, traj)
-    # the fields the kinetic_decay and force_decay claims read
-    assert res.final_K < verification.ALIGN_EPS**2
-    assert res.kinetic_tail_share <= 0.10
-    assert res.final_F_max < verification.ALIGN_EPS
-    assert res.force_tail_share <= 0.10
+    s = _RunStats(m, traj)
+    # the statistics the kinetic_decay and force_decay claims read
+    assert s.K[-1] < verification.ALIGN_EPS**2
+    assert _tail_share(s.K, s.times, s.kinetic_integral) <= 0.10
+    assert s.F_max[-1] < verification.ALIGN_EPS
+    assert _tail_share(s.F_sq, s.times, s.force_sq_integral) <= 0.10
+    # a half-line report of the same run carries neither claim
     m_half = wf.FlockModel(m.kernel, m.wall, wf.Geometry("halfline"))
-    with pytest.raises(ValueError):
-        check_interval_decay(m_half, traj)
+    names = {c.name for c in _report(m_half, traj).claims}
+    assert not names & {"kinetic_decay", "force_decay"}
 
 
 def test_work_of_force_envelope(interval_fixture):
     m, s0, traj = interval_fixture
-    ok, w_peak, envelope = check_work_of_force(traj)
+    claim = _report(m, traj).claim("work_of_force_bounded")
+    ok, w_peak, envelope = claim.passed, claim.value, claim.threshold
     assert ok
     assert 0.0 <= w_peak <= envelope
     # the envelope sqrt(2K) N F_max is 2 at K = 0.5, N = 2, F_max = 1: |W| may
@@ -358,7 +383,8 @@ def test_work_of_force_envelope(interval_fixture):
     times = np.linspace(0.0, 1.0, 11)
     for W, within in ((2.0, True), (-3.0, False)):
         traj = synthetic_traj(times, [[4.0, 5.0]] * 11, K=0.5, F_max=1.0, W=W)
-        assert check_work_of_force(traj) == (within, abs(W), 2.0)
+        claim = _report(_two_agents(_BOX), traj).claim("work_of_force_bounded")
+        assert (claim.passed, claim.value, claim.threshold) == (within, abs(W), 2.0)
 
 
 @st.composite
@@ -384,12 +410,7 @@ def test_work_of_force_holds_for_any_state(case):
     m, s = case
     record = wf.diagnostics(m, s, wf.initial_energy(m, s))
     records = np.rec.fromrecords([record], names=DiagnosticsRecord._fields)
-    assert check_work_of_force(Trajectory([s.t], s.x[None], s.v[None], records))[0]
-
-
-def _two_agents(geometry):
-    kernel, wall = wf.CommunicationKernel("powerlaw", 1.0, 0.0), wf.WallPotential(1.0, 1.0)
-    return wf.FlockModel(kernel, wall, geometry)
+    assert _work_of_force(_RunStats(m, Trajectory([s.t], s.x[None], s.v[None], records)))[0]
 
 
 _T = np.linspace(0.0, 1.0, 11)
@@ -412,7 +433,7 @@ _SPEED = math.sqrt(2.0)  # the speed bound sqrt(2 N G) at N = 2, G = 0.5
 )
 def test_budget_bars(claim, series, passed):
     traj = synthetic_traj(_T, [[4.0, 5.0]] * len(_T), G=0.5, **series)
-    report = verification._report(_two_agents(wf.Geometry("halfline")), traj)
+    report = _report(_two_agents(wf.Geometry("halfline")), traj)
     assert {c.name: c.passed for c in report.claims}[claim] == passed
 
 
@@ -423,7 +444,7 @@ def test_exponential_rate_needs_r_squared_above_its_bar(wobble, passed):
     times = np.linspace(0.0, 40.0, 401)
     A = np.exp(-0.2 * times + wobble * np.sin(3.0 * times))
     traj = synthetic_traj(times, [[2.0, 3.0]] * 401, A=A, p=1.0)
-    report = verification._report(_two_agents(wf.Geometry("halfline")), traj)
+    report = _report(_two_agents(wf.Geometry("halfline")), traj)
     assert report.fit.r_squared > 0.9 and (report.fit.r_squared > 0.99) == passed
     assert report.claim("exponential_rate").passed == passed
 
@@ -437,9 +458,10 @@ def test_decay_tail_share_bars(rate, passed):
     decay = 1e-6 * np.exp(-rate * times)
     traj = synthetic_traj(times, [[4.0, 5.0]] * 401, K=decay, F_sq=decay)
     box = _two_agents(wf.Geometry("interval", 0.0, 10.0))
-    share = check_interval_decay(box, traj).kinetic_tail_share
+    s = _RunStats(box, traj)
+    share = _tail_share(s.K, s.times, s.kinetic_integral)
     assert share == pytest.approx(1.0 / (1.0 + math.exp(20.0 * rate)), rel=1e-2)
-    report = verification._report(box, traj)
+    report = _report(box, traj)
     assert report.claim("kinetic_decay").passed == passed
     assert report.claim("force_decay").passed == passed
 
@@ -449,8 +471,6 @@ _T40 = np.linspace(0.0, 40.0, 401)
 _TAIL_STEP = [[4.0, 5.0 + 1.5 * verification.SETTLE_EPS * (t > 0.85)] for t in _T]
 
 
-_HALF = wf.Geometry("halfline")
-_BOX = wf.Geometry("interval", 0.0, 10.0)
 # the tail window of _T is its last three samples, t >= 0.8
 _IN_TAIL = (_T > 0.75) & (_T < 0.95)
 # per case, a synthetic run (geometry, times, positions, record series) just
@@ -511,7 +531,7 @@ def test_report_carries_each_claim_verdict(case):
     claim = case.partition("-")[0]
     geometry, times, xs, series = _VIOLATIONS[case]
     traj = synthetic_traj(times, xs, G=0.5, **series)
-    report = verification._report(_two_agents(geometry), traj)
+    report = _report(_two_agents(geometry), traj)
     verdict = report.claim(claim)
     assert verdict.applicable and not verdict.passed
     assert not report.passed
@@ -558,7 +578,7 @@ def test_report_carries_each_claim_applicability_and_detail(case):
     claim = case.partition("-")[0]
     geometry, times, xs, series, applicable, detail = _BRANCHES[case]
     traj = synthetic_traj(times, xs, G=0.5, **series)
-    verdict = verification._report(_two_agents(geometry), traj).claim(claim)
+    verdict = _report(_two_agents(geometry), traj).claim(claim)
     assert (verdict.applicable, verdict.detail) == (applicable, detail)
     if case == "outside_wall_range-escape":
         assert verdict.passed and verdict.value == 0.5

@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/artifact_digest.py > digest.txt
+    python3 tools/artifact_digest.py [--src DIR] > digest.txt
 
 Runs `wallflock verify`, `wallflock simulate` and `wallflock plot-data` on
 configs/{halfline,interval,settle,control_nowall}.yaml and `wallflock sweep` on
@@ -20,14 +20,25 @@ kernel.beta [0, 0.5, 1, 1.5] by kernel.H [0.3, 1] (sweep_kernels.yaml), each
 into its own directory
 under a temporary working directory, and prints one line per run (`<command> <config> exit=<code>`)
 followed by `<sha256>  <command>/<config>/<file>` for every file the run
-wrote.  wallflock is imported from the src/ tree next to this script, so two
-checkouts give two digests whose diff is the byte-identity check of a change.
+wrote.
+
+A second listing follows, of the same runs in a child process whose numpy
+has every SIMD target it found above its baseline switched off and whose
+OpenBLAS runs its Haswell kernel (tests/test_determinism.py's lowered_env),
+after a line that names the two settings; where numpy found no target above
+its baseline, one line says that the lowered listing is skipped, and why.
+
+wallflock is imported from the src/ tree next to this script, or from DIR
+with --src, so the tool of one checkout gives the digests of two trees, whose
+diff is the byte-identity check of a change.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -35,9 +46,6 @@ from pathlib import Path
 import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-
-from wallflock.cli import main  # noqa: E402
 
 RUNS = [
     (command, name)
@@ -100,6 +108,8 @@ def write_derived_configs(directory: Path) -> None:
 
 
 def print_digest() -> None:
+    from wallflock.cli import main
+
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # relative --out paths keep the temporary directory's name out of the
@@ -124,5 +134,32 @@ def print_digest() -> None:
             os.chdir(cwd)
 
 
-if __name__ == "__main__":
+def print_lowered(src: Path) -> None:
+    """The listing of a child that runs src's wallflock with the dispatch and BLAS kernel lowered."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_determinism import lowered_env
+
+    found, env = lowered_env()
+    if not found:
+        print("lowered listing skipped: numpy found no SIMD target above its baseline")
+        return
+    print("lowered listing:", " ".join(f'{key}="{value}"' for key, value in env.items()))
+    argv = [sys.executable, __file__, "--src", str(src), "--default-only"]
+    done = subprocess.run(argv, env={**os.environ, **env}, stdout=subprocess.PIPE, text=True, check=True)
+    print(done.stdout, end="")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the tree wallflock is imported from")
+    parser.add_argument("--default-only", action="store_true", help="print the default listing alone")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
     print_digest()
+    if not args.default_only:
+        print_lowered(src)
+
+
+if __name__ == "__main__":
+    main()
