@@ -6,14 +6,10 @@ from .potentials import (
     Geometry,
     WallDomainError,
     WallPotential,
-    check_domain,
-    geometry_force,
-    warn_if_overlapping,
 )
 from .dynamics import (
     FlockModel,
     FlockState,
-    acceleration,
     initial_condition,
 )
 from .integrator import (
@@ -21,13 +17,9 @@ from .integrator import (
     Trajectory,
     integrate,
     integrate_batch,
-    reference_rk4,
 )
 from .observables import (
     FIELDS,
-    DiagnosticsRecord,
-    diagnostics,
-    initial_energy,
     write_diagnostics_csv,
 )
 from .verification import (

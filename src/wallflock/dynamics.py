@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import CommunicationKernel
-from .potentials import Geometry, WallPotential, wall_layer, warn_if_overlapping
+from .potentials import Geometry, WallPotential, wall_layer
 
 # element bound of one row strip of every pairwise pass, the kernel sums and
 # the settlement check's gaps (256 KB): 32 rows at N = 1024, and one strip,
@@ -54,7 +55,10 @@ class FlockModel:
     geometry: Geometry
 
     def __post_init__(self):
-        warn_if_overlapping(self.geometry, self.wall)
+        # overlapping ranges are legal but leave no force-free interior region
+        geom, ell = self.geometry, self.wall.ell
+        if geom.variant == "interval" and ell > (half_width := (geom.b - geom.a) / 2.0):
+            warnings.warn(f"wall range ell={ell} exceeds half the interval width {half_width}")
 
 
 def block_rows(n: int) -> int:

@@ -64,7 +64,6 @@ def _anchors(beta: float, e: int) -> tuple:
     while len(grown) <= e - e0:
         a = math.ldexp(1.0, e0 + len(grown) - 1)
         grown.append(grown[-1] + _panel(beta, a, 2.0 * a))
-    # stored whole, so callers on other threads store equal tables
     entry = _ANCHORS[beta] = (e0, tuple(grown))
     return entry
 

@@ -42,8 +42,9 @@ _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
 def initial_energy(m: FlockModel, s: FlockState) -> float:
     """K + P at a state; captured once per run as the constant G."""
-    # diagnostics' K, and its P from the same wall_layer call, so that G equals E at t = 0
-    return float(s.v @ s.v) / (2.0 * s.n) + wall_layer(m.geometry, m.wall, s.x, potential=True)[1]
+    # diagnostics' K and P, from the same vecdot and wall_layer calls, so that G equals E at t = 0
+    K = float(np.vecdot(s.v, s.v)) / (2.0 * s.n)
+    return K + wall_layer(m.geometry, m.wall, s.x, potential=True)[1]
 
 
 def diagnostics(m: FlockModel, s, G) -> DiagnosticsRecord:

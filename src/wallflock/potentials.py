@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,11 +164,3 @@ def wall_layer(geom: Geometry, wall: WallPotential, x: np.ndarray, potential: bo
         U = F = np.zeros(x.shape)
     return lo, U.sum(axis=-1) / x.shape[-1], F
 
-
-def warn_if_overlapping(geom: Geometry, wall: WallPotential) -> None:
-    # overlapping ranges are legal but leave no force-free interior region
-    if geom.variant == "interval" and wall.ell > (half_width := (geom.b - geom.a) / 2.0):
-        warnings.warn(
-            f"wall range ell={wall.ell} exceeds half the interval width {half_width}",
-            stacklevel=2,
-        )

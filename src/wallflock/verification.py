@@ -196,7 +196,8 @@ class _RunStats:
         self.K, self.F_sq, self.F_max = rec["K"], rec["F_sq"], rec["F_max"]
         D, L = self.D, rec["L"]
         # a completed run collides with no wall when the wall-distance infimum is positive
-        self.min_dist = float(np.min(rec["x_min_wall"]))
+        self.x_min_wall = rec["x_min_wall"]
+        self.min_dist = float(np.min(self.x_min_wall))
         self.tail = _tail_start_index(times)
         self.final_A = float(self.A[-1])
         # the tail guard rejects a lucky dip sampled at the final instant
@@ -216,8 +217,9 @@ class _RunStats:
 
     @cached_property
     def escape(self) -> float | None:
-        """Earliest sample time after which every agent stays at distance >= ell."""
-        outside = self.traj.X.min(axis=1) >= self.m.wall.ell
+        """Earliest sample time after which every agent stays at distance >= ell
+        (the records' x_min_wall, which on the half-line is the smallest x)."""
+        outside = self.x_min_wall >= self.m.wall.ell
         if not outside[-1]:
             return None
         inside = np.nonzero(~outside)[0]

@@ -200,7 +200,7 @@ def test_criterion_10_integrator_order_and_reference_agreement():
     )
     s0 = wf.initial_condition(8, 2.0, 5.0, 0.0, 1.0, 3)
     T = 20.0
-    truth = wf.reference_rk4(m, s0, T, 1e-3, sample_every=T)
+    truth = integrator.reference_rk4(m, s0, T, 1e-3, sample_every=T)
     errs = []
     for h in (0.2, 0.1, 0.05, 0.025):
         # the Fehlberg step itself at fixed h, without step control
@@ -212,7 +212,7 @@ def test_criterion_10_integrator_order_and_reference_agreement():
     order = float(np.mean(orders))
 
     adaptive = wf.integrate(m, s0, T, sample_every=0.1)
-    reference = wf.reference_rk4(m, s0, T, 0.002, sample_every=0.1)
+    reference = integrator.reference_rk4(m, s0, T, 0.002, sample_every=0.1)
     dev = 0.0
     for xa, va, xr, vr in zip(adaptive.X, adaptive.V, reference.X, reference.V):
         dev = max(dev, np.max(np.abs(xa - xr)), np.max(np.abs(va - vr)))

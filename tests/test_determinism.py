@@ -21,11 +21,15 @@ import pytest
 import yaml
 
 import wallflock
-from wallflock import DiagnosticsRecord, Trajectory, config_from_data
+from wallflock import Trajectory, config_from_data
 from wallflock import initial_state_from_config, model_from_config, verify
+from wallflock.observables import DiagnosticsRecord
 from wallflock.verification import fit_exponential
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "tools"))
+from lowered_dispatch import lowered_env  # noqa: E402
+
 CONFIGS = HERE.parent / "configs"
 CANONICAL = ("halfline", "interval", "settle", "control_nowall")
 SHORT_T = 10.0
@@ -72,15 +76,6 @@ def claim_rows():
             for c in report.claims
         ]
     return rows
-
-
-def lowered_env():
-    """The SIMD targets numpy found above its baseline, and the environment that
-    switches them off (on top of any already off) and puts OpenBLAS on its
-    Haswell kernel."""
-    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-    off = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *found]).strip()
-    return found, {"NPY_DISABLE_CPU_FEATURES": off, "OPENBLAS_CORETYPE": "Haswell"}
 
 
 def child(call, **env):

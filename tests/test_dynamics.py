@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallflock as wf
-from wallflock import FlockModel, FlockState, acceleration, diagnostics, dynamics, initial_condition
-from wallflock.potentials import wall_layer
+from wallflock import FlockModel, FlockState, dynamics, initial_condition
+from wallflock.dynamics import acceleration
+from wallflock.observables import diagnostics
+from wallflock.potentials import geometry_force, wall_layer
 
 
 def free_model(family="powerlaw", H=1.0, beta=0.25):
@@ -55,7 +57,7 @@ def test_two_agent_acceleration_by_hand():
 def test_single_agent_feels_only_the_wall():
     m = free_model()
     acc = acceleration(m, np.array([0.5]), np.array([0.0]))
-    assert abs(acc[0] - wf.geometry_force(wf.Geometry(), m.wall, 0.5)[0]) < 1e-15
+    assert abs(acc[0] - geometry_force(wf.Geometry(), m.wall, 0.5)[0]) < 1e-15
     acc_out = acceleration(m, np.array([2.0]), np.array([3.0]))
     assert acc_out[0] == 0.0
 
@@ -89,7 +91,7 @@ def test_momentum_and_mean_force():
     s = FlockState(0.0, [0.5, 4.0], [1.0, 3.0])
     rec = diagnostics(m, s, G=0.0)
     assert rec.p == 2.0
-    assert abs(rec.F_mean - 0.5 * wf.geometry_force(wf.Geometry(), m.wall, 0.5)[0]) < 1e-15
+    assert abs(rec.F_mean - 0.5 * geometry_force(wf.Geometry(), m.wall, 0.5)[0]) < 1e-15
 
 
 def test_initial_condition_reproducible_and_sorted():
@@ -245,7 +247,7 @@ def test_row_blocked_acceleration_bitwise_equal_dense_form(monkeypatch, geometry
         phi = k.H * (1.0 + gaps * gaps) ** (-k.beta)
         del gaps
         phi *= v[None, :] - v[:, None]
-        F = wf.geometry_force(geometry, m.wall, x)
+        F = geometry_force(geometry, m.wall, x)
         dense = phi.sum(axis=1) / n + F
         np.abs(phi, out=phi)
         bound = 2.0 * _gamma(n + 1) * (phi.sum(axis=1) / n + np.abs(F))
@@ -324,7 +326,7 @@ def _subtraction_strips(m, x, v):
         phi *= dv
         total += phi.sum() + phi[:, hi - lo :].sum()
     sums /= n
-    sums += wf.geometry_force(m.geometry, m.wall, x)
+    sums += geometry_force(m.geometry, m.wall, x)
     return sums, float(total) / (2.0 * n * n)
 
 
@@ -491,12 +493,12 @@ def test_acceleration_without_a_wall_in_reach_adds_no_zeros(geometry, n):
         for state in states:
             assert wall_layer(geometry, m.wall, state)[2] is None
             got = acceleration(m, state, np.broadcast_to(v, state.shape).copy())
-            zeros = wf.geometry_force(geometry, m.wall, state)
+            zeros = geometry_force(geometry, m.wall, state)
             assert not np.signbit(got[got == 0.0]).any()
             assert np.array_equal(_bits(got), _bits(got + zeros))
     x[0] = 0.5  # inside the first wall's layer
     v = rng.uniform(-1.0, 1.0, n)
-    F = wf.geometry_force(geometry, m.wall, x)
+    F = geometry_force(geometry, m.wall, x)
     assert F[0] > 0.0
     free = FlockModel(m.kernel, wf.WallPotential(1.0, 0.0), geometry)
     assert np.array_equal(_bits(acceleration(m, x, v)), _bits(acceleration(free, x, v) + F))

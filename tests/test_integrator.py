@@ -14,12 +14,14 @@ from wallflock import (
     Trajectory,
     WallDomainError,
     integrate,
-    reference_rk4,
 )
+from wallflock.dynamics import acceleration
 from wallflock.kernels import KernelStack
 from wallflock.integrator import (
     ABS_TOL, REL_TOL, _A, _B4, _ERR, _attempt, _error_ratio, batch_members, integrate_batch,
+    reference_rk4,
 )
+from wallflock.observables import DiagnosticsRecord, diagnostics, initial_energy
 
 
 def two_agent_constant(H=1.0):
@@ -104,12 +106,12 @@ def _paired_attempt(m, x, v, dt):
     kx = np.empty((6, x.size))
     kv = np.empty((6, x.size))
     kx[0] = v
-    kv[0] = wf.acceleration(m, x, v)
+    kv[0] = acceleration(m, x, v)
     for i in range(1, 6):
         xi = x + dt * (_A[i] @ kx[:i])
         vi = v + dt * (_A[i] @ kv[:i])
         kx[i] = vi
-        kv[i] = wf.acceleration(m, xi, vi)
+        kv[i] = acceleration(m, xi, vi)
     x_new = x + dt * (_B4 @ kx)
     v_new = v + dt * (_B4 @ kv)
     return x_new, v_new, dt * (_ERR @ kx), dt * (_ERR @ kv)
@@ -123,13 +125,13 @@ def _paired_error_ratio(x, v, x_new, v_new, err_x, err_v):
 
 def _paired_rk4_substep(m, x, v, h):
     kx1 = v
-    kv1 = wf.acceleration(m, x, v)
+    kv1 = acceleration(m, x, v)
     kx2 = v + 0.5 * h * kv1
-    kv2 = wf.acceleration(m, x + 0.5 * h * kx1, v + 0.5 * h * kv1)
+    kv2 = acceleration(m, x + 0.5 * h * kx1, v + 0.5 * h * kv1)
     kx3 = v + 0.5 * h * kv2
-    kv3 = wf.acceleration(m, x + 0.5 * h * kx2, v + 0.5 * h * kv2)
+    kv3 = acceleration(m, x + 0.5 * h * kx2, v + 0.5 * h * kv2)
     kx4 = v + h * kv3
-    kv4 = wf.acceleration(m, x + h * kx3, v + h * kv3)
+    kv4 = acceleration(m, x + h * kx3, v + h * kv3)
     x = x + (h / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
     v = v + (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
     return x, v
@@ -377,9 +379,9 @@ def test_trajectory_rows_equal_per_sample_diagnostics(run):
         assert traj.X.shape == traj.V.shape == (S, n)
         assert traj.records.shape == (S,)
         assert np.array_equal(traj.X[0], s0.x) and np.array_equal(traj.V[0], s0.v)
-        G = wf.initial_energy(m, s0)
+        G = initial_energy(m, s0)
         for k, t in enumerate(traj.sample_times):
-            want = wf.diagnostics(m, wf.FlockState(t, traj.X[k], traj.V[k]), G)
+            want = diagnostics(m, wf.FlockState(t, traj.X[k], traj.V[k]), G)
             for name, value in zip(want._fields, want):
                 got = np.float64(traj.records[k][name]).view(np.int64)
                 assert got == np.float64(value).view(np.int64), (k, name)
@@ -453,7 +455,7 @@ def _assert_same_run(got, want):
     assert np.array_equal(_bits(got.sample_times), _bits(want.sample_times))
     assert np.array_equal(_bits(got.X), _bits(want.X))
     assert np.array_equal(_bits(got.V), _bits(want.V))
-    for field in wf.DiagnosticsRecord._fields:
+    for field in DiagnosticsRecord._fields:
         assert np.array_equal(_bits(got.records[field]), _bits(want.records[field])), field
 
 
@@ -583,7 +585,7 @@ def test_batched_acceleration_calls_do_not_grow_with_distinct_kernels(beta):
 
     def count(kernels):
         m = wf.FlockModel(KernelStack(tuple(kernels)), wall, geometry)
-        wf.acceleration(m, x, v)  # first-call caches out of the way
+        acceleration(m, x, v)  # first-call caches out of the way
         events = Counter()
 
         def hook(frame, event, arg):
@@ -591,7 +593,7 @@ def test_batched_acceleration_calls_do_not_grow_with_distinct_kernels(beta):
 
         sys.setprofile(hook)
         try:
-            wf.acceleration(m, x, v)
+            acceleration(m, x, v)
         finally:
             sys.setprofile(None)
         return events["call"], events["c_call"]
@@ -729,7 +731,7 @@ def test_batch_size_bounds_kernel_block_and_samples():
         assert batch_members(n, 1) * n * n <= block < (batch_members(n, 1) + 1) * n * n, n
     assert batch_members(182, 1) == batch_members(4096, 1) == 1
     # and the members' recorded samples within 2^22 numbers
-    row = 2 * 8 + len(wf.DiagnosticsRecord._fields)
+    row = 2 * 8 + len(DiagnosticsRecord._fields)
     assert batch_members(8, 4001) * 4001 * row <= 1 << 22
     assert batch_members(8, 10**7) == 1
 

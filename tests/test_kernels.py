@@ -10,11 +10,11 @@ from wallflock import (
     FlockState,
     Geometry,
     WallPotential,
-    acceleration,
-    diagnostics,
-    geometry_force,
     kernels,
 )
+from wallflock.dynamics import acceleration
+from wallflock.observables import diagnostics
+from wallflock.potentials import geometry_force
 
 # closed-form primitives at D=1, H=1
 ASINH_1 = 0.8813735870195430

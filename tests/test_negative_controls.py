@@ -8,13 +8,17 @@ on the half-line; on the interval the decay claims, which need a longer run.
 A row whose set equals the baseline's is a perturbation no claim detects.
 
 A whole-run relation sees some of those: reflecting the interval, x -> a + b - x
-and v -> -v with the agents reversed, must reflect the run at every sample
+and v -> -v with the agents reversed, must reflect the run at every sample;
+rescaling time, (H, theta, v) -> (cH, c^2 theta, cv), must speed it up c
+times; and translating the interval and the flock must translate the run
 (metamorphic testing: Chen et al., ACM Comput. Surv. 51(1), 2018; Segura et
 al., IEEE TSE 42(9), 2016).  So does each agent's first integral on the line,
 Q_i = v_i - (1/N) sum_j Psi(x_j - x_i) while no wall force acts (Ha, Kim, Park
-and Zhang, Arch. Ration. Mech. Anal. 231, 2019).
+and Zhang, Arch. Ration. Mech. Anal. 231, 2019), and the settled shape on the
+half-line that it predicts at the escape.
 """
 
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,7 @@ from wallflock import (
     CommunicationKernel,
     FlockState,
     Geometry,
+    WallPotential,
     config_from_data,
     initial_state_from_config,
     integrate,
@@ -45,6 +50,8 @@ _acceleration = dynamics.acceleration
 _geometry_force = potentials.geometry_force
 _matrix = CommunicationKernel.matrix
 _wall_layer = potentials.wall_layer
+_terms = WallPotential._terms
+_diagnostics = observables.diagnostics
 
 
 def _uniform_force(monkeypatch, eps):
@@ -105,6 +112,41 @@ def _stronger_second_wall(monkeypatch, eps):
     monkeypatch.setattr(observables, "wall_layer", layer)
 
 
+def _theta_short_in_force(monkeypatch, eps):
+    # the wall force with theta^(1 - eps) where the potential has theta: eps = 1
+    # applies theta to P but not to F; at theta = 1 nothing changes
+    def terms(wall, x, potential=False):
+        U, F = _terms(wall, x, potential)
+        return U, F * wall.theta**-eps
+
+    monkeypatch.setattr(WallPotential, "_terms", terms)
+
+
+def _extra_H_in_diagnostics(monkeypatch, eps):
+    # diagnostics' kernel terms, I2 and the primitive in L, with H^(1 + eps):
+    # eps = 1 applies H twice; at H = 1 nothing changes
+    def diagnostics(m, s, G):
+        rec = _diagnostics(m, s, G)
+        scale = m.kernel.H**eps
+        return rec._replace(I2=scale * rec.I2, L=rec.A + scale * m.kernel.primitive(rec.D))
+
+    monkeypatch.setattr(integrator, "diagnostics", diagnostics)
+
+
+def _second_wall_off_by_a(monkeypatch, eps):
+    # the interval's second wall, for its F and U, at b - eps a: eps = 1 puts it
+    # at the interval's width b - a; at a = 0 nothing changes
+    def layer(geom, wall, x, potential=False):
+        lo = _wall_layer(geom, wall, x, potential)[0]
+        if geom.a:
+            geom = Geometry(geom.variant, geom.a, geom.b - eps * geom.a)
+        return (lo,) + _wall_layer(geom, wall, x, potential)[1:]
+
+    monkeypatch.setattr(potentials, "wall_layer", layer)
+    monkeypatch.setattr(dynamics, "wall_layer", layer)
+    monkeypatch.setattr(observables, "wall_layer", layer)
+
+
 ROWS = {
     "baseline": lambda mp: None,
     "uniform_force_1e-5": lambda mp: _uniform_force(mp, 1e-5),
@@ -117,6 +159,9 @@ ROWS = {
     "kernel_asymmetry_1e-2": lambda mp: _asymmetric_kernel(mp, 1e-2),
     "one_agent_drift_1e-2": lambda mp: _one_agent_drift(mp, 1e-2),
     "second_wall_scaled_1+1e-6": lambda mp: _stronger_second_wall(mp, 1e-6),
+    "theta_on_P_not_F": lambda mp: _theta_short_in_force(mp, 1.0),
+    "H_twice_in_diagnostics": lambda mp: _extra_H_in_diagnostics(mp, 1.0),
+    "second_wall_at_b-1e-6a": lambda mp: _second_wall_off_by_a(mp, 1e-6),
 }
 
 EXPECTED = [
@@ -166,13 +211,24 @@ EXPECTED = [
     ("one_agent_drift_1e-2", "interval", SHORT_HORIZON | {"momentum_force_identity"}),
     # seen by the reflection relation alone (test_reflected_interval_run_is_its_mirror_image)
     ("second_wall_scaled_1+1e-6", "interval", SHORT_HORIZON),
+    # seen by the rescaling relation alone (test_time_rescaled_interval_run_is_the_run_sped_up)
+    ("theta_on_P_not_F", "halfline", set()),
+    ("theta_on_P_not_F", "interval", SHORT_HORIZON),
+    ("H_twice_in_diagnostics", "halfline", set()),
+    ("H_twice_in_diagnostics", "interval", SHORT_HORIZON),
+    # seen by the translation relation alone (test_translated_interval_run_is_the_run_shifted)
+    ("second_wall_at_b-1e-6a", "interval", SHORT_HORIZON),
 ]
 
 
-def _config(name, t_end):
+def _data(name, t_end):
     data = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
     data["integrator"]["t_end"] = t_end
-    return config_from_data(data)
+    return data
+
+
+def _config(name, t_end):
+    return config_from_data(_data(name, t_end))
 
 
 def _failed_claims(name):
@@ -241,6 +297,80 @@ def test_reflected_interval_run_is_its_mirror_image(monkeypatch, row, detected):
     assert (max(gap_x, gap_v) > REFLECTION_BAR) == detected, (gap_x, gap_v)
 
 
+def _run(data):
+    cfg = config_from_data(data)
+    m = model_from_config(cfg)
+    return integrate(m, initial_state_from_config(cfg), cfg.t_end, cfg.sample_every)
+
+
+def _gaps(run, other, shift=0.0, c=1.0):
+    """max |.| of other's X - shift, V / c, E / c^2 and I2 / c^3 less run's, at matching samples."""
+    rec, other_rec = run.records, other.records
+    return [
+        float(np.abs(other.X - shift - run.X).max()),
+        float(np.abs(other.V / c - run.V).max()),
+        float(np.abs(other_rec.E / c**2 - rec.E).max()),
+        float(np.abs(other_rec.I2 / c**3 - rec.I2).max()),
+    ]
+
+
+# With (H, theta, v(0), t_end, sample_every) -> (cH, c^2 theta, c v(0), t_end / c,
+# sample_every / c) the alignment term and the wall force both scale by c^2, so
+# x_c(t) = x(ct), v_c = c v, E_c = c^2 E and I2_c = c^3 I2.  At c = 2 every
+# scaled input is exact, but the tolerances are absolute, so the two runs take
+# their own adaptive steps: on configs/interval.yaml the gap is 1.2e-8 in X,
+# 1.9e-8 in V / c, 4.1e-10 in E / c^2 and 4.5e-10 in I2 / c^3 at T = 10, 40 and
+# 400, and the same with numpy's dispatch and the BLAS kernel lowered, so
+# k = 0.5 in the bar k * ABS_TOL * (1 + T) leaves a factor 10.
+RELATION_T = 40.0
+RESCALING_C = 2.0
+RESCALING_BAR = 0.5 * integrator.ABS_TOL * (1.0 + RELATION_T)
+
+
+@pytest.mark.parametrize(
+    "row, detected",
+    [("baseline", False), ("theta_on_P_not_F", True), ("H_twice_in_diagnostics", True)],
+)
+def test_time_rescaled_interval_run_is_the_run_sped_up(monkeypatch, row, detected):
+    ROWS[row](monkeypatch)
+    c = RESCALING_C
+    data = _data("interval", RELATION_T)
+    fast = copy.deepcopy(data)
+    fast["kernel"]["H"] *= c
+    fast["potential"]["theta"] *= c * c
+    # v_low + (v_high - v_low) u is exactly doubled with both ends
+    fast["ic"]["v_low"] *= c
+    fast["ic"]["v_high"] *= c
+    fast["integrator"]["t_end"] /= c
+    fast["integrator"]["sample_every"] /= c
+    run, sped = _run(data), _run(fast)
+    assert np.array_equal(c * sped.sample_times, run.sample_times)
+    gaps = _gaps(run, sped, c=c)
+    assert (max(gaps) > RESCALING_BAR) == detected, gaps
+
+
+# Translating the interval and the initial box by s translates the run.  It
+# holds up to rounding: x + s rounds, and so does every wall distance x - a.
+# On configs/interval.yaml at s = 3 the gap is 4.6e-11 in X, 2.0e-11 in V,
+# 6.8e-13 in E and 3.3e-13 in I2 at T = 40 and 400, and the same lowered, so
+# k = 1e-3 in the bar k * ABS_TOL * (1 + T) leaves a factor 8.9.  The run
+# never comes within ell of its first wall, so the relation reads the second.
+TRANSLATION_SHIFT = 3.0
+TRANSLATION_BAR = 1e-3 * integrator.ABS_TOL * (1.0 + RELATION_T)
+
+
+@pytest.mark.parametrize("row, detected", [("baseline", False), ("second_wall_at_b-1e-6a", True)])
+def test_translated_interval_run_is_the_run_shifted(monkeypatch, row, detected):
+    ROWS[row](monkeypatch)
+    s = TRANSLATION_SHIFT
+    data = _data("interval", RELATION_T)
+    moved = copy.deepcopy(data)
+    for section, key in (("geometry", "a"), ("geometry", "b"), ("ic", "x_low"), ("ic", "x_high")):
+        moved[section][key] += s
+    gaps = _gaps(_run(data), _run(moved), shift=s)
+    assert (max(gaps) > TRANSLATION_BAR) == detected, gaps
+
+
 # With no wall force, d/dt Psi(x_j - x_i) = phi(x_j - x_i) (v_j - v_i) makes
 # Q_i = v_i - (1/N) sum_j Psi(x_j - x_i) constant for each agent, where Psi is
 # the kernel's odd primitive, H r 2F1(1/2, beta; 3/2; -r^2), taken from scipy
@@ -283,27 +413,88 @@ def test_control_nowall_keeps_each_agents_first_integral(monkeypatch, row, detec
 ESCAPED_FIRST_INTEGRAL_BAR = 5e-4 * integrator.ABS_TOL
 
 
-def _first_integral_drift_after_escape(cfg):
-    """(report, escape time, max |Q_i(t) - Q_i(escape)| over the samples from the escape on)."""
+def _halfline_run():
+    """(model, run) of configs/halfline.yaml to T = 200."""
+    cfg = _config("halfline", 200.0)
     m = model_from_config(cfg)
-    traj = integrate(m, initial_state_from_config(cfg), cfg.t_end, cfg.sample_every)
-    # the samples from which every later record's nearest wall distance is >= ell
+    return m, integrate(m, initial_state_from_config(cfg), cfg.t_end, cfg.sample_every)
+
+
+@pytest.fixture(scope="module")
+def halfline_run():
+    """The unperturbed run of _halfline_run, shared by the tests from the escape on."""
+    return _halfline_run()
+
+
+def _escape_sample(m, traj):
+    """The sample from which every later record's nearest wall distance is >= ell."""
     stays_out = np.logical_and.accumulate((traj.records.x_min_wall >= m.wall.ell)[::-1])[::-1]
     assert stays_out[-1], "the flock never leaves the wall range"
     k0 = int(np.argmax(stays_out))
     assert not np.any(traj.records.F_max[k0:])  # no wall force from the escape on
+    return k0
+
+
+def _first_integral_drift_after_escape(m, traj):
+    """(report, escape time, max |Q_i(t) - Q_i(escape)| over the samples from the escape on)."""
+    k0 = _escape_sample(m, traj)
     Q = _first_integrals(m, traj.X[k0:], traj.V[k0:])
     return _report(m, traj), float(traj.sample_times[k0]), float(np.abs(Q - Q[0]).max())
 
 
 @pytest.mark.parametrize("row, detected", [("baseline", False), ("kernel_asymmetry_1e-8", True)])
-def test_halfline_keeps_each_agents_first_integral_after_escape(monkeypatch, row, detected):
-    cfg = _config("halfline", 200.0)
-    report = _first_integral_drift_after_escape(cfg)[0]
+def test_halfline_keeps_each_agents_first_integral_after_escape(
+    monkeypatch, halfline_run, row, detected
+):
+    report = _first_integral_drift_after_escape(*halfline_run)[0]
     verdicts = [(c.name, c.applicable, c.passed) for c in report.claims]
     ROWS[row](monkeypatch)
-    report, escape, drift = _first_integral_drift_after_escape(cfg)
+    report, escape, drift = _first_integral_drift_after_escape(*_halfline_run())
     assert report.escape_time == escape
     # no claim tells the two apart
     assert [(c.name, c.applicable, c.passed) for c in report.claims] == verdicts
     assert (drift > ESCAPED_FIRST_INTEGRAL_BAR) == detected, drift
+
+
+# After the escape Q_i is constant, so an aligned limit, every v_i at the
+# momentum p, solves (1/N) sum_j Psi(x_j - x_i) = p - Q_i(t_e), with Q read at
+# the escape sample t_e: Q_i(x, p) - Q_i(t_e) = 0 in the positions x.  Its
+# Jacobian is the graph Laplacian with weights phi(x_j - x_i) / N, whose null
+# space is translation, so Newton steps the positions past the first agent's,
+# and the predicted gaps are compared with the final gaps of the run.  On
+# configs/halfline.yaml (t_e = 4.8, T = 200, largest gap 1.45) Newton stops
+# after 4 iterations and the gaps agree to 7.9e-13 (4.1e-13 with numpy's
+# dispatch and the BLAS kernel lowered), so the bar 1e-3 * ABS_TOL (1e-11)
+# leaves a factor 12.7.
+SETTLED_SHAPE_BAR = 1e-3 * integrator.ABS_TOL
+
+
+def _settled_shape(m, x, v):
+    """The positions of the aligned limit predicted from the state (x, v) after
+    the escape, the first agent's kept; phi written out, as Psi is in _first_integrals."""
+    n = x.size
+    p = np.full((1, n), v.sum() / n)
+    target = _first_integrals(m, x[None], v[None])[0]
+    y = x.copy()
+    for _ in range(20):
+        residual = _first_integrals(m, y[None], p)[0] - target
+        r = y[None, :] - y[:, None]
+        w = m.kernel.H * (1.0 + r * r) ** -m.kernel.beta / n
+        jacobian = np.diag(w.sum(axis=1)) - w  # the diagonal's w_ii cancels
+        step = np.linalg.solve(jacobian[1:, 1:], -residual[1:])
+        y[1:] += step
+        if np.abs(step).max() <= 1e-14 * np.abs(y).max():
+            return y
+    raise AssertionError("Newton did not converge")
+
+
+@pytest.mark.parametrize("row, detected", [("baseline", False), ("kernel_asymmetry_1e-8", True)])
+def test_halfline_settles_into_the_shape_predicted_at_escape(
+    monkeypatch, halfline_run, row, detected
+):
+    ROWS[row](monkeypatch)
+    m, traj = halfline_run if row == "baseline" else _halfline_run()
+    k0 = _escape_sample(m, traj)
+    predicted = _settled_shape(m, traj.X[k0], traj.V[k0])
+    error = float(np.abs(np.diff(predicted) - np.diff(traj.X[-1])).max())
+    assert (error > SETTLED_SHAPE_BAR) == detected, error

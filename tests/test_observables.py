@@ -7,11 +7,11 @@ import pytest
 import wallflock as wf
 from wallflock import (
     FIELDS,
-    diagnostics,
     dynamics,
-    initial_energy,
     write_diagnostics_csv,
 )
+from wallflock.observables import DiagnosticsRecord, diagnostics, initial_energy
+from wallflock.potentials import geometry_force
 
 # frozen hand values for the N=2 reference state below (H=1, beta=0.5)
 I2_REF = 0.1767766952966369  # phi(1)/4 = 1/(4 sqrt 2)
@@ -28,7 +28,7 @@ def two_agent_model(beta=0.5):
 
 def record_table(records):
     """The diagnostics table a trajectory carries, built from DiagnosticsRecords."""
-    return np.rec.fromrecords(records, names=wf.DiagnosticsRecord._fields)
+    return np.rec.fromrecords(records, names=DiagnosticsRecord._fields)
 
 
 def reference_state():
@@ -95,7 +95,7 @@ def test_diagnostics_against_hand_formulas():
             for j in range(3):
                 i2 += float(m3.kernel.eval(x[i] - x[j])) * (v[i] - v[j]) ** 2
         assert abs(rec.I2 - i2 / 18.0) < 1e-15
-        F = wf.geometry_force(m3.geometry, m3.wall, x)
+        F = geometry_force(m3.geometry, m3.wall, x)
         assert abs(rec.W + float(v @ F)) < 1e-13
         assert rec.x_min_wall == x.min()
 
@@ -103,7 +103,7 @@ def test_diagnostics_against_hand_formulas():
 def _direct_diagnostics(m, s, G):
     """diagnostics written out field by field with np.mean / np.max / np.min / np.sum."""
     x, v, n = s.x, s.v, s.n
-    F = wf.geometry_force(m.geometry, m.wall, x)
+    F = geometry_force(m.geometry, m.wall, x)
     dv = v[:, None] - v[None, :]
     A = float(np.max(v)) - float(np.min(v))
     D = float(np.max(x) - np.min(x))
@@ -179,7 +179,7 @@ def _batched_diagnostics(models, x, v, t=0.7):
     rec = diagnostics(stack, SimpleNamespace(t=t, x=x, v=v), G)
     for b, (m, s) in enumerate(zip(models, states)):
         want = diagnostics(m, s, G[b])
-        for name in wf.DiagnosticsRecord._fields:
+        for name in DiagnosticsRecord._fields:
             got = np.broadcast_to(getattr(rec, name), len(models))[b]
             assert _bits(got) == _bits(getattr(want, name)), (name, b)
     return rec

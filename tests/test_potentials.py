@@ -13,15 +13,11 @@ from wallflock import (
     Geometry,
     WallDomainError,
     WallPotential,
-    acceleration,
-    check_domain,
-    diagnostics,
-    geometry_force,
-    initial_energy,
-    warn_if_overlapping,
 )
+from wallflock.dynamics import acceleration
 from wallflock.kernels import KernelStack
-from wallflock.potentials import wall_layer
+from wallflock.observables import diagnostics, initial_energy
+from wallflock.potentials import check_domain, geometry_force, wall_layer
 
 
 # On the half-line the one wall's distance is the position, so the mean
@@ -159,13 +155,13 @@ def test_check_domain():
 
 def test_overlap_warning():
     with pytest.warns(UserWarning):
-        warn_if_overlapping(Geometry("interval", 0.0, 1.5), WallPotential(ell=1.0))
+        FlockModel(CommunicationKernel(), WallPotential(ell=1.0), Geometry("interval", 0.0, 1.5))
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warn_if_overlapping(Geometry("interval", 0.0, 10.0), WallPotential(ell=1.0))
-        warn_if_overlapping(Geometry("halfline"), WallPotential(ell=1.0))
+        FlockModel(CommunicationKernel(), WallPotential(ell=1.0), Geometry("interval", 0.0, 10.0))
+        FlockModel(CommunicationKernel(), WallPotential(ell=1.0), Geometry("halfline"))
 
 
 _ells = st.floats(0.1, 5.0)

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 import wallflock as wf
 from wallflock import (
     Claim,
-    DiagnosticsRecord,
     TheoremReport,
     Trajectory,
     integrate,
     verify,
 )
 from wallflock import dynamics, verification
+from wallflock.observables import DiagnosticsRecord, diagnostics, initial_energy
 from wallflock.verification import (
     FitResult,
     _cumulative_simpson,
@@ -408,7 +408,7 @@ def test_work_of_force_holds_for_any_state(case):
     # |W| = |v . F| <= |v| sqrt(N) F_max = sqrt(2K) N F_max by Cauchy-Schwarz:
     # the claim holds for the records of any state, whatever the dynamics
     m, s = case
-    record = wf.diagnostics(m, s, wf.initial_energy(m, s))
+    record = diagnostics(m, s, initial_energy(m, s))
     records = np.rec.fromrecords([record], names=DiagnosticsRecord._fields)
     assert _work_of_force(_RunStats(m, Trajectory([s.t], s.x[None], s.v[None], records)))[0]
 

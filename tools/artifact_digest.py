@@ -24,7 +24,7 @@ wrote.
 
 A second listing follows, of the same runs in a child process whose numpy
 has every SIMD target it found above its baseline switched off and whose
-OpenBLAS runs its Haswell kernel (tests/test_determinism.py's lowered_env),
+OpenBLAS runs its Haswell kernel (tools/lowered_dispatch.py's lowered_env),
 after a line that names the two settings; where numpy found no target above
 its baseline, one line says that the lowered listing is skipped, and why.
 
@@ -44,6 +44,7 @@ import tempfile
 from pathlib import Path
 
 import yaml
+from lowered_dispatch import lowered_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -136,9 +137,6 @@ def print_digest() -> None:
 
 def print_lowered(src: Path) -> None:
     """The listing of a child that runs src's wallflock with the dispatch and BLAS kernel lowered."""
-    sys.path.insert(0, str(ROOT / "tests"))
-    from test_determinism import lowered_env
-
     found, env = lowered_env()
     if not found:
         print("lowered listing skipped: numpy found no SIMD target above its baseline")
